@@ -48,7 +48,6 @@ from .projection import (
 )
 from .cluster import (
     VARIANTS,
-    BASELINE_VARIANTS,
     ConfigError,
     RunConfig,
     Partition,
@@ -61,9 +60,6 @@ from .cluster import (
     prepare,
     run,
     run_prepared,
-    run_harr_v,
-    run_harr_m,
-    run_baseline,
     weighted_distance,
     assign,
     update_prototypes,

@@ -21,6 +21,7 @@ from .schema import (
     AttributeKind,
     Dataset,
     OrdinalView,
+    _freeze,
     discretize_numerical,
 )
 
@@ -33,12 +34,6 @@ __all__ = [
     "build_base_distances",
     "dump_base_distances",
 ]
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

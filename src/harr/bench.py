@@ -100,14 +100,6 @@ def _run_config(cfg: BenchConfig, variant: str, seed: int) -> RunConfig:
     )
 
 
-def _representation_width(prep: Prepared, dataset: Dataset) -> int:
-    if prep.space is not None:
-        return prep.space.d_hat
-    if prep.encoded is not None:
-        return prep.encoded.shape[1]
-    return dataset.schema.d
-
-
 def _execute_runs(
     dataset: Dataset, prep: Prepared, configs: list[RunConfig], workers: int
 ) -> list[RunReport]:
@@ -161,7 +153,7 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
             inner_cap=cfg.inner_cap,
             outer_cap=cfg.outer_cap,
             epsilon=configs[0].epsilon,
-            d_hat=_representation_width(prep, dataset),
+            d_hat=prep.width,
             ari_mean=summary.ari_mean if summary else None,
             ari_std=summary.ari_std if summary else None,
             ca_mean=summary.ca_mean if summary else None,

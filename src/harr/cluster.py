@@ -1,12 +1,17 @@
 """Clustering engine: weight-learning variants and classical baselines.
 
-All prototype-based variants share one alternating loop: objects are
-assigned to their nearest prototype under the variant's dissimilarity,
-prototypes are refit as per-cluster means (numerical attributes) and modal
-values (categorical attributes), and the loop repeats until the partition
-stops changing. The weight-learning variants then refresh attribute weights
-from the ratio of inter- to intra-cluster average distance per attribute and
-resume, stopping once the partition is stable across weight refreshes.
+Every variant runs through one alternating loop: objects are assigned to
+their nearest prototype under the variant's dissimilarity, prototypes are
+refit, and the loop repeats until the partition stops changing. The
+weight-learning variants then refresh attribute weights from the ratio of
+inter- to intra-cluster average distance per attribute and resume, stopping
+once the partition is stable across weight refreshes.
+
+The score and refit steps come from the variant's model. The column model
+keeps prototypes in the original attribute space and refits them as
+per-cluster means (numerical attributes) and modal values (categorical
+attributes); OHE+OC's point model scores encoded points by squared Euclidean
+distance and refits them as member means.
 
 Variants:
 
@@ -36,11 +41,10 @@ from .projection import (
     reconstruct,
     value_distance,
 )
-from .schema import AttributeKind, Dataset, discretize_numerical
+from .schema import AttributeKind, Dataset, _freeze, discretize_numerical
 
 __all__ = [
     "VARIANTS",
-    "BASELINE_VARIANTS",
     "ConfigError",
     "RunConfig",
     "Partition",
@@ -54,9 +58,6 @@ __all__ = [
     "prepare",
     "run",
     "run_prepared",
-    "run_harr_v",
-    "run_harr_m",
-    "run_baseline",
     "weighted_distance",
     "assign",
     "update_prototypes",
@@ -67,19 +68,12 @@ __all__ = [
 ]
 
 VARIANTS = ("HARR-V", "HARR-M", "HAR", "BD", "KMD", "KPT", "OHE+OC")
-BASELINE_VARIANTS = ("KMD", "KPT", "OHE+OC", "BD", "HAR")
 
 MONOTONE_TOLERANCE = 1e-9
 
 
 class ConfigError(ValueError):
     """An invalid run configuration."""
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -239,10 +233,11 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# Column model shared by all prototype-based variants. Categorical distances
-# depend only on the value index, so every categorical column carries a
-# value-by-value distance table and scoring gathers one per-value total per
-# source attribute instead of touching per-object columns.
+# Models. Each supplies the run loop's score and refit steps. The column
+# model serves every variant but OHE+OC. Categorical distances depend only on
+# the value index, so scoring builds each column's distances from every value
+# to the prototype's value and gathers one per-value total per source
+# attribute instead of touching per-object columns.
 
 
 @dataclass(frozen=True)
@@ -254,32 +249,98 @@ class _NumericCol:
 
 @dataclass(frozen=True)
 class _CatGroup:
-    """All expanded columns of one source categorical attribute."""
+    """All expanded columns of one source categorical attribute.
+
+    Projected sub-attributes keep their line coordinates, and a value
+    distance is a coordinate gap. A one-column group whose distances are not
+    coordinate gaps (BD base distances, 0/1 mismatch, the Hamming fallback)
+    keeps a value-by-value table instead.
+    """
 
     source: int
     cols: np.ndarray  # positions in the expanded column order
     codes0: np.ndarray  # n, 0-based value codes
-    dist_tables: np.ndarray  # (len(cols), v, v) value-level distances
     value_counts: np.ndarray  # (v,) occurrences over the whole dataset
+    coords: np.ndarray | None = None  # (len(cols), v) line coordinates
+    table: np.ndarray | None = None  # (v, v) distances of the only column
+
+    def per_value(self, p: int) -> np.ndarray:
+        """(len(cols), v) distances from every value to 0-based value ``p``."""
+        if self.table is not None:
+            return self.table[None, :, p]
+        return np.abs(self.coords - self.coords[:, p, None])
 
 
 @dataclass(frozen=True)
 class _ColumnModel:
-    n: int
+    dataset: Dataset
     m: int
     numeric: tuple[_NumericCol, ...]
     groups: tuple[_CatGroup, ...]
 
+    @property
+    def points(self) -> np.ndarray:
+        return self.dataset.cells
 
-def _make_group(source, cols, codes0, tables) -> _CatGroup:
-    dist_tables = np.ascontiguousarray(np.stack(tables))
-    v = dist_tables.shape[1]
+    def scores(self, proto_vals: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+        """n x k weighted object-to-prototype dissimilarities.
+
+        ``weights`` is a length-m vector, a k x m matrix (row per cluster),
+        or None for an unweighted sum. ``proto_vals`` holds prototypes in
+        the original attribute space.
+        """
+        k = proto_vals.shape[0]
+        scores = np.zeros((self.dataset.n, k))
+        for l in range(k):
+            w_l = weights[l] if weights is not None and weights.ndim == 2 else weights
+            s = scores[:, l]
+            for num in self.numeric:
+                gap = np.abs(num.values - proto_vals[l, num.source])
+                s += gap if w_l is None else w_l[num.col] * gap
+            for g in self.groups:
+                per_value = g.per_value(int(proto_vals[l, g.source]) - 1)
+                if w_l is None:
+                    totals = per_value.sum(axis=0)
+                else:
+                    # Summed column by column, in order: a BLAS product sums
+                    # in another order and can flip exact ties in the argmin.
+                    totals = (w_l[g.cols, None] * per_value).sum(axis=0)
+                s += totals[g.codes0]
+        return scores
+
+    def refit(self, labels0: np.ndarray, k: int) -> np.ndarray:
+        return _fit_prototypes(self.dataset.cells, labels0, k, self.dataset.schema)
+
+
+@dataclass(frozen=True)
+class _PointModel:
+    """OHE+OC: encoded points, squared Euclidean scores, member-mean refits."""
+
+    points: np.ndarray  # n x m, from encode_ohe_oc
+
+    @property
+    def m(self) -> int:
+        return self.points.shape[1]
+
+    def scores(self, centroids: np.ndarray, weights: None) -> np.ndarray:
+        """n x k squared Euclidean distances; OHE+OC is unweighted."""
+        sq = np.empty((self.points.shape[0], centroids.shape[0]))
+        for l in range(centroids.shape[0]):
+            sq[:, l] = ((self.points - centroids[l]) ** 2).sum(axis=1)
+        return sq
+
+    def refit(self, labels0: np.ndarray, k: int) -> np.ndarray:
+        return np.stack([self.points[labels0 == l].mean(axis=0) for l in range(k)])
+
+
+def _make_group(source, cols, codes0, v, coords=None, table=None) -> _CatGroup:
     return _CatGroup(
         source,
         _freeze(np.asarray(cols, dtype=np.int64)),
         _freeze(codes0),
-        _freeze(dist_tables),
         _freeze(np.bincount(codes0, minlength=v).astype(float)),
+        None if coords is None else _freeze(coords),
+        None if table is None else _freeze(table),
     )
 
 
@@ -300,18 +361,18 @@ def _model_reconstructed(dataset: Dataset, space: ReconstructedSpace) -> _Column
     for source in sorted(by_source):
         subs = by_source[source]
         v = subs[0].v
-        tables = []
-        cols = []
-        for sub in subs:
-            if sub.span == HAMMING_FALLBACK:
-                tables.append(_mismatch_table(v))
-            else:
-                tables.append(np.abs(sub.coords[:, None] - sub.coords[None, :]))
-            cols.append(col)
-            col += 1
+        cols = range(col, col + len(subs))
+        col += len(subs)
         codes0 = dataset.cells[:, source].astype(np.int64) - 1
-        groups.append(_make_group(source, cols, codes0, tables))
-    return _ColumnModel(dataset.n, col, tuple(numeric), tuple(groups))
+        if subs[0].span == HAMMING_FALLBACK:
+            # reconstruct() emits the fallback as its attribute's only
+            # column; its coordinates are all zero, so it needs the table
+            group = _make_group(source, cols, codes0, v, table=_mismatch_table(v))
+        else:
+            coords = np.stack([sub.coords for sub in subs])
+            group = _make_group(source, cols, codes0, v, coords=coords)
+        groups.append(group)
+    return _ColumnModel(dataset, col, tuple(numeric), tuple(groups))
 
 
 def _model_original(
@@ -327,36 +388,8 @@ def _model_original(
         else:
             codes0 = dataset.cells[:, r].astype(np.int64) - 1
             dist = _mismatch_table(attr.v) if table is None else table.matrices[r]
-            groups.append(_make_group(r, [r], codes0, [dist]))
-    return _ColumnModel(dataset.n, dataset.schema.d, tuple(numeric), tuple(groups))
-
-
-def _scores(
-    model: _ColumnModel, proto_vals: np.ndarray, weights: np.ndarray | None
-) -> np.ndarray:
-    """n x k weighted object-to-prototype dissimilarities.
-
-    ``weights`` is a length-m vector, a k x m matrix (row per cluster), or
-    None for an unweighted sum. ``proto_vals`` holds prototypes in the
-    original attribute space.
-    """
-    k = proto_vals.shape[0]
-    scores = np.zeros((model.n, k))
-    for l in range(k):
-        w_l = weights[l] if weights is not None and weights.ndim == 2 else weights
-        s = scores[:, l]
-        for num in model.numeric:
-            gap = np.abs(num.values - proto_vals[l, num.source])
-            s += gap if w_l is None else w_l[num.col] * gap
-        for g in model.groups:
-            proto_code = int(proto_vals[l, g.source]) - 1
-            per_value = g.dist_tables[:, :, proto_code]
-            if w_l is None:
-                totals = per_value.sum(axis=0)
-            else:
-                totals = w_l[g.cols] @ per_value
-            s += totals[g.codes0]
-    return scores
+            groups.append(_make_group(r, [r], codes0, attr.v, table=dist))
+    return _ColumnModel(dataset, dataset.schema.d, tuple(numeric), tuple(groups))
 
 
 def _fit_prototypes(cells: np.ndarray, labels0: np.ndarray, k: int, schema) -> np.ndarray:
@@ -429,7 +462,7 @@ def _weight_stats(
     """Per-cluster member sums and all-object sums of per-column distances.
 
     Categorical columns aggregate through per-value occurrence counts, so the
-    cost per cluster is one pass over the numeric columns plus table-sized
+    cost per cluster is one pass over the numeric columns plus O(columns x v)
     work per categorical attribute.
     """
     member_sum = np.empty((k, model.m))
@@ -441,8 +474,7 @@ def _weight_stats(
             total_sum[l, num.col] = gap.sum()
             member_sum[l, num.col] = gap[mask].sum()
         for g in model.groups:
-            proto_code = int(proto_vals[l, g.source]) - 1
-            per_value = g.dist_tables[:, :, proto_code]
+            per_value = g.per_value(int(proto_vals[l, g.source]) - 1)
             v = per_value.shape[1]
             member_counts = np.bincount(g.codes0[mask], minlength=v).astype(float)
             member_sum[l, g.cols] = per_value @ member_counts
@@ -544,7 +576,7 @@ def assign(
     lowest cluster index."""
     model = _model_reconstructed(dataset, space)
     w = None if weights is None else weights.w
-    labels0 = _scores(model, protos.values, w).argmin(axis=1)
+    labels0 = model.scores(protos.values, w).argmin(axis=1)
     return Partition(tuple(int(x) + 1 for x in labels0), protos.k)
 
 
@@ -623,10 +655,15 @@ class Prepared:
     """Variant-specific immutable inputs shared by every run on a dataset."""
 
     variant: str
-    model: _ColumnModel | None
+    model: _ColumnModel | _PointModel
     space: ReconstructedSpace | None
-    encoded: np.ndarray | None
     reconstruct_s: float
+
+    @property
+    def width(self) -> int:
+        """Columns the variant clusters on: d_hat for the reconstructed
+        space, the encoded width for OHE+OC, d otherwise."""
+        return self.model.m
 
 
 def prepare(dataset: Dataset, variant: str, bins: int | None = None) -> Prepared:
@@ -637,7 +674,7 @@ def prepare(dataset: Dataset, variant: str, bins: int | None = None) -> Prepared
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     start = time.perf_counter()
-    model = space = encoded = None
+    space = None
     if variant in ("HARR-V", "HARR-M", "HAR"):
         view = discretize_numerical(dataset, bins=bins)
         table = build_base_distances(dataset, view)
@@ -654,37 +691,13 @@ def prepare(dataset: Dataset, variant: str, bins: int | None = None) -> Prepared
             )
         model = _model_original(dataset)
     else:  # OHE+OC
-        encoded = encode_ohe_oc(dataset)
-    return Prepared(variant, model, space, encoded, time.perf_counter() - start)
+        model = _PointModel(_freeze(encode_ohe_oc(dataset)))
+    return Prepared(variant, model, space, time.perf_counter() - start)
 
 
 def run(dataset: Dataset, config: RunConfig) -> RunReport:
     """Prepare the variant's representation and execute one seeded run."""
     return run_prepared(dataset, prepare(dataset, config.variant, config.bins), config)
-
-
-def run_harr_v(dataset: Dataset, config: RunConfig) -> RunReport:
-    """Weight-vector learning run (requires ``config.variant == "HARR-V"``)."""
-    if config.variant != "HARR-V":
-        raise ConfigError(f"run_harr_v got variant {config.variant!r}")
-    return run(dataset, config)
-
-
-def run_harr_m(dataset: Dataset, config: RunConfig) -> RunReport:
-    """Weight-matrix learning run (requires ``config.variant == "HARR-M"``)."""
-    if config.variant != "HARR-M":
-        raise ConfigError(f"run_harr_m got variant {config.variant!r}")
-    return run(dataset, config)
-
-
-def run_baseline(dataset: Dataset, config: RunConfig) -> RunReport:
-    """One seeded run of a baseline variant (KMD, KPT, OHE+OC, BD, or HAR)."""
-    if config.variant not in BASELINE_VARIANTS:
-        raise ConfigError(
-            f"run_baseline got variant {config.variant!r}; expected one of "
-            f"{BASELINE_VARIANTS}"
-        )
-    return run(dataset, config)
 
 
 def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunReport:
@@ -696,8 +709,6 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
     if config.k > dataset.n:
         raise ConfigError(f"k={config.k} exceeds the {dataset.n} available objects")
     rng = np.random.default_rng(config.seed)
-    if config.variant == "OHE+OC":
-        return _run_kmeans(dataset, prep, config, rng)
     weight_mode = {
         "HARR-V": "vector",
         "HARR-M": "matrix",
@@ -714,12 +725,12 @@ def _run_alternating(
     weight_mode: str,
 ) -> RunReport:
     model = prep.model
-    n, m = model.n, model.m
+    n, m = dataset.n, model.m
     k = config.k
     started = time.perf_counter()
     weights_s = 0.0
 
-    proto_vals = dataset.cells[rng.choice(n, size=k, replace=False)].copy()
+    proto_vals = model.points[rng.choice(n, size=k, replace=False)].copy()
     if weight_mode == "none":
         weights = None
     elif weight_mode == "matrix":
@@ -743,10 +754,11 @@ def _run_alternating(
     inner_stable = False
 
     while True:
-        scores = _scores(model, proto_vals, weights)
+        scores = model.scores(proto_vals, weights)
         labels0 = scores.argmin(axis=1)
         labels0, reseeded = _reseed_empty(labels0, scores, k)
         z = float(scores[np.arange(n), labels0].sum())
+        del scores  # freed before the next score step allocates its own
         if prev_z is not None and not just_updated:
             if not (reseeded or trace_reseeded[-1]):
                 max_increase = max(max_increase, z - prev_z)
@@ -761,7 +773,7 @@ def _run_alternating(
         changed = prev_inner is None or not np.array_equal(labels0, prev_inner)
         if changed and inner_count < config.inner_cap:
             prev_inner = labels0
-            proto_vals = _fit_prototypes(dataset.cells, labels0, k, dataset.schema)
+            proto_vals = model.refit(labels0, k)
             continue
         inner_stable = not changed
         if changed:
@@ -842,67 +854,3 @@ def encode_ohe_oc(dataset: Dataset) -> np.ndarray:
             onehot[np.arange(dataset.n), col.astype(np.int64) - 1] = 1.0
             cols.extend(onehot.T)
     return np.column_stack(cols)
-
-
-def _run_kmeans(
-    dataset: Dataset, prep: Prepared, config: RunConfig, rng: np.random.Generator
-) -> RunReport:
-    encoded = prep.encoded
-    n = encoded.shape[0]
-    k = config.k
-    started = time.perf_counter()
-    centroids = encoded[rng.choice(n, size=k, replace=False)].copy()
-
-    trace_z: list[float] = []
-    trace_reseeded: list[bool] = []
-    prev_labels: np.ndarray | None = None
-    prev_z: float | None = None
-    max_increase = 0.0
-    converged = False
-    iters = 0
-
-    while True:
-        sq = np.empty((n, k))
-        for l in range(k):
-            sq[:, l] = ((encoded - centroids[l]) ** 2).sum(axis=1)
-        labels0 = sq.argmin(axis=1)
-        labels0, reseeded = _reseed_empty(labels0, sq, k)
-        z = float(sq[np.arange(n), labels0].sum())
-        if prev_z is not None and not (reseeded or trace_reseeded[-1]):
-            max_increase = max(max_increase, z - prev_z)
-        trace_z.append(z)
-        trace_reseeded.append(reseeded)
-        prev_z = z
-        iters += 1
-        if prev_labels is not None and np.array_equal(labels0, prev_labels):
-            converged = True
-            break
-        if iters >= config.inner_cap:
-            break
-        prev_labels = labels0
-        for l in range(k):
-            centroids[l] = encoded[labels0 == l].mean(axis=0)
-
-    if converged:
-        trace_z.append(trace_z[-1])
-        trace_reseeded.append(False)
-
-    return RunReport(
-        variant=config.variant,
-        k=k,
-        seed=config.seed,
-        labels=tuple(int(x) + 1 for x in labels0),
-        weights=None,
-        weight_matrix=None,
-        trace_z=tuple(trace_z),
-        trace_weights_updated=tuple([False] * len(trace_z)),
-        trace_reseeded=tuple(trace_reseeded),
-        inner_iterations=iters,
-        weight_updates=0,
-        converged=converged,
-        inner_monotone=max_increase <= MONOTONE_TOLERANCE,
-        max_inner_increase=max_increase,
-        timings=PhaseTimings(
-            prep.reconstruct_s, time.perf_counter() - started, 0.0
-        ),
-    )

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base_distance import BaseDistanceTable
-from .schema import AttributeKind, Dataset, DatasetSchema
+from .schema import AttributeKind, Dataset, DatasetSchema, _freeze
 
 __all__ = [
     "ORDINAL_LINE",
@@ -38,12 +38,6 @@ __all__ = [
 # Span markers for sub-attributes that are not spanned by a value pair.
 ORDINAL_LINE = "ordinal-line"
 HAMMING_FALLBACK = "hamming"
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)

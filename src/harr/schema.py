@@ -54,6 +54,7 @@ class AttributeKind(enum.Enum):
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """Contiguous read-only array for the package's immutable records."""
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a

@@ -258,3 +258,40 @@ def kmodes_with_table_oracle(
                     )
                     protos[l][r] = best
     return labels
+
+
+def lloyd_oracle(
+    points: np.ndarray, init_idx: list[int], max_iter: int = 100
+) -> tuple[list[int], list[float]]:
+    """Plain k-means on encoded points: squared Euclidean assignment (ties to
+    the lowest centre), member-mean refits, stop when labels repeat.
+
+    Returns the final labels and the objective after every assignment.
+    Assumes no cluster ever empties (callers skip runs that re-seed).
+    """
+    n, dims = points.shape
+    k = len(init_idx)
+    centres = [[float(x) for x in points[i]] for i in init_idx]
+    labels: list[int] | None = None
+    trace: list[float] = []
+    for _ in range(max_iter):
+        new_labels = []
+        z = 0.0
+        for i in range(n):
+            dists = [
+                sum((points[i, c] - centres[l][c]) ** 2 for c in range(dims))
+                for l in range(k)
+            ]
+            best = dists.index(min(dists))
+            new_labels.append(best)
+            z += dists[best]
+        trace.append(z)
+        if new_labels == labels:
+            break
+        labels = new_labels
+        for l in range(k):
+            members = [i for i in range(n) if labels[i] == l]
+            centres[l] = [
+                sum(points[i, c] for i in members) / len(members) for c in range(dims)
+            ]
+    return labels, trace

@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from harr.base_distance import build_base_distances
+from harr.base_distance import BaseDistanceTable, build_base_distances
 from harr.cluster import (
     ConfigError,
     Partition,
@@ -15,9 +17,6 @@ from harr.cluster import (
     normalize_importances,
     prepare,
     run,
-    run_baseline,
-    run_harr_m,
-    run_harr_v,
     run_prepared,
     update_prototypes,
     update_weight_matrix,
@@ -35,6 +34,7 @@ from harr.schema import (
 from conftest import build_dataset, random_dataset
 from oracles import (
     kmodes_with_table_oracle,
+    lloyd_oracle,
     phi_tensor,
     weight_matrix_oracle,
     weight_vector_oracle,
@@ -95,6 +95,16 @@ class TestAssign:
         protos = Prototypes(np.array([[0.0], [1.0]]))
         part = assign(dataset, space, protos, None)
         assert part.labels == (2, 1)
+
+    def test_hamming_fallback_scores_as_mismatch(self):
+        # every span is degenerate, so the attribute falls back to 0/1
+        # mismatch; its all-zero coordinates would score every value alike
+        schema = parse_schema("c,nom,a|b|c\n")
+        dataset = ingest_table("a\nb\nc", schema)
+        with pytest.warns(RuntimeWarning, match="falling back"):
+            space = reconstruct(dataset, BaseDistanceTable((np.zeros((3, 3)),)))
+        protos = Prototypes(np.array([[1.0], [2.0]]))
+        assert assign(dataset, space, protos, None).labels == (1, 2, 1)
 
     def test_matches_naive_argmin(self):
         rng = np.random.default_rng(17)
@@ -255,23 +265,13 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="exceeds"):
             run(dataset, RunConfig(k=3, variant="KPT"))
 
-    def test_variant_guards(self):
-        schema = parse_schema("x,num\n")
-        dataset = normalize_numerical(ingest_table("0\n1\n0.5", schema))
-        with pytest.raises(ConfigError):
-            run_harr_v(dataset, RunConfig(k=2, variant="HARR-M"))
-        with pytest.raises(ConfigError):
-            run_harr_m(dataset, RunConfig(k=2, variant="HARR-V"))
-        with pytest.raises(ConfigError):
-            run_baseline(dataset, RunConfig(k=2, variant="HARR-V"))
-
 
 class TestRunHarrV:
     def test_duplicate_groups_found_exactly(self):
         schema = parse_schema("c,nom,a|b\ng,ord,lo|hi\nx,num\n")
         rows = ["a,lo,0.0"] * 5 + ["b,hi,1.0"] * 5
         dataset = normalize_numerical(ingest_table("\n".join(rows), schema))
-        report = run_harr_v(dataset, RunConfig(k=2, seed=3, variant="HARR-V"))
+        report = run(dataset, RunConfig(k=2, seed=3, variant="HARR-V"))
         assert report.converged
         labels = np.array(report.labels)
         assert (labels[:5] == labels[0]).all() and (labels[5:] == labels[5]).all()
@@ -281,13 +281,13 @@ class TestRunHarrV:
         rng = np.random.default_rng(8)
         dataset = random_dataset(rng, max_n=30, min_categorical=1)
         cfg = RunConfig(k=2, seed=11, variant="HARR-V")
-        assert run_harr_v(dataset, cfg) == run_harr_v(dataset, cfg)
+        assert run(dataset, cfg) == run(dataset, cfg)
 
     def test_weights_on_simplex(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
             dataset = random_dataset(rng, max_n=40, min_categorical=1)
-            report = run_harr_v(dataset, RunConfig(k=2, seed=0, variant="HARR-V"))
+            report = run(dataset, RunConfig(k=2, seed=0, variant="HARR-V"))
             assert sum(report.weights) == pytest.approx(1.0, abs=1e-9)
             assert min(report.weights) >= 0.0
             assert all(z >= 0.0 for z in report.trace_z)
@@ -296,7 +296,7 @@ class TestRunHarrV:
         rng = np.random.default_rng(29)
         dataset = random_dataset(rng, max_n=50, min_categorical=1)
         cfg = RunConfig(k=3, seed=1, variant="HARR-V", inner_cap=4, outer_cap=2)
-        report = run_harr_v(dataset, cfg)
+        report = run(dataset, cfg)
         assert report.inner_iterations <= 4 * (2 + 1)
         assert report.weight_updates <= 2
 
@@ -306,8 +306,8 @@ class TestRunHarrM:
         schema = parse_schema("c,nom,a|b\ng,nom,p|q\n")
         rows = ["a,p"] * 4 + ["b,q"] * 4
         dataset = ingest_table("\n".join(rows), schema)
-        rep_m = run_harr_m(dataset, RunConfig(k=2, seed=2, variant="HARR-M"))
-        rep_v = run_harr_v(dataset, RunConfig(k=2, seed=2, variant="HARR-V"))
+        rep_m = run(dataset, RunConfig(k=2, seed=2, variant="HARR-M"))
+        rep_v = run(dataset, RunConfig(k=2, seed=2, variant="HARR-V"))
         wm = np.array(rep_m.weight_matrix)
         assert np.allclose(wm[0], wm[1], atol=1e-9)
         assert np.allclose(wm[0], rep_v.weights, atol=1e-9)
@@ -316,12 +316,12 @@ class TestRunHarrM:
         rng = np.random.default_rng(9)
         dataset = random_dataset(rng, max_n=30, min_categorical=1)
         cfg = RunConfig(k=2, seed=5, variant="HARR-M")
-        assert run_harr_m(dataset, cfg) == run_harr_m(dataset, cfg)
+        assert run(dataset, cfg) == run(dataset, cfg)
 
     def test_weight_rows_on_simplex(self):
         rng = np.random.default_rng(14)
         dataset = random_dataset(rng, max_n=40, min_categorical=1)
-        report = run_harr_m(dataset, RunConfig(k=3, seed=0, variant="HARR-M"))
+        report = run(dataset, RunConfig(k=3, seed=0, variant="HARR-M"))
         wm = np.array(report.weight_matrix)
         assert np.allclose(wm.sum(axis=1), 1.0, atol=1e-9)
 
@@ -331,13 +331,13 @@ class TestBaselines:
         schema = parse_schema("x,num\nc,nom,a|b\n")
         dataset = normalize_numerical(ingest_table("0,a\n1,b", schema))
         with pytest.raises(ConfigError, match="use KPT"):
-            run_baseline(dataset, RunConfig(k=2, variant="KMD"))
+            run(dataset, RunConfig(k=2, variant="KMD"))
 
     def test_kmd_pure_categorical(self):
         schema = parse_schema("c,nom,a|b\ng,nom,p|q\n")
         rows = ["a,p"] * 4 + ["b,q"] * 4
         dataset = ingest_table("\n".join(rows), schema)
-        report = run_baseline(dataset, RunConfig(k=2, seed=0, variant="KMD"))
+        report = run(dataset, RunConfig(k=2, seed=0, variant="KMD"))
         labels = np.array(report.labels)
         assert (labels[:4] == labels[0]).all() and (labels[4:] == labels[4]).all()
         assert labels[0] != labels[4]
@@ -358,9 +358,27 @@ class TestBaselines:
         rng = np.random.default_rng(77)
         dataset = random_dataset(rng, max_n=30, min_categorical=1)
         cfg = RunConfig(k=2, seed=4, variant="OHE+OC")
-        r1 = run_baseline(dataset, cfg)
-        assert r1 == run_baseline(dataset, cfg)
+        r1 = run(dataset, cfg)
+        assert r1 == run(dataset, cfg)
         assert r1.weights is None and r1.weight_matrix is None
+
+    def test_ohe_oc_matches_lloyd_replay(self):
+        rng = np.random.default_rng(71)
+        checked = 0
+        for _ in range(12):
+            dataset = random_dataset(rng, max_n=30, min_categorical=1)
+            k = 2 + int(rng.integers(0, 2))
+            seed = int(rng.integers(0, 100))
+            report = run(dataset, RunConfig(k=k, seed=seed, variant="OHE+OC"))
+            if any(report.trace_reseeded) or not report.converged:
+                continue  # the replay has no cap or re-seed handling
+            init = np.random.default_rng(seed).choice(dataset.n, size=k, replace=False)
+            labels, trace = lloyd_oracle(encode_ohe_oc(dataset), list(init))
+            assert report.labels == tuple(label + 1 for label in labels)
+            # converged runs close with a repeat of the fixed-point objective
+            assert np.allclose(report.trace_z[:-1], trace, rtol=1e-12, atol=0.0)
+            checked += 1
+        assert checked >= 8
 
     def test_bd_matches_hand_loop(self):
         schema = parse_schema("u,nom,a|b|c\nw,nom,x|y\n")
@@ -368,7 +386,7 @@ class TestBaselines:
         dataset = ingest_table(data, schema)
         table = build_base_distances(dataset, discretize_numerical(dataset))
         cfg = RunConfig(k=2, seed=1, variant="BD")
-        report = run_baseline(dataset, cfg)
+        report = run(dataset, cfg)
         assert not any(report.trace_reseeded)
         init = np.random.default_rng(1).choice(dataset.n, size=2, replace=False)
         expected = kmodes_with_table_oracle(
@@ -387,7 +405,7 @@ class TestBaselines:
         dataset = normalize_numerical(ingest_table("\n".join(rows), schema))
         space = reconstruct(dataset, build_base_distances(dataset))
         cfg = RunConfig(k=3, seed=6, variant="HAR")
-        report = run_baseline(dataset, cfg)
+        report = run(dataset, cfg)
 
         rng = np.random.default_rng(6)
         proto_vals = dataset.cells[rng.choice(dataset.n, size=3, replace=False)]
@@ -407,10 +425,10 @@ class TestBaselines:
         rows = ["0,0"] * 4 + ["1,1"] * 2
         dataset = normalize_numerical(ingest_table("\n".join(rows), schema))
         for seed in range(8):
-            report = run_baseline(dataset, RunConfig(k=2, seed=seed, variant="KPT"))
+            report = run(dataset, RunConfig(k=2, seed=seed, variant="KPT"))
             assert len(set(report.labels)) == 2
         assert any(
-            any(run_baseline(dataset, RunConfig(k=2, seed=s, variant="KPT")).trace_reseeded)
+            any(run(dataset, RunConfig(k=2, seed=s, variant="KPT")).trace_reseeded)
             for s in range(8)
         )
 
@@ -468,13 +486,28 @@ class TestPublicOpReplay:
         assert checked >= 6
 
 
+def test_prepare_memory_linear_in_sub_attributes():
+    # One 40-valued nominal yields 780 sub-attributes; value-by-value tables
+    # for all of them would hold 780 * 40 * 40 floats (10 MB).
+    schema = parse_schema("c,nom," + "|".join(f"v{t}" for t in range(40)) + "\n")
+    dataset = build_dataset(schema, (np.arange(2000) % 40 + 1)[:, None])
+    tracemalloc.start()
+    try:
+        prep = prepare(dataset, "HARR-M")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prep.space.d_hat == 780
+    assert peak < 5_000_000
+
+
 class TestPreparedSharing:
     def test_shared_prep_matches_fresh_run(self):
         rng = np.random.default_rng(55)
         dataset = random_dataset(rng, max_n=40, min_categorical=1)
         prep = prepare(dataset, "HARR-M")
         cfg = RunConfig(k=2, seed=9, variant="HARR-M")
-        assert run_prepared(dataset, prep, cfg) == run_harr_m(dataset, cfg)
+        assert run_prepared(dataset, prep, cfg) == run(dataset, cfg)
 
     def test_prep_variant_mismatch(self):
         rng = np.random.default_rng(56)
