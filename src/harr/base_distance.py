@@ -93,8 +93,8 @@ def compute_cpd(
         )
     v_t = view.bin_counts[target]
     v_c = view.bin_counts[context]
-    joint = np.zeros((v_t, v_c))
-    np.add.at(joint, (view.codes[:, target] - 1, view.codes[:, context] - 1), 1.0)
+    pairs = (view.codes[:, target] - 1) * v_c + (view.codes[:, context] - 1)
+    joint = np.bincount(pairs, minlength=v_t * v_c).reshape(v_t, v_c).astype(float)
     counts = joint.sum(axis=1)
     probs = np.divide(
         joint, counts[:, None], out=np.zeros_like(joint), where=counts[:, None] > 0

@@ -74,6 +74,8 @@ class BenchConfig:
             raise ConfigError("runs must be at least 1")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if self.bins is not None and self.bins < 2:
+            raise ConfigError("bins override must be at least 2")
         if self.repeats < 1:
             raise ConfigError("repeats must be at least 1")
         if any(not 0.0 < phi <= 1.0 for phi in self.phis):

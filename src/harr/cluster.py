@@ -7,11 +7,14 @@ weight-learning variants then refresh attribute weights from the ratio of
 inter- to intra-cluster average distance per attribute and resume, stopping
 once the partition is stable across weight refreshes.
 
-The score and refit steps come from the variant's model. The column model
-keeps prototypes in the original attribute space and refits them as
-per-cluster means (numerical attributes) and modal values (categorical
-attributes); OHE+OC's point model scores encoded points by squared Euclidean
-distance and refits them as member means.
+The score and refit steps come from the variant's model. Identical rows
+score alike, so a model scores each distinct row of the dataset once; the
+partition stays per object, and objects read their scores through the
+dataset's distinct-row index. The column model keeps prototypes in the
+original attribute space and refits them as per-cluster means (numerical
+attributes) and modal values (categorical attributes); OHE+OC's point model
+scores encoded points by squared Euclidean distance and refits them as
+member means.
 
 Variants:
 
@@ -233,18 +236,22 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# Models. Each supplies the run loop's score and refit steps. The column
-# model serves every variant but OHE+OC. Categorical distances depend only on
-# the value index, so scoring builds each column's distances from every value
-# to the prototype's value and gathers one per-value total per source
-# attribute instead of touching per-object columns.
+# Models. Each supplies the run loop's score and refit steps. Identical rows
+# score alike, so scores are u x k, one row per distinct row of the dataset,
+# and ``inverse`` reads them per object. The partition, the re-seeds, the
+# objective sum, the refits and the weight statistics stay per object. The
+# column model serves every variant but OHE+OC. Categorical distances depend
+# only on the value index, so scoring builds each column's distances from
+# every value to the prototype's value and gathers one per-value total per
+# source attribute instead of touching per-row columns.
 
 
 @dataclass(frozen=True)
 class _NumericCol:
     col: int  # position in the expanded column order
     source: int  # original attribute index
-    values: np.ndarray  # n
+    values: np.ndarray  # n, per object
+    distinct: np.ndarray  # u, at the distinct rows (scores only)
 
 
 @dataclass(frozen=True)
@@ -259,7 +266,8 @@ class _CatGroup:
 
     source: int
     cols: np.ndarray  # positions in the expanded column order
-    codes0: np.ndarray  # n, 0-based value codes
+    codes0: np.ndarray  # n, 0-based value codes per object
+    distinct: np.ndarray  # u, 0-based value codes at the distinct rows
     value_counts: np.ndarray  # (v,) occurrences over the whole dataset
     coords: np.ndarray | None = None  # (len(cols), v) line coordinates
     table: np.ndarray | None = None  # (v, v) distances of the only column
@@ -270,6 +278,12 @@ class _CatGroup:
             return self.table[None, :, p]
         return np.abs(self.coords - self.coords[:, p, None])
 
+    def member_counts(self, labels0: np.ndarray, k: int) -> np.ndarray:
+        """(k, v) occurrences of every value among each cluster's members."""
+        v = self.value_counts.shape[0]
+        counts = np.bincount(labels0 * v + self.codes0, minlength=k * v)
+        return counts.reshape(k, v).astype(float)
+
 
 @dataclass(frozen=True)
 class _ColumnModel:
@@ -279,23 +293,27 @@ class _ColumnModel:
     groups: tuple[_CatGroup, ...]
 
     @property
-    def points(self) -> np.ndarray:
-        return self.dataset.cells
+    def inverse(self) -> np.ndarray:
+        return self.dataset.distinct.inverse
+
+    def at(self, objects: np.ndarray) -> np.ndarray:
+        """Prototype-space rows of the given objects."""
+        return self.dataset.cells[objects]
 
     def scores(self, proto_vals: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-        """n x k weighted object-to-prototype dissimilarities.
+        """u x k weighted distinct-row-to-prototype dissimilarities.
 
         ``weights`` is a length-m vector, a k x m matrix (row per cluster),
         or None for an unweighted sum. ``proto_vals`` holds prototypes in
         the original attribute space.
         """
         k = proto_vals.shape[0]
-        scores = np.zeros((self.dataset.n, k))
+        scores = np.zeros((self.dataset.distinct.u, k))
         for l in range(k):
             w_l = weights[l] if weights is not None and weights.ndim == 2 else weights
             s = scores[:, l]
             for num in self.numeric:
-                gap = np.abs(num.values - proto_vals[l, num.source])
+                gap = np.abs(num.distinct - proto_vals[l, num.source])
                 s += gap if w_l is None else w_l[num.col] * gap
             for g in self.groups:
                 per_value = g.per_value(int(proto_vals[l, g.source]) - 1)
@@ -305,43 +323,70 @@ class _ColumnModel:
                     # Summed column by column, in order: a BLAS product sums
                     # in another order and can flip exact ties in the argmin.
                     totals = (w_l[g.cols, None] * per_value).sum(axis=0)
-                s += totals[g.codes0]
+                s += totals[g.distinct]
         return scores
 
     def refit(self, labels0: np.ndarray, k: int) -> np.ndarray:
-        return _fit_prototypes(self.dataset.cells, labels0, k, self.dataset.schema)
+        """Member means (numerical) and modal values (categorical, ties to
+        the lowest value); a memberless cluster takes the dataset-wide
+        mean or mode."""
+        proto = np.empty((k, self.dataset.schema.d))
+        empty = np.bincount(labels0, minlength=k) == 0
+        for num in self.numeric:
+            for l in range(k):
+                members = num.values if empty[l] else num.values[labels0 == l]
+                proto[l, num.source] = members.mean()
+        for g in self.groups:
+            counts = g.member_counts(labels0, k)
+            counts[empty] = g.value_counts
+            proto[:, g.source] = counts.argmax(axis=1) + 1
+        return proto
 
 
 @dataclass(frozen=True)
 class _PointModel:
     """OHE+OC: encoded points, squared Euclidean scores, member-mean refits."""
 
-    points: np.ndarray  # n x m, from encode_ohe_oc
+    points: np.ndarray  # u x m, encode_ohe_oc at the distinct rows
+    inverse: np.ndarray  # n, object -> distinct row
 
     @property
     def m(self) -> int:
         return self.points.shape[1]
 
+    def at(self, objects: np.ndarray) -> np.ndarray:
+        return self.points[self.inverse[objects]]
+
     def scores(self, centroids: np.ndarray, weights: None) -> np.ndarray:
-        """n x k squared Euclidean distances; OHE+OC is unweighted."""
+        """u x k squared Euclidean distances; OHE+OC is unweighted."""
         sq = np.empty((self.points.shape[0], centroids.shape[0]))
         for l in range(centroids.shape[0]):
             sq[:, l] = ((self.points - centroids[l]) ** 2).sum(axis=1)
         return sq
 
     def refit(self, labels0: np.ndarray, k: int) -> np.ndarray:
-        return np.stack([self.points[labels0 == l].mean(axis=0) for l in range(k)])
+        # one row per member object, in object order, as the mean sums them
+        return np.stack(
+            [self.points[self.inverse[labels0 == l]].mean(axis=0) for l in range(k)]
+        )
 
 
-def _make_group(source, cols, codes0, v, coords=None, table=None) -> _CatGroup:
+def _make_group(dataset, source, cols, v, coords=None, table=None) -> _CatGroup:
+    codes0 = dataset.cells[:, source].astype(np.int64) - 1
     return _CatGroup(
         source,
         _freeze(np.asarray(cols, dtype=np.int64)),
         _freeze(codes0),
+        _freeze(codes0[dataset.distinct.first]),
         _freeze(np.bincount(codes0, minlength=v).astype(float)),
         None if coords is None else _freeze(coords),
         None if table is None else _freeze(table),
     )
+
+
+def _make_numeric(dataset: Dataset, col: int, source: int) -> _NumericCol:
+    values = _freeze(dataset.cells[:, source])
+    return _NumericCol(col, source, values, _freeze(values[dataset.distinct.first]))
 
 
 def _mismatch_table(v: int) -> np.ndarray:
@@ -352,7 +397,7 @@ def _model_reconstructed(dataset: Dataset, space: ReconstructedSpace) -> _Column
     numeric = []
     col = 0
     for r in space.numeric_attrs:
-        numeric.append(_NumericCol(col, r, _freeze(dataset.cells[:, r])))
+        numeric.append(_make_numeric(dataset, col, r))
         col += 1
     groups = []
     by_source: dict[int, list] = {}
@@ -363,14 +408,13 @@ def _model_reconstructed(dataset: Dataset, space: ReconstructedSpace) -> _Column
         v = subs[0].v
         cols = range(col, col + len(subs))
         col += len(subs)
-        codes0 = dataset.cells[:, source].astype(np.int64) - 1
         if subs[0].span == HAMMING_FALLBACK:
             # reconstruct() emits the fallback as its attribute's only
             # column; its coordinates are all zero, so it needs the table
-            group = _make_group(source, cols, codes0, v, table=_mismatch_table(v))
+            group = _make_group(dataset, source, cols, v, table=_mismatch_table(v))
         else:
             coords = np.stack([sub.coords for sub in subs])
-            group = _make_group(source, cols, codes0, v, coords=coords)
+            group = _make_group(dataset, source, cols, v, coords=coords)
         groups.append(group)
     return _ColumnModel(dataset, col, tuple(numeric), tuple(groups))
 
@@ -384,50 +428,32 @@ def _model_original(
     groups = []
     for r, attr in enumerate(dataset.schema.attributes):
         if not attr.kind.is_categorical:
-            numeric.append(_NumericCol(r, r, _freeze(dataset.cells[:, r])))
+            numeric.append(_make_numeric(dataset, r, r))
         else:
-            codes0 = dataset.cells[:, r].astype(np.int64) - 1
             dist = _mismatch_table(attr.v) if table is None else table.matrices[r]
-            groups.append(_make_group(r, [r], codes0, attr.v, table=dist))
+            groups.append(_make_group(dataset, r, [r], attr.v, table=dist))
     return _ColumnModel(dataset, dataset.schema.d, tuple(numeric), tuple(groups))
 
 
-def _fit_prototypes(cells: np.ndarray, labels0: np.ndarray, k: int, schema) -> np.ndarray:
-    proto = np.empty((k, schema.d))
-    for l in range(k):
-        members = cells[labels0 == l]
-        if members.shape[0] == 0:
-            # Direct-call fallback; run loops re-seed empty clusters first.
-            members = cells
-        for r, attr in enumerate(schema.attributes):
-            if attr.kind.is_categorical:
-                counts = np.bincount(
-                    members[:, r].astype(np.int64), minlength=attr.v + 1
-                )[1:]
-                proto[l, r] = int(np.argmax(counts)) + 1
-            else:
-                proto[l, r] = members[:, r].mean()
-    return proto
-
-
 def _reseed_empty(
-    labels0: np.ndarray, scores: np.ndarray, k: int
+    labels0: np.ndarray, scores: np.ndarray, inverse: np.ndarray, k: int
 ) -> tuple[np.ndarray, bool]:
     """Move the worst-served object into each empty cluster.
 
-    Candidates are objects whose current cluster keeps at least one other
-    member; the one farthest from its assigned prototype wins, ties to the
-    lowest object index. Empty clusters are filled in ascending index order.
+    ``scores`` has one row per distinct row, read per object through
+    ``inverse``. Candidates are objects whose current cluster keeps at least
+    one other member; the one farthest from its assigned prototype wins, ties
+    to the lowest object index, so one object moves even when others share
+    its row. Empty clusters are filled in ascending index order.
     """
     reseeded = False
-    n = labels0.shape[0]
     for l in range(k):
         if (labels0 == l).any():
             continue
         if not reseeded:
             labels0 = labels0.copy()
             reseeded = True
-        own = scores[np.arange(n), labels0]
+        own = scores[inverse, labels0]
         sizes = np.bincount(labels0, minlength=k)
         movable = sizes[labels0] > 1
         if not movable.any():
@@ -462,22 +488,21 @@ def _weight_stats(
     """Per-cluster member sums and all-object sums of per-column distances.
 
     Categorical columns aggregate through per-value occurrence counts, so the
-    cost per cluster is one pass over the numeric columns plus O(columns x v)
-    work per categorical attribute.
+    cost is one pass over the numeric columns per cluster plus one count and
+    O(columns x v) work per cluster per categorical attribute.
     """
     member_sum = np.empty((k, model.m))
     total_sum = np.empty((k, model.m))
-    for l in range(k):
-        mask = labels0 == l
-        for num in model.numeric:
+    for num in model.numeric:
+        for l in range(k):
             gap = np.abs(num.values - proto_vals[l, num.source])
             total_sum[l, num.col] = gap.sum()
-            member_sum[l, num.col] = gap[mask].sum()
-        for g in model.groups:
+            member_sum[l, num.col] = gap[labels0 == l].sum()
+    for g in model.groups:
+        counts = g.member_counts(labels0, k)
+        for l in range(k):
             per_value = g.per_value(int(proto_vals[l, g.source]) - 1)
-            v = per_value.shape[1]
-            member_counts = np.bincount(g.codes0[mask], minlength=v).astype(float)
-            member_sum[l, g.cols] = per_value @ member_counts
+            member_sum[l, g.cols] = per_value @ counts[l]
             total_sum[l, g.cols] = per_value @ g.value_counts
     sizes = np.bincount(labels0, minlength=k).astype(float)
     return member_sum, total_sum, sizes
@@ -576,8 +601,8 @@ def assign(
     lowest cluster index."""
     model = _model_reconstructed(dataset, space)
     w = None if weights is None else weights.w
-    labels0 = model.scores(protos.values, w).argmin(axis=1)
-    return Partition(tuple(int(x) + 1 for x in labels0), protos.k)
+    labels0 = model.scores(protos.values, w).argmin(axis=1)[model.inverse]
+    return Partition(tuple((labels0 + 1).tolist()), protos.k)
 
 
 def update_prototypes(dataset: Dataset, partition: Partition, k: int | None = None) -> Prototypes:
@@ -585,12 +610,13 @@ def update_prototypes(dataset: Dataset, partition: Partition, k: int | None = No
     categorical attributes the most frequent value index (ties to the lowest
     index). A memberless cluster falls back to the dataset-wide mean/mode;
     the run loops re-seed empty clusters before refitting, so the fallback
-    only matters for direct calls.
+    only matters for direct calls. ``k`` may exceed the partition's k to
+    refit trailing memberless clusters, but no label may exceed it.
     """
     k = partition.k if k is None else k
-    return Prototypes(
-        _fit_prototypes(dataset.cells, partition.to_zero_based(), k, dataset.schema)
-    )
+    if partition.labels and max(partition.labels) > k:
+        raise ValueError(f"partition has labels above k={k}")
+    return Prototypes(_model_original(dataset).refit(partition.to_zero_based(), k))
 
 
 def update_weight_vector(
@@ -691,7 +717,14 @@ def prepare(dataset: Dataset, variant: str, bins: int | None = None) -> Prepared
             )
         model = _model_original(dataset)
     else:  # OHE+OC
-        model = _PointModel(_freeze(encode_ohe_oc(dataset)))
+        rows = dataset.distinct
+        distinct = Dataset(
+            dataset.schema,
+            dataset.cells[rows.first],
+            dataset.numeric_min,
+            dataset.numeric_max,
+        )
+        model = _PointModel(_freeze(encode_ohe_oc(distinct)), rows.inverse)
     return Prepared(variant, model, space, time.perf_counter() - start)
 
 
@@ -725,12 +758,13 @@ def _run_alternating(
     weight_mode: str,
 ) -> RunReport:
     model = prep.model
+    inverse = model.inverse
     n, m = dataset.n, model.m
     k = config.k
     started = time.perf_counter()
     weights_s = 0.0
 
-    proto_vals = model.points[rng.choice(n, size=k, replace=False)].copy()
+    proto_vals = model.at(rng.choice(n, size=k, replace=False))
     if weight_mode == "none":
         weights = None
     elif weight_mode == "matrix":
@@ -755,9 +789,10 @@ def _run_alternating(
 
     while True:
         scores = model.scores(proto_vals, weights)
-        labels0 = scores.argmin(axis=1)
-        labels0, reseeded = _reseed_empty(labels0, scores, k)
-        z = float(scores[np.arange(n), labels0].sum())
+        labels0 = scores.argmin(axis=1)[inverse]
+        labels0, reseeded = _reseed_empty(labels0, scores, inverse, k)
+        # per-object values summed in object order
+        z = float(scores[inverse, labels0].sum())
         del scores  # freed before the next score step allocates its own
         if prev_z is not None and not just_updated:
             if not (reseeded or trace_reseeded[-1]):
@@ -804,6 +839,7 @@ def _run_alternating(
         just_updated = True
         inner_count = 0
 
+    del prev_inner, prev_outer  # released before the labels tuple is built
     if converged:
         # terminal fixed-point entry: the stopping check re-evaluated an
         # unchanged state
@@ -822,7 +858,7 @@ def _run_alternating(
         variant=config.variant,
         k=k,
         seed=config.seed,
-        labels=tuple(int(x) + 1 for x in labels0),
+        labels=tuple((labels0 + 1).tolist()),
         weights=w_vec,
         weight_matrix=w_mat,
         trace_z=tuple(trace_z),

@@ -53,9 +53,8 @@ def contingency(labels, pred) -> np.ndarray:
         )
     n_rows = int(truth.max()) if truth.size else 0
     n_cols = int(guess.max()) if guess.size else 0
-    table = np.zeros((n_rows, n_cols), dtype=np.int64)
-    np.add.at(table, (truth - 1, guess - 1), 1)
-    return table
+    pairs = (truth - 1) * n_cols + (guess - 1)
+    return np.bincount(pairs, minlength=n_rows * n_cols).reshape(n_rows, n_cols)
 
 
 def _canonical(arr: np.ndarray) -> tuple[int, ...]:

@@ -103,7 +103,7 @@ def _parse_floats(tok: str) -> tuple[float, ...]:
 
 
 def _ints(xs) -> str:
-    return " ".join(str(int(x)) for x in xs)
+    return " ".join(map(str, xs))
 
 
 def _parse_ints(tok: str) -> tuple[int, ...]:

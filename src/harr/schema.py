@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,7 @@ __all__ = [
     "AttributeSchema",
     "DatasetSchema",
     "Dataset",
+    "DistinctRows",
     "OrdinalView",
     "SchemaError",
     "DataError",
@@ -139,6 +141,42 @@ class DatasetSchema:
 
 
 @dataclass(frozen=True)
+class DistinctRows:
+    """The distinct rows of a cell table.
+
+    ``first[j]`` is the lowest index of the objects holding distinct row j
+    and ``inverse[i]`` is the distinct row of object i, so
+    ``cells[first][inverse]`` equals ``cells``.
+    """
+
+    first: np.ndarray
+    inverse: np.ndarray
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "first", _freeze(self.first))
+        object.__setattr__(self, "inverse", _freeze(self.inverse))
+
+    @property
+    def u(self) -> int:
+        return self.first.shape[0]
+
+
+def _distinct_rows(cells: np.ndarray) -> DistinctRows:
+    n, d = cells.shape
+    # lexsort is stable, so each run of equal rows opens with its lowest
+    # object index. Rows are compared column by column: no n x d sorted copy.
+    order = np.lexsort(cells.T[::-1])
+    new = np.zeros(n, dtype=bool)
+    new[:1] = True
+    for c in range(d):
+        col = cells[order, c]
+        new[1:] |= col[1:] != col[:-1]
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return DistinctRows(order[new], inverse)
+
+
+@dataclass(frozen=True)
 class Dataset:
     """An n x d cell table bound to its schema.
 
@@ -171,6 +209,11 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.cells.shape[0]
+
+    @cached_property
+    def distinct(self) -> DistinctRows:
+        """The distinct rows of ``cells``, found once per dataset."""
+        return _distinct_rows(self.cells)
 
 
 @dataclass(frozen=True)

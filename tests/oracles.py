@@ -217,18 +217,27 @@ def kmodes_with_table_oracle(
     tables: list[np.ndarray | None],
     init_idx: list[int],
     max_iter: int = 50,
-) -> list[int]:
+) -> tuple[list[int], list[float], list[bool]]:
     """Plain alternating loop for the table-distance baseline on a small
-    instance: argmin assignment (ties to the lowest cluster), mean/mode
-    refits, stop when labels repeat."""
+    instance: argmin assignment (ties to the lowest cluster), empty-cluster
+    re-seeds, mean/mode refits, stop when labels repeat.
+
+    Each empty cluster, in ascending order, takes the single object farthest
+    from its assigned prototype among objects whose cluster keeps another
+    member (ties to the lowest object index). Returns the final labels, the
+    objective after every assignment (a repeated entry closes a converged
+    run) and whether each assignment re-seeded.
+    """
     n, d = cells.shape
     k = len(init_idx)
     protos = [list(cells[i]) for i in init_idx]
-    labels = [-1] * n
+    labels: list[int] | None = None
+    trace_z: list[float] = []
+    trace_reseeded: list[bool] = []
     for _ in range(max_iter):
-        new_labels = []
+        dists = []
         for i in range(n):
-            dists = []
+            row = []
             for l in range(k):
                 total = 0.0
                 for r in range(d):
@@ -236,9 +245,29 @@ def kmodes_with_table_oracle(
                         total += abs(cells[i, r] - protos[l][r])
                     else:
                         total += tables[r][int(cells[i, r]) - 1, int(protos[l][r]) - 1]
-                dists.append(total)
-            new_labels.append(dists.index(min(dists)))
+                row.append(total)
+            dists.append(row)
+        new_labels = [row.index(min(row)) for row in dists]
+        reseeded = False
+        for l in range(k):
+            if l in new_labels:
+                continue
+            reseeded = True
+            sizes = [new_labels.count(c) for c in range(k)]
+            movable = [i for i in range(n) if sizes[new_labels[i]] > 1]
+            if not movable:
+                break
+            far = max(dists[i][new_labels[i]] for i in movable)
+            pick = min(i for i in movable if dists[i][new_labels[i]] == far)
+            new_labels[pick] = l
+        z = 0.0
+        for i in range(n):
+            z += dists[i][new_labels[i]]
+        trace_z.append(z)
+        trace_reseeded.append(reseeded)
         if new_labels == labels:
+            trace_z.append(z)
+            trace_reseeded.append(False)
             break
         labels = new_labels
         for l in range(k):
@@ -257,7 +286,7 @@ def kmodes_with_table_oracle(
                         counts, key=lambda vkey: (-counts[vkey], vkey)
                     )
                     protos[l][r] = best
-    return labels
+    return labels, trace_z, trace_reseeded
 
 
 def lloyd_oracle(

@@ -8,6 +8,7 @@ lines as they complete. Criterion 9 needs manually prepared public datasets
 import os
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -481,7 +482,7 @@ def test_c11_determinism(tmp_path):
     synth_a = write_synthetic(spec, str(tmp_path / "synth_a"))
     synth_b = write_synthetic(spec, str(tmp_path / "synth_b"))
     synth_same = all(
-        open(synth_a[key], "rb").read() == open(synth_b[key], "rb").read()
+        Path(synth_a[key]).read_bytes() == Path(synth_b[key]).read_bytes()
         for key in synth_a
     )
     common = dict(
@@ -506,12 +507,12 @@ def test_c11_determinism(tmp_path):
         "summary.csv",
     ]
     reports_same = all(
-        open(f"{out_a}/{name}", "rb").read() == open(f"{out_b}/{name}", "rb").read()
+        Path(out_a, name).read_bytes() == Path(out_b, name).read_bytes()
         for name in names
     )
     trace_a = cmd_trace_plot([f"{out_a}/HARR-V.report.txt"], str(tmp_path / "ta.csv"))
     trace_b = cmd_trace_plot([f"{out_b}/HARR-V.report.txt"], str(tmp_path / "tb.csv"))
-    trace_same = open(trace_a, "rb").read() == open(trace_b, "rb").read()
+    trace_same = Path(trace_a).read_bytes() == Path(trace_b).read_bytes()
     ok = synth_same and reports_same and trace_same
     _verdict(
         "11",

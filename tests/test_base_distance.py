@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def test_dump_files_roundtrip(tmp_path):
     loaded = np.array(
         [
             [float(tok) for tok in line.split(",")]
-            for line in open(paths[0], encoding="utf-8").read().splitlines()
+            for line in Path(paths[0]).read_text(encoding="utf-8").splitlines()
         ]
     )
     assert np.allclose(loaded, table.matrices[0], rtol=5e-12, atol=0)

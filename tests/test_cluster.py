@@ -389,7 +389,7 @@ class TestBaselines:
         report = run(dataset, cfg)
         assert not any(report.trace_reseeded)
         init = np.random.default_rng(1).choice(dataset.n, size=2, replace=False)
-        expected = kmodes_with_table_oracle(
+        expected, _, _ = kmodes_with_table_oracle(
             dataset.cells,
             ["cat", "cat"],
             [table.matrices[0], table.matrices[1]],
@@ -431,6 +431,36 @@ class TestBaselines:
             any(run(dataset, RunConfig(k=2, seed=s, variant="KPT")).trace_reseeded)
             for s in range(8)
         )
+
+    @pytest.mark.parametrize(
+        "schema_text, rows, variant, kinds",
+        [
+            ("x,num\ny,num\n", ["0,0"] * 4 + ["1,1"] * 2, "KPT", ["num", "num"]),
+            ("x,nom,a|b\ny,nom,a|b\n", ["a,a"] * 4 + ["b,b"] * 2, "KMD", ["cat", "cat"]),
+        ],
+        ids=["KPT", "KMD"],
+    )
+    def test_reseed_moves_one_object_of_a_shared_row(
+        self, schema_text, rows, variant, kinds
+    ):
+        # Duplicate rows share one score row; a re-seed must still move the
+        # single lowest-indexed farthest object, never its whole row.
+        schema = parse_schema(schema_text)
+        dataset = normalize_numerical(ingest_table("\n".join(rows), schema))
+        tables = [None if kind == "num" else 1.0 - np.eye(2) for kind in kinds]
+        reseeding = 0
+        for k in (2, 3):
+            for seed in range(12):
+                report = run(dataset, RunConfig(k=k, seed=seed, variant=variant))
+                init = np.random.default_rng(seed).choice(dataset.n, size=k, replace=False)
+                labels, trace_z, trace_reseeded = kmodes_with_table_oracle(
+                    dataset.cells, kinds, tables, list(init)
+                )
+                assert report.labels == tuple(x + 1 for x in labels)
+                assert report.trace_reseeded == tuple(trace_reseeded)
+                assert report.trace_z == pytest.approx(trace_z, rel=1e-12, abs=1e-12)
+                reseeding += any(trace_reseeded)
+        assert reseeding >= 12  # every k=3 run: two distinct rows, three clusters
 
 
 class TestPublicOpReplay:
@@ -499,6 +529,25 @@ def test_prepare_memory_linear_in_sub_attributes():
         tracemalloc.stop()
     assert prep.space.d_hat == 780
     assert peak < 5_000_000
+
+
+@pytest.mark.parametrize("variant", ["HARR-M", "OHE+OC"])
+def test_run_memory_below_object_score_table(variant):
+    # 200,000 objects on 10 distinct rows: scores are 10 x k, so a run never
+    # holds the n x k table of per-object scores (8 MB here).
+    n, k = 200_000, 5
+    i = np.arange(n)
+    schema = parse_schema("a,nom,p|q|r|s|t\nb,nom,x|y\n")
+    dataset = build_dataset(schema, np.column_stack([i % 5 + 1, i % 2 + 1]))
+    prep = prepare(dataset, variant)
+    assert dataset.distinct.u == 10
+    tracemalloc.start()
+    try:
+        run_prepared(dataset, prep, RunConfig(k=k, seed=0, variant=variant))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * k * 8
 
 
 class TestPreparedSharing:

@@ -1,4 +1,6 @@
 import itertools
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from harr.projection import (
 )
 from harr.schema import discretize_numerical, ingest_table, normalize_numerical, parse_schema
 
-from conftest import random_dataset
+from conftest import build_dataset, random_dataset
 
 # Three-value configuration used across several cases below.
 KAPPA_ABC = np.array(
@@ -236,6 +238,27 @@ def test_dump_reconstruction(tmp_path):
     dataset = normalize_numerical(ingest_table("a,0\nb,1\na,0.3\nb,0.9", schema))
     space = reconstruct(dataset, build_base_distances(dataset))
     path = dump_reconstruction(space, str(tmp_path / "coords.csv"))
-    lines = open(path, encoding="utf-8").read().splitlines()
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
     assert len(lines) == len(space.sub_attributes)
     assert lines[0].startswith("c,1-2,")
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+def test_tiling_rows_keeps_distances_and_coordinates(seed):
+    # CPDs are ratios of exact counts, and tiling scales every count by 3.
+    # The bin count is fixed because the default rule depends on n.
+    dataset = random_dataset(np.random.default_rng(seed), min_categorical=1)
+    tiled = build_dataset(dataset.schema, np.tile(dataset.cells, (3, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        table = build_base_distances(dataset, bins=4)
+        tiled_table = build_base_distances(tiled, bins=4)
+        space = reconstruct(dataset, table)
+        tiled_space = reconstruct(tiled, tiled_table)
+    for a, b in zip(table.matrices, tiled_table.matrices, strict=True):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    assert len(space.sub_attributes) == len(tiled_space.sub_attributes)
+    for a, b in zip(space.sub_attributes, tiled_space.sub_attributes):
+        assert (a.source, a.span, a.max_span) == (b.source, b.span, b.max_span)
+        assert a.coords.tobytes() == b.coords.tobytes()

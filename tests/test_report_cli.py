@@ -247,8 +247,8 @@ class TestCmdCluster:
         cmd_cluster(cfg_a)
         cmd_cluster(cfg_b)
         for name in ("HARR-V.report.txt", "OHE_OC.report.txt", "summary.csv"):
-            a = open(f"{cfg_a.out_dir}/{name}", "rb").read()
-            b = open(f"{cfg_b.out_dir}/{name}", "rb").read()
+            a = (tmp_path / "a" / name).read_bytes()
+            b = (tmp_path / "b" / name).read_bytes()
             assert a == b
 
     def test_workers_do_not_change_results(self, synth_dir, tmp_path):
@@ -457,6 +457,29 @@ class TestCliMain:
                 "--schema", f"{out}/schema.txt",
                 "--k", "1",
                 "--runs", "1",
+                "--out", str(tmp_path / "runs"),
+            ]
+        )
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["cluster", "--variant", "HARR-V", "--runs", "1"],
+            ["cluster", "--variant", "KPT", "--runs", "1"],
+            ["bench-time", "--variant", "HARR-V", "--phi", "1.0", "--repeats", "1"],
+        ],
+    )
+    def test_bins_below_two_is_config_error(self, tmp_path, command):
+        out = str(tmp_path / "synth")
+        main(["synth", "--n", "30", "--k-true", "2", "--d-u", "1", "--d-n", "1", "--out", out])
+        code = main(
+            command
+            + [
+                "--data", f"{out}/data.csv",
+                "--schema", f"{out}/schema.txt",
+                "--k", "2",
+                "--bins", "1",
                 "--out", str(tmp_path / "runs"),
             ]
         )

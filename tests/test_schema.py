@@ -19,7 +19,7 @@ from harr.schema import (
     schema_to_text,
 )
 
-from conftest import random_dataset
+from conftest import build_dataset, random_dataset
 
 # Soybean-style declaration: 35 nominal attributes.
 SOYBEAN_VS = [7, 2, 3, 3, 2, 4, 4, 3, 3, 3, 2, 2, 3, 3, 3, 2, 2,
@@ -242,6 +242,23 @@ class TestRandomSchemas:
             schema = random_dataset(rng).schema
             assert schema.d == schema.d_u + schema.d_n + schema.d_o
             assert schema.d_c == schema.d_n + schema.d_o
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_distinct_rows_record(seed, copies):
+    rng = np.random.default_rng(seed)
+    base = random_dataset(rng)
+    # rows drawn with replacement, so repeats occur beside numeric columns too
+    cells = base.cells[rng.integers(0, base.n, size=base.n * copies)]
+    dataset = build_dataset(base.schema, cells)
+    rows = dataset.distinct
+    assert np.array_equal(cells[rows.first][rows.inverse], cells)
+    assert (rows.first[rows.inverse] <= np.arange(dataset.n)).all()
+    same_id = rows.inverse[:, None] == rows.inverse[None, :]
+    same_row = (cells[:, None, :] == cells[None, :, :]).all(axis=2)
+    assert np.array_equal(same_id, same_row)
+    assert dataset.distinct is rows
 
 
 def test_infer_schema_heuristic():

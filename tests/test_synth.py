@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -89,11 +91,11 @@ class TestWrite:
     def test_files_roundtrip(self, tmp_path):
         spec = SyntheticSpec(n=80, k_true=3, d_u=1, d_n=2, d_o=1, values=5, seed=2)
         paths = write_synthetic(spec, str(tmp_path))
-        schema = parse_schema(open(paths["schema"], encoding="utf-8").read())
-        dataset = ingest_table(open(paths["data"], encoding="utf-8").read(), schema)
+        schema = parse_schema(Path(paths["schema"]).read_text(encoding="utf-8"))
+        dataset = ingest_table(Path(paths["data"]).read_text(encoding="utf-8"), schema)
         labels = [
             int(line)
-            for line in open(paths["labels"], encoding="utf-8").read().splitlines()
+            for line in Path(paths["labels"]).read_text(encoding="utf-8").splitlines()
         ]
         assert dataset.n == 80 and len(labels) == 80
         direct, direct_labels = generate_synthetic(spec)
@@ -111,6 +113,4 @@ class TestWrite:
         p1 = write_synthetic(spec, str(tmp_path / "a"))
         p2 = write_synthetic(spec, str(tmp_path / "b"))
         for key in p1:
-            assert (
-                open(p1[key], "rb").read() == open(p2[key], "rb").read()
-            )
+            assert Path(p1[key]).read_bytes() == Path(p2[key]).read_bytes()
