@@ -15,7 +15,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .schema import (
     AttributeKind,
@@ -130,9 +129,21 @@ def base_distance_nominal(
     _warn_unobserved(dataset, view, r)
     kappa = np.zeros((attr.v, attr.v))
     for s in range(dataset.schema.d):
-        cpd = compute_cpd(dataset, view, r, s)
-        kappa += cdist(cpd.probs, cpd.probs, metric="cityblock")
+        kappa += _cityblock(compute_cpd(dataset, view, r, s).probs)
     return kappa
+
+
+def _cityblock(p: np.ndarray) -> np.ndarray:
+    """L1 distances between the rows of ``p``.
+
+    Each pair sums its column terms from zero in column order, as a
+    pairwise cityblock routine does. Callers add the finished sum to their
+    total: adding each term to the total directly moves the last bits.
+    """
+    dist = np.zeros((p.shape[0], p.shape[0]))
+    for j in range(p.shape[1]):
+        dist += np.abs(p[:, None, j] - p[None, :, j])
+    return dist
 
 
 def base_distance_ordinal(

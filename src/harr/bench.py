@@ -24,7 +24,7 @@ from .cluster import (
     prepare,
     run_prepared,
 )
-from .evaluation import aggregate_runs, ari, ca
+from .evaluation import RunSummary, ari, ca
 from .report import (
     ReportFile,
     read_label_file,
@@ -111,6 +111,11 @@ def _execute_runs(
     return [run_prepared(dataset, prep, c) for c in configs]
 
 
+def _scored(report: RunReport, labels: np.ndarray) -> RunReport:
+    pred = np.asarray(report.labels, dtype=np.int64)
+    return replace(report, ari=ari(labels, pred), ca=ca(labels, pred))
+
+
 def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
     """Run every variant ``cfg.runs`` times and persist reports.
 
@@ -119,7 +124,9 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
     with the same configuration; only the timings sidecars vary.
     """
     dataset = load_dataset(cfg.schema, cfg.data)
-    labels = read_label_file(cfg.labels) if cfg.labels else None
+    labels = (
+        np.asarray(read_label_file(cfg.labels), dtype=np.int64) if cfg.labels else None
+    )
     if labels is not None and len(labels) != dataset.n:
         raise DataError(
             f"label file has {len(labels)} entries but the dataset has "
@@ -134,11 +141,10 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
         ]
         reports = _execute_runs(dataset, prep, configs, cfg.workers)
         if labels is not None:
-            reports = [
-                replace(r, ari=ari(labels, r.labels), ca=ca(labels, r.labels))
-                for r in reports
-            ]
-            summary = aggregate_runs(reports, labels)
+            reports = [_scored(r, labels) for r in reports]
+            summary = RunSummary.from_scores(
+                variant, [r.ari for r in reports], [r.ca for r in reports]
+            )
             summaries.append(summary)
         else:
             summary = None
@@ -169,6 +175,8 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
             f"{cfg.out_dir}/{slug}.timings.txt",
         )
         out.append(report_file)
+        # Free this variant's model before prepare() builds the next one.
+        del prep
     save_summary(summaries, f"{cfg.out_dir}/summary.csv")
     return out
 

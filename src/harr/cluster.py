@@ -123,9 +123,15 @@ class Partition:
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", tuple(int(x) for x in self.labels))
-        if self.labels and not all(1 <= x <= self.k for x in self.labels):
+        try:
+            labels = np.asarray(self.labels, dtype=np.int64)
+        except OverflowError:  # beyond int64, so outside [1, k]
+            raise ValueError(f"labels must lie in [1, {self.k}]") from None
+        if labels.ndim != 1:
+            raise ValueError("labels must be one-dimensional")
+        if labels.size and (labels.min() < 1 or labels.max() > self.k):
             raise ValueError(f"labels must lie in [1, {self.k}]")
+        object.__setattr__(self, "labels", tuple(labels.tolist()))
 
     def to_zero_based(self) -> np.ndarray:
         return np.asarray(self.labels, dtype=np.int64) - 1

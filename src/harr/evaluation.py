@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .cluster import Partition, RunReport
 
@@ -99,8 +98,9 @@ def ca(labels, pred) -> float:
     """Accuracy under the optimal one-to-one cluster-to-class mapping.
 
     The contingency table is zero-padded to square and the best mapping is
-    found by an optimal assignment solver; the score is the matched count
-    over n. Invariant under permutations of cluster indices.
+    found by the Hungarian method in exact integer arithmetic; the score is
+    the matched count over n. Invariant under permutations of cluster
+    indices.
     """
     truth = _as_labels(labels)
     guess = _as_labels(pred)
@@ -110,8 +110,49 @@ def ca(labels, pred) -> float:
     size = max(table.shape)
     padded = np.zeros((size, size), dtype=np.int64)
     padded[: table.shape[0], : table.shape[1]] = table
-    rows, cols = linear_sum_assignment(padded, maximize=True)
-    return float(padded[rows, cols].sum()) / truth.shape[0]
+    return float(_max_matching(padded)) / truth.shape[0]
+
+
+def _max_matching(weights: np.ndarray) -> int:
+    """Largest total weight of a perfect matching in a square integer table.
+
+    The Hungarian method with row and column potentials, adding one row at a
+    time along a shortest augmenting path; each step scans the columns with
+    numpy. Integer costs keep every potential exact.
+    """
+    size = weights.shape[0]
+    cost = -weights
+    big = np.iinfo(np.int64).max
+    u = np.zeros(size + 1, dtype=np.int64)
+    v = np.zeros(size + 1, dtype=np.int64)
+    # row_of[j]: the 1-based row matched to column j; column 0 is the root.
+    row_of = np.zeros(size + 1, dtype=np.int64)
+    for i in range(1, size + 1):
+        row_of[0] = i
+        prev = np.zeros(size + 1, dtype=np.int64)
+        slack = np.full(size + 1, big)
+        used = np.zeros(size + 1, dtype=bool)
+        j0 = 0
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            free = ~used
+            reduced = cost[i0 - 1] - u[i0] - v[1:]
+            closer = free[1:] & (reduced < slack[1:])
+            slack[1:][closer] = reduced[closer]
+            prev[1:][closer] = j0
+            candidates = np.where(free, slack, big)
+            j1 = int(candidates.argmin())
+            delta = candidates[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            slack[free] -= delta
+            j0 = j1
+        while j0:
+            j1 = prev[j0]
+            row_of[j0] = row_of[j1]
+            j0 = j1
+    return int(weights[row_of[1:] - 1, np.arange(size)].sum())
 
 
 def format_mean_std(mean: float, std: float) -> str:
@@ -129,6 +170,22 @@ class RunSummary:
     ca_mean: float
     ca_std: float
 
+    @classmethod
+    def from_scores(
+        cls, variant: str, aris: Sequence[float], cas: Sequence[float]
+    ) -> RunSummary:
+        """Aggregate per-run scores given in run order."""
+        aris = np.array(aris, dtype=float)
+        cas = np.array(cas, dtype=float)
+        return cls(
+            variant=variant,
+            runs=len(aris),
+            ari_mean=float(aris.mean()),
+            ari_std=float(aris.std(ddof=0)),
+            ca_mean=float(cas.mean()),
+            ca_std=float(cas.std(ddof=0)),
+        )
+
     def format_scores(self) -> tuple[str, str]:
         return (
             format_mean_std(self.ari_mean, self.ari_std),
@@ -145,13 +202,8 @@ def aggregate_runs(reports: Sequence[RunReport], labels) -> RunSummary:
     if not reports:
         raise ValueError("need at least one report")
     truth = _as_labels(labels)
-    aris = np.array([ari(truth, r.labels) for r in reports])
-    cas = np.array([ca(truth, r.labels) for r in reports])
-    return RunSummary(
-        variant=reports[0].variant,
-        runs=len(reports),
-        ari_mean=float(aris.mean()),
-        ari_std=float(aris.std(ddof=0)),
-        ca_mean=float(cas.mean()),
-        ca_std=float(cas.std(ddof=0)),
+    return RunSummary.from_scores(
+        reports[0].variant,
+        [ari(truth, r.labels) for r in reports],
+        [ca(truth, r.labels) for r in reports],
     )

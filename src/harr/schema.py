@@ -9,6 +9,7 @@ values. Missing cells are rejected outright rather than imputed.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -272,60 +273,122 @@ def parse_schema(schema_text: str) -> DatasetSchema:
     return DatasetSchema(tuple(attrs))
 
 
+# Cells parsed per chunk: the tokens of one chunk are held at a time.
+_CHUNK_CELLS = 1 << 15
+
+
 def ingest_table(data_text: str, schema: DatasetSchema) -> Dataset:
     """Parse a headerless CSV table against ``schema``.
 
     Categorical labels are resolved to 1-based value indices; numerical
     tokens must parse to finite reals. Empty cells are treated as missing
-    data and rejected. Fully blank lines are skipped.
+    data and rejected. Fully blank lines are skipped, but rows are numbered
+    by physical line. The first bad cell in row-major order is reported.
     """
+    # An empty token is a missing cell even where "" is a declared label.
     lookups = [
-        {label: i + 1 for i, label in enumerate(a.possible_values)}
+        {label: float(i + 1) for i, label in enumerate(a.possible_values) if label}
         if a.kind.is_categorical
         else None
         for a in schema.attributes
     ]
-    rows: list[np.ndarray] = []
-    for rowno, raw in enumerate(data_text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        tokens = [t.strip() for t in raw.split(",")]
-        if len(tokens) != schema.d:
-            raise DataError(
-                f"row {rowno}: expected {schema.d} columns, got {len(tokens)}"
-            )
-        vals = np.empty(schema.d)
-        for c, (tok, attr) in enumerate(zip(tokens, schema.attributes)):
-            if tok == "":
-                raise DataError(
-                    f"row {rowno}, column {attr.name!r}: missing value (empty cell)"
-                )
-            lookup = lookups[c]
-            if lookup is not None:
-                idx = lookup.get(tok)
-                if idx is None:
-                    raise DataError(
-                        f"row {rowno}, column {attr.name!r}: unknown value "
-                        f"{tok!r}; legal values: {', '.join(attr.possible_values)}"
-                    )
-                vals[c] = idx
-            else:
-                try:
-                    if "_" in tok:  # float() would accept 1_000
-                        raise ValueError
-                    x = float(tok)
-                except ValueError:
-                    raise DataError(
-                        f"row {rowno}, column {attr.name!r}: not a number: {tok!r}"
-                    ) from None
-                if not math.isfinite(x):
-                    raise DataError(
-                        f"row {rowno}, column {attr.name!r}: non-finite value {tok!r}"
-                    )
-                vals[c] = x
-        rows.append(vals)
-    cells = np.vstack(rows) if rows else np.empty((0, schema.d))
+    lines = data_text.splitlines()
+    kept = np.flatnonzero(list(map(len, map(str.strip, lines))))
+    cells = np.empty((kept.size, schema.d))
+    step = max(1, _CHUNK_CELLS // schema.d)
+    for start in range(0, kept.size, step):
+        rows = kept[start : start + step].tolist()
+        chunk = [lines[i] for i in rows]
+        bad = _parse_chunk(chunk, schema, lookups, cells[start : start + len(rows)])
+        if bad is not None:
+            raise _row_error(rows[bad] + 1, chunk[bad], schema, lookups)
     return Dataset(schema, cells, *_observed_range(schema, cells))
+
+
+def _parse_chunk(
+    chunk: list[str],
+    schema: DatasetSchema,
+    lookups: list[dict[str, float] | None],
+    out: np.ndarray,
+) -> int | None:
+    """Parse the rows of ``chunk`` column by column into ``out``; return the
+    index of the first bad row, or None when every row is good."""
+    d = schema.d
+    commas = list(map(str.count, chunk, itertools.repeat(",")))
+    first_bad = None
+    if commas.count(d - 1) != len(commas):
+        first_bad = next(i for i, m in enumerate(commas) if m != d - 1)
+        chunk = chunk[:first_bad]
+    if not chunk:
+        return first_bad
+    # Every row left has d tokens, so column c is every d-th token from c.
+    tokens = ",".join(chunk).split(",")
+    for c, (attr, lookup) in enumerate(zip(schema.attributes, lookups)):
+        toks = tokens[c::d]
+        vals = _parse_column(toks, lookup)
+        if vals is not None:
+            out[: len(chunk), c] = vals
+            continue
+        bad = next(
+            i for i, tok in enumerate(toks) if _cell_error(tok.strip(), attr, lookup)
+        )
+        if first_bad is None or bad < first_bad:
+            first_bad = bad
+    return first_bad
+
+
+def _parse_column(
+    toks: list[str], lookup: dict[str, float] | None
+) -> np.ndarray | None:
+    """The cell values of one column, or None if any token is bad.
+
+    Categorical tokens map through ``lookup``; numerical ones (``lookup`` is
+    None) must parse to finite floats.
+    """
+    stripped = map(str.strip, toks)
+    try:
+        if lookup is not None:
+            return np.fromiter(map(lookup.__getitem__, stripped), float, len(toks))
+        if "_" not in "".join(toks):  # float() would accept 1_000
+            vals = np.fromiter(map(float, stripped), float, len(toks))
+            if np.isfinite(vals).all():
+                return vals
+    except (KeyError, ValueError):
+        pass
+    return None
+
+
+def _cell_error(
+    tok: str, attr: AttributeSchema, lookup: dict[str, float] | None
+) -> str | None:
+    """What is wrong with one stripped token, or None if it is a good cell."""
+    if tok == "":
+        return "missing value (empty cell)"
+    if lookup is not None:
+        if tok in lookup:
+            return None
+        return f"unknown value {tok!r}; legal values: {', '.join(attr.possible_values)}"
+    try:
+        if "_" in tok:  # float() would accept 1_000
+            raise ValueError
+        x = float(tok)
+    except ValueError:
+        return f"not a number: {tok!r}"
+    return None if math.isfinite(x) else f"non-finite value {tok!r}"
+
+
+def _row_error(
+    rowno: int, raw: str, schema: DatasetSchema, lookups: list[dict[str, float] | None]
+) -> DataError:
+    """The error for the first bad cell of a row the column pass flagged."""
+    tokens = [t.strip() for t in raw.split(",")]
+    if len(tokens) != schema.d:
+        return DataError(f"row {rowno}: expected {schema.d} columns, got {len(tokens)}")
+    for tok, attr, lookup in zip(tokens, schema.attributes, lookups):
+        problem = _cell_error(tok, attr, lookup)
+        if problem is not None:
+            return DataError(f"row {rowno}, column {attr.name!r}: {problem}")
+    raise AssertionError(f"row {rowno}: the column pass flagged a good row")
 
 
 def _observed_range(

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from harr.schema import AttributeKind, Dataset, OrdinalView
+from harr.schema import AttributeKind, DataError, Dataset, DatasetSchema, OrdinalView
 
 
 def cpd_oracle(
@@ -324,3 +324,67 @@ def lloyd_oracle(
                 sum(points[i, c] for i in members) / len(members) for c in range(dims)
             ]
     return labels, trace
+
+
+def ingest_rowwise_oracle(
+    data_text: str, schema: DatasetSchema
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell-by-cell CSV ingest: every row is split, stripped and checked in
+    turn, raising ``DataError`` at its first bad cell.
+
+    Returns ``(cells, numeric_min, numeric_max)`` as a ``Dataset`` stores
+    them.
+    """
+    lookups = [
+        {label: i + 1 for i, label in enumerate(a.possible_values)}
+        if a.kind.is_categorical
+        else None
+        for a in schema.attributes
+    ]
+    rows: list[np.ndarray] = []
+    for rowno, raw in enumerate(data_text.splitlines(), start=1):
+        if not raw.strip():
+            continue
+        tokens = [t.strip() for t in raw.split(",")]
+        if len(tokens) != schema.d:
+            raise DataError(
+                f"row {rowno}: expected {schema.d} columns, got {len(tokens)}"
+            )
+        vals = np.empty(schema.d)
+        for c, (tok, attr) in enumerate(zip(tokens, schema.attributes)):
+            if tok == "":
+                raise DataError(
+                    f"row {rowno}, column {attr.name!r}: missing value (empty cell)"
+                )
+            lookup = lookups[c]
+            if lookup is not None:
+                idx = lookup.get(tok)
+                if idx is None:
+                    raise DataError(
+                        f"row {rowno}, column {attr.name!r}: unknown value "
+                        f"{tok!r}; legal values: {', '.join(attr.possible_values)}"
+                    )
+                vals[c] = idx
+            else:
+                try:
+                    if "_" in tok:  # float() would accept 1_000
+                        raise ValueError
+                    x = float(tok)
+                except ValueError:
+                    raise DataError(
+                        f"row {rowno}, column {attr.name!r}: not a number: {tok!r}"
+                    ) from None
+                if not math.isfinite(x):
+                    raise DataError(
+                        f"row {rowno}, column {attr.name!r}: non-finite value {tok!r}"
+                    )
+                vals[c] = x
+        rows.append(vals)
+    cells = np.vstack(rows) if rows else np.empty((0, schema.d))
+    lo = np.full(schema.d, np.nan)
+    hi = np.full(schema.d, np.nan)
+    if cells.shape[0]:
+        for r in schema.numerical_indices():
+            lo[r] = cells[:, r].min()
+            hi[r] = cells[:, r].max()
+    return cells, lo, hi

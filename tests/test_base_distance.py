@@ -97,6 +97,22 @@ class TestNominal:
         expected = kappa_nominal_oracle(view, 0)
         assert np.allclose(kappa, expected, atol=1e-12)
 
+    @pytest.mark.filterwarnings("ignore:attribute .* never observed")
+    def test_bitwise_equal_to_cdist_reference(self):
+        distance = pytest.importorskip("scipy.spatial.distance")
+        rng = np.random.default_rng(5)
+        for _ in range(30):
+            dataset = random_dataset(rng, max_n=200, max_d=6, max_v=30, min_categorical=1)
+            view = discretize_numerical(dataset)
+            for r in dataset.schema.categorical_indices():
+                v = dataset.schema.attributes[r].v
+                expected = np.zeros((v, v))
+                for s in range(dataset.schema.d):
+                    probs = compute_cpd(dataset, view, r, s).probs
+                    expected += distance.cdist(probs, probs, metric="cityblock")
+                kappa = base_distance_nominal(dataset, view, r)
+                assert kappa.tobytes() == expected.tobytes()
+
     def test_unobserved_value_warns(self):
         dataset, view = _dataset("c,nom,a|b|zz\n", "a\nb\na\nb")
         with pytest.warns(RuntimeWarning, match="never observed: zz"):

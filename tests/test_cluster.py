@@ -588,3 +588,25 @@ def test_report_equality_ignores_timings():
     a = RunReport(**kw)
     b = RunReport(**kw, timings=PhaseTimings(1.0, 2.0, 3.0))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        np.array([1, 3, 2, 3], dtype=np.int32),
+        tuple(np.array([1, 3, 2, 3], dtype=np.int64)),
+        [np.uint8(1), np.int16(3), 2, np.int64(3)],
+    ],
+    ids=["int32-array", "tuple-of-int64", "mixed-scalars"],
+)
+def test_partition_accepts_numpy_integers(labels):
+    part = Partition(labels, 3)
+    assert part.labels == (1, 3, 2, 3)
+    assert all(type(x) is int for x in part.labels)
+    assert Partition(part.labels, 3) == part
+
+
+@pytest.mark.parametrize("labels", [(1, 4), (0, 1), (-1,), (2**70,), np.array([5])])
+def test_partition_rejects_out_of_range_labels(labels):
+    with pytest.raises(ValueError, match=r"^labels must lie in \[1, 3\]$"):
+        Partition(labels, 3)

@@ -109,6 +109,24 @@ class TestCa:
             ca_permutation_oracle(labels, pred), abs=1e-12
         )
 
+    @pytest.mark.parametrize("top", [3, 1000])
+    def test_matches_linear_sum_assignment(self, top):
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(top)
+        for _ in range(60):
+            shape = rng.integers(1, 31, size=2)
+            table = rng.integers(0, top, size=shape)
+            table[0, 0] += 1  # at least one object
+            rows, cols = np.nonzero(table)
+            counts = table[rows, cols]
+            labels = np.repeat(rows + 1, counts)
+            pred = np.repeat(cols + 1, counts)
+            side = max(labels.max(), pred.max())
+            padded = np.zeros((side, side), dtype=np.int64)
+            padded[: labels.max(), : pred.max()] = contingency(labels, pred)
+            r, c = optimize.linear_sum_assignment(padded, maximize=True)
+            assert ca(labels, pred) == float(padded[r, c].sum()) / labels.size
+
     def test_balanced_floor(self):
         rng = np.random.default_rng(6)
         k = 4

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import harr
 from harr.bench import BenchConfig, cmd_bench_time, cmd_cluster, cmd_trace_plot
 from harr.cli import main
 from harr.cluster import ConfigError, PhaseTimings, RunReport
@@ -538,3 +544,23 @@ class TestCliMain:
             ]
         )
         assert code == 3
+
+
+def test_cli_import_loads_no_scipy():
+    """``harr cluster`` pays for its imports in every process; scipy alone
+    used to add more than half a second, so the CLI must not load it."""
+    src = str(Path(harr.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = (
+        "import sys, harr.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
