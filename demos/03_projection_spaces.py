@@ -8,6 +8,9 @@ arrangement. Projecting all values onto the line through each value pair
 v(v-1)/2 one-dimensional sub-attributes that together preserve the
 arrangement. Ordinal values already sit on one line, so a single
 sub-attribute suffices, and every pair span reproduces it exactly.
+
+All sub-attributes of one attribute are computed at once and kept together
+as a block: a (γ, v) coordinate array with one row per span.
 """
 
 import numpy as np
@@ -32,35 +35,36 @@ kappa = np.array([
     [1.0, 1.5, 0.0],
 ])
 
-subs = project_nominal(kappa)
+block = project_nominal(kappa)
 print("spans and raw coordinates for a 3-value nominal attribute:")
-for sub in subs:
-    print(f"  span {sub.span}: coords {np.round(sub.coords, 4)}")
+for span, coords in zip(block.spans, block.coords):
+    print(f"  span {span}: coords {np.round(coords, 4)}")
 print("-> in span (1, 2), value 3 projects to "
-      f"{subs[0].coords[2]:.4f} (between the endpoints)")
+      f"{block.coords[0, 2]:.4f} (between the endpoints)")
 
-# Normalization scales each sub-attribute so its largest value gap is 1,
-# comparable to a normalized numerical attribute.
-normed = [normalize_projected(s) for s in subs]
+# Normalization scales each sub-attribute (each row) so its largest value
+# gap is 1, comparable to a normalized numerical attribute. A block's
+# ``sub_attributes`` views its rows one at a time.
+span_ab = normalize_projected(block).sub_attributes[0]
 print("\nvalue distances in normalized span (1, 2):")
 for u, f in [(1, 2), (1, 3), (2, 3)]:
-    print(f"  d({u},{f}) = {value_distance(normed[0], u, f):.4f}")
+    print(f"  d({u},{f}) = {value_distance(span_ab, u, f):.4f}")
 
 # Ordinal attributes: one line is enough. Every nominal-style span of an
 # additive matrix reproduces the same pairwise distances.
 gaps = np.array([0.4, 0.6])
 pos = np.concatenate([[0.0], np.cumsum(gaps)])
 additive = np.abs(pos[:, None] - pos[None, :])
-line = normalize_projected(project_ordinal(additive))
-print("\nordinal line coordinates:", np.round(line.coords, 4))
-for sub in project_nominal(additive):
-    sub = normalize_projected(sub)
+line = normalize_projected(project_ordinal(additive)).coords[0]
+print("\nordinal line coordinates:", np.round(line, 4))
+spans = normalize_projected(project_nominal(additive))
+for span, coords in zip(spans.spans, spans.coords):
     mats_equal = np.allclose(
-        np.abs(sub.coords[:, None] - sub.coords[None, :]),
-        np.abs(line.coords[:, None] - line.coords[None, :]),
+        np.abs(coords[:, None] - coords[None, :]),
+        np.abs(line[:, None] - line[None, :]),
         atol=1e-12,
     )
-    print(f"  span {sub.span} overlaps the line: {mats_equal}")
+    print(f"  span {span} overlaps the line: {mats_equal}")
 
 # End to end: the expanded attribute set of a real mixed dataset.
 schema = parse_schema("x,num\ncolor,nom,red|green|blue|grey\ngrade,ord,lo|mid|hi\n")

@@ -37,14 +37,15 @@ for i, (z, updated) in enumerate(
     marker = " o" if updated else ""
     print(f"  iter {i:>2}: z = {z:10.4f}{marker}")
 
-# Weights are kept per expanded sub-attribute; summing them by source
-# attribute shows where the algorithm thinks the signal lives.
+# Weights are kept per expanded sub-attribute, and each categorical
+# attribute's sub-attributes form one block of columns; summing the weights
+# by source attribute shows where the algorithm thinks the signal lives.
 space = prep.space
 mass = defaultdict(float)
-sources = [("num", r) for r in space.numeric_attrs] + [
-    (dataset.schema.attributes[s.source].name, s.source) for s in space.sub_attributes
-]
-for (name, _), w in zip(sources, report.weights):
+names = ["num"] * len(space.numeric_attrs)
+for block in space.blocks:
+    names += [dataset.schema.attributes[block.source].name] * block.gamma
+for name, w in zip(names, report.weights):
     mass[name] += w
 print("\nweight mass by source attribute:")
 for name, total in mass.items():

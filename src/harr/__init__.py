@@ -38,6 +38,7 @@ from .projection import (
     ORDINAL_LINE,
     HAMMING_FALLBACK,
     ProjectedAttribute,
+    ProjectedBlock,
     ReconstructedSpace,
     project_nominal,
     project_ordinal,
@@ -54,7 +55,6 @@ from .cluster import (
     Prototypes,
     WeightVector,
     WeightMatrix,
-    ObjectiveTrace,
     PhaseTimings,
     RunReport,
     prepare,

@@ -21,6 +21,7 @@ from .schema import (
     Dataset,
     OrdinalView,
     _freeze,
+    _write_text,
     discretize_numerical,
 )
 
@@ -196,15 +197,12 @@ def dump_base_distances(
     table: BaseDistanceTable, dataset: Dataset, out_dir: str
 ) -> list[str]:
     """Debug dump: one CSV per categorical attribute, 12 significant digits."""
-    os.makedirs(out_dir, exist_ok=True)
     paths = []
     for r, mat in enumerate(table.matrices):
         if mat is None:
             continue
         name = dataset.schema.attributes[r].name
+        text = "".join(",".join(format(x, ".12g") for x in row) + "\n" for row in mat)
         path = os.path.join(out_dir, f"base_distance_{name}.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            for row in mat:
-                fh.write(",".join(format(x, ".12g") for x in row) + "\n")
-        paths.append(path)
+        paths.append(_write_text(path, text))
     return paths

@@ -40,6 +40,7 @@ from .report import (
 from .schema import (
     DataError,
     Dataset,
+    _write_text,
     ingest_table,
     normalize_numerical,
     parse_schema,
@@ -217,10 +218,10 @@ def cmd_bench_time(cfg: BenchConfig) -> list[tuple[float, int, str, float]]:
                 times.append(time.perf_counter() - started)
             rows.append((phi, n_sub, variant, statistics.median(times)))
     save_bench_time(rows, f"{cfg.out_dir}/bench_time.csv")
-    with open(f"{cfg.out_dir}/bench_time.txt", "w", encoding="utf-8") as fh:
-        fh.write(f"{'phi':>8} {'n':>9} {'variant':<10} {'seconds':>12}\n")
-        for phi, n_sub, variant, seconds in rows:
-            fh.write(f"{phi:>8g} {n_sub:>9d} {variant:<10} {seconds:>12.6f}\n")
+    lines = [f"{'phi':>8} {'n':>9} {'variant':<10} {'seconds':>12}\n"]
+    for phi, n_sub, variant, seconds in rows:
+        lines.append(f"{phi:>8g} {n_sub:>9d} {variant:<10} {seconds:>12.6f}\n")
+    _write_text(f"{cfg.out_dir}/bench_time.txt", "".join(lines))
     return rows
 
 

@@ -38,12 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base_distance import BaseDistanceTable, build_base_distances
-from .projection import (
-    HAMMING_FALLBACK,
-    ReconstructedSpace,
-    reconstruct,
-    value_distance,
-)
+from .projection import ReconstructedSpace, reconstruct
 from .schema import AttributeKind, Dataset, _freeze, discretize_numerical
 
 __all__ = [
@@ -54,7 +49,6 @@ __all__ = [
     "Prototypes",
     "WeightVector",
     "WeightMatrix",
-    "ObjectiveTrace",
     "PhaseTimings",
     "RunReport",
     "Prepared",
@@ -179,21 +173,6 @@ class WeightMatrix:
 
 
 @dataclass(frozen=True)
-class ObjectiveTrace:
-    """Objective value after each assignment, with markers for assignments
-    that used freshly refreshed weights and for empty-cluster re-seeds.
-
-    Converged runs close with one terminal entry repeating the fixed-point
-    objective (the stopping check re-evaluates an unchanged state), so their
-    final two values are equal.
-    """
-
-    z: tuple[float, ...]
-    weights_updated: tuple[bool, ...]
-    reseeded: tuple[bool, ...]
-
-
-@dataclass(frozen=True)
 class PhaseTimings:
     """Wall-clock seconds per phase; excluded from report equality."""
 
@@ -229,12 +208,6 @@ class RunReport:
     ari: float | None = None
     ca: float | None = None
     timings: PhaseTimings = field(default=PhaseTimings(), compare=False)
-
-    @property
-    def trace(self) -> ObjectiveTrace:
-        return ObjectiveTrace(
-            self.trace_z, self.trace_weights_updated, self.trace_reseeded
-        )
 
     @property
     def partition(self) -> Partition:
@@ -400,27 +373,21 @@ def _mismatch_table(v: int) -> np.ndarray:
 
 
 def _model_reconstructed(dataset: Dataset, space: ReconstructedSpace) -> _ColumnModel:
-    numeric = []
-    col = 0
-    for r in space.numeric_attrs:
-        numeric.append(_make_numeric(dataset, col, r))
-        col += 1
+    numeric = [
+        _make_numeric(dataset, col, r) for col, r in enumerate(space.numeric_attrs)
+    ]
     groups = []
-    by_source: dict[int, list] = {}
-    for sub in space.sub_attributes:
-        by_source.setdefault(sub.source, []).append(sub)
-    for source in sorted(by_source):
-        subs = by_source[source]
-        v = subs[0].v
-        cols = range(col, col + len(subs))
-        col += len(subs)
-        if subs[0].span == HAMMING_FALLBACK:
-            # reconstruct() emits the fallback as its attribute's only
-            # column; its coordinates are all zero, so it needs the table
-            group = _make_group(dataset, source, cols, v, table=_mismatch_table(v))
+    col = len(numeric)
+    for b in space.blocks:
+        cols = range(col, col + b.gamma)
+        col += b.gamma
+        if b.is_fallback:
+            # its coordinates are all zero, so it needs the table
+            table = _mismatch_table(b.v)
+            group = _make_group(dataset, b.source, cols, b.v, table=table)
         else:
-            coords = np.stack([sub.coords for sub in subs])
-            group = _make_group(dataset, source, cols, v, coords=coords)
+            # the block's frozen coordinates are shared, not copied
+            group = _make_group(dataset, b.source, cols, b.v, coords=b.coords)
         groups.append(group)
     return _ColumnModel(dataset, col, tuple(numeric), tuple(groups))
 
@@ -588,12 +555,16 @@ def weighted_distance(
         phi = abs(dataset.cells[x, r] - protos.values[m, r])
         total += phi * (w[j] if w is not None else 1.0)
         j += 1
-    for sub in space.sub_attributes:
-        u = int(dataset.cells[x, sub.source])
-        f = int(protos.values[m, sub.source])
-        phi = value_distance(sub, u, f)
-        total += phi * (w[j] if w is not None else 1.0)
-        j += 1
+    for block in space.blocks:
+        u = int(dataset.cells[x, block.source])
+        f = int(protos.values[m, block.source])
+        if block.is_fallback:
+            phis = [float(u != f)]
+        else:
+            phis = np.abs(block.coords[:, u - 1] - block.coords[:, f - 1]).tolist()
+        for phi in phis:
+            total += phi * (w[j] if w is not None else 1.0)
+            j += 1
     return total
 
 

@@ -8,23 +8,27 @@ Pythagorean relation. An ordinal attribute, whose values already sit on one
 line, yields a single sub-attribute with coordinates accumulated along the
 rank order. Coordinates are then scaled per sub-attribute so the largest
 value-level distance is 1, comparable to normalized numerical attributes.
+
+The sub-attributes of one source attribute are stored together as one
+``ProjectedBlock``: row i of its (γ, v) coordinate array is sub-attribute i.
 """
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .base_distance import BaseDistanceTable
-from .schema import AttributeKind, Dataset, DatasetSchema, _freeze
+from .schema import AttributeKind, Dataset, DatasetSchema, _freeze, _write_text
 
 __all__ = [
     "ORDINAL_LINE",
     "HAMMING_FALLBACK",
     "ProjectedAttribute",
+    "ProjectedBlock",
     "ReconstructedSpace",
     "project_nominal",
     "project_ordinal",
@@ -42,7 +46,8 @@ HAMMING_FALLBACK = "hamming"
 
 @dataclass(frozen=True)
 class ProjectedAttribute:
-    """A one-dimensional sub-attribute of a source categorical attribute.
+    """A one-dimensional sub-attribute of a source categorical attribute: one
+    row of a ``ProjectedBlock``, seen on its own.
 
     ``span`` is the spanning value pair (1-based indices) for nominal
     projections, or one of the markers ``ORDINAL_LINE`` / ``HAMMING_FALLBACK``.
@@ -65,29 +70,69 @@ class ProjectedAttribute:
 
 
 @dataclass(frozen=True)
+class ProjectedBlock:
+    """Every sub-attribute of one source categorical attribute, as arrays.
+
+    Row i is one sub-attribute: ``spans[i]`` is its spanning value pair or
+    marker, ``coords[i, t]`` the coordinate of value t+1 and ``max_span[i]``
+    the largest pairwise coordinate gap used to normalize it.
+    """
+
+    source: int
+    spans: tuple[tuple[int, int] | str, ...]
+    coords: np.ndarray  # (gamma, v)
+    max_span: np.ndarray  # (gamma,)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "coords", _freeze(np.asarray(self.coords, float)))
+        object.__setattr__(self, "max_span", _freeze(np.asarray(self.max_span, float)))
+
+    @property
+    def gamma(self) -> int:
+        return len(self.spans)
+
+    @property
+    def v(self) -> int:
+        return self.coords.shape[1]
+
+    @property
+    def is_fallback(self) -> bool:
+        return self.spans == (HAMMING_FALLBACK,)
+
+    @cached_property
+    def sub_attributes(self) -> tuple[ProjectedAttribute, ...]:
+        """Read-only per-row view; the coordinates are shared, not copied."""
+        return tuple(
+            ProjectedAttribute(self.source, span, row, float(gap))
+            for span, row, gap in zip(self.spans, self.coords, self.max_span)
+        )
+
+
+@dataclass(frozen=True)
 class ReconstructedSpace:
-    """The expanded attribute set: numerical pass-throughs plus every
-    sub-attribute of every categorical attribute, in a fixed order
-    (pass-throughs first, then sub-attributes by source and spanning pair)."""
+    """The expanded attribute set: numerical pass-throughs plus one block of
+    sub-attributes per categorical attribute, in a fixed order (pass-throughs
+    first, then sub-attributes by source and spanning pair)."""
 
     schema: DatasetSchema
     numeric_attrs: tuple[int, ...]
-    sub_attributes: tuple[ProjectedAttribute, ...]
+    blocks: tuple[ProjectedBlock, ...]
 
     @property
     def d_hat(self) -> int:
-        return len(self.numeric_attrs) + len(self.sub_attributes)
+        return len(self.numeric_attrs) + sum(b.gamma for b in self.blocks)
 
     def gamma(self, r: int) -> int:
         """Sub-attribute count contributed by source attribute ``r``."""
-        return sum(a.source == r for a in self.sub_attributes)
+        return sum(b.gamma for b in self.blocks if b.source == r)
+
+    @property
+    def sub_attributes(self) -> tuple[ProjectedAttribute, ...]:
+        """Every sub-attribute in column order, as a read-only view."""
+        return tuple(sub for b in self.blocks for sub in b.sub_attributes)
 
 
-def _span_gap(coords: np.ndarray) -> float:
-    return float(coords.max() - coords.min()) if len(coords) else 0.0
-
-
-def project_nominal(kappa: np.ndarray, source: int = 0) -> list[ProjectedAttribute]:
+def project_nominal(kappa: np.ndarray, source: int = 0) -> ProjectedBlock:
     """One sub-attribute per unordered value pair with positive base distance.
 
     The coordinate of value t on the line through values (g, h) is its
@@ -95,44 +140,37 @@ def project_nominal(kappa: np.ndarray, source: int = 0) -> list[ProjectedAttribu
     project beyond g keep a consistent arrangement and any two spanning pairs
     of collinear configurations produce the same pairwise gaps. Spans whose
     spanning pair is at base distance zero are dropped with a warning; an
-    empty result signals that the caller should fall back to 0/1 mismatch.
+    empty block signals that the caller should fall back to 0/1 mismatch.
     """
     kappa = np.asarray(kappa, dtype=float)
-    v = kappa.shape[0]
-    out: list[ProjectedAttribute] = []
-    dropped: list[tuple[int, int]] = []
-    sq = kappa * kappa
-    for g in range(v - 1):
-        for h in range(g + 1, v):
-            c = kappa[g, h]
-            if c <= 0.0:
-                dropped.append((g + 1, h + 1))
-                continue
-            coords = (sq[:, g] - sq[:, h] + c * c) / (2.0 * c)
-            out.append(
-                ProjectedAttribute(source, (g + 1, h + 1), coords, _span_gap(coords))
-            )
-    if dropped:
+    g, h = np.triu_indices(kappa.shape[0], 1)
+    c = kappa[g, h]
+    degenerate = c <= 0.0
+    if degenerate.any():
+        dropped = list(zip((g[degenerate] + 1).tolist(), (h[degenerate] + 1).tolist()))
         warnings.warn(
             f"attribute index {source}: dropped degenerate spans "
             f"{dropped} (zero base distance between the spanning pair)",
             RuntimeWarning,
             stacklevel=2,
         )
-    return out
+        g, h, c = g[~degenerate], h[~degenerate], c[~degenerate]
+    sq = (kappa * kappa).T  # sq[g] is column g of the squared distances
+    coords = (sq[g] - sq[h] + (c * c)[:, None]) / (2.0 * c)[:, None]
+    spans = tuple(zip((g + 1).tolist(), (h + 1).tolist()))
+    return ProjectedBlock(source, spans, coords, np.ptp(coords, axis=1))
 
 
-def project_ordinal(kappa: np.ndarray, source: int = 0) -> ProjectedAttribute | None:
+def project_ordinal(kappa: np.ndarray, source: int = 0) -> ProjectedBlock | None:
     """Single line for an ordinal attribute: the coordinate of each value is
     its base distance from the lowest-ranked value.
 
     Returns None when the matrix is all zero (degenerate; callers fall back
     to 0/1 mismatch).
     """
-    kappa = np.asarray(kappa, dtype=float)
-    coords = kappa[:, 0].copy()
-    gap = _span_gap(coords)
-    if gap <= 0.0:
+    coords = np.asarray(kappa, dtype=float)[None, :, 0]
+    gap = np.ptp(coords, axis=1)
+    if gap[0] <= 0.0:
         warnings.warn(
             f"attribute index {source}: ordinal base distances are all zero; "
             "projection is degenerate",
@@ -140,34 +178,40 @@ def project_ordinal(kappa: np.ndarray, source: int = 0) -> ProjectedAttribute | 
             stacklevel=2,
         )
         return None
-    return ProjectedAttribute(source, ORDINAL_LINE, coords, gap)
+    return ProjectedBlock(source, (ORDINAL_LINE,), coords, gap)
 
 
-def normalize_projected(attr: ProjectedAttribute) -> ProjectedAttribute | None:
-    """Scale coordinates by the largest pairwise gap of this sub-attribute so
+def normalize_projected(block: ProjectedBlock) -> ProjectedBlock | None:
+    """Scale each sub-attribute's coordinates by its largest pairwise gap so
     its maximum value-level distance is 1.
 
-    Returns None (attribute dropped) when the gap is zero. Fallback
-    sub-attributes are already unit-scale and pass through unchanged.
+    A sub-attribute whose gap is zero is dropped with a warning; None means
+    none is left. A fallback block is already unit-scale and passes through
+    unchanged.
     """
-    if attr.span == HAMMING_FALLBACK:
-        return attr
-    gap = _span_gap(attr.coords)
-    if gap <= 0.0:
+    if block.is_fallback:
+        return block
+    gaps = np.ptp(block.coords, axis=1)
+    flat = gaps <= 0.0
+    for i in np.flatnonzero(flat):
         warnings.warn(
-            f"attribute index {attr.source}, span {attr.span}: all coordinates "
-            "equal; sub-attribute dropped",
+            f"attribute index {block.source}, span {block.spans[i]}: all "
+            "coordinates equal; sub-attribute dropped",
             RuntimeWarning,
             stacklevel=2,
         )
+    if flat.all():
         return None
-    return ProjectedAttribute(attr.source, attr.span, attr.coords / gap, gap)
+    keep = ~flat
+    spans = tuple(s for s, drop in zip(block.spans, flat) if not drop)
+    coords = block.coords[keep] / gaps[keep, None]
+    return ProjectedBlock(block.source, spans, coords, gaps[keep])
 
 
-def hamming_fallback(v: int, source: int = 0) -> ProjectedAttribute:
+def hamming_fallback(v: int, source: int = 0) -> ProjectedBlock:
     """0/1 mismatch sub-attribute used when every span of an attribute is
     degenerate; keeps the attribute in play."""
-    return ProjectedAttribute(source, HAMMING_FALLBACK, np.zeros(v), 1.0)
+    return ProjectedBlock(source, (HAMMING_FALLBACK,), np.zeros((1, v)), np.ones(1))
 
 
 def value_distance(attr: ProjectedAttribute, u: int, f: int) -> float:
@@ -185,7 +229,7 @@ def reconstruct(dataset: Dataset, table: BaseDistanceTable) -> ReconstructedSpac
     whose spans are all degenerate falls back to a single 0/1 mismatch
     sub-attribute. Pure function of its inputs.
     """
-    subs: list[ProjectedAttribute] = []
+    blocks: list[ProjectedBlock] = []
     for r, attr in enumerate(dataset.schema.attributes):
         if not attr.kind.is_categorical:
             continue
@@ -197,37 +241,31 @@ def reconstruct(dataset: Dataset, table: BaseDistanceTable) -> ReconstructedSpac
             )
         if attr.kind is AttributeKind.ORDINAL:
             raw = project_ordinal(kappa, source=r)
-            raws = [raw] if raw is not None else []
         else:
-            raws = project_nominal(kappa, source=r)
-        normed = [normalize_projected(a) for a in raws]
-        kept = [a for a in normed if a is not None]
-        if not kept:
+            raw = project_nominal(kappa, source=r)
+        block = None if raw is None else normalize_projected(raw)
+        if block is None:
             warnings.warn(
                 f"attribute {attr.name!r}: every span degenerate; falling back "
                 "to a single 0/1 mismatch sub-attribute",
                 RuntimeWarning,
                 stacklevel=2,
             )
-            kept = [hamming_fallback(attr.v, source=r)]
-        subs.extend(kept)
+            block = hamming_fallback(attr.v, source=r)
+        blocks.append(block)
     return ReconstructedSpace(
-        dataset.schema, dataset.schema.numerical_indices(), tuple(subs)
+        dataset.schema, dataset.schema.numerical_indices(), tuple(blocks)
     )
 
 
 def dump_reconstruction(space: ReconstructedSpace, path: str) -> str:
     """Dump the coordinate table: one row per sub-attribute
     (source name, span, normalized coordinates, 12 significant digits)."""
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for sub in space.sub_attributes:
-            name = space.schema.attributes[sub.source].name
-            span = (
-                f"{sub.span[0]}-{sub.span[1]}"
-                if isinstance(sub.span, tuple)
-                else sub.span
-            )
-            coords = ",".join(format(x, ".12g") for x in sub.coords)
-            fh.write(f"{name},{span},{coords}\n")
-    return path
+    lines = []
+    for block in space.blocks:
+        name = space.schema.attributes[block.source].name
+        for span, row in zip(block.spans, block.coords.tolist()):
+            label = f"{span[0]}-{span[1]}" if isinstance(span, tuple) else span
+            coords = ",".join(format(x, ".12g") for x in row)
+            lines.append(f"{name},{label},{coords}\n")
+    return _write_text(path, "".join(lines))

@@ -9,11 +9,11 @@ timings file, never in the report itself.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .cluster import RunReport
 from .evaluation import RunSummary
+from .schema import _write_text
 
 __all__ = [
     "ReportFile",
@@ -38,6 +38,9 @@ _TIMINGS_FORMAT = "harr-timings-v1"
 _SUMMARY_FORMAT = "harr-summary-v1"
 _TRACE_FORMAT = "harr-trace-v1"
 _BENCH_FORMAT = "harr-bench-time-v1"
+_SUMMARY_HEADER = "variant,ari,ca"
+_TRACE_HEADER = "variant,seed,iteration,z,weights_updated"
+_BENCH_HEADER = "phi,n,variant,seconds"
 
 
 def variant_slug(variant: str) -> str:
@@ -151,11 +154,7 @@ def save_report(report: ReportFile, path: str) -> str:
         lines.append(f"trace_weights_updated: {_bools(run.trace_weights_updated)}")
         lines.append(f"trace_reseeded: {_bools(run.trace_reseeded)}")
         lines.append("[end]")
-    text = "\n".join(lines) + "\n"
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    return path
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
 class _LineReader:
@@ -279,10 +278,7 @@ def save_timings(timings: TimingsFile, path: str) -> str:
         lines.append(f"cluster_s: {cluster_s!r}")
         lines.append(f"weights_s: {weights_s!r}")
         lines.append("[end]")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
 def load_timings(path: str) -> TimingsFile:
@@ -319,28 +315,31 @@ def save_summary(summaries: list[RunSummary | tuple[str, None]], path: str) -> s
 
     A ``(variant, None)`` entry marks a variant run without ground truth.
     """
-    lines = [f"# format: {_SUMMARY_FORMAT}", "variant,ari,ca"]
+    lines = [f"# format: {_SUMMARY_FORMAT}", _SUMMARY_HEADER]
     for item in summaries:
         if isinstance(item, RunSummary):
             ari_s, ca_s = item.format_scores()
             lines.append(f"{item.variant},{ari_s},{ca_s}")
         else:
             lines.append(f"{item[0]},none,none")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write_text(path, "\n".join(lines) + "\n")
+
+
+def _read_table(path: str, fmt: str, header: str) -> list[str]:
+    """Body lines of a ``# format:`` table after checking its two header
+    lines."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != f"# format: {fmt}":
+        raise ValueError(f"{path}: not a {fmt} file")
+    if len(lines) < 2 or lines[1] != header:
+        raise ValueError(f"{path}: unexpected header")
+    return lines[2:]
 
 
 def load_summary(path: str) -> list[tuple[str, str, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != f"# format: {_SUMMARY_FORMAT}":
-        raise ValueError(f"{path}: not a {_SUMMARY_FORMAT} file")
-    if lines[1] != "variant,ari,ca":
-        raise ValueError(f"{path}: unexpected header")
     out = []
-    for line in lines[2:]:
+    for line in _read_table(path, _SUMMARY_FORMAT, _SUMMARY_HEADER):
         variant, ari_s, ca_s = line.split(",")
         out.append((variant, ari_s, ca_s))
     return out
@@ -353,22 +352,15 @@ def save_trace(
     objective value, and a weight-refresh marker column."""
     if not rows:
         raise ValueError("no trace rows to write")
-    lines = [f"# format: {_TRACE_FORMAT}", "variant,seed,iteration,z,weights_updated"]
+    lines = [f"# format: {_TRACE_FORMAT}", _TRACE_HEADER]
     for variant, seed, iteration, z, updated in rows:
         lines.append(f"{variant},{seed},{iteration},{z!r},{1 if updated else 0}")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
 def load_trace(path: str) -> list[tuple[str, int, int, float, bool]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != f"# format: {_TRACE_FORMAT}":
-        raise ValueError(f"{path}: not a {_TRACE_FORMAT} file")
     out = []
-    for line in lines[2:]:
+    for line in _read_table(path, _TRACE_FORMAT, _TRACE_HEADER):
         variant, seed, iteration, z, updated = line.split(",")
         out.append((variant, int(seed), int(iteration), float(z), updated == "1"))
     return out
@@ -378,22 +370,15 @@ def save_bench_time(
     rows: list[tuple[float, int, str, float]], path: str
 ) -> str:
     """Timing-sweep table: sampling rate, subsample size, variant, seconds."""
-    lines = [f"# format: {_BENCH_FORMAT}", "phi,n,variant,seconds"]
+    lines = [f"# format: {_BENCH_FORMAT}", _BENCH_HEADER]
     for phi, n, variant, seconds in rows:
         lines.append(f"{phi!r},{n},{variant},{seconds!r}")
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return path
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
 def load_bench_time(path: str) -> list[tuple[float, int, str, float]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != f"# format: {_BENCH_FORMAT}":
-        raise ValueError(f"{path}: not a {_BENCH_FORMAT} file")
     out = []
-    for line in lines[2:]:
+    for line in _read_table(path, _BENCH_FORMAT, _BENCH_HEADER):
         phi, n, variant, seconds = line.split(",")
         out.append((float(phi), int(n), variant, float(seconds)))
     return out
@@ -406,7 +391,4 @@ def read_label_file(path: str) -> tuple[int, ...]:
 
 
 def write_label_file(labels, path: str) -> str:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{int(x)}\n" for x in labels))
-    return path
+    return _write_text(path, "".join(f"{int(x)}\n" for x in labels))

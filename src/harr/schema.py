@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -61,6 +62,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+def _write_text(path: str, text: str) -> str:
+    """Write ``text`` as UTF-8, creating the parent directory if needed."""
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    return path
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .schema import (
     Dataset,
     DatasetSchema,
     SchemaError,
+    _write_text,
     dataset_to_text,
     schema_to_text,
 )
@@ -162,16 +163,13 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, tuple[int, ...]]:
 def write_synthetic(spec: SyntheticSpec, out_dir: str) -> dict[str, str]:
     """Generate and write schema, data, and ground-truth label files."""
     dataset, labels = generate_synthetic(spec)
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "schema": os.path.join(out_dir, "schema.txt"),
-        "data": os.path.join(out_dir, "data.csv"),
-        "labels": os.path.join(out_dir, "labels.txt"),
+
+    def write(name: str, text: str) -> str:
+        return _write_text(os.path.join(out_dir, name), text)
+
+    # each text is built just before it is written and dropped right after
+    return {
+        "schema": write("schema.txt", schema_to_text(dataset.schema)),
+        "data": write("data.csv", dataset_to_text(dataset)),
+        "labels": write("labels.txt", "".join(f"{x}\n" for x in labels)),
     }
-    with open(paths["schema"], "w", encoding="utf-8") as fh:
-        fh.write(schema_to_text(dataset.schema))
-    with open(paths["data"], "w", encoding="utf-8") as fh:
-        fh.write(dataset_to_text(dataset))
-    with open(paths["labels"], "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{x}\n" for x in labels))
-    return paths

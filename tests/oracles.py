@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 
@@ -186,6 +187,48 @@ def ca_permutation_oracle(labels, pred) -> float:
                 matched += 1
         best = max(best, matched)
     return best / n
+
+
+def projection_oracle(kappa: np.ndarray, source: int = 0):
+    """Pair-span projection one value pair at a time, then per-span
+    normalization, with the same warnings in the same order.
+
+    Returns ``(raw, normalized)``: lists of ``(span, coords, max_span)`` in
+    pair order. ``raw`` drops the spans whose spanning pair is at base
+    distance zero; ``normalized`` also drops the spans whose coordinates are
+    all equal.
+    """
+    kappa = np.asarray(kappa, dtype=float)
+    v = kappa.shape[0]
+    raw = []
+    dropped = []
+    sq = kappa * kappa
+    for g in range(v - 1):
+        for h in range(g + 1, v):
+            c = kappa[g, h]
+            if c <= 0.0:
+                dropped.append((g + 1, h + 1))
+                continue
+            coords = (sq[:, g] - sq[:, h] + c * c) / (2.0 * c)
+            raw.append(((g + 1, h + 1), coords, float(coords.max() - coords.min())))
+    if dropped:
+        warnings.warn(
+            f"attribute index {source}: dropped degenerate spans "
+            f"{dropped} (zero base distance between the spanning pair)",
+            RuntimeWarning,
+        )
+    normalized = []
+    for span, coords, _ in raw:
+        gap = float(coords.max() - coords.min())
+        if gap <= 0.0:
+            warnings.warn(
+                f"attribute index {source}, span {span}: all coordinates "
+                "equal; sub-attribute dropped",
+                RuntimeWarning,
+            )
+            continue
+        normalized.append((span, coords / gap, gap))
+    return raw, normalized
 
 
 def phi_tensor(dataset, space, protos) -> np.ndarray:

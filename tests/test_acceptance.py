@@ -174,13 +174,12 @@ def test_c03_ordinal_overlap():
         gaps = rng.uniform(0.05, 2.0, size=v - 1)
         pos = np.concatenate([[0.0], np.cumsum(gaps)])
         kappa = np.abs(pos[:, None] - pos[None, :])
-        line = normalize_projected(project_ordinal(kappa))
-        line_mat = np.abs(line.coords[:, None] - line.coords[None, :])
+        line = normalize_projected(project_ordinal(kappa)).coords[0]
+        line_mat = np.abs(line[:, None] - line[None, :])
         spans = project_nominal(kappa)
-        assert len(spans) == v * (v - 1) // 2
-        for sub in spans:
-            sub = normalize_projected(sub)
-            mat = np.abs(sub.coords[:, None] - sub.coords[None, :])
+        assert spans.gamma == v * (v - 1) // 2
+        for coords in normalize_projected(spans).coords:
+            mat = np.abs(coords[:, None] - coords[None, :])
             worst = max(worst, float(np.abs(mat - line_mat).max()))
     ok = worst <= 1e-9
     _verdict("3", "ordinal spans overlap the single line", ok, f"max |diff| {worst:.2e}")

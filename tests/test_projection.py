@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from harr.base_distance import build_base_distances
@@ -18,9 +18,16 @@ from harr.projection import (
     reconstruct,
     value_distance,
 )
-from harr.schema import discretize_numerical, ingest_table, normalize_numerical, parse_schema
+from harr.schema import (
+    AttributeKind,
+    discretize_numerical,
+    ingest_table,
+    normalize_numerical,
+    parse_schema,
+)
 
 from conftest import build_dataset, random_dataset
+from oracles import projection_oracle
 
 # Three-value configuration used across several cases below.
 KAPPA_ABC = np.array(
@@ -43,23 +50,22 @@ class TestProjectNominal:
         rng = np.random.default_rng(0)
         pts = rng.random((4, 2))
         kappa = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
-        subs = project_nominal(kappa)
-        assert len(subs) == 6
-        assert [s.span for s in subs] == [
+        block = project_nominal(kappa)
+        assert block.coords.shape == (6, 4)
+        assert list(block.spans) == [
             (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4),
         ]
 
     def test_endpoints_project_to_themselves(self):
-        subs = project_nominal(KAPPA_ABC)
-        span_ab = subs[0]
-        assert span_ab.span == (1, 2)
-        assert span_ab.coords[0] == 0.0
-        assert span_ab.coords[1] == pytest.approx(2.0, rel=1e-12)
+        block = project_nominal(KAPPA_ABC)
+        assert block.spans[0] == (1, 2)
+        assert block.coords[0, 0] == 0.0
+        assert block.coords[0, 1] == pytest.approx(2.0, rel=1e-12)
 
     def test_hand_computed_third_point(self):
         # |kappa(c,a)^2 - kappa(c,b)^2 + kappa(a,b)^2| / (2 kappa(a,b))
-        subs = project_nominal(KAPPA_ABC)
-        assert subs[0].coords[2] == pytest.approx(0.6875, abs=1e-12)
+        block = project_nominal(KAPPA_ABC)
+        assert block.coords[0, 2] == pytest.approx(0.6875, abs=1e-12)
 
     def test_degenerate_span_dropped_with_warning(self):
         kappa = np.array(
@@ -70,26 +76,26 @@ class TestProjectNominal:
             ]
         )
         with pytest.warns(RuntimeWarning, match="degenerate spans"):
-            subs = project_nominal(kappa)
-        assert [s.span for s in subs] == [(1, 3), (2, 3)]
+            block = project_nominal(kappa)
+        assert list(block.spans) == [(1, 3), (2, 3)]
 
     def test_all_degenerate_signals_fallback(self):
         with pytest.warns(RuntimeWarning):
-            subs = project_nominal(np.zeros((3, 3)))
-        assert subs == []
+            block = project_nominal(np.zeros((3, 3)))
+        assert block.spans == () and block.coords.shape == (0, 3)
 
 
 class TestProjectOrdinal:
     def test_coords_accumulate_from_lowest(self):
         kappa = additive_kappa([0.4, 0.6])
-        sub = project_ordinal(kappa)
-        assert sub.span == ORDINAL_LINE
-        assert np.allclose(sub.coords, [0.0, 0.4, 1.0], atol=1e-12)
+        line = project_ordinal(kappa)
+        assert line.spans == (ORDINAL_LINE,)
+        assert np.allclose(line.coords[0], [0.0, 0.4, 1.0], atol=1e-12)
 
     def test_two_values(self):
         kappa = additive_kappa([0.7])
-        sub = project_ordinal(kappa)
-        assert np.allclose(sub.coords, [0.0, 0.7], atol=1e-12)
+        line = project_ordinal(kappa)
+        assert np.allclose(line.coords[0], [0.0, 0.7], atol=1e-12)
 
     def test_zero_matrix_degenerate(self):
         with pytest.warns(RuntimeWarning, match="degenerate"):
@@ -103,52 +109,50 @@ class TestProjectOrdinal:
             v = int(rng.integers(2, 8))
             gaps = rng.uniform(0.1, 1.0, size=v - 1)
             kappa = additive_kappa(gaps)
-            line = normalize_projected(project_ordinal(kappa))
-            line_matrix = np.abs(line.coords[:, None] - line.coords[None, :])
-            for sub in project_nominal(kappa):
-                sub = normalize_projected(sub)
-                got = np.abs(sub.coords[:, None] - sub.coords[None, :])
+            line = normalize_projected(project_ordinal(kappa)).coords[0]
+            line_matrix = np.abs(line[:, None] - line[None, :])
+            for coords in normalize_projected(project_nominal(kappa)).coords:
+                got = np.abs(coords[:, None] - coords[None, :])
                 assert np.allclose(got, line_matrix, atol=1e-9)
 
 
 class TestNormalize:
     def test_identity_when_max_gap_one(self):
-        sub = project_ordinal(additive_kappa([0.4, 0.6]))
-        normed = normalize_projected(sub)
-        assert np.allclose(normed.coords, [0.0, 0.4, 1.0], atol=1e-12)
-        assert normed.max_span == pytest.approx(1.0)
+        line = project_ordinal(additive_kappa([0.4, 0.6]))
+        normed = normalize_projected(line)
+        assert np.allclose(normed.coords[0], [0.0, 0.4, 1.0], atol=1e-12)
+        assert normed.max_span[0] == pytest.approx(1.0)
 
     def test_scaling(self):
-        sub = project_ordinal(additive_kappa([2.0, 1.0]))
-        normed = normalize_projected(sub)
-        assert np.allclose(normed.coords, [0.0, 2 / 3, 1.0], atol=1e-12)
-        assert normed.max_span == pytest.approx(3.0)
+        line = project_ordinal(additive_kappa([2.0, 1.0]))
+        normed = normalize_projected(line)
+        assert np.allclose(normed.coords[0], [0.0, 2 / 3, 1.0], atol=1e-12)
+        assert normed.max_span[0] == pytest.approx(3.0)
 
     def test_all_equal_dropped(self):
-        sub = project_ordinal(additive_kappa([1.0]))
-        flat = type(sub)(sub.source, sub.span, np.array([0.3, 0.3]), 0.0)
+        line = project_ordinal(additive_kappa([1.0]))
+        flat = type(line)(line.source, line.spans, np.array([[0.3, 0.3]]), [0.0])
         with pytest.warns(RuntimeWarning, match="dropped"):
             assert normalize_projected(flat) is None
 
 
 class TestValueDistance:
     def test_identity(self):
-        sub = normalize_projected(project_ordinal(additive_kappa([0.4, 0.6])))
-        assert value_distance(sub, 2, 2) == 0.0
+        line = normalize_projected(project_ordinal(additive_kappa([0.4, 0.6])))
+        assert value_distance(line.sub_attributes[0], 2, 2) == 0.0
 
     def test_endpoint_gap(self):
-        sub = normalize_projected(project_ordinal(additive_kappa([0.4, 0.6])))
-        assert value_distance(sub, 1, 3) == pytest.approx(1.0)
+        line = normalize_projected(project_ordinal(additive_kappa([0.4, 0.6])))
+        assert value_distance(line.sub_attributes[0], 1, 3) == pytest.approx(1.0)
 
     def test_hand_example_scaled(self):
-        subs = project_nominal(KAPPA_ABC)
-        span_ab = normalize_projected(subs[0])
+        span_ab = normalize_projected(project_nominal(KAPPA_ABC)).sub_attributes[0]
         assert value_distance(span_ab, 3, 1) == pytest.approx(
             0.6875 / span_ab.max_span, rel=1e-12
         )
 
     def test_hamming_marker(self):
-        sub = hamming_fallback(4)
+        sub = hamming_fallback(4).sub_attributes[0]
         assert value_distance(sub, 1, 1) == 0.0
         assert value_distance(sub, 1, 3) == 1.0
 
@@ -228,8 +232,8 @@ class TestReconstruct:
 @settings(deadline=None, max_examples=40)
 @given(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=7))
 def test_ordinal_line_normalized_gaps_bounded(gaps):
-    sub = normalize_projected(project_ordinal(additive_kappa(gaps)))
-    diffs = np.abs(sub.coords[:, None] - sub.coords[None, :])
+    line = normalize_projected(project_ordinal(additive_kappa(gaps))).coords[0]
+    diffs = np.abs(line[:, None] - line[None, :])
     assert diffs.max() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -262,3 +266,77 @@ def test_tiling_rows_keeps_distances_and_coordinates(seed):
     for a, b in zip(space.sub_attributes, tiled_space.sub_attributes):
         assert (a.source, a.span, a.max_span) == (b.source, b.span, b.max_span)
         assert a.coords.tobytes() == b.coords.tobytes()
+
+
+def _recorded(fn, *args):
+    """``fn(*args)`` and the (category, message) of every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return out, [(w.category, str(w.message)) for w in caught]
+
+
+def _project_and_normalize(kappa, source):
+    raw = project_nominal(kappa, source)
+    return raw, normalize_projected(raw)
+
+
+def _assert_block_is(block, rows):
+    """``block`` holds exactly the oracle's (span, coords, max_span) rows."""
+    assert block.spans == tuple(span for span, _, _ in rows)
+    gaps = np.array([gap for _, _, gap in rows], dtype=float)
+    assert block.max_span.tobytes() == gaps.tobytes()
+    coords = np.array([c for _, c, _ in rows], dtype=float)
+    assert block.coords.tobytes() == coords.reshape(len(rows), block.v).tobytes()
+
+
+def _assert_matches_oracle(kappa, source):
+    (raw, normalized), got = _recorded(_project_and_normalize, kappa, source)
+    (raw_o, normalized_o), want = _recorded(projection_oracle, kappa, source)
+    assert got == want
+    _assert_block_is(raw, raw_o)
+    if normalized_o:
+        _assert_block_is(normalized, normalized_o)
+    else:
+        assert normalized is None
+    return normalized_o
+
+
+@st.composite
+def kappa_matrices(draw):
+    """Arbitrary base-distance matrices: zero entries drop spans, and small
+    repeated values on a non-zero diagonal make some spans all-equal."""
+    v = draw(st.integers(2, 7))
+    entry = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 2.0]), st.floats(1e-3, 5.0))
+    kappa = np.array(draw(st.lists(entry, min_size=v * v, max_size=v * v)))
+    kappa = kappa.reshape(v, v)
+    if draw(st.booleans()):
+        kappa = np.triu(kappa, 1) + np.triu(kappa, 1).T
+    return kappa
+
+
+@settings(deadline=None, max_examples=300)
+@given(kappa_matrices(), st.integers(0, 9))
+@example(np.array([[1.0, 1.0], [0.0, 0.0]]), 0)  # its one span is all-equal
+@example(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 1.0, 0.0]]), 2)
+def test_projection_matches_per_pair_oracle(kappa, source):
+    _assert_matches_oracle(kappa, source)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1))
+def test_reconstructed_blocks_match_per_pair_oracle(seed):
+    dataset = random_dataset(np.random.default_rng(seed), min_categorical=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        table = build_base_distances(dataset, discretize_numerical(dataset))
+        space = reconstruct(dataset, table)
+    blocks = {b.source: b for b in space.blocks}
+    for r, attr in enumerate(dataset.schema.attributes):
+        if attr.kind is not AttributeKind.NOMINAL:
+            continue
+        rows = _assert_matches_oracle(table.matrices[r], r)
+        if rows:
+            _assert_block_is(blocks[r], rows)
+        else:
+            assert blocks[r].is_fallback

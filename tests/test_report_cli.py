@@ -262,7 +262,8 @@ class TestCmdCluster:
             data=synth_dir["data"],
             schema=synth_dir["schema"],
             labels=synth_dir["labels"],
-            variants=("HARR-M",),
+            # both engine models: the column model and OHE+OC's point model
+            variants=("HARR-M", "KPT", "OHE+OC"),
             k=3,
             runs=4,
         )
@@ -273,6 +274,12 @@ class TestCmdCluster:
             BenchConfig(out_dir=str(tmp_path / "p"), workers=3, **common)
         )
         assert serial == parallel
+        names = sorted(p.name for p in (tmp_path / "s").glob("*.report.txt"))
+        assert names == ["HARR-M.report.txt", "KPT.report.txt", "OHE_OC.report.txt"]
+        for name in names + ["summary.csv"]:
+            a = (tmp_path / "s" / name).read_bytes()
+            b = (tmp_path / "p" / name).read_bytes()
+            assert a == b
 
     def test_seed_ladder_independence(self, synth_dir, tmp_path):
         # the report for a given seed does not depend on how many other
