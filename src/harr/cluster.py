@@ -216,13 +216,14 @@ class RunReport:
 
 # ---------------------------------------------------------------------------
 # Models. Each supplies the run loop's score and refit steps. Identical rows
-# score alike, so scores are u x k, one row per distinct row of the dataset,
-# and ``inverse`` reads them per object. The partition, the re-seeds, the
-# objective sum, the refits and the weight statistics stay per object. The
-# column model serves every variant but OHE+OC. Categorical distances depend
-# only on the value index, so scoring builds each column's distances from
-# every value to the prototype's value and gathers one per-value total per
-# source attribute instead of touching per-row columns.
+# score alike, so scores are k x u, one contiguous row per cluster, with one
+# column per distinct row that ``inverse`` reads per object. The partition,
+# the re-seeds, the objective sum, the refits and the weight statistics stay
+# per object. The column model serves every variant but OHE+OC. Categorical
+# distances depend only on the value index, so scoring gathers one weighted
+# per-value total per source attribute. Within a fixed-weight epoch a total
+# depends only on the prototype's value (and a weight matrix's row), so a
+# run memoizes the (v,) totals, never the (gamma, v) distances, per epoch.
 
 
 @dataclass(frozen=True)
@@ -279,29 +280,37 @@ class _ColumnModel:
         """Prototype-space rows of the given objects."""
         return self.dataset.cells[objects]
 
-    def scores(self, proto_vals: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-        """u x k weighted distinct-row-to-prototype dissimilarities.
+    def scores(
+        self, proto_vals: np.ndarray, weights: np.ndarray | None, memo: dict
+    ) -> np.ndarray:
+        """k x u weighted prototype-to-distinct-row dissimilarities.
 
         ``weights`` is a length-m vector, a k x m matrix (row per cluster),
         or None for an unweighted sum. ``proto_vals`` holds prototypes in
-        the original attribute space.
+        the original attribute space. ``memo`` caches each categorical
+        attribute's per-value totals and must be a fresh dict whenever
+        ``weights`` change.
         """
         k = proto_vals.shape[0]
-        scores = np.zeros((self.dataset.distinct.u, k))
+        by_row = weights is not None and weights.ndim == 2
+        scores = np.zeros((k, self.dataset.distinct.u))
         for l in range(k):
-            w_l = weights[l] if weights is not None and weights.ndim == 2 else weights
-            s = scores[:, l]
+            w_l = weights[l] if by_row else weights
+            s = scores[l]
             for num in self.numeric:
                 gap = np.abs(num.distinct - proto_vals[l, num.source])
                 s += gap if w_l is None else w_l[num.col] * gap
             for g in self.groups:
-                per_value = g.per_value(int(proto_vals[l, g.source]) - 1)
-                if w_l is None:
-                    totals = per_value.sum(axis=0)
-                else:
+                p = int(proto_vals[l, g.source]) - 1
+                key = (g.source, p, l) if by_row else (g.source, p)
+                totals = memo.get(key)
+                if totals is None:
                     # Summed column by column, in order: a BLAS product sums
                     # in another order and can flip exact ties in the argmin.
-                    totals = (w_l[g.cols, None] * per_value).sum(axis=0)
+                    totals = g.per_value(p)
+                    if w_l is not None:
+                        totals = w_l[g.cols, None] * totals
+                    totals = memo[key] = totals.sum(axis=0)
                 s += totals[g.distinct]
         return scores
 
@@ -336,11 +345,11 @@ class _PointModel:
     def at(self, objects: np.ndarray) -> np.ndarray:
         return self.points[self.inverse[objects]]
 
-    def scores(self, centroids: np.ndarray, weights: None) -> np.ndarray:
-        """u x k squared Euclidean distances; OHE+OC is unweighted."""
-        sq = np.empty((self.points.shape[0], centroids.shape[0]))
+    def scores(self, centroids: np.ndarray, weights: None, memo: dict) -> np.ndarray:
+        """k x u squared Euclidean distances; OHE+OC is unweighted."""
+        sq = np.empty((centroids.shape[0], self.points.shape[0]))
         for l in range(centroids.shape[0]):
-            sq[:, l] = ((self.points - centroids[l]) ** 2).sum(axis=1)
+            sq[l] = ((self.points - centroids[l]) ** 2).sum(axis=1)
         return sq
 
     def refit(self, labels0: np.ndarray, k: int) -> np.ndarray:
@@ -413,7 +422,7 @@ def _reseed_empty(
 ) -> tuple[np.ndarray, bool]:
     """Move the worst-served object into each empty cluster.
 
-    ``scores`` has one row per distinct row, read per object through
+    ``scores`` has one column per distinct row, read per object through
     ``inverse``. Candidates are objects whose current cluster keeps at least
     one other member; the one farthest from its assigned prototype wins, ties
     to the lowest object index, so one object moves even when others share
@@ -426,7 +435,7 @@ def _reseed_empty(
         if not reseeded:
             labels0 = labels0.copy()
             reseeded = True
-        own = scores[inverse, labels0]
+        own = scores[labels0, inverse]
         sizes = np.bincount(labels0, minlength=k)
         movable = sizes[labels0] > 1
         if not movable.any():
@@ -578,7 +587,7 @@ def assign(
     lowest cluster index."""
     model = _model_reconstructed(dataset, space)
     w = None if weights is None else weights.w
-    labels0 = model.scores(protos.values, w).argmin(axis=1)[model.inverse]
+    labels0 = model.scores(protos.values, w, {}).argmin(axis=0)[model.inverse]
     return Partition(tuple((labels0 + 1).tolist()), protos.k)
 
 
@@ -748,6 +757,7 @@ def _run_alternating(
         weights = np.full((k, m), 1.0 / m)
     else:
         weights = np.full(m, 1.0 / m)
+    memo: dict = {}  # per-value totals under the current weights
 
     trace_z: list[float] = []
     trace_updated: list[bool] = []
@@ -765,11 +775,11 @@ def _run_alternating(
     inner_stable = False
 
     while True:
-        scores = model.scores(proto_vals, weights)
-        labels0 = scores.argmin(axis=1)[inverse]
+        scores = model.scores(proto_vals, weights, memo)
+        labels0 = scores.argmin(axis=0)[inverse]
         labels0, reseeded = _reseed_empty(labels0, scores, inverse, k)
         # per-object values summed in object order
-        z = float(scores[inverse, labels0].sum())
+        z = float(scores[labels0, inverse].sum())
         del scores  # freed before the next score step allocates its own
         if prev_z is not None and not just_updated:
             if not (reseeded or trace_reseeded[-1]):
@@ -811,6 +821,7 @@ def _run_alternating(
             weights = _weight_matrix_from_stats(
                 member_sum, total_sum, sizes, n, config.epsilon
             )
+        memo = {}
         weights_s += time.perf_counter() - t0
         updates += 1
         just_updated = True
@@ -828,9 +839,9 @@ def _run_alternating(
     if weights is None:
         w_vec, w_mat = None, None
     elif weights.ndim == 1:
-        w_vec, w_mat = tuple(float(x) for x in weights), None
+        w_vec, w_mat = tuple(weights.tolist()), None
     else:
-        w_vec, w_mat = None, tuple(tuple(float(x) for x in row) for row in weights)
+        w_vec, w_mat = None, tuple(tuple(row) for row in weights.tolist())
     return RunReport(
         variant=config.variant,
         k=k,

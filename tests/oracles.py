@@ -332,6 +332,137 @@ def kmodes_with_table_oracle(
     return labels, trace_z, trace_reseeded
 
 
+def alternating_oracle(
+    dataset: Dataset,
+    space,
+    variant: str,
+    k: int,
+    seed: int,
+    inner_cap: int,
+    outer_cap: int,
+    epsilon: float = 1e-12,
+) -> dict:
+    """Per-object HARR-V / HARR-M / HAR loop on the reconstructed space.
+
+    Starts from ``k`` seeded objects and uniform weights. Each assignment
+    scores every object against every prototype one column at a time, in
+    the engine's order: the numerical pass-throughs, then each categorical
+    attribute's sub-attributes summed in order and added as one total; ties
+    go to the lowest cluster. Empty clusters are re-seeded as in
+    ``kmodes_with_table_oracle``. An epoch ends when the labels repeat or
+    after ``inner_cap`` assignments; the weights are then refreshed (HARR-V,
+    HARR-M) unless the labels equal those of the last refresh or
+    ``outer_cap`` refreshes were made. Refits and refreshes call the public
+    single-step operations, which their own oracles pin.
+
+    Returns the ``RunReport`` fields it determines, under their names.
+    """
+    from harr.cluster import (
+        Partition,
+        Prototypes,
+        update_prototypes,
+        update_weight_matrix,
+        update_weight_vector,
+    )
+
+    n = dataset.n
+    m = space.d_hat
+    protos = dataset.cells[np.random.default_rng(seed).choice(n, size=k, replace=False)]
+    if variant == "HARR-M":
+        weights = np.full((k, m), 1.0 / m)
+    else:
+        weights = np.full(m, 1.0 / m)
+
+    def score(i: int, l: int) -> float:
+        w = weights[l] if weights.ndim == 2 else weights
+        total = 0.0
+        j = 0
+        for r in space.numeric_attrs:
+            total += float(w[j]) * abs(float(dataset.cells[i, r]) - float(protos[l, r]))
+            j += 1
+        for block in space.blocks:
+            x = int(dataset.cells[i, block.source]) - 1
+            p = int(protos[l, block.source]) - 1
+            group = 0.0
+            for c in range(block.gamma):
+                if block.is_fallback:
+                    phi = float(x != p)
+                else:
+                    phi = abs(float(block.coords[c, x]) - float(block.coords[c, p]))
+                group += float(w[j]) * phi
+                j += 1
+            total += group
+        return total
+
+    labels: list[int] | None = None
+    last_refresh: list[int] | None = None
+    trace_z: list[float] = []
+    trace_updated: list[bool] = []
+    trace_reseeded: list[bool] = []
+    just_updated = False
+    inner = 0
+    updates = 0
+    converged = False
+    while True:
+        dists = [[score(i, l) for l in range(k)] for i in range(n)]
+        new_labels = [row.index(min(row)) for row in dists]
+        reseeded = False
+        for l in range(k):
+            if l in new_labels:
+                continue
+            reseeded = True
+            sizes = [new_labels.count(c) for c in range(k)]
+            movable = [i for i in range(n) if sizes[new_labels[i]] > 1]
+            if not movable:
+                break
+            far = max(dists[i][new_labels[i]] for i in movable)
+            pick = min(i for i in movable if dists[i][new_labels[i]] == far)
+            new_labels[pick] = l
+        # numpy's sum over the objects in object order, as the engine sums
+        trace_z.append(float(np.sum([dists[i][new_labels[i]] for i in range(n)])))
+        trace_updated.append(just_updated)
+        trace_reseeded.append(reseeded)
+        just_updated = False
+        inner += 1
+        changed = new_labels != labels
+        labels = new_labels
+        partition = Partition(tuple(x + 1 for x in labels), k)
+        if changed and inner < inner_cap:
+            protos = update_prototypes(dataset, partition, k).values
+            continue
+        if variant == "HAR" or labels == last_refresh:
+            converged = not changed
+            break
+        if updates >= outer_cap:
+            break
+        last_refresh = labels
+        if variant == "HARR-M":
+            update = update_weight_matrix
+        else:
+            update = update_weight_vector
+        weights = update(dataset, space, partition, Prototypes(protos), epsilon).w
+        updates += 1
+        just_updated = True
+        inner = 0
+    if converged:
+        trace_z.append(trace_z[-1])
+        trace_updated.append(False)
+        trace_reseeded.append(False)
+    return {
+        "labels": tuple(x + 1 for x in labels),
+        "weights": tuple(weights.tolist()) if weights.ndim == 1 else None,
+        "weight_matrix": (
+            tuple(map(tuple, weights.tolist())) if weights.ndim == 2 else None
+        ),
+        "trace_z": tuple(trace_z),
+        "trace_weights_updated": tuple(trace_updated),
+        "trace_reseeded": tuple(trace_reseeded),
+        "inner_iterations": len(trace_z) - converged,
+        "weight_updates": updates,
+        "converged": converged,
+    }
+
+
 def lloyd_oracle(
     points: np.ndarray, init_idx: list[int], max_iter: int = 100
 ) -> tuple[list[int], list[float]]:

@@ -1,8 +1,13 @@
 import tracemalloc
+import warnings
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from harr import cluster
 from harr.base_distance import BaseDistanceTable, build_base_distances
 from harr.cluster import (
     ConfigError,
@@ -33,6 +38,7 @@ from harr.schema import (
 
 from conftest import build_dataset, random_dataset
 from oracles import (
+    alternating_oracle,
     kmodes_with_table_oracle,
     lloyd_oracle,
     phi_tensor,
@@ -516,6 +522,89 @@ class TestPublicOpReplay:
         assert checked >= 6
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["HARR-V", "HARR-M", "HAR"]))
+def test_run_matches_alternating_oracle(seed, variant):
+    # Whole runs, caps, re-seeds and weight refreshes included: the engine's
+    # labels, objective trace, weights and flags equal the per-object loop's
+    # bit for bit. Up to 8 values give up to 28 sub-attributes per attribute.
+    rng = np.random.default_rng(seed)
+    dataset = random_dataset(rng, max_n=40, max_v=8, min_categorical=1)
+    config = RunConfig(
+        k=int(rng.integers(2, 5)),
+        seed=int(rng.integers(0, 1000)),
+        variant=variant,
+        inner_cap=int(rng.integers(1, 6)),
+        outer_cap=int(rng.integers(1, 4)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        prep = prepare(dataset, variant)
+        report = run_prepared(dataset, prep, config)
+        expected = alternating_oracle(
+            dataset,
+            prep.space,
+            variant,
+            config.k,
+            config.seed,
+            config.inner_cap,
+            config.outer_cap,
+            config.epsilon,
+        )
+    for name, value in expected.items():
+        assert getattr(report, name) == value, name
+
+
+def test_score_memo_builds_each_total_once_per_epoch(monkeypatch):
+    # One 30-valued nominal has 435 sub-attributes, so every per-value build
+    # is a (435, 30) array. Within a fixed-weight epoch, HARR-M builds each
+    # (cluster row, prototype value) at most once across its score steps and
+    # keeps only the (30,) totals between them.
+    schema = parse_schema("c,nom," + "|".join(f"v{t}" for t in range(30)) + "\n")
+    rng = np.random.default_rng(3)
+    dataset = build_dataset(schema, rng.integers(1, 31, size=(600, 1)))
+    epoch = 0
+    in_scores = False
+    rows = defaultdict(set)  # epoch -> {(cluster row, 0-based value)} scored
+    builds = Counter()  # (epoch, 0-based value) -> per-value builds in scores
+    scores, per_value, weight_stats = (
+        cluster._ColumnModel.scores,
+        cluster._CatGroup.per_value,
+        cluster._weight_stats,
+    )
+
+    def counted_scores(self, proto_vals, weights, *memo):
+        nonlocal in_scores
+        rows[epoch].update((l, int(v) - 1) for l, v in enumerate(proto_vals[:, 0]))
+        in_scores = True
+        try:
+            return scores(self, proto_vals, weights, *memo)
+        finally:
+            in_scores = False
+            for kept in memo:
+                assert all(t.shape == (30,) for t in kept.values())
+
+    def counted_per_value(self, p):
+        if in_scores:
+            builds[epoch, p] += 1
+        return per_value(self, p)
+
+    def counted_weight_stats(*args):
+        nonlocal epoch
+        epoch += 1
+        return weight_stats(*args)
+
+    monkeypatch.setattr(cluster._ColumnModel, "scores", counted_scores)
+    monkeypatch.setattr(cluster._CatGroup, "per_value", counted_per_value)
+    monkeypatch.setattr(cluster, "_weight_stats", counted_weight_stats)
+    report = run(dataset, RunConfig(k=3, seed=0, variant="HARR-M", inner_cap=4))
+    assert report.weight_updates >= 1
+    assert report.inner_iterations > report.weight_updates + 1  # scores reused
+    assert builds
+    for (e, p), count in builds.items():
+        assert count <= sum(1 for _, q in rows[e] if q == p), (e, p)
+
+
 def test_prepare_memory_linear_in_sub_attributes():
     # One 40-valued nominal yields 780 sub-attributes; value-by-value tables
     # for all of them would hold 780 * 40 * 40 floats (10 MB).
@@ -533,7 +622,7 @@ def test_prepare_memory_linear_in_sub_attributes():
 
 @pytest.mark.parametrize("variant", ["HARR-M", "OHE+OC"])
 def test_run_memory_below_object_score_table(variant):
-    # 200,000 objects on 10 distinct rows: scores are 10 x k, so a run never
+    # 200,000 objects on 10 distinct rows: scores are k x 10, so a run never
     # holds the n x k table of per-object scores (8 MB here).
     n, k = 200_000, 5
     i = np.arange(n)
