@@ -223,7 +223,8 @@ class RunReport:
 # distances depend only on the value index, so scoring gathers one weighted
 # per-value total per source attribute. Within a fixed-weight epoch a total
 # depends only on the prototype's value (and a weight matrix's row), so a
-# run memoizes the (v,) totals, never the (gamma, v) distances, per epoch.
+# run memoizes the (v,) totals per epoch. Each run builds every (gamma, v)
+# distance block in place in one flat buffer of its own (``_block_buffer``).
 
 
 @dataclass(frozen=True)
@@ -252,11 +253,16 @@ class _CatGroup:
     coords: np.ndarray | None = None  # (len(cols), v) line coordinates
     table: np.ndarray | None = None  # (v, v) distances of the only column
 
-    def per_value(self, p: int) -> np.ndarray:
-        """(len(cols), v) distances from every value to 0-based value ``p``."""
+    def per_value(self, p: int, out: np.ndarray) -> np.ndarray:
+        """(len(cols), v) distances to 0-based value ``p``, a view of ``out``."""
+        rows = self.cols.size
+        block = out[: rows * self.value_counts.size].reshape(rows, -1)
         if self.table is not None:
-            return self.table[None, :, p]
-        return np.abs(self.coords - self.coords[:, p, None])
+            block[0] = self.table[:, p]
+        else:
+            np.subtract(self.coords, self.coords[:, p, None], out=block)
+            np.abs(block, out=block)
+        return block
 
     def member_counts(self, labels0: np.ndarray, k: int) -> np.ndarray:
         """(k, v) occurrences of every value among each cluster's members."""
@@ -281,7 +287,7 @@ class _ColumnModel:
         return self.dataset.cells[objects]
 
     def scores(
-        self, proto_vals: np.ndarray, weights: np.ndarray | None, memo: dict
+        self, proto_vals: np.ndarray, weights: np.ndarray | None, memo: dict, buf
     ) -> np.ndarray:
         """k x u weighted prototype-to-distinct-row dissimilarities.
 
@@ -289,7 +295,7 @@ class _ColumnModel:
         or None for an unweighted sum. ``proto_vals`` holds prototypes in
         the original attribute space. ``memo`` caches each categorical
         attribute's per-value totals and must be a fresh dict whenever
-        ``weights`` change.
+        ``weights`` change; ``buf`` is the run's block buffer.
         """
         k = proto_vals.shape[0]
         by_row = weights is not None and weights.ndim == 2
@@ -305,12 +311,12 @@ class _ColumnModel:
                 key = (g.source, p, l) if by_row else (g.source, p)
                 totals = memo.get(key)
                 if totals is None:
-                    # Summed column by column, in order: a BLAS product sums
-                    # in another order and can flip exact ties in the argmin.
-                    totals = g.per_value(p)
+                    # Weighted in place, summed column by column, in order: a
+                    # BLAS product sums in another order and can flip ties.
+                    block = g.per_value(p, buf)
                     if w_l is not None:
-                        totals = w_l[g.cols, None] * totals
-                    totals = memo[key] = totals.sum(axis=0)
+                        np.multiply(w_l[g.cols, None], block, out=block)
+                    totals = memo[key] = block.sum(axis=0)
                 s += totals[g.distinct]
         return scores
 
@@ -337,6 +343,7 @@ class _PointModel:
 
     points: np.ndarray  # u x m, encode_ohe_oc at the distinct rows
     inverse: np.ndarray  # n, object -> distinct row
+    groups = ()  # no categorical blocks
 
     @property
     def m(self) -> int:
@@ -345,7 +352,7 @@ class _PointModel:
     def at(self, objects: np.ndarray) -> np.ndarray:
         return self.points[self.inverse[objects]]
 
-    def scores(self, centroids: np.ndarray, weights: None, memo: dict) -> np.ndarray:
+    def scores(self, centroids: np.ndarray, weights: None, memo, buf) -> np.ndarray:
         """k x u squared Euclidean distances; OHE+OC is unweighted."""
         sq = np.empty((centroids.shape[0], self.points.shape[0]))
         for l in range(centroids.shape[0]):
@@ -357,6 +364,12 @@ class _PointModel:
         return np.stack(
             [self.points[self.inverse[labels0 == l]].mean(axis=0) for l in range(k)]
         )
+
+
+def _block_buffer(model: _ColumnModel | _PointModel) -> np.ndarray:
+    """Flat scratch for one categorical block at a time; one per run."""
+    sizes = [g.cols.size * g.value_counts.size for g in model.groups]
+    return np.empty(max(sizes, default=0))
 
 
 def _make_group(dataset, source, cols, v, coords=None, table=None) -> _CatGroup:
@@ -377,10 +390,6 @@ def _make_numeric(dataset: Dataset, col: int, source: int) -> _NumericCol:
     return _NumericCol(col, source, values, _freeze(values[dataset.distinct.first]))
 
 
-def _mismatch_table(v: int) -> np.ndarray:
-    return 1.0 - np.eye(v)
-
-
 def _model_reconstructed(dataset: Dataset, space: ReconstructedSpace) -> _ColumnModel:
     numeric = [
         _make_numeric(dataset, col, r) for col, r in enumerate(space.numeric_attrs)
@@ -390,14 +399,10 @@ def _model_reconstructed(dataset: Dataset, space: ReconstructedSpace) -> _Column
     for b in space.blocks:
         cols = range(col, col + b.gamma)
         col += b.gamma
-        if b.is_fallback:
-            # its coordinates are all zero, so it needs the table
-            table = _mismatch_table(b.v)
-            group = _make_group(dataset, b.source, cols, b.v, table=table)
-        else:
-            # the block's frozen coordinates are shared, not copied
-            group = _make_group(dataset, b.source, cols, b.v, coords=b.coords)
-        groups.append(group)
+        # A fallback's coordinates are all zero, so it needs the 0/1 table;
+        # any other block's frozen coordinates are shared, not copied.
+        coords, table = (None, 1.0 - np.eye(b.v)) if b.is_fallback else (b.coords, None)
+        groups.append(_make_group(dataset, b.source, cols, b.v, coords, table))
     return _ColumnModel(dataset, col, tuple(numeric), tuple(groups))
 
 
@@ -412,7 +417,7 @@ def _model_original(
         if not attr.kind.is_categorical:
             numeric.append(_make_numeric(dataset, r, r))
         else:
-            dist = _mismatch_table(attr.v) if table is None else table.matrices[r]
+            dist = 1.0 - np.eye(attr.v) if table is None else table.matrices[r]
             groups.append(_make_group(dataset, r, [r], attr.v, table=dist))
     return _ColumnModel(dataset, dataset.schema.d, tuple(numeric), tuple(groups))
 
@@ -465,13 +470,14 @@ def normalize_importances(importances: np.ndarray) -> np.ndarray:
 
 
 def _weight_stats(
-    model: _ColumnModel, proto_vals: np.ndarray, labels0: np.ndarray, k: int
+    model: _ColumnModel, proto_vals: np.ndarray, labels0: np.ndarray, k: int, buf
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-cluster member sums and all-object sums of per-column distances.
 
     Categorical columns aggregate through per-value occurrence counts, so the
     cost is one pass over the numeric columns per cluster plus one count and
-    O(columns x v) work per cluster per categorical attribute.
+    one (columns, v) block, built in the caller's ``buf``, per cluster per
+    categorical attribute.
     """
     member_sum = np.empty((k, model.m))
     total_sum = np.empty((k, model.m))
@@ -483,7 +489,7 @@ def _weight_stats(
     for g in model.groups:
         counts = g.member_counts(labels0, k)
         for l in range(k):
-            per_value = g.per_value(int(proto_vals[l, g.source]) - 1)
+            per_value = g.per_value(int(proto_vals[l, g.source]) - 1, buf)
             member_sum[l, g.cols] = per_value @ counts[l]
             total_sum[l, g.cols] = per_value @ g.value_counts
     sizes = np.bincount(labels0, minlength=k).astype(float)
@@ -587,7 +593,8 @@ def assign(
     lowest cluster index."""
     model = _model_reconstructed(dataset, space)
     w = None if weights is None else weights.w
-    labels0 = model.scores(protos.values, w, {}).argmin(axis=0)[model.inverse]
+    scores = model.scores(protos.values, w, {}, _block_buffer(model))
+    labels0 = scores.argmin(axis=0)[model.inverse]
     return Partition(tuple((labels0 + 1).tolist()), protos.k)
 
 
@@ -605,6 +612,15 @@ def update_prototypes(dataset: Dataset, partition: Partition, k: int | None = No
     return Prototypes(_model_original(dataset).refit(partition.to_zero_based(), k))
 
 
+def _refresh_stats(dataset, space, partition, protos):
+    """``_weight_stats`` for the public refresh calls, with a buffer of its own."""
+    if protos.k < 2:
+        raise ValueError("weight learning requires k >= 2")
+    model = _model_reconstructed(dataset, space)
+    labels0, buf = partition.to_zero_based(), _block_buffer(model)
+    return _weight_stats(model, protos.values, labels0, protos.k, buf)
+
+
 def update_weight_vector(
     dataset: Dataset,
     space: ReconstructedSpace,
@@ -619,15 +635,9 @@ def update_weight_vector(
     (guarded by ``epsilon``); importances are normalized onto the simplex.
     Requires k >= 2.
     """
-    k = protos.k
-    if k < 2:
-        raise ValueError("weight learning requires k >= 2")
-    model = _model_reconstructed(dataset, space)
-    member_sum, total_sum, _ = _weight_stats(
-        model, protos.values, partition.to_zero_based(), k
-    )
+    member_sum, total_sum, _ = _refresh_stats(dataset, space, partition, protos)
     return WeightVector(
-        _weight_vector_from_stats(member_sum, total_sum, dataset.n, k, epsilon)
+        _weight_vector_from_stats(member_sum, total_sum, dataset.n, protos.k, epsilon)
     )
 
 
@@ -646,13 +656,7 @@ def update_weight_matrix(
     get a uniform row with a warning; the run loops re-seed empty clusters
     so neither case arises there.
     """
-    k = protos.k
-    if k < 2:
-        raise ValueError("weight learning requires k >= 2")
-    model = _model_reconstructed(dataset, space)
-    member_sum, total_sum, sizes = _weight_stats(
-        model, protos.values, partition.to_zero_based(), k
-    )
+    member_sum, total_sum, sizes = _refresh_stats(dataset, space, partition, protos)
     return WeightMatrix(
         _weight_matrix_from_stats(member_sum, total_sum, sizes, dataset.n, epsilon)
     )
@@ -758,6 +762,7 @@ def _run_alternating(
     else:
         weights = np.full(m, 1.0 / m)
     memo: dict = {}  # per-value totals under the current weights
+    buf = _block_buffer(model)  # this run's own; never shared across workers
 
     trace_z: list[float] = []
     trace_updated: list[bool] = []
@@ -775,7 +780,7 @@ def _run_alternating(
     inner_stable = False
 
     while True:
-        scores = model.scores(proto_vals, weights, memo)
+        scores = model.scores(proto_vals, weights, memo, buf)
         labels0 = scores.argmin(axis=0)[inverse]
         labels0, reseeded = _reseed_empty(labels0, scores, inverse, k)
         # per-object values summed in object order
@@ -812,7 +817,7 @@ def _run_alternating(
             break
         prev_outer = labels0
         t0 = time.perf_counter()
-        member_sum, total_sum, sizes = _weight_stats(model, proto_vals, labels0, k)
+        member_sum, total_sum, sizes = _weight_stats(model, proto_vals, labels0, k, buf)
         if weight_mode == "vector":
             weights = _weight_vector_from_stats(
                 member_sum, total_sum, n, k, config.epsilon

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .cluster import RunReport
 from .evaluation import RunSummary
-from .schema import _write_text
+from .schema import DataError, _write_text
 
 __all__ = [
     "ReportFile",
@@ -385,9 +385,19 @@ def load_bench_time(path: str) -> list[tuple[float, int, str, float]]:
 
 
 def read_label_file(path: str) -> tuple[int, ...]:
-    """Read ground-truth labels, one integer per line."""
+    """Read ground-truth labels, one integer per line; blank lines are skipped."""
     with open(path, "r", encoding="utf-8") as fh:
-        return tuple(int(line.strip()) for line in fh if line.strip())
+        try:
+            return tuple(int(line.strip()) for line in fh if line.strip())
+        except ValueError:
+            fh.seek(0)  # rescan only on failure, to name the first bad line
+            for lineno, token in enumerate(map(str.strip, fh), 1):
+                try:
+                    int(token or "0")
+                except ValueError:
+                    msg = f"{path}, line {lineno}: label {token!r} is not an integer"
+                    raise DataError(msg) from None
+            raise
 
 
 def write_label_file(labels, path: str) -> str:

@@ -30,6 +30,7 @@ from harr.cluster import (
 )
 from harr.projection import reconstruct
 from harr.schema import (
+    _freeze,
     discretize_numerical,
     ingest_table,
     normalize_numerical,
@@ -573,21 +574,21 @@ def test_score_memo_builds_each_total_once_per_epoch(monkeypatch):
         cluster._weight_stats,
     )
 
-    def counted_scores(self, proto_vals, weights, *memo):
+    def counted_scores(self, proto_vals, weights, memo, buf):
         nonlocal in_scores
         rows[epoch].update((l, int(v) - 1) for l, v in enumerate(proto_vals[:, 0]))
         in_scores = True
         try:
-            return scores(self, proto_vals, weights, *memo)
+            return scores(self, proto_vals, weights, memo, buf)
         finally:
             in_scores = False
-            for kept in memo:
-                assert all(t.shape == (30,) for t in kept.values())
+            assert all(t.shape == (30,) for t in memo.values())
+            assert not any(np.shares_memory(t, buf) for t in memo.values())
 
-    def counted_per_value(self, p):
+    def counted_per_value(self, p, out):
         if in_scores:
             builds[epoch, p] += 1
-        return per_value(self, p)
+        return per_value(self, p, out)
 
     def counted_weight_stats(*args):
         nonlocal epoch
@@ -603,6 +604,65 @@ def test_score_memo_builds_each_total_once_per_epoch(monkeypatch):
     assert builds
     for (e, p), count in builds.items():
         assert count <= sum(1 for _, q in rows[e] if q == p), (e, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    v=st.integers(2, 12),
+    table=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_per_value_builds_block_in_buffer(v, table, seed, data):
+    # A block is a view of the front of ``out``, bit for bit equal to the
+    # allocating formula; a table group copies its column and never writes
+    # into the frozen table. The rest of ``out`` keeps its contents.
+    rng = np.random.default_rng(seed)
+    p = data.draw(st.integers(0, v - 1))
+    rows = 1 if table else v * (v - 1) // 2
+    values = rng.standard_normal((v, v) if table else (rows, v))
+    kept = values.copy()
+    group = cluster._CatGroup(
+        source=0,
+        cols=_freeze(np.arange(rows)),
+        codes0=_freeze(np.zeros(1, dtype=np.int64)),
+        distinct=_freeze(np.zeros(1, dtype=np.int64)),
+        value_counts=_freeze(np.ones(v)),
+        coords=None if table else _freeze(values),
+        table=_freeze(values) if table else None,
+    )
+    out = np.full(rows * v + 7, np.nan)
+    block = group.per_value(p, out)
+    expected = kept[None, :, p] if table else np.abs(kept - kept[:, p, None])
+    assert block.shape == (rows, v)
+    assert block.ctypes.data == out.ctypes.data and np.shares_memory(block, out)
+    assert block.tobytes() == np.ascontiguousarray(expected).tobytes()
+    assert values.tobytes() == kept.tobytes()
+    assert np.isnan(out[rows * v :]).all()
+
+
+def test_block_builds_allocate_no_block_arrays():
+    # One 40-valued nominal: each (780, 40) distance block takes 250 KB.
+    # Scoring and the weight refresh build every block in the caller's
+    # buffer, so neither allocates anything near one block.
+    schema = parse_schema("c,nom," + "|".join(f"v{t}" for t in range(40)) + "\n")
+    rng = np.random.default_rng(5)
+    dataset = build_dataset(schema, rng.integers(1, 41, size=(400, 1)))
+    model = prepare(dataset, "HARR-M").model
+    buf = cluster._block_buffer(model)
+    assert buf.nbytes == 780 * 40 * 8
+    k = 3
+    proto_vals = model.at(np.arange(k))
+    weights = np.full((k, model.m), 1.0 / model.m)
+    labels0 = np.arange(dataset.n) % k
+    tracemalloc.start()
+    try:
+        model.scores(proto_vals, weights, {}, buf)
+        cluster._weight_stats(model, proto_vals, labels0, k, buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < buf.nbytes / 2
 
 
 def test_prepare_memory_linear_in_sub_attributes():

@@ -281,6 +281,35 @@ class TestCmdCluster:
             b = (tmp_path / "p" / name).read_bytes()
             assert a == b
 
+    def test_workers_do_not_change_wide_nominal_results(self, tmp_path):
+        # A 24-valued nominal builds (276, 24) distance blocks; concurrent
+        # runs must each build theirs in a buffer of their own.
+        spec = SyntheticSpec(
+            n=150, k_true=3, d_u=1, d_n=1, values=24, separation=0.9, seed=2
+        )
+        paths = write_synthetic(spec, str(tmp_path / "synth"))
+        common = dict(
+            data=paths["data"],
+            schema=paths["schema"],
+            labels=paths["labels"],
+            variants=("HARR-V", "HARR-M"),
+            k=3,
+            runs=4,
+        )
+        serial = cmd_cluster(
+            BenchConfig(out_dir=str(tmp_path / "s"), workers=1, **common)
+        )
+        parallel = cmd_cluster(
+            BenchConfig(out_dir=str(tmp_path / "p"), workers=3, **common)
+        )
+        assert serial == parallel
+        names = sorted(p.name for p in (tmp_path / "s").glob("*.report.txt"))
+        assert names == ["HARR-M.report.txt", "HARR-V.report.txt"]
+        for name in names + ["summary.csv"]:
+            a = (tmp_path / "s" / name).read_bytes()
+            b = (tmp_path / "p" / name).read_bytes()
+            assert a == b
+
     def test_seed_ladder_independence(self, synth_dir, tmp_path):
         # the report for a given seed does not depend on how many other
         # seeds ran alongside it
@@ -509,6 +538,22 @@ class TestCliMain:
             ]
         )
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["cluster", "eval"])
+    def test_bad_label_names_file_and_line(self, tmp_path, capsys, command):
+        out = str(tmp_path / "synth")
+        main(["synth", "--n", "3", "--k-true", "2", "--d-n", "1", "--out", out])
+        bad = tmp_path / "labels.txt"
+        bad.write_text("1\n2\nx\n")
+        capsys.readouterr()
+        if command == "cluster":
+            args = ["--data", f"{out}/data.csv", "--schema", f"{out}/schema.txt"]
+            args += ["--labels", str(bad), "--k", "2", "--out", str(tmp_path / "runs")]
+        else:
+            args = ["--labels", f"{out}/labels.txt", "--pred", str(bad)]
+        assert main([command] + args) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {bad}, line 3: label 'x' is not an integer\n"
 
     def test_strict_nonconvergence_exit_code(self, tmp_path):
         out = str(tmp_path / "synth")
