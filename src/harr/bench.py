@@ -40,6 +40,7 @@ from .report import (
 from .schema import (
     DataError,
     Dataset,
+    _observed_range,
     _write_text,
     ingest_table,
     normalize_numerical,
@@ -184,12 +185,7 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
 
 def _subsample(dataset: Dataset, order: np.ndarray, n_sub: int) -> Dataset:
     cells = dataset.cells[order[:n_sub]]
-    lo = np.full(dataset.schema.d, np.nan)
-    hi = np.full(dataset.schema.d, np.nan)
-    for r in dataset.schema.numerical_indices():
-        lo[r] = cells[:, r].min()
-        hi[r] = cells[:, r].max()
-    return Dataset(dataset.schema, cells, lo, hi)
+    return Dataset(dataset.schema, cells, *_observed_range(dataset.schema, cells))
 
 
 def cmd_bench_time(cfg: BenchConfig) -> list[tuple[float, int, str, float]]:

@@ -109,6 +109,18 @@ class RunConfig:
             raise ConfigError("bins override must be at least 2")
 
 
+def _label_array(x) -> np.ndarray:
+    """Labels as a one-dimensional int64 array. A non-integral label raises
+    rather than being truncated; a Python int beyond int64 raises
+    OverflowError."""
+    arr = np.asarray(x)
+    if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
+        raise ValueError("labels must be integers")
+    if arr.ndim != 1:
+        raise ValueError("labels must be one-dimensional")
+    return arr.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class Partition:
     """Crisp cluster labels in [1, k], one per object."""
@@ -118,11 +130,9 @@ class Partition:
 
     def __post_init__(self) -> None:
         try:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = _label_array(self.labels)
         except OverflowError:  # beyond int64, so outside [1, k]
             raise ValueError(f"labels must lie in [1, {self.k}]") from None
-        if labels.ndim != 1:
-            raise ValueError("labels must be one-dimensional")
         if labels.size and (labels.min() < 1 or labels.max() > self.k):
             raise ValueError(f"labels must lie in [1, {self.k}]")
         object.__setattr__(self, "labels", tuple(labels.tolist()))
@@ -154,6 +164,8 @@ class WeightVector:
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=float)
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be non-negative and sum to 1")
         object.__setattr__(self, "w", _freeze(w))
@@ -167,6 +179,8 @@ class WeightMatrix:
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=float)
+        if not np.isfinite(w).all():
+            raise ValueError("every weight must be finite")
         if (w < 0).any() or (np.abs(w.sum(axis=1) - 1.0) > 1e-9).any():
             raise ValueError("every weight row must be non-negative and sum to 1")
         object.__setattr__(self, "w", _freeze(w))

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cluster import Partition, RunReport
+from .cluster import Partition, RunReport, _label_array
 
 __all__ = [
     "contingency",
@@ -29,9 +29,7 @@ __all__ = [
 def _as_labels(x) -> np.ndarray:
     if isinstance(x, Partition):
         x = x.labels
-    arr = np.asarray(x, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError("labelings must be one-dimensional")
+    arr = _label_array(x)
     if arr.size and arr.min() < 1:
         raise ValueError("labels must be positive integers (1-based)")
     return arr

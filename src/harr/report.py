@@ -5,6 +5,10 @@ value. Floats are written with ``repr`` so values reload exactly and reruns
 with identical configuration produce byte-identical files. Wall-clock
 timings are inherently non-reproducible and therefore live in a sidecar
 timings file, never in the report itself.
+
+Each format is declared once, below: a (write, read) codec per value type,
+a (key, codec) table per part of a line format, and a (format, header,
+column codecs) triple per CSV table. One writer and one reader walk them.
 """
 
 from __future__ import annotations
@@ -33,14 +37,99 @@ __all__ = [
     "variant_slug",
 ]
 
-_REPORT_FORMAT = "harr-report-v1"
-_TIMINGS_FORMAT = "harr-timings-v1"
-_SUMMARY_FORMAT = "harr-summary-v1"
-_TRACE_FORMAT = "harr-trace-v1"
-_BENCH_FORMAT = "harr-bench-time-v1"
-_SUMMARY_HEADER = "variant,ari,ca"
-_TRACE_HEADER = "variant,seed,iteration,z,weights_updated"
-_BENCH_HEADER = "phi,n,variant,seconds"
+# Codecs: a (write, read) pair per value type. ``write`` gives the text of a
+# value; ``read`` parses it back to an equal value, or raises ValueError or
+# KeyError.
+_STR = (str, str)
+_INT = (str, int)
+_FLOAT = (lambda x: repr(float(x)), float)  # repr reloads every float exactly
+
+
+def _word(false: str, true: str):
+    """Codec of a bool written as one of two words."""
+    words = {false: False, true: True}
+    return (lambda b: true if b else false, words.__getitem__)
+
+
+def _spaced(codec):
+    """Codec of a tuple written as space-separated items."""
+    write, read = codec
+    return (
+        lambda xs: " ".join(map(write, xs)),
+        lambda text: tuple(map(read, text.split())),
+    )
+
+
+def _optional(codec):
+    """Codec of a value that may be None, written ``none``."""
+    write, read = codec
+    return (
+        lambda x: "none" if x is None else write(x),
+        lambda text: None if text == "none" else read(text),
+    )
+
+
+_BOOL = _word("false", "true")
+_BIT = _word("0", "1")
+_FLOATS = _spaced(_FLOAT)
+_BITS = _spaced(_BIT)
+
+# Line formats: ``format: <name>``, one ``key: value`` line per header field,
+# then one ``[run]`` ... ``[end]`` block per run. Keys are field names of the
+# record they describe.
+_REPORT = "harr-report-v1"
+_REPORT_HEAD = (
+    ("variant", _STR),
+    ("dataset", _STR),
+    ("schema", _STR),
+    ("labels_file", _optional(_STR)),
+    ("k", _INT),
+    ("runs", _INT),
+    ("base_seed", _INT),
+    ("bins", _optional(_INT)),
+    ("inner_cap", _INT),
+    ("outer_cap", _INT),
+    ("epsilon", _FLOAT),
+    ("d_hat", _INT),
+    ("ari_mean", _optional(_FLOAT)),
+    ("ari_std", _optional(_FLOAT)),
+    ("ca_mean", _optional(_FLOAT)),
+    ("ca_std", _optional(_FLOAT)),
+)
+# A run's optional ``weights:`` or ``weight_matrix:`` + ``row:`` lines sit
+# between its head and its tail.
+_RUN_HEAD = (
+    ("seed", _INT),
+    ("converged", _BOOL),
+    ("inner_iterations", _INT),
+    ("weight_updates", _INT),
+    ("inner_monotone", _BOOL),
+    ("max_inner_increase", _FLOAT),
+    ("ari", _optional(_FLOAT)),
+    ("ca", _optional(_FLOAT)),
+    ("labels", _spaced(_INT)),
+)
+_RUN_TAIL = (
+    ("trace_z", _FLOATS),
+    ("trace_weights_updated", _BITS),
+    ("trace_reseeded", _BITS),
+)
+_TIMINGS = "harr-timings-v1"
+_TIMINGS_HEAD = (("variant", _STR), ("reconstruct_s", _FLOAT))
+_TIMINGS_RUN = (("seed", _INT), ("cluster_s", _FLOAT), ("weights_s", _FLOAT))
+
+# Tables: ``# format: <name>``, a CSV header, then one row per record.
+_SUMMARY = ("harr-summary-v1", "variant,ari,ca", (_STR, _STR, _STR))
+_TRACE = (
+    "harr-trace-v1",
+    "variant,seed,iteration,z,weights_updated",
+    (_STR, _INT, _INT, _FLOAT, _BIT),
+)
+_BENCH_TIME = (
+    "harr-bench-time-v1",
+    "phi,n,variant,seconds",
+    (_FLOAT, _INT, _STR, _FLOAT),
+)
 
 
 def variant_slug(variant: str) -> str:
@@ -81,223 +170,116 @@ class TimingsFile:
     runs: tuple[tuple[int, float, float], ...]  # (seed, cluster_s, weights_s)
 
 
-def _opt(x) -> str:
-    return "none" if x is None else repr(x)
+def _fields(table, values) -> list[str]:
+    """One ``key: value`` line per table entry, read from the mapping."""
+    return [f"{key}: {write(values[key])}" for key, (write, _) in table]
 
 
-def _parse_opt(tok: str, cast):
-    return None if tok == "none" else cast(tok)
+def _save_lines(path: str, fmt: str, head: list[str], runs) -> str:
+    lines = [f"format: {fmt}", *head]
+    for run in runs:
+        lines += ["[run]", *run, "[end]"]
+    return _write_text(path, "\n".join(lines) + "\n")
 
 
-def _bools(bits) -> str:
-    return " ".join("1" if b else "0" for b in bits)
+class _Lines:
+    """A file's lines, read in order after its format line; every fault
+    names the path and the line."""
+
+    def __init__(self, path: str, first: str, fmt: str):
+        with open(path, "r", encoding="utf-8") as fh:
+            self.lines = fh.read().splitlines()
+        self.path = path
+        self.pos = 0  # lines consumed
+        if self.next() != first:
+            raise ValueError(f"{path}: not a {fmt} file")
+
+    def more(self) -> bool:
+        return self.pos < len(self.lines)
+
+    def error(self, what: str) -> ValueError:
+        return ValueError(f"{self.path}, line {self.pos}: {what}")
+
+    def next(self) -> str:
+        if not self.more():
+            raise ValueError(f"{self.path}: truncated at line {self.pos + 1}")
+        self.pos += 1
+        return self.lines[self.pos - 1]
+
+    def decode(self, read, text: str):
+        try:
+            return read(text)
+        except (KeyError, ValueError):
+            raise self.error(f"cannot read {text[:60]!r}") from None
+
+    def has(self, key: str) -> bool:
+        return self.more() and self.lines[self.pos].startswith(f"{key}:")
+
+    def field(self, key: str, read):
+        line = self.next()
+        if not line.startswith(f"{key}:"):
+            raise self.error(f"expected {key!r} line, got {line[:60]!r}")
+        return self.decode(read, line[len(key) + 1 :].strip())
+
+    def fields(self, table) -> dict:
+        return {key: self.field(key, read) for key, (_, read) in table}
+
+    def blocks(self):
+        """Yield once per ``[run]`` block, then check its ``[end]``."""
+        while self.more():
+            if (line := self.next()) != "[run]":
+                raise self.error(f"expected [run], got {line[:60]!r}")
+            yield
+            if self.next() != "[end]":
+                raise self.error("missing [end] marker")
 
 
-def _parse_bools(tok: str) -> tuple[bool, ...]:
-    return tuple(t == "1" for t in tok.split()) if tok else ()
-
-
-def _floats(xs) -> str:
-    return " ".join(repr(float(x)) for x in xs)
-
-
-def _parse_floats(tok: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in tok.split()) if tok else ()
-
-
-def _ints(xs) -> str:
-    return " ".join(map(str, xs))
-
-
-def _parse_ints(tok: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in tok.split()) if tok else ()
+def _run_lines(run: RunReport) -> list[str]:
+    lines = _fields(_RUN_HEAD, vars(run))
+    if run.weights is not None:
+        lines.append(f"weights: {_FLOATS[0](run.weights)}")
+    if run.weight_matrix is not None:
+        lines.append(f"weight_matrix: {len(run.weight_matrix)}")
+        lines += [f"row: {_FLOATS[0](row)}" for row in run.weight_matrix]
+    return lines + _fields(_RUN_TAIL, vars(run))
 
 
 def save_report(report: ReportFile, path: str) -> str:
-    lines = [
-        f"format: {_REPORT_FORMAT}",
-        f"variant: {report.variant}",
-        f"dataset: {report.dataset}",
-        f"schema: {report.schema}",
-        f"labels_file: {report.labels_file if report.labels_file is not None else 'none'}",
-        f"k: {report.k}",
-        f"runs: {report.runs}",
-        f"base_seed: {report.base_seed}",
-        f"bins: {report.bins if report.bins is not None else 'none'}",
-        f"inner_cap: {report.inner_cap}",
-        f"outer_cap: {report.outer_cap}",
-        f"epsilon: {report.epsilon!r}",
-        f"d_hat: {report.d_hat}",
-        f"ari_mean: {_opt(report.ari_mean)}",
-        f"ari_std: {_opt(report.ari_std)}",
-        f"ca_mean: {_opt(report.ca_mean)}",
-        f"ca_std: {_opt(report.ca_std)}",
-    ]
-    for run in report.run_reports:
-        lines.append("[run]")
-        lines.append(f"seed: {run.seed}")
-        lines.append(f"converged: {'true' if run.converged else 'false'}")
-        lines.append(f"inner_iterations: {run.inner_iterations}")
-        lines.append(f"weight_updates: {run.weight_updates}")
-        lines.append(f"inner_monotone: {'true' if run.inner_monotone else 'false'}")
-        lines.append(f"max_inner_increase: {run.max_inner_increase!r}")
-        lines.append(f"ari: {_opt(run.ari)}")
-        lines.append(f"ca: {_opt(run.ca)}")
-        lines.append(f"labels: {_ints(run.labels)}")
-        if run.weights is not None:
-            lines.append(f"weights: {_floats(run.weights)}")
-        if run.weight_matrix is not None:
-            lines.append(f"weight_matrix: {len(run.weight_matrix)}")
-            for row in run.weight_matrix:
-                lines.append(f"row: {_floats(row)}")
-        lines.append(f"trace_z: {_floats(run.trace_z)}")
-        lines.append(f"trace_weights_updated: {_bools(run.trace_weights_updated)}")
-        lines.append(f"trace_reseeded: {_bools(run.trace_reseeded)}")
-        lines.append("[end]")
-    return _write_text(path, "\n".join(lines) + "\n")
-
-
-class _LineReader:
-    def __init__(self, text: str):
-        self.lines = text.splitlines()
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.lines[self.pos] if self.pos < len(self.lines) else None
-
-    def next(self) -> str:
-        line = self.lines[self.pos]
-        self.pos += 1
-        return line
-
-    def expect(self, key: str) -> str:
-        line = self.next()
-        prefix = f"{key}:"
-        if not line.startswith(prefix):
-            raise ValueError(f"expected {key!r} line, got {line!r}")
-        return line[len(prefix) :].strip()
+    head = _fields(_REPORT_HEAD, vars(report))
+    return _save_lines(path, _REPORT, head, map(_run_lines, report.run_reports))
 
 
 def load_report(path: str) -> ReportFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = _LineReader(fh.read())
-    if reader.expect("format") != _REPORT_FORMAT:
-        raise ValueError(f"{path}: not a {_REPORT_FORMAT} file")
-    variant = reader.expect("variant")
-    dataset = reader.expect("dataset")
-    schema = reader.expect("schema")
-    labels_file = _parse_opt(reader.expect("labels_file"), str)
-    k = int(reader.expect("k"))
-    runs = int(reader.expect("runs"))
-    base_seed = int(reader.expect("base_seed"))
-    bins = _parse_opt(reader.expect("bins"), int)
-    inner_cap = int(reader.expect("inner_cap"))
-    outer_cap = int(reader.expect("outer_cap"))
-    epsilon = float(reader.expect("epsilon"))
-    d_hat = int(reader.expect("d_hat"))
-    ari_mean = _parse_opt(reader.expect("ari_mean"), float)
-    ari_std = _parse_opt(reader.expect("ari_std"), float)
-    ca_mean = _parse_opt(reader.expect("ca_mean"), float)
-    ca_std = _parse_opt(reader.expect("ca_std"), float)
-    run_reports = []
-    while reader.peek() == "[run]":
-        reader.next()
-        seed = int(reader.expect("seed"))
-        converged = reader.expect("converged") == "true"
-        inner_iterations = int(reader.expect("inner_iterations"))
-        weight_updates = int(reader.expect("weight_updates"))
-        inner_monotone = reader.expect("inner_monotone") == "true"
-        max_inner_increase = float(reader.expect("max_inner_increase"))
-        ari_v = _parse_opt(reader.expect("ari"), float)
-        ca_v = _parse_opt(reader.expect("ca"), float)
-        labels = _parse_ints(reader.expect("labels"))
-        weights = None
-        weight_matrix = None
-        if reader.peek() is not None and reader.peek().startswith("weights:"):
-            weights = _parse_floats(reader.expect("weights"))
-        if reader.peek() is not None and reader.peek().startswith("weight_matrix:"):
-            n_rows = int(reader.expect("weight_matrix"))
-            weight_matrix = tuple(
-                _parse_floats(reader.expect("row")) for _ in range(n_rows)
-            )
-        trace_z = _parse_floats(reader.expect("trace_z"))
-        trace_updated = _parse_bools(reader.expect("trace_weights_updated"))
-        trace_reseeded = _parse_bools(reader.expect("trace_reseeded"))
-        if reader.next() != "[end]":
-            raise ValueError(f"{path}: missing [end] marker")
-        run_reports.append(
-            RunReport(
-                variant=variant,
-                k=k,
-                seed=seed,
-                labels=labels,
-                weights=weights,
-                weight_matrix=weight_matrix,
-                trace_z=trace_z,
-                trace_weights_updated=trace_updated,
-                trace_reseeded=trace_reseeded,
-                inner_iterations=inner_iterations,
-                weight_updates=weight_updates,
-                converged=converged,
-                inner_monotone=inner_monotone,
-                max_inner_increase=max_inner_increase,
-                ari=ari_v,
-                ca=ca_v,
-            )
-        )
-    return ReportFile(
-        variant=variant,
-        dataset=dataset,
-        schema=schema,
-        labels_file=labels_file,
-        k=k,
-        runs=runs,
-        base_seed=base_seed,
-        bins=bins,
-        inner_cap=inner_cap,
-        outer_cap=outer_cap,
-        epsilon=epsilon,
-        d_hat=d_hat,
-        ari_mean=ari_mean,
-        ari_std=ari_std,
-        ca_mean=ca_mean,
-        ca_std=ca_std,
-        run_reports=tuple(run_reports),
-    )
+    src = _Lines(path, f"format: {_REPORT}", _REPORT)
+    head = src.fields(_REPORT_HEAD)
+    read_floats = _FLOATS[1]
+    runs = []
+    for _ in src.blocks():
+        run = src.fields(_RUN_HEAD)
+        run["weights"] = run["weight_matrix"] = None
+        if src.has("weights"):
+            run["weights"] = src.field("weights", read_floats)
+        if src.has("weight_matrix"):
+            rows = range(src.field("weight_matrix", int))
+            run["weight_matrix"] = tuple(src.field("row", read_floats) for _ in rows)
+        run.update(src.fields(_RUN_TAIL))
+        runs.append(RunReport(variant=head["variant"], k=head["k"], **run))
+    if len(runs) != head["runs"]:
+        raise src.error(f"{len(runs)} [run] blocks, but the header says {head['runs']}")
+    return ReportFile(**head, run_reports=tuple(runs))
 
 
 def save_timings(timings: TimingsFile, path: str) -> str:
-    lines = [
-        f"format: {_TIMINGS_FORMAT}",
-        f"variant: {timings.variant}",
-        f"reconstruct_s: {timings.reconstruct_s!r}",
-    ]
-    for seed, cluster_s, weights_s in timings.runs:
-        lines.append("[run]")
-        lines.append(f"seed: {seed}")
-        lines.append(f"cluster_s: {cluster_s!r}")
-        lines.append(f"weights_s: {weights_s!r}")
-        lines.append("[end]")
-    return _write_text(path, "\n".join(lines) + "\n")
+    keys = [key for key, _ in _TIMINGS_RUN]
+    runs = [_fields(_TIMINGS_RUN, dict(zip(keys, run))) for run in timings.runs]
+    return _save_lines(path, _TIMINGS, _fields(_TIMINGS_HEAD, vars(timings)), runs)
 
 
 def load_timings(path: str) -> TimingsFile:
-    with open(path, "r", encoding="utf-8") as fh:
-        reader = _LineReader(fh.read())
-    if reader.expect("format") != _TIMINGS_FORMAT:
-        raise ValueError(f"{path}: not a {_TIMINGS_FORMAT} file")
-    variant = reader.expect("variant")
-    reconstruct_s = float(reader.expect("reconstruct_s"))
-    runs = []
-    while reader.peek() == "[run]":
-        reader.next()
-        seed = int(reader.expect("seed"))
-        cluster_s = float(reader.expect("cluster_s"))
-        weights_s = float(reader.expect("weights_s"))
-        if reader.next() != "[end]":
-            raise ValueError(f"{path}: missing [end] marker")
-        runs.append((seed, cluster_s, weights_s))
-    return TimingsFile(variant, reconstruct_s, tuple(runs))
+    src = _Lines(path, f"format: {_TIMINGS}", _TIMINGS)
+    head = src.fields(_TIMINGS_HEAD)
+    runs = tuple(tuple(src.fields(_TIMINGS_RUN).values()) for _ in src.blocks())
+    return TimingsFile(**head, runs=runs)
 
 
 def timings_from_reports(
@@ -310,78 +292,65 @@ def timings_from_reports(
     )
 
 
+def _save_table(table, rows, path: str) -> str:
+    fmt, header, codecs = table
+    lines = [f"# format: {fmt}", header]
+    for row in rows:
+        lines.append(",".join(write(x) for (write, _), x in zip(codecs, row)))
+    return _write_text(path, "\n".join(lines) + "\n")
+
+
+def _load_table(table, path: str) -> list[tuple]:
+    fmt, header, codecs = table
+    src = _Lines(path, f"# format: {fmt}", fmt)
+    if src.next() != header:
+        raise src.error("unexpected header")
+    rows = []
+    while src.more():
+        cells = src.next().split(",")
+        if len(cells) != len(codecs):
+            raise src.error(f"{len(cells)} fields, expected {len(codecs)}")
+        rows.append(tuple(src.decode(read, x) for (_, read), x in zip(codecs, cells)))
+    return rows
+
+
 def save_summary(summaries: list[RunSummary | tuple[str, None]], path: str) -> str:
     """Aggregate table: one row per variant, mean and std of each score.
 
     A ``(variant, None)`` entry marks a variant run without ground truth.
     """
-    lines = [f"# format: {_SUMMARY_FORMAT}", _SUMMARY_HEADER]
-    for item in summaries:
-        if isinstance(item, RunSummary):
-            ari_s, ca_s = item.format_scores()
-            lines.append(f"{item.variant},{ari_s},{ca_s}")
-        else:
-            lines.append(f"{item[0]},none,none")
-    return _write_text(path, "\n".join(lines) + "\n")
-
-
-def _read_table(path: str, fmt: str, header: str) -> list[str]:
-    """Body lines of a ``# format:`` table after checking its two header
-    lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != f"# format: {fmt}":
-        raise ValueError(f"{path}: not a {fmt} file")
-    if len(lines) < 2 or lines[1] != header:
-        raise ValueError(f"{path}: unexpected header")
-    return lines[2:]
+    rows = [
+        (item.variant, *item.format_scores())
+        if isinstance(item, RunSummary)
+        else (item[0], "none", "none")
+        for item in summaries
+    ]
+    return _save_table(_SUMMARY, rows, path)
 
 
 def load_summary(path: str) -> list[tuple[str, str, str]]:
-    out = []
-    for line in _read_table(path, _SUMMARY_FORMAT, _SUMMARY_HEADER):
-        variant, ari_s, ca_s = line.split(",")
-        out.append((variant, ari_s, ca_s))
-    return out
+    return _load_table(_SUMMARY, path)
 
 
-def save_trace(
-    rows: list[tuple[str, int, int, float, bool]], path: str
-) -> str:
+def save_trace(rows: list[tuple[str, int, int, float, bool]], path: str) -> str:
     """Plot-ready objective traces: variant, seed, iteration (1-based),
     objective value, and a weight-refresh marker column."""
     if not rows:
         raise ValueError("no trace rows to write")
-    lines = [f"# format: {_TRACE_FORMAT}", _TRACE_HEADER]
-    for variant, seed, iteration, z, updated in rows:
-        lines.append(f"{variant},{seed},{iteration},{z!r},{1 if updated else 0}")
-    return _write_text(path, "\n".join(lines) + "\n")
+    return _save_table(_TRACE, rows, path)
 
 
 def load_trace(path: str) -> list[tuple[str, int, int, float, bool]]:
-    out = []
-    for line in _read_table(path, _TRACE_FORMAT, _TRACE_HEADER):
-        variant, seed, iteration, z, updated = line.split(",")
-        out.append((variant, int(seed), int(iteration), float(z), updated == "1"))
-    return out
+    return _load_table(_TRACE, path)
 
 
-def save_bench_time(
-    rows: list[tuple[float, int, str, float]], path: str
-) -> str:
+def save_bench_time(rows: list[tuple[float, int, str, float]], path: str) -> str:
     """Timing-sweep table: sampling rate, subsample size, variant, seconds."""
-    lines = [f"# format: {_BENCH_FORMAT}", _BENCH_HEADER]
-    for phi, n, variant, seconds in rows:
-        lines.append(f"{phi!r},{n},{variant},{seconds!r}")
-    return _write_text(path, "\n".join(lines) + "\n")
+    return _save_table(_BENCH_TIME, rows, path)
 
 
 def load_bench_time(path: str) -> list[tuple[float, int, str, float]]:
-    out = []
-    for line in _read_table(path, _BENCH_FORMAT, _BENCH_HEADER):
-        phi, n, variant, seconds = line.split(",")
-        out.append((float(phi), int(n), variant, float(seconds)))
-    return out
+    return _load_table(_BENCH_TIME, path)
 
 
 def read_label_file(path: str) -> tuple[int, ...]:

@@ -759,3 +759,25 @@ def test_partition_accepts_numpy_integers(labels):
 def test_partition_rejects_out_of_range_labels(labels):
     with pytest.raises(ValueError, match=r"^labels must lie in \[1, 3\]$"):
         Partition(labels, 3)
+
+
+@pytest.mark.parametrize("labels", [(1.5, 2.7), (1.0, np.nan), np.array([2.0, np.inf])])
+def test_partition_rejects_non_integral_labels(labels):
+    with pytest.raises(ValueError, match="^labels must be integers$"):
+        Partition(labels, 3)
+
+
+def test_partition_accepts_integral_floats():
+    assert Partition((1.0, 3.0), 3).labels == (1, 3)
+
+
+@pytest.mark.parametrize("w", [[np.nan, np.nan], [np.inf, 0.0], [0.5, np.nan]])
+def test_weight_vector_rejects_non_finite_weights(w):
+    with pytest.raises(ValueError, match="^weights must be finite$"):
+        WeightVector(w)
+
+
+@pytest.mark.parametrize("w", [[[np.nan, 1.0], [0.5, 0.5]], [[0.5, 0.5], [np.inf, 0.0]]])
+def test_weight_matrix_rejects_non_finite_weights(w):
+    with pytest.raises(ValueError, match="^every weight must be finite$"):
+        WeightMatrix(w)

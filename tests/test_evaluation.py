@@ -201,3 +201,11 @@ def test_assignment_beats_every_permutation_small():
             for perm in itertools.permutations(range(side))
         )
         assert ca(labels, pred) == pytest.approx(best / n, abs=1e-12)
+
+
+@pytest.mark.parametrize("score", [ari, ca, contingency])
+def test_non_integral_labels_are_rejected(score):
+    with pytest.raises(ValueError, match="^labels must be integers$"):
+        score([1.9, 2, 1, 2], [1, 2, 1, 2])
+    with pytest.raises(ValueError, match="^labels must be integers$"):
+        score([1, 2, 1, 2], [1, 2, 1, 2.5])

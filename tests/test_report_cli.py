@@ -1,10 +1,13 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import harr
 from harr.bench import BenchConfig, cmd_bench_time, cmd_cluster, cmd_trace_plot
@@ -143,6 +146,266 @@ def test_timings_roundtrip(tmp_path):
     timings = TimingsFile("HARR-V", 0.125, ((0, 0.5, 0.25), (1, 0.75, 0.1)))
     path = save_timings(timings, str(tmp_path / "t.txt"))
     assert load_timings(path) == timings
+
+
+GOLDEN_REPORT = """\
+format: harr-report-v1
+variant: HARR-M
+dataset: data.csv
+schema: schema.txt
+labels_file: none
+k: 2
+runs: 3
+base_seed: 7
+bins: none
+inner_cap: 100
+outer_cap: 50
+epsilon: 1e-12
+d_hat: 2
+ari_mean: none
+ari_std: none
+ca_mean: none
+ca_std: none
+[run]
+seed: 7
+converged: true
+inner_iterations: 3
+weight_updates: 1
+inner_monotone: false
+max_inner_increase: 0.1
+ari: none
+ca: none
+labels: 1 2 2 1
+weights: 0.3333333333333333 0.6666666666666666
+trace_z: 12.5 3.25 3.25
+trace_weights_updated: 0 1 0
+trace_reseeded: 0 0 1
+[end]
+[run]
+seed: 8
+converged: false
+inner_iterations: 2
+weight_updates: 0
+inner_monotone: true
+max_inner_increase: 0.0
+ari: none
+ca: none
+labels: 2 1 1 2
+weight_matrix: 2
+row: 0.5 0.5
+row: 0.125 0.875
+trace_z: 1e-05
+trace_weights_updated: 0
+trace_reseeded: 0
+[end]
+[run]
+seed: 9
+converged: true
+inner_iterations: 2
+weight_updates: 0
+inner_monotone: true
+max_inner_increase: 0.0
+ari: none
+ca: none
+labels: 1 1 2 2
+trace_z: 0.5
+trace_weights_updated: 0
+trace_reseeded: 0
+[end]
+"""
+
+GOLDEN_TIMINGS = """\
+format: harr-timings-v1
+variant: HARR-M
+reconstruct_s: 0.125
+[run]
+seed: 7
+cluster_s: 0.5
+weights_s: 0.25
+[end]
+[run]
+seed: 8
+cluster_s: 1.0
+weights_s: 0.0
+[end]
+"""
+
+
+def _golden_report() -> ReportFile:
+    first = replace(
+        _run_report("HARR-M", seed=7, weights=(1 / 3, 2 / 3)),
+        trace_reseeded=(False, False, True),
+        inner_monotone=False,
+        max_inner_increase=0.1,
+        ari=None,
+        ca=None,
+    )
+    matrix = replace(
+        first,
+        seed=8,
+        labels=(2, 1, 1, 2),
+        weights=None,
+        weight_matrix=((0.5, 0.5), (0.125, 0.875)),
+        trace_z=(1e-05,),
+        trace_weights_updated=(False,),
+        trace_reseeded=(False,),
+        inner_iterations=2,
+        weight_updates=0,
+        converged=False,
+        inner_monotone=True,
+        max_inner_increase=0.0,
+    )
+    unweighted = replace(
+        matrix, seed=9, labels=(1, 1, 2, 2), weight_matrix=None, trace_z=(0.5,), converged=True
+    )
+    return replace(
+        _report_file([first, matrix, unweighted], variant="HARR-M"),
+        labels_file=None,
+        base_seed=7,
+        d_hat=2,
+        ari_mean=None,
+        ari_std=None,
+        ca_mean=None,
+        ca_std=None,
+    )
+
+
+def test_golden_report_and_timings_bytes(tmp_path):
+    report = _golden_report()
+    path = save_report(report, str(tmp_path / "r.txt"))
+    assert Path(path).read_text(encoding="utf-8") == GOLDEN_REPORT
+    assert load_report(path) == report
+    timings = TimingsFile("HARR-M", 0.125, ((7, 0.5, 0.25), (8, 1.0, 0.0)))
+    path = save_timings(timings, str(tmp_path / "t.txt"))
+    assert Path(path).read_text(encoding="utf-8") == GOLDEN_TIMINGS
+    assert load_timings(path) == timings
+
+
+# Printable ASCII without surrounding blanks: a report reads each value back
+# stripped, one value per line, and reads ``none`` as an absent labels file.
+_text = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12).filter(
+    lambda s: s == s.strip() and s != "none"
+)
+_float = st.floats(allow_nan=False)
+_floats = st.lists(_float, max_size=5).map(tuple)
+_bits = st.lists(st.booleans(), max_size=5).map(tuple)
+
+
+@st.composite
+def _report_files(draw) -> ReportFile:
+    variant, k = draw(_text), draw(st.integers())
+    runs = tuple(
+        RunReport(
+            variant=variant,
+            k=k,
+            seed=draw(st.integers()),
+            labels=tuple(draw(st.lists(st.integers(), max_size=8))),
+            weights=draw(st.none() | _floats),
+            weight_matrix=draw(st.none() | st.lists(_floats, max_size=3).map(tuple)),
+            trace_z=draw(_floats),
+            trace_weights_updated=draw(_bits),
+            trace_reseeded=draw(_bits),
+            inner_iterations=draw(st.integers()),
+            weight_updates=draw(st.integers()),
+            converged=draw(st.booleans()),
+            inner_monotone=draw(st.booleans()),
+            max_inner_increase=draw(_float),
+            ari=draw(st.none() | _float),
+            ca=draw(st.none() | _float),
+        )
+        for _ in range(draw(st.integers(0, 3)))
+    )
+    return ReportFile(
+        variant=variant,
+        dataset=draw(_text),
+        schema=draw(_text),
+        labels_file=draw(st.none() | _text),
+        k=k,
+        runs=len(runs),
+        base_seed=draw(st.integers()),
+        bins=draw(st.none() | st.integers()),
+        inner_cap=draw(st.integers()),
+        outer_cap=draw(st.integers()),
+        epsilon=draw(_float),
+        d_hat=draw(st.integers()),
+        ari_mean=draw(st.none() | _float),
+        ari_std=draw(st.none() | _float),
+        ca_mean=draw(st.none() | _float),
+        ca_std=draw(st.none() | _float),
+        run_reports=runs,
+    )
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(_report_files())
+def test_report_roundtrip_and_resave_bytes(tmp_path, report):
+    first = save_report(report, str(tmp_path / "a.txt"))
+    loaded = load_report(first)
+    assert loaded == report
+    second = save_report(loaded, str(tmp_path / "b.txt"))
+    assert Path(first).read_bytes() == Path(second).read_bytes()
+
+
+def test_report_cut_at_every_line_is_a_data_error(synth_dir, tmp_path):
+    cfg = BenchConfig(
+        data=synth_dir["data"],
+        schema=synth_dir["schema"],
+        labels=synth_dir["labels"],
+        variants=("HARR-V", "HARR-M"),
+        k=3,
+        runs=2,
+        inner_cap=3,
+        outer_cap=2,
+        out_dir=str(tmp_path / "out"),
+    )
+    cmd_cluster(cfg)
+    for variant in cfg.variants:
+        lines = Path(f"{cfg.out_dir}/{variant}.report.txt").read_text().splitlines(True)
+        cut = tmp_path / f"cut-{variant}.txt"
+        for n in range(len(lines)):
+            cut.write_text("".join(lines[:n]))
+            with pytest.raises(ValueError) as raised:
+                load_report(str(cut))
+            assert str(raised.value).startswith(f"{cut}")
+    cut.write_text("".join(lines[:20]))
+    with pytest.raises(ValueError) as raised:
+        load_report(str(cut))
+    assert str(raised.value) == f"{cut}: truncated at line 21"
+    assert main(["trace", "--report", str(cut), "--out", str(tmp_path / "t.csv")]) == 3
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("[end]\n", "[end]\nextra\n", "line 64: expected [run], got 'extra'"),
+        ("runs: 3", "runs: 4", "line 63: 3 [run] blocks, but the header says 4"),
+        ("seed: 8", "seed: x", "line 34: cannot read 'x'"),
+        ("0\n[end]", "2\n[end]", "line 62: cannot read '2'"),
+        ("[end]\n[run]\nseed: 9", "[run]\nseed: 9", "line 49: missing [end] marker"),
+    ],
+    ids=["after-last-end", "runs-header", "bad-int", "bad-bit", "missing-end"],
+)
+def test_malformed_report_names_path_and_line(tmp_path, old, new, message):
+    path = tmp_path / "r.txt"
+    # Edit the last occurrence, so that appending lands after the last [end].
+    head, _, tail = GOLDEN_REPORT.rpartition(old)
+    path.write_text(head + new + tail)
+    with pytest.raises(ValueError) as raised:
+        load_report(str(path))
+    assert str(raised.value) == f"{path}, {message}"
+
+
+def test_table_row_with_wrong_field_count_names_path_and_line(tmp_path):
+    path = save_bench_time([(0.2, 40, "HARR-V", 0.015)], str(tmp_path / "b.csv"))
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("1.0,200,HARR-M\n")
+    with pytest.raises(ValueError) as raised:
+        load_bench_time(path)
+    assert str(raised.value) == f"{path}, line 4: 3 fields, expected 4"
 
 
 def test_summary_roundtrip(tmp_path):
