@@ -60,7 +60,6 @@ from .cluster import (
     prepare,
     run,
     run_prepared,
-    weighted_distance,
     assign,
     update_prototypes,
     update_weight_vector,

@@ -114,8 +114,7 @@ def _execute_runs(
 
 
 def _scored(report: RunReport, labels: np.ndarray) -> RunReport:
-    pred = np.asarray(report.labels, dtype=np.int64)
-    return replace(report, ari=ari(labels, pred), ca=ca(labels, pred))
+    return replace(report, ari=ari(labels, report.labels), ca=ca(labels, report.labels))
 
 
 def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
@@ -126,9 +125,7 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
     with the same configuration; only the timings sidecars vary.
     """
     dataset = load_dataset(cfg.schema, cfg.data)
-    labels = (
-        np.asarray(read_label_file(cfg.labels), dtype=np.int64) if cfg.labels else None
-    )
+    labels = read_label_file(cfg.labels) if cfg.labels else None
     if labels is not None and len(labels) != dataset.n:
         raise DataError(
             f"label file has {len(labels)} entries but the dataset has "

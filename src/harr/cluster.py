@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "prepare",
     "run",
     "run_prepared",
-    "weighted_distance",
     "assign",
     "update_prototypes",
     "update_weight_vector",
@@ -121,24 +120,55 @@ def _label_array(x) -> np.ndarray:
     return arr.astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """Crisp cluster labels in [1, k], one per object."""
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` as a read-only array; a writeable one is copied first, so a
+    record never shares memory that its caller can still change."""
+    return a if not a.flags.writeable else _freeze(a.copy())
 
-    labels: tuple[int, ...]
+
+def _cluster_labels(x, k: int) -> np.ndarray:
+    """Labels in [1, k] as a frozen int64 array."""
+    try:
+        labels = _label_array(x)
+    except OverflowError:  # beyond int64, so outside [1, k]
+        raise ValueError(f"labels must lie in [1, {k}]") from None
+    if labels.size and (labels.min() < 1 or labels.max() > k):
+        raise ValueError(f"labels must lie in [1, {k}]")
+    return _frozen(labels)
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return a is not None and b is not None and np.array_equal(a, b)
+    return a == b
+
+
+def _records_equal(a, b) -> bool:
+    """Field-by-field equality of two records of one dataclass type; array
+    fields are equal when their shapes and values are."""
+    return all(
+        _same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class Partition:
+    """Crisp cluster labels in [1, k], one per object, as a frozen int64
+    array."""
+
+    labels: np.ndarray
     k: int
 
     def __post_init__(self) -> None:
-        try:
-            labels = _label_array(self.labels)
-        except OverflowError:  # beyond int64, so outside [1, k]
-            raise ValueError(f"labels must lie in [1, {self.k}]") from None
-        if labels.size and (labels.min() < 1 or labels.max() > self.k):
-            raise ValueError(f"labels must lie in [1, {self.k}]")
-        object.__setattr__(self, "labels", tuple(labels.tolist()))
+        object.__setattr__(self, "labels", _cluster_labels(self.labels, self.k))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return _records_equal(self, other)
 
     def to_zero_based(self) -> np.ndarray:
-        return np.asarray(self.labels, dtype=np.int64) - 1
+        return self.labels - 1
 
 
 @dataclass(frozen=True)
@@ -195,10 +225,12 @@ class PhaseTimings:
     weights_s: float = 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunReport:
     """Everything produced by one seeded clustering run.
 
+    Labels (in [1, k]) and weights are frozen arrays: ``weights`` holds one
+    row of d_hat weights, ``weight_matrix`` one such row per cluster.
     ``inner_monotone`` records whether the objective was non-increasing
     (within tolerance) across consecutive assignments of every fixed-weight
     epoch, skipping pairs interrupted by an empty-cluster re-seed;
@@ -208,9 +240,9 @@ class RunReport:
     variant: str
     k: int
     seed: int
-    labels: tuple[int, ...]
-    weights: tuple[float, ...] | None
-    weight_matrix: tuple[tuple[float, ...], ...] | None
+    labels: np.ndarray
+    weights: np.ndarray | None
+    weight_matrix: np.ndarray | None
     trace_z: tuple[float, ...]
     trace_weights_updated: tuple[bool, ...]
     trace_reseeded: tuple[bool, ...]
@@ -222,6 +254,23 @@ class RunReport:
     ari: float | None = None
     ca: float | None = None
     timings: PhaseTimings = field(default=PhaseTimings(), compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", _cluster_labels(self.labels, self.k))
+        if self.weights is not None and self.weight_matrix is not None:
+            raise ValueError("a run has a weight vector or a weight matrix, not both")
+        for name, ndim in (("weights", 1), ("weight_matrix", 2)):
+            w = getattr(self, name)
+            if w is not None:
+                w = np.asarray(w, dtype=np.float64)
+                if w.ndim != ndim or not np.isfinite(w).all():
+                    raise ValueError(f"{name} must be {ndim}-dimensional and finite")
+                object.__setattr__(self, name, _frozen(w))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RunReport):
+            return NotImplemented
+        return _records_equal(self, other)
 
     @property
     def partition(self) -> Partition:
@@ -556,47 +605,6 @@ def _weight_matrix_from_stats(
 # Public single-step operations.
 
 
-def weighted_distance(
-    dataset: Dataset,
-    space: ReconstructedSpace,
-    protos: Prototypes,
-    weights: WeightVector | WeightMatrix | None,
-    x: int,
-    m: int,
-) -> float:
-    """Weighted dissimilarity between object ``x`` and prototype ``m``
-    (both 0-based indices).
-
-    Numerical pass-through attributes contribute |x - m|; sub-attributes
-    contribute the coordinate gap between the object's and the prototype's
-    value. With a weight matrix, row ``m`` applies. Reference implementation;
-    the run loops use an equivalent vectorized path.
-    """
-    if isinstance(weights, WeightMatrix):
-        w = weights.w[m]
-    elif isinstance(weights, WeightVector):
-        w = weights.w
-    else:
-        w = None
-    total = 0.0
-    j = 0
-    for r in space.numeric_attrs:
-        phi = abs(dataset.cells[x, r] - protos.values[m, r])
-        total += phi * (w[j] if w is not None else 1.0)
-        j += 1
-    for block in space.blocks:
-        u = int(dataset.cells[x, block.source])
-        f = int(protos.values[m, block.source])
-        if block.is_fallback:
-            phis = [float(u != f)]
-        else:
-            phis = np.abs(block.coords[:, u - 1] - block.coords[:, f - 1]).tolist()
-        for phi in phis:
-            total += phi * (w[j] if w is not None else 1.0)
-            j += 1
-    return total
-
-
 def assign(
     dataset: Dataset,
     space: ReconstructedSpace,
@@ -608,8 +616,7 @@ def assign(
     model = _model_reconstructed(dataset, space)
     w = None if weights is None else weights.w
     scores = model.scores(protos.values, w, {}, _block_buffer(model))
-    labels0 = scores.argmin(axis=0)[model.inverse]
-    return Partition(tuple((labels0 + 1).tolist()), protos.k)
+    return Partition(scores.argmin(axis=0)[model.inverse] + 1, protos.k)
 
 
 def update_prototypes(dataset: Dataset, partition: Partition, k: int | None = None) -> Prototypes:
@@ -621,7 +628,7 @@ def update_prototypes(dataset: Dataset, partition: Partition, k: int | None = No
     refit trailing memberless clusters, but no label may exceed it.
     """
     k = partition.k if k is None else k
-    if partition.labels and max(partition.labels) > k:
+    if partition.labels.size and partition.labels.max() > k:
         raise ValueError(f"partition has labels above k={k}")
     return Prototypes(_model_original(dataset).refit(partition.to_zero_based(), k))
 
@@ -846,7 +853,7 @@ def _run_alternating(
         just_updated = True
         inner_count = 0
 
-    del prev_inner, prev_outer  # released before the labels tuple is built
+    del prev_inner, prev_outer  # released before the labels are built
     if converged:
         # terminal fixed-point entry: the stopping check re-evaluated an
         # unchanged state
@@ -855,19 +862,16 @@ def _run_alternating(
         trace_reseeded.append(False)
 
     cluster_s = time.perf_counter() - started - weights_s
-    if weights is None:
-        w_vec, w_mat = None, None
-    elif weights.ndim == 1:
-        w_vec, w_mat = tuple(weights.tolist()), None
-    else:
-        w_vec, w_mat = None, tuple(tuple(row) for row in weights.tolist())
+    if weights is not None:
+        weights = _freeze(weights)  # this run's own, so frozen without a copy
+    matrix = weights is not None and weights.ndim == 2
     return RunReport(
         variant=config.variant,
         k=k,
         seed=config.seed,
-        labels=tuple((labels0 + 1).tolist()),
-        weights=w_vec,
-        weight_matrix=w_mat,
+        labels=_freeze(labels0 + 1),
+        weights=None if matrix else weights,
+        weight_matrix=weights if matrix else None,
         trace_z=tuple(trace_z),
         trace_weights_updated=tuple(trace_updated),
         trace_reseeded=tuple(trace_reseeded),

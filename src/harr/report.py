@@ -1,23 +1,31 @@
 """Plain-text report formats: diff-friendly, deterministic, re-loadable.
 
 Every emitted file round-trips through its reader to an equal in-memory
-value. Floats are written with ``repr`` so values reload exactly and reruns
-with identical configuration produce byte-identical files. Wall-clock
-timings are inherently non-reproducible and therefore live in a sidecar
-timings file, never in the report itself.
+value, and reruns with identical configuration produce byte-identical files.
+Labels are written as decimal digits and parsed back with numpy. Weights
+are written as base64 of their little-endian float64 bytes, so they reload
+exactly, next to a few derived fields a person can read; other floats are
+written with ``repr``, which also reloads exactly. Wall-clock timings are
+inherently non-reproducible and therefore live in a sidecar timings file,
+never in the report itself.
 
 Each format is declared once, below: a (write, read) codec per value type,
 a (key, codec) table per part of a line format, and a (format, header,
 column codecs) triple per CSV table. One writer and one reader walk them.
+The writers write the current version of each line format; the readers
+also read the previous one.
 """
 
 from __future__ import annotations
 
+import base64
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cluster import RunReport
 from .evaluation import RunSummary
-from .schema import DataError, _write_text
+from .schema import DataError, _freeze, _write_text
 
 __all__ = [
     "ReportFile",
@@ -69,15 +77,63 @@ def _optional(codec):
     )
 
 
+def _label_text(labels: np.ndarray) -> str:
+    """Labels, each at least 1, as space-separated decimals."""
+    if labels.size and labels.max() <= 9:  # one digit each
+        buf = np.full(2 * labels.size - 1, ord(" "), np.uint8)
+        buf[::2] = labels + ord("0")
+        return buf.tobytes().decode("ascii")
+    values, index = np.unique(labels, return_inverse=True)
+    return " ".join(values.astype(str)[index].tolist())
+
+
+def _read_labels(text: str, sep: str = " ") -> np.ndarray:
+    """Decimals, one ``sep`` between two, to int64, parsed from the bytes
+    with numpy."""
+    raw = np.frombuffer(text.encode("ascii"), np.uint8)
+    digit = raw != ord(sep)
+    starts = np.flatnonzero(digit & np.r_[True, ~digit[:-1]])
+    ends = np.flatnonzero(digit & np.r_[~digit[1:], True]) + 1
+    if raw.size and starts.size != raw.size - digit.sum() + 1:
+        raise ValueError(f"labels must be separated by a single {sep!r}")
+    if ((raw < ord("0")) | (raw > ord("9")))[digit].any():
+        raise ValueError("labels must be decimal digits")
+    width = int((ends - starts).max()) if starts.size else 0
+    if width > 18:  # every 18-digit decimal fits in int64
+        raise ValueError("label too long")
+    labels = np.zeros(starts.size, np.int64)
+    for j in range(width):
+        live = starts + j < ends
+        labels[live] = labels[live] * 10 + (raw[starts[live] + j] - ord("0"))
+    return labels
+
+
+def _b64_write(row: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(row, "<f8").tobytes()).decode("ascii")
+
+
+def _b64_read(text: str) -> np.ndarray:
+    raw = base64.b64decode(text, validate=True)
+    if len(raw) % 8:
+        raise ValueError("payload is not a whole number of float64 values")
+    return np.frombuffer(raw, "<f8").astype(np.float64, copy=False)
+
+
 _BOOL = _word("false", "true")
 _BIT = _word("0", "1")
 _FLOATS = _spaced(_FLOAT)
 _BITS = _spaced(_BIT)
+_LABELS = (_label_text, _read_labels)
+_B64_ROW = (_b64_write, _b64_read)  # exact: the float64 bytes themselves
+_FLOAT_ROW = (_FLOATS[0], lambda text: np.array(_FLOATS[1](text), dtype=np.float64))
 
 # Line formats: ``format: <name>``, one ``key: value`` line per header field,
 # then one ``[run]`` ... ``[end]`` block per run. Keys are field names of the
-# record they describe.
-_REPORT = "harr-report-v1"
+# record they describe. v2 reports add an ``extends: harr-report-v1`` line
+# after the format line: they keep every v1 field and change only how a
+# weight row is written, adding the summary lines below.
+_REPORT_V1 = "harr-report-v1"
+_REPORT_V2 = "harr-report-v2"
 _REPORT_HEAD = (
     ("variant", _STR),
     ("dataset", _STR),
@@ -97,7 +153,8 @@ _REPORT_HEAD = (
     ("ca_std", _optional(_FLOAT)),
 )
 # A run's optional ``weights:`` or ``weight_matrix:`` + ``row:`` lines sit
-# between its head and its tail.
+# between its head and its tail, written with its format's row codec; in v2
+# the summary of the rows follows them.
 _RUN_HEAD = (
     ("seed", _INT),
     ("converged", _BOOL),
@@ -107,14 +164,23 @@ _RUN_HEAD = (
     ("max_inner_increase", _FLOAT),
     ("ari", _optional(_FLOAT)),
     ("ca", _optional(_FLOAT)),
-    ("labels", _spaced(_INT)),
+    ("labels", _LABELS),
 )
 _RUN_TAIL = (
     ("trace_z", _FLOATS),
     ("trace_weights_updated", _BITS),
     ("trace_reseeded", _BITS),
 )
-_TIMINGS = "harr-timings-v1"
+_WEIGHT_ROWS = {_REPORT_V1: _FLOAT_ROW, _REPORT_V2: _B64_ROW}
+# Derived from the rows, one entry per row, and checked against them on read:
+# Shannon entropy in nats, the largest weight and its 0-based column.
+_WEIGHT_SUMMARY = (
+    ("weight_entropy", _spaced((lambda x: f"{x:.6f}", float))),
+    ("weight_max", _FLOATS),
+    ("weight_max_column", _spaced(_INT)),
+)
+_TIMINGS_V1 = "harr-timings-v1"
+_TIMINGS_V2 = "harr-timings-v2"  # adds the ``runs:`` count to the header
 _TIMINGS_HEAD = (("variant", _STR), ("reconstruct_s", _FLOAT))
 _TIMINGS_RUN = (("seed", _INT), ("cluster_s", _FLOAT), ("weights_s", _FLOAT))
 
@@ -175,24 +241,26 @@ def _fields(table, values) -> list[str]:
     return [f"{key}: {write(values[key])}" for key, (write, _) in table]
 
 
-def _save_lines(path: str, fmt: str, head: list[str], runs) -> str:
-    lines = [f"format: {fmt}", *head]
+def _save_lines(path: str, head: list[str], runs) -> str:
+    lines = list(head)
     for run in runs:
         lines += ["[run]", *run, "[end]"]
     return _write_text(path, "\n".join(lines) + "\n")
 
 
 class _Lines:
-    """A file's lines, read in order after its format line; every fault
-    names the path and the line."""
+    """A file's lines, read in order after its format line, which must name
+    one of ``formats``; every fault names the path and the line."""
 
-    def __init__(self, path: str, first: str, fmt: str):
+    def __init__(self, path: str, prefix: str, formats):
         with open(path, "r", encoding="utf-8") as fh:
             self.lines = fh.read().splitlines()
         self.path = path
         self.pos = 0  # lines consumed
-        if self.next() != first:
-            raise ValueError(f"{path}: not a {fmt} file")
+        first = self.next()
+        self.format = first[len(prefix) :]
+        if not first.startswith(prefix) or self.format not in formats:
+            raise ValueError(f"{path}: not a {' or '.join(formats)} file")
 
     def more(self) -> bool:
         return self.pos < len(self.lines)
@@ -224,61 +292,113 @@ class _Lines:
     def fields(self, table) -> dict:
         return {key: self.field(key, read) for key, (_, read) in table}
 
-    def blocks(self):
-        """Yield once per ``[run]`` block, then check its ``[end]``."""
+    def blocks(self, declared: int | None):
+        """Yield once per ``[run]`` block, then check its ``[end]``; at the
+        end of the file, check the block count against a ``runs:`` header."""
+        count = 0
         while self.more():
             if (line := self.next()) != "[run]":
                 raise self.error(f"expected [run], got {line[:60]!r}")
             yield
             if self.next() != "[end]":
                 raise self.error("missing [end] marker")
+            count += 1
+        if declared is not None and count != declared:
+            raise self.error(f"{count} [run] blocks, but the header says {declared}")
+
+
+def _weight_summary(rows: np.ndarray) -> dict:
+    with np.errstate(over="ignore", invalid="ignore"):
+        logs = np.log(rows, out=np.zeros_like(rows), where=rows > 0)
+        entropy = -(rows * logs).sum(axis=1)
+    column = rows.argmax(axis=1)
+    return {
+        "weight_entropy": entropy.tolist(),
+        "weight_max": rows[np.arange(len(rows)), column].tolist(),
+        "weight_max_column": column.tolist(),
+    }
 
 
 def _run_lines(run: RunReport) -> list[str]:
     lines = _fields(_RUN_HEAD, vars(run))
+    write = _B64_ROW[0]
+    rows = run.weight_matrix if run.weights is None else run.weights[None]
     if run.weights is not None:
-        lines.append(f"weights: {_FLOATS[0](run.weights)}")
-    if run.weight_matrix is not None:
-        lines.append(f"weight_matrix: {len(run.weight_matrix)}")
-        lines += [f"row: {_FLOATS[0](row)}" for row in run.weight_matrix]
+        lines.append(f"weights: {write(run.weights)}")
+    elif rows is not None:
+        lines.append(f"weight_matrix: {len(rows)}")
+        lines += [f"row: {write(row)}" for row in rows]
+    if rows is not None:
+        lines += _fields(_WEIGHT_SUMMARY, _weight_summary(rows))
     return lines + _fields(_RUN_TAIL, vars(run))
 
 
 def save_report(report: ReportFile, path: str) -> str:
-    head = _fields(_REPORT_HEAD, vars(report))
-    return _save_lines(path, _REPORT, head, map(_run_lines, report.run_reports))
+    head = [f"format: {_REPORT_V2}", f"extends: {_REPORT_V1}"]
+    head += _fields(_REPORT_HEAD, vars(report))
+    return _save_lines(path, head, map(_run_lines, report.run_reports))
+
+
+def _weight_row(src: _Lines, key: str, d_hat: int) -> np.ndarray:
+    row = src.field(key, _WEIGHT_ROWS[src.format][1])
+    if row.size != d_hat:
+        raise src.error(f"{row.size} weights, but d_hat is {d_hat}")
+    if not np.isfinite(row).all():
+        raise src.error("weights must be finite")
+    return row
+
+
+def _read_weights(src: _Lines, run: dict, k: int, d_hat: int) -> None:
+    """Read a run's weight lines, if any, into ``run``."""
+    run["weights"] = run["weight_matrix"] = rows = None
+    if src.has("weights"):
+        run["weights"] = _weight_row(src, "weights", d_hat)
+        rows = run["weights"][None]
+    elif src.has("weight_matrix"):
+        if (count := src.field("weight_matrix", int)) != k or k < 1:
+            raise src.error(f"{count} weight rows, but k is {k}")
+        rows = _freeze(np.stack([_weight_row(src, "row", d_hat) for _ in range(k)]))
+        run["weight_matrix"] = rows
+    if rows is not None and src.format == _REPORT_V2:
+        for line in _fields(_WEIGHT_SUMMARY, _weight_summary(rows)):
+            if (got := src.next()) != line:
+                raise src.error(f"expected {line[:60]!r}, got {got[:60]!r}")
 
 
 def load_report(path: str) -> ReportFile:
-    src = _Lines(path, f"format: {_REPORT}", _REPORT)
+    """Read a v2 or v1 report; labels and weights come back as arrays."""
+    src = _Lines(path, "format: ", (_REPORT_V2, _REPORT_V1))
+    if src.format == _REPORT_V2 and src.field("extends", str) != _REPORT_V1:
+        raise src.error(f"a {_REPORT_V2} file extends {_REPORT_V1}")
     head = src.fields(_REPORT_HEAD)
-    read_floats = _FLOATS[1]
+    k = head["k"]
     runs = []
-    for _ in src.blocks():
+    for _ in src.blocks(head["runs"]):
         run = src.fields(_RUN_HEAD)
-        run["weights"] = run["weight_matrix"] = None
-        if src.has("weights"):
-            run["weights"] = src.field("weights", read_floats)
-        if src.has("weight_matrix"):
-            rows = range(src.field("weight_matrix", int))
-            run["weight_matrix"] = tuple(src.field("row", read_floats) for _ in rows)
+        labels = run["labels"]
+        if labels.size and (labels.min() < 1 or labels.max() > k):
+            raise src.error(f"labels must lie in [1, {k}]")
+        _read_weights(src, run, k, head["d_hat"])
         run.update(src.fields(_RUN_TAIL))
-        runs.append(RunReport(variant=head["variant"], k=head["k"], **run))
-    if len(runs) != head["runs"]:
-        raise src.error(f"{len(runs)} [run] blocks, but the header says {head['runs']}")
+        runs.append(RunReport(variant=head["variant"], k=k, **run))
     return ReportFile(**head, run_reports=tuple(runs))
 
 
 def save_timings(timings: TimingsFile, path: str) -> str:
+    head = [f"format: {_TIMINGS_V2}", *_fields(_TIMINGS_HEAD, vars(timings))]
+    head.append(f"runs: {len(timings.runs)}")
     keys = [key for key, _ in _TIMINGS_RUN]
     runs = [_fields(_TIMINGS_RUN, dict(zip(keys, run))) for run in timings.runs]
-    return _save_lines(path, _TIMINGS, _fields(_TIMINGS_HEAD, vars(timings)), runs)
+    return _save_lines(path, head, runs)
 
 
 def load_timings(path: str) -> TimingsFile:
-    src = _Lines(path, f"format: {_TIMINGS}", _TIMINGS)
+    """Read a v2 or v1 timings sidecar (v1 has no ``runs:`` count)."""
+    src = _Lines(path, "format: ", (_TIMINGS_V2, _TIMINGS_V1))
     head = src.fields(_TIMINGS_HEAD)
-    runs = tuple(tuple(src.fields(_TIMINGS_RUN).values()) for _ in src.blocks())
+    declared = src.field("runs", int) if src.format == _TIMINGS_V2 else None
+    blocks = src.blocks(declared)
+    runs = tuple(tuple(src.fields(_TIMINGS_RUN).values()) for _ in blocks)
     return TimingsFile(**head, runs=runs)
 
 
@@ -302,7 +422,7 @@ def _save_table(table, rows, path: str) -> str:
 
 def _load_table(table, path: str) -> list[tuple]:
     fmt, header, codecs = table
-    src = _Lines(path, f"# format: {fmt}", fmt)
+    src = _Lines(path, "# format: ", (fmt,))
     if src.next() != header:
         raise src.error("unexpected header")
     rows = []
@@ -353,20 +473,27 @@ def load_bench_time(path: str) -> list[tuple[float, int, str, float]]:
     return _load_table(_BENCH_TIME, path)
 
 
-def read_label_file(path: str) -> tuple[int, ...]:
-    """Read ground-truth labels, one integer per line; blank lines are skipped."""
+def read_label_file(path: str) -> np.ndarray:
+    """Read labels, one integer per line, as a frozen int64 array; blank
+    lines are skipped. A bad label is a DataError naming its line."""
     with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return _freeze(_read_labels(text.rstrip("\n"), "\n"))
+    except ValueError:
+        pass  # not plain digit lines: read line by line, naming a bad one
+    labels = []
+    for lineno, token in enumerate(map(str.strip, text.split("\n")), 1):
+        if not token:
+            continue
         try:
-            return tuple(int(line.strip()) for line in fh if line.strip())
+            label = int(token)
         except ValueError:
-            fh.seek(0)  # rescan only on failure, to name the first bad line
-            for lineno, token in enumerate(map(str.strip, fh), 1):
-                try:
-                    int(token or "0")
-                except ValueError:
-                    msg = f"{path}, line {lineno}: label {token!r} is not an integer"
-                    raise DataError(msg) from None
-            raise
+            raise DataError(f"{path}, line {lineno}: label {token!r} is not an integer") from None
+        if not -(2**63) <= label < 2**63:
+            raise DataError(f"{path}, line {lineno}: label {token!r} does not fit in int64")
+        labels.append(label)
+    return _freeze(np.array(labels, dtype=np.int64))
 
 
 def write_label_file(labels, path: str) -> str:

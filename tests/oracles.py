@@ -254,6 +254,42 @@ def phi_tensor(dataset, space, protos) -> np.ndarray:
     return phi
 
 
+def weighted_distance(dataset, space, protos, weights, x: int, m: int) -> float:
+    """Weighted dissimilarity between object ``x`` and prototype ``m``
+    (both 0-based indices).
+
+    Numerical pass-through attributes contribute |x - m|; sub-attributes
+    contribute the coordinate gap between the object's and the prototype's
+    value. With a weight matrix (a ``WeightMatrix``), row ``m`` applies;
+    ``None`` weighs every column 1.
+    """
+    from harr.cluster import WeightMatrix
+
+    if weights is None:
+        w = None
+    elif isinstance(weights, WeightMatrix):
+        w = weights.w[m]
+    else:
+        w = weights.w
+    total = 0.0
+    j = 0
+    for r in space.numeric_attrs:
+        phi = abs(dataset.cells[x, r] - protos.values[m, r])
+        total += phi * (w[j] if w is not None else 1.0)
+        j += 1
+    for block in space.blocks:
+        u = int(dataset.cells[x, block.source])
+        f = int(protos.values[m, block.source])
+        if block.is_fallback:
+            phis = [float(u != f)]
+        else:
+            phis = np.abs(block.coords[:, u - 1] - block.coords[:, f - 1]).tolist()
+        for phi in phis:
+            total += phi * (w[j] if w is not None else 1.0)
+            j += 1
+    return total
+
+
 def kmodes_with_table_oracle(
     cells: np.ndarray,
     kinds: list[str],

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -69,7 +70,7 @@ def _report_file(runs, variant="HARR-V"):
         inner_cap=100,
         outer_cap=50,
         epsilon=1e-12,
-        d_hat=5,
+        d_hat=2,  # the length of each weight row
         ari_mean=0.5,
         ari_std=0.0,
         ca_mean=0.75,
@@ -139,7 +140,7 @@ class TestReportRoundtrip:
         run = _run_report(weights=(1 / 3, 2 / 3))
         path = save_report(_report_file([run]), str(tmp_path / "r.txt"))
         loaded = load_report(path)
-        assert loaded.run_reports[0].weights == (1 / 3, 2 / 3)
+        assert loaded.run_reports[0].weights.tolist() == [1 / 3, 2 / 3]
 
 
 def test_timings_roundtrip(tmp_path):
@@ -148,7 +149,9 @@ def test_timings_roundtrip(tmp_path):
     assert load_timings(path) == timings
 
 
-GOLDEN_REPORT = """\
+# What the previous writer wrote for ``_golden_report()``; the reader still
+# reads it, to a report equal to the one the current writer writes below.
+GOLDEN_REPORT_V1 = """\
 format: harr-report-v1
 variant: HARR-M
 dataset: data.csv
@@ -214,10 +217,101 @@ trace_reseeded: 0
 [end]
 """
 
-GOLDEN_TIMINGS = """\
+GOLDEN_REPORT_V2 = """\
+format: harr-report-v2
+extends: harr-report-v1
+variant: HARR-M
+dataset: data.csv
+schema: schema.txt
+labels_file: none
+k: 2
+runs: 3
+base_seed: 7
+bins: none
+inner_cap: 100
+outer_cap: 50
+epsilon: 1e-12
+d_hat: 2
+ari_mean: none
+ari_std: none
+ca_mean: none
+ca_std: none
+[run]
+seed: 7
+converged: true
+inner_iterations: 3
+weight_updates: 1
+inner_monotone: false
+max_inner_increase: 0.1
+ari: none
+ca: none
+labels: 1 2 2 1
+weights: VVVVVVVV1T9VVVVVVVXlPw==
+weight_entropy: 0.636514
+weight_max: 0.6666666666666666
+weight_max_column: 1
+trace_z: 12.5 3.25 3.25
+trace_weights_updated: 0 1 0
+trace_reseeded: 0 0 1
+[end]
+[run]
+seed: 8
+converged: false
+inner_iterations: 2
+weight_updates: 0
+inner_monotone: true
+max_inner_increase: 0.0
+ari: none
+ca: none
+labels: 2 1 1 2
+weight_matrix: 2
+row: AAAAAAAA4D8AAAAAAADgPw==
+row: AAAAAAAAwD8AAAAAAADsPw==
+weight_entropy: 0.693147 0.376770
+weight_max: 0.5 0.875
+weight_max_column: 0 1
+trace_z: 1e-05
+trace_weights_updated: 0
+trace_reseeded: 0
+[end]
+[run]
+seed: 9
+converged: true
+inner_iterations: 2
+weight_updates: 0
+inner_monotone: true
+max_inner_increase: 0.0
+ari: none
+ca: none
+labels: 1 1 2 2
+trace_z: 0.5
+trace_weights_updated: 0
+trace_reseeded: 0
+[end]
+"""
+
+GOLDEN_TIMINGS_V1 = """\
 format: harr-timings-v1
 variant: HARR-M
 reconstruct_s: 0.125
+[run]
+seed: 7
+cluster_s: 0.5
+weights_s: 0.25
+[end]
+[run]
+seed: 8
+cluster_s: 1.0
+weights_s: 0.0
+[end]
+"""
+
+
+GOLDEN_TIMINGS_V2 = """\
+format: harr-timings-v2
+variant: HARR-M
+reconstruct_s: 0.125
+runs: 2
 [run]
 seed: 7
 cluster_s: 0.5
@@ -273,12 +367,18 @@ def _golden_report() -> ReportFile:
 def test_golden_report_and_timings_bytes(tmp_path):
     report = _golden_report()
     path = save_report(report, str(tmp_path / "r.txt"))
-    assert Path(path).read_text(encoding="utf-8") == GOLDEN_REPORT
+    assert Path(path).read_text(encoding="utf-8") == GOLDEN_REPORT_V2
     assert load_report(path) == report
+    v1 = tmp_path / "r-v1.txt"
+    v1.write_text(GOLDEN_REPORT_V1, encoding="utf-8")
+    assert load_report(str(v1)) == report
     timings = TimingsFile("HARR-M", 0.125, ((7, 0.5, 0.25), (8, 1.0, 0.0)))
     path = save_timings(timings, str(tmp_path / "t.txt"))
-    assert Path(path).read_text(encoding="utf-8") == GOLDEN_TIMINGS
+    assert Path(path).read_text(encoding="utf-8") == GOLDEN_TIMINGS_V2
     assert load_timings(path) == timings
+    v1 = tmp_path / "t-v1.txt"
+    v1.write_text(GOLDEN_TIMINGS_V1, encoding="utf-8")
+    assert load_timings(str(v1)) == timings
 
 
 # Printable ASCII without surrounding blanks: a report reads each value back
@@ -289,32 +389,40 @@ _text = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
 _float = st.floats(allow_nan=False)
 _floats = st.lists(_float, max_size=5).map(tuple)
 _bits = st.lists(st.booleans(), max_size=5).map(tuple)
+# Weights are finite; the edge cases are drawn on purpose as well.
+_weight = st.sampled_from([-0.0, 5e-324, 1e-310, 1e308, -1e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
 
 
 @st.composite
 def _report_files(draw) -> ReportFile:
-    variant, k = draw(_text), draw(st.integers())
-    runs = tuple(
-        RunReport(
-            variant=variant,
-            k=k,
-            seed=draw(st.integers()),
-            labels=tuple(draw(st.lists(st.integers(), max_size=8))),
-            weights=draw(st.none() | _floats),
-            weight_matrix=draw(st.none() | st.lists(_floats, max_size=3).map(tuple)),
-            trace_z=draw(_floats),
-            trace_weights_updated=draw(_bits),
-            trace_reseeded=draw(_bits),
-            inner_iterations=draw(st.integers()),
-            weight_updates=draw(st.integers()),
-            converged=draw(st.booleans()),
-            inner_monotone=draw(st.booleans()),
-            max_inner_increase=draw(_float),
-            ari=draw(st.none() | _float),
-            ca=draw(st.none() | _float),
+    # k up to 12 gives two-digit labels; every weight row has d_hat entries.
+    variant, k, d_hat = draw(_text), draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    rows = st.lists(st.lists(_weight, min_size=d_hat, max_size=d_hat), min_size=k, max_size=k)
+    runs = []
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["none", "vector", "matrix"]))
+        runs.append(
+            RunReport(
+                variant=variant,
+                k=k,
+                seed=draw(st.integers()),
+                labels=tuple(draw(st.lists(st.integers(1, k), max_size=8))),
+                weights=draw(rows)[0] if kind == "vector" else None,
+                weight_matrix=draw(rows) if kind == "matrix" else None,
+                trace_z=draw(_floats),
+                trace_weights_updated=draw(_bits),
+                trace_reseeded=draw(_bits),
+                inner_iterations=draw(st.integers()),
+                weight_updates=draw(st.integers()),
+                converged=draw(st.booleans()),
+                inner_monotone=draw(st.booleans()),
+                max_inner_increase=draw(_float),
+                ari=draw(st.none() | _float),
+                ca=draw(st.none() | _float),
+            )
         )
-        for _ in range(draw(st.integers(0, 3)))
-    )
     return ReportFile(
         variant=variant,
         dataset=draw(_text),
@@ -327,12 +435,12 @@ def _report_files(draw) -> ReportFile:
         inner_cap=draw(st.integers()),
         outer_cap=draw(st.integers()),
         epsilon=draw(_float),
-        d_hat=draw(st.integers()),
+        d_hat=d_hat,
         ari_mean=draw(st.none() | _float),
         ari_std=draw(st.none() | _float),
         ca_mean=draw(st.none() | _float),
         ca_std=draw(st.none() | _float),
-        run_reports=runs,
+        run_reports=tuple(runs),
     )
 
 
@@ -346,8 +454,25 @@ def test_report_roundtrip_and_resave_bytes(tmp_path, report):
     first = save_report(report, str(tmp_path / "a.txt"))
     loaded = load_report(first)
     assert loaded == report
+    for got, want in zip(loaded.run_reports, report.run_reports):
+        for w, v in ((got.weights, want.weights), (got.weight_matrix, want.weight_matrix)):
+            assert (w is None and v is None) or w.tobytes() == v.tobytes()  # -0.0 too
     second = save_report(loaded, str(tmp_path / "b.txt"))
     assert Path(first).read_bytes() == Path(second).read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 10**18 - 1) | st.integers(1, 12), max_size=40))
+def test_label_codec_matches_python_decimals(labels):
+    # The numpy writer and reader against str() and int(); one-digit label
+    # sets take the writer's byte-buffer path, the rest its gather path.
+    from harr.report import _label_text, _read_labels
+
+    arr = np.array(labels, dtype=np.int64)
+    text = _label_text(arr)
+    assert text == " ".join(map(str, labels))
+    assert _read_labels(text).tolist() == labels
+    assert _read_labels("\n".join(map(str, labels)), "\n").tolist() == labels
 
 
 def test_report_cut_at_every_line_is_a_data_error(synth_dir, tmp_path):
@@ -392,11 +517,79 @@ def test_report_cut_at_every_line_is_a_data_error(synth_dir, tmp_path):
 def test_malformed_report_names_path_and_line(tmp_path, old, new, message):
     path = tmp_path / "r.txt"
     # Edit the last occurrence, so that appending lands after the last [end].
-    head, _, tail = GOLDEN_REPORT.rpartition(old)
+    head, _, tail = GOLDEN_REPORT_V1.rpartition(old)
     path.write_text(head + new + tail)
     with pytest.raises(ValueError) as raised:
         load_report(str(path))
     assert str(raised.value) == f"{path}, {message}"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("VVVVVVVV1T9", "VVVV!VVV1T9", "line 29: cannot read 'VVVV!VVV1T9VVVVVVVXlPw=='"),
+        ("VVVVVVVV1T9VVVVVVVXlPw==", "VVVVVVVV", "line 29: cannot read 'VVVVVVVV'"),
+        ("VVVVVVVV1T9VVVVVVVXlPw==", "AAAAAAAA4D8=", "line 29: 1 weights, but d_hat is 2"),
+        ("VVVVVVVV1T9VVVVVVVXlPw==", "AAAAAAAA+H8AAAAAAADgPw==", "line 29: weights must be finite"),
+        ("labels: 1 2 2 1", "labels: 1 3 2 1", "line 28: labels must lie in [1, 2]"),
+        (
+            "weight_max: 0.6666666666666666",
+            "weight_max: 0.7",
+            "line 31: expected 'weight_max: 0.6666666666666666', got 'weight_max: 0.7'",
+        ),
+        ("weight_matrix: 2", "weight_matrix: 3", "line 47: 3 weight rows, but k is 2"),
+        ("extends: harr-report-v1", "extends: harr-report-v0",
+         "line 2: a harr-report-v2 file extends harr-report-v1"),
+    ],
+    ids=[
+        "bad-base64", "partial-float", "payload-length", "nan-payload", "label-above-k",
+        "summary-mismatch", "matrix-rows", "extends",
+    ],
+)
+def test_malformed_v2_report_names_path_and_line(tmp_path, old, new, message):
+    path = tmp_path / "r.txt"
+    assert old in GOLDEN_REPORT_V2
+    path.write_text(GOLDEN_REPORT_V2.replace(old, new, 1))
+    with pytest.raises(ValueError) as raised:
+        load_report(str(path))
+    assert str(raised.value) == f"{path}, {message}"
+
+
+def test_cut_timings_file_is_a_data_error(tmp_path):
+    # A v2 sidecar cut after a complete [run] block no longer reloads as a
+    # shorter valid file; a v1 sidecar has no count to check.
+    path = tmp_path / "t.txt"
+    path.write_text("".join(GOLDEN_TIMINGS_V2.splitlines(True)[:9]))
+    with pytest.raises(ValueError) as raised:
+        load_timings(str(path))
+    assert str(raised.value) == f"{path}, line 9: 1 [run] blocks, but the header says 2"
+    path.write_text("".join(GOLDEN_TIMINGS_V1.splitlines(True)[:8]))
+    assert len(load_timings(str(path)).runs) == 1
+
+
+def test_loaded_wide_matrix_report_holds_arrays(tmp_path):
+    # Ten HARR-M runs, k = 5, d_hat = 7,081: 2.8 MB of float64 weights. As
+    # Python floats in tuples the same weights took about 11 MB.
+    k, d_hat, n = 5, 7081, 2000
+    rng = np.random.default_rng(0)
+    runs = [
+        replace(
+            _run_report("HARR-M", seed=s, weights=None, matrix=rng.dirichlet(np.ones(d_hat), k)),
+            k=k,
+            labels=rng.integers(1, k + 1, n),
+        )
+        for s in range(10)
+    ]
+    report = replace(_report_file(runs, variant="HARR-M"), k=k, d_hat=d_hat)
+    path = save_report(report, str(tmp_path / "r.txt"))
+    tracemalloc.start()
+    try:
+        loaded = load_report(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert loaded == report
+    assert held < 5_000_000
 
 
 def test_table_row_with_wrong_field_count_names_path_and_line(tmp_path):
@@ -439,7 +632,9 @@ def test_bench_time_roundtrip(tmp_path):
 
 def test_label_file_roundtrip(tmp_path):
     path = write_label_file([1, 2, 3, 1], str(tmp_path / "labels.txt"))
-    assert read_label_file(path) == (1, 2, 3, 1)
+    labels = read_label_file(path)
+    assert labels.tolist() == [1, 2, 3, 1]
+    assert labels.dtype == np.int64 and not labels.flags.writeable
 
 
 def test_variant_slug():
@@ -817,6 +1012,24 @@ class TestCliMain:
         assert main([command] + args) == 3
         err = capsys.readouterr().err
         assert err == f"data error: {bad}, line 3: label 'x' is not an integer\n"
+
+    @pytest.mark.parametrize("command", ["cluster", "eval"])
+    def test_label_beyond_int64_names_file_and_line(self, tmp_path, capsys, command):
+        out = str(tmp_path / "synth")
+        main(["synth", "--n", "3", "--k-true", "2", "--d-n", "1", "--out", out])
+        bad = tmp_path / "labels.txt"
+        bad.write_text("1\n99999999999999999999\n2\n")
+        capsys.readouterr()
+        if command == "cluster":
+            args = ["--data", f"{out}/data.csv", "--schema", f"{out}/schema.txt"]
+            args += ["--labels", str(bad), "--k", "2", "--out", str(tmp_path / "runs")]
+        else:
+            args = ["--labels", f"{out}/labels.txt", "--pred", str(bad)]
+        assert main([command] + args) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            f"data error: {bad}, line 2: label '99999999999999999999' does not fit in int64\n"
+        )
 
     def test_strict_nonconvergence_exit_code(self, tmp_path):
         out = str(tmp_path / "synth")
