@@ -62,8 +62,8 @@ class BenchConfig:
     runs: int = 20
     base_seed: int = 0
     bins: int | None = None
-    inner_cap: int = 100
-    outer_cap: int = 50
+    inner_cap: int = RunConfig.inner_cap
+    outer_cap: int = RunConfig.outer_cap
     out_dir: str = "harr-out"
     workers: int = 1
     phis: tuple[float, ...] = (0.001, 0.2, 0.4, 0.6, 0.8, 1.0)
@@ -76,12 +76,12 @@ class BenchConfig:
             raise ConfigError("runs must be at least 1")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-        if self.bins is not None and self.bins < 2:
-            raise ConfigError("bins override must be at least 2")
         if self.repeats < 1:
             raise ConfigError("repeats must be at least 1")
         if any(not 0.0 < phi <= 1.0 for phi in self.phis):
             raise ConfigError("sampling rates must lie in (0, 1]")
+        for variant in self.variants:  # RunConfig checks k, caps and bins
+            _run_config(self, variant, self.base_seed)
 
 
 def load_dataset(schema_path: str, data_path: str, normalize: bool = True) -> Dataset:

@@ -31,68 +31,95 @@ def build_parser() -> argparse.ArgumentParser:
         "weight-learning variants plus classical baselines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    cluster = sub.add_parser("cluster", help="run variants over seeded repeats")
-    cluster.add_argument("--data", required=True, help="headerless CSV data file")
-    cluster.add_argument("--schema", required=True, help="schema file")
-    cluster.add_argument("--labels", help="ground-truth labels, one per line")
-    cluster.add_argument("--k", type=int, required=True, help="cluster count")
-    cluster.add_argument(
-        "--variant",
-        action="append",
-        choices=VARIANTS,
-        help="variant to run (repeatable; default HARR-V and HARR-M)",
+    # Options left unset stay out of the namespace, so the defaults of
+    # BenchConfig and SyntheticSpec apply; help texts quote BenchConfig's.
+    unset = argparse.SUPPRESS
+    cluster = sub.add_parser(
+        "cluster", help="run variants over seeded repeats", argument_default=unset
     )
-    cluster.add_argument("--runs", type=int, default=20)
-    cluster.add_argument("--seed", type=int, default=0, help="base seed")
-    cluster.add_argument("--bins", type=int, help="discretization bin override")
-    cluster.add_argument("--inner-cap", type=int, default=100)
-    cluster.add_argument("--outer-cap", type=int, default=50)
-    cluster.add_argument("--out", default="harr-out", help="output directory")
-    cluster.add_argument("--workers", type=int, default=1)
+    evaluate = sub.add_parser("eval", help="score a predicted labeling")
+    synth = sub.add_parser(
+        "synth", help="generate a planted synthetic dataset", argument_default=unset
+    )
+    bench = sub.add_parser(
+        "bench-time", help="timing sweep over sampling rates", argument_default=unset
+    )
+    trace = sub.add_parser("trace", help="export plot-ready objective traces")
+
+    for command in (cluster, bench):
+        command.add_argument("--data", required=True, help="headerless CSV data file")
+        command.add_argument("--schema", required=True, help="schema file")
+        command.add_argument("--k", type=int, required=True, help="cluster count")
+        command.add_argument(
+            "--variant",
+            dest="variants",
+            action="append",
+            choices=VARIANTS,
+            help="variant to run (repeatable; default "
+            f"{' and '.join(BenchConfig.variants)})",
+        )
+        command.add_argument(
+            "--seed",
+            dest="base_seed",
+            type=int,
+            help=f"base seed (default {BenchConfig.base_seed})",
+        )
+        command.add_argument("--bins", type=int, help="discretization bin override")
+        command.add_argument(
+            "--inner-cap",
+            type=int,
+            help=f"assignments per weight epoch (default {BenchConfig.inner_cap})",
+        )
+        command.add_argument(
+            "--outer-cap",
+            type=int,
+            help=f"weight refreshes per run (default {BenchConfig.outer_cap})",
+        )
+        command.add_argument(
+            "--out",
+            dest="out_dir",
+            help=f"output directory (default {BenchConfig.out_dir})",
+        )
+
+    cluster.add_argument("--labels", help="ground-truth labels, one per line")
+    cluster.add_argument(
+        "--runs", type=int, help=f"seeded runs per variant (default {BenchConfig.runs})"
+    )
+    cluster.add_argument(
+        "--workers", type=int, help=f"concurrent runs (default {BenchConfig.workers})"
+    )
     cluster.add_argument(
         "--strict",
         action="store_true",
+        default=False,
         help="exit 4 when any run hits its iteration caps",
     )
 
-    evaluate = sub.add_parser("eval", help="score a predicted labeling")
     evaluate.add_argument("--labels", required=True, help="ground-truth label file")
     evaluate.add_argument("--pred", required=True, help="predicted label file")
 
-    synth = sub.add_parser("synth", help="generate a planted synthetic dataset")
-    synth.add_argument("--n", type=int, default=100_000)
-    synth.add_argument("--k-true", type=int, default=5)
-    synth.add_argument("--d-u", type=int, default=0)
-    synth.add_argument("--d-n", type=int, default=5)
-    synth.add_argument("--d-o", type=int, default=0)
-    synth.add_argument("--values", type=int, default=5)
-    synth.add_argument("--separation", type=float, default=0.8)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--n", type=int)
+    synth.add_argument("--k-true", type=int)
+    synth.add_argument("--d-u", type=int)
+    synth.add_argument("--d-n", type=int)
+    synth.add_argument("--d-o", type=int)
+    synth.add_argument("--values", type=int)
+    synth.add_argument("--separation", type=float)
+    synth.add_argument("--seed", type=int)
     synth.add_argument("--out", default="harr-synth", help="output directory")
 
-    bench = sub.add_parser("bench-time", help="timing sweep over sampling rates")
-    bench.add_argument("--data", required=True)
-    bench.add_argument("--schema", required=True)
-    bench.add_argument("--k", type=int, required=True)
-    bench.add_argument(
-        "--variant", action="append", choices=VARIANTS, help="repeatable"
-    )
     bench.add_argument(
         "--phi",
+        dest="phis",
         action="append",
         type=float,
         help="sampling rate in (0, 1] (repeatable; default "
-        "0.001 0.2 0.4 0.6 0.8 1.0)",
+        f"{' '.join(map(str, BenchConfig.phis))})",
     )
-    bench.add_argument("--seed", type=int, default=0)
-    bench.add_argument("--repeats", type=int, default=3)
-    bench.add_argument("--bins", type=int)
-    bench.add_argument("--inner-cap", type=int, default=100)
-    bench.add_argument("--outer-cap", type=int, default=50)
-    bench.add_argument("--out", default="harr-out")
+    bench.add_argument(
+        "--repeats", type=int, help=f"timed repeats (default {BenchConfig.repeats})"
+    )
 
-    trace = sub.add_parser("trace", help="export plot-ready objective traces")
     trace.add_argument(
         "--report", action="append", required=True, help="report file (repeatable)"
     )
@@ -101,21 +128,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _options(args: argparse.Namespace, *skip: str) -> dict:
+    """The options given on the command line, repeated ones as tuples."""
+    return {
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in vars(args).items()
+        if key not in ("command", *skip)
+    }
+
+
 def _do_cluster(args: argparse.Namespace) -> int:
-    cfg = BenchConfig(
-        data=args.data,
-        schema=args.schema,
-        labels=args.labels,
-        variants=tuple(args.variant) if args.variant else ("HARR-V", "HARR-M"),
-        k=args.k,
-        runs=args.runs,
-        base_seed=args.seed,
-        bins=args.bins,
-        inner_cap=args.inner_cap,
-        outer_cap=args.outer_cap,
-        out_dir=args.out,
-        workers=args.workers,
-    )
+    cfg = BenchConfig(**_options(args, "strict"))
     reports = cmd_cluster(cfg)
     capped = False
     for report in reports:
@@ -145,36 +168,14 @@ def _do_eval(args: argparse.Namespace) -> int:
 
 
 def _do_synth(args: argparse.Namespace) -> int:
-    spec = SyntheticSpec(
-        n=args.n,
-        k_true=args.k_true,
-        d_u=args.d_u,
-        d_n=args.d_n,
-        d_o=args.d_o,
-        values=args.values,
-        separation=args.separation,
-        seed=args.seed,
-    )
-    paths = write_synthetic(spec, args.out)
+    paths = write_synthetic(SyntheticSpec(**_options(args, "out")), args.out)
     for kind, path in paths.items():
         print(f"{kind}: {path}")
     return 0
 
 
 def _do_bench_time(args: argparse.Namespace) -> int:
-    cfg = BenchConfig(
-        data=args.data,
-        schema=args.schema,
-        variants=tuple(args.variant) if args.variant else ("HARR-V", "HARR-M"),
-        k=args.k,
-        base_seed=args.seed,
-        bins=args.bins,
-        inner_cap=args.inner_cap,
-        outer_cap=args.outer_cap,
-        out_dir=args.out,
-        phis=tuple(args.phi) if args.phi else (0.001, 0.2, 0.4, 0.6, 0.8, 1.0),
-        repeats=args.repeats,
-    )
+    cfg = BenchConfig(**_options(args))
     rows = cmd_bench_time(cfg)
     for phi, n_sub, variant, seconds in rows:
         print(f"phi={phi:g} n={n_sub} {variant}: {seconds:.6f}s")

@@ -1,11 +1,14 @@
 """Clustering engine: weight-learning variants and classical baselines.
 
-Every variant runs through one alternating loop: objects are assigned to
-their nearest prototype under the variant's dissimilarity, prototypes are
-refit, and the loop repeats until the partition stops changing. The
-weight-learning variants then refresh attribute weights from the ratio of
-inter- to intra-cluster average distance per attribute and resume, stopping
-once the partition is stable across weight refreshes.
+Every variant runs through one loop of epochs (``run_prepared``). Within
+an epoch the weights are fixed: objects are assigned to their nearest
+prototype under the variant's dissimilarity and prototypes are refit, until
+an assignment repeats the previous partition (Q') or ``inner_cap``
+assignments were made. HARR-V and HARR-M then refresh their attribute
+weights from the ratio of inter- to intra-cluster average distance per
+attribute and start the next epoch, until an epoch ends on the partition of
+the last refresh (Q'') or ``outer_cap`` refreshes were made. HAR and the
+baselines run a single epoch.
 
 The score and refit steps come from the variant's model. Identical rows
 score alike, so a model scores each distinct row of the dataset once; the
@@ -560,10 +563,14 @@ def _weight_stats(
 
 
 def _weight_vector_from_stats(
-    member_sum: np.ndarray, total_sum: np.ndarray, n: int, k: int, epsilon: float
+    member_sum: np.ndarray,
+    total_sum: np.ndarray,
+    sizes: np.ndarray,
+    n: int,
+    epsilon: float,
 ) -> np.ndarray:
     intra = member_sum.sum(axis=0) / n
-    inter = (total_sum - member_sum).sum(axis=0) / (n * (k - 1))
+    inter = (total_sum - member_sum).sum(axis=0) / (n * (sizes.size - 1))
     return normalize_importances(inter / (intra + epsilon))
 
 
@@ -577,19 +584,12 @@ def _weight_matrix_from_stats(
     k, m = member_sum.shape
     out = np.empty((k, m))
     for l in range(k):
-        if sizes[l] == 0:
+        if sizes[l] in (0, n):
             # A cluster covering all n objects forces empty siblings, so both
             # degenerate cases resolve to a uniform row.
+            what = "is empty" if sizes[l] == 0 else "covers every object"
             warnings.warn(
-                f"cluster {l} is empty; its weight row is set uniform",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            out[l] = 1.0 / m
-            continue
-        if sizes[l] == n:
-            warnings.warn(
-                f"cluster {l} covers every object; its weight row is set uniform",
+                f"cluster {l} {what}; its weight row is set uniform",
                 RuntimeWarning,
                 stacklevel=3,
             )
@@ -605,6 +605,11 @@ def _weight_matrix_from_stats(
 # Public single-step operations.
 
 
+def _check_shape(name: str, a: np.ndarray, shape: tuple[int, ...]) -> None:
+    if a.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}; got {a.shape}")
+
+
 def assign(
     dataset: Dataset,
     space: ReconstructedSpace,
@@ -612,9 +617,13 @@ def assign(
     weights: WeightVector | WeightMatrix | None,
 ) -> Partition:
     """Assign every object to its nearest prototype; ties break to the
-    lowest cluster index."""
+    lowest cluster index. Shapes: prototypes (k, d), weights (d_hat,) or
+    (k, d_hat)."""
     model = _model_reconstructed(dataset, space)
+    _check_shape("prototypes", protos.values, (protos.k, dataset.schema.d))
     w = None if weights is None else weights.w
+    if w is not None:
+        _check_shape("weights", w, (protos.k, model.m) if w.ndim == 2 else (model.m,))
     scores = model.scores(protos.values, w, {}, _block_buffer(model))
     return Partition(scores.argmin(axis=0)[model.inverse] + 1, protos.k)
 
@@ -623,7 +632,7 @@ def update_prototypes(dataset: Dataset, partition: Partition, k: int | None = No
     """Refit prototypes: numerical attributes take the member mean,
     categorical attributes the most frequent value index (ties to the lowest
     index). A memberless cluster falls back to the dataset-wide mean/mode;
-    the run loops re-seed empty clusters before refitting, so the fallback
+    the run loop re-seeds empty clusters before refitting, so the fallback
     only matters for direct calls. ``k`` may exceed the partition's k to
     refit trailing memberless clusters, but no label may exceed it.
     """
@@ -656,10 +665,8 @@ def update_weight_vector(
     (guarded by ``epsilon``); importances are normalized onto the simplex.
     Requires k >= 2.
     """
-    member_sum, total_sum, _ = _refresh_stats(dataset, space, partition, protos)
-    return WeightVector(
-        _weight_vector_from_stats(member_sum, total_sum, dataset.n, protos.k, epsilon)
-    )
+    stats = _refresh_stats(dataset, space, partition, protos)
+    return WeightVector(_weight_vector_from_stats(*stats, dataset.n, epsilon))
 
 
 def update_weight_matrix(
@@ -674,22 +681,22 @@ def update_weight_matrix(
     Row l weighs each attribute by its average distance from non-members to
     prototype l over its average distance from members (guarded by
     ``epsilon``). Degenerate clusters (no members, or covering every object)
-    get a uniform row with a warning; the run loops re-seed empty clusters
+    get a uniform row with a warning; the run loop re-seeds empty clusters
     so neither case arises there.
     """
-    member_sum, total_sum, sizes = _refresh_stats(dataset, space, partition, protos)
-    return WeightMatrix(
-        _weight_matrix_from_stats(member_sum, total_sum, sizes, dataset.n, epsilon)
-    )
+    stats = _refresh_stats(dataset, space, partition, protos)
+    return WeightMatrix(_weight_matrix_from_stats(*stats, dataset.n, epsilon))
 
 
 # ---------------------------------------------------------------------------
-# Run loops.
+# The run loop.
 
 
 @dataclass(frozen=True)
 class Prepared:
-    """Variant-specific immutable inputs shared by every run on a dataset."""
+    """Variant-specific immutable inputs shared by every run on a dataset.
+    ``reconstruct_s`` is the variant's whole ``prepare`` time (discretize,
+    base distances, projection, model build), so KPT's is nonzero too."""
 
     variant: str
     model: _ColumnModel | _PointModel
@@ -712,15 +719,13 @@ def prepare(dataset: Dataset, variant: str, bins: int | None = None) -> Prepared
         raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     start = time.perf_counter()
     space = None
-    if variant in ("HARR-V", "HARR-M", "HAR"):
-        view = discretize_numerical(dataset, bins=bins)
-        table = build_base_distances(dataset, view)
-        space = reconstruct(dataset, table)
-        model = _model_reconstructed(dataset, space)
-    elif variant == "BD":
-        view = discretize_numerical(dataset, bins=bins)
-        table = build_base_distances(dataset, view)
-        model = _model_original(dataset, table)
+    if variant in ("HARR-V", "HARR-M", "HAR", "BD"):
+        table = build_base_distances(dataset, discretize_numerical(dataset, bins=bins))
+        if variant == "BD":
+            model = _model_original(dataset, table)
+        else:
+            space = reconstruct(dataset, table)
+            model = _model_reconstructed(dataset, space)
     elif variant in ("KMD", "KPT"):
         if variant == "KMD" and dataset.schema.d_u > 0:
             raise ConfigError(
@@ -745,7 +750,9 @@ def run(dataset: Dataset, config: RunConfig) -> RunReport:
 
 
 def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunReport:
-    """Execute one seeded run on an already-prepared representation."""
+    """Execute one seeded run on an already-prepared representation: the
+    epochs the module docstring describes. A run converged when its last
+    epoch ended on a repeat (Q') and no cap cut the run short."""
     if prep.variant != config.variant:
         raise ConfigError(
             f"prepared for {prep.variant!r} but config asks for {config.variant!r}"
@@ -753,107 +760,67 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
     if config.k > dataset.n:
         raise ConfigError(f"k={config.k} exceeds the {dataset.n} available objects")
     rng = np.random.default_rng(config.seed)
-    weight_mode = {
-        "HARR-V": "vector",
-        "HARR-M": "matrix",
-        "HAR": "frozen",
-    }.get(config.variant, "none")
-    return _run_alternating(dataset, prep, config, rng, weight_mode)
-
-
-def _run_alternating(
-    dataset: Dataset,
-    prep: Prepared,
-    config: RunConfig,
-    rng: np.random.Generator,
-    weight_mode: str,
-) -> RunReport:
     model = prep.model
     inverse = model.inverse
-    n, m = dataset.n, model.m
-    k = config.k
+    n, m, k = dataset.n, model.m, config.k
     started = time.perf_counter()
     weights_s = 0.0
 
     proto_vals = model.at(rng.choice(n, size=k, replace=False))
-    if weight_mode == "none":
-        weights = None
-    elif weight_mode == "matrix":
-        weights = np.full((k, m), 1.0 / m)
-    else:
-        weights = np.full(m, 1.0 / m)
-    memo: dict = {}  # per-value totals under the current weights
+    # Weights start uniform and HARR-V and HARR-M learn them: one vector, or
+    # one row per cluster. HAR keeps the uniform vector; the rest use none.
+    shape, learn = {
+        "HARR-V": ((m,), _weight_vector_from_stats),
+        "HARR-M": ((k, m), _weight_matrix_from_stats),
+        "HAR": ((m,), None),
+    }.get(config.variant, (None, None))
+    weights = None if shape is None else np.full(shape, 1.0 / m)
     buf = _block_buffer(model)  # this run's own; never shared across workers
 
     trace_z: list[float] = []
     trace_updated: list[bool] = []
     trace_reseeded: list[bool] = []
-    labels0 = None
-    prev_inner: np.ndarray | None = None  # last partition seen (Q')
-    prev_outer: np.ndarray | None = None  # partition at last weight refresh (Q'')
-    inner_total = 0
-    inner_count = 0
+    labels0 = None  # the last assignment, which Q' compares against
+    refreshed = None  # the partition at the last weight refresh (Q'')
     updates = 0
-    just_updated = False
-    prev_z: float | None = None
     max_increase = 0.0
-    converged = False
-    inner_stable = False
-
     while True:
-        scores = model.scores(proto_vals, weights, memo, buf)
-        labels0 = scores.argmin(axis=0)[inverse]
-        labels0, reseeded = _reseed_empty(labels0, scores, inverse, k)
-        # per-object values summed in object order
-        z = float(scores[labels0, inverse].sum())
-        del scores  # freed before the next score step allocates its own
-        if prev_z is not None and not just_updated:
-            if not (reseeded or trace_reseeded[-1]):
-                max_increase = max(max_increase, z - prev_z)
-        trace_z.append(z)
-        trace_updated.append(just_updated)
-        trace_reseeded.append(reseeded)
-        prev_z = z
-        just_updated = False
-        inner_total += 1
-        inner_count += 1
-
-        changed = prev_inner is None or not np.array_equal(labels0, prev_inner)
-        if changed and inner_count < config.inner_cap:
-            prev_inner = labels0
-            proto_vals = model.refit(labels0, k)
-            continue
-        inner_stable = not changed
-        if changed:
-            prev_inner = labels0
-
-        if weight_mode in ("none", "frozen"):
-            converged = inner_stable
-            break
-        if prev_outer is not None and np.array_equal(labels0, prev_outer):
-            converged = inner_stable
+        memo: dict = {}  # per-value totals under this epoch's weights
+        for inner in range(config.inner_cap):
+            scores = model.scores(proto_vals, weights, memo, buf)
+            new = scores.argmin(axis=0)[inverse]
+            new, reseeded = _reseed_empty(new, scores, inverse, k)
+            # per-object values summed in object order
+            z = float(scores[new, inverse].sum())
+            del scores  # freed before the next score step allocates its own
+            if inner > 0 and not (reseeded or trace_reseeded[-1]):
+                max_increase = max(max_increase, z - trace_z[-1])
+            trace_z.append(z)
+            trace_updated.append(inner == 0 and updates > 0)
+            trace_reseeded.append(reseeded)
+            stable = labels0 is not None and np.array_equal(new, labels0)
+            labels0 = new
+            if stable:
+                break
+            if inner + 1 < config.inner_cap:
+                proto_vals = model.refit(labels0, k)
+        converged = stable
+        if learn is None or (
+            refreshed is not None and np.array_equal(labels0, refreshed)
+        ):
             break
         if updates >= config.outer_cap:
             converged = False
             break
-        prev_outer = labels0
+        refreshed = labels0
         t0 = time.perf_counter()
-        member_sum, total_sum, sizes = _weight_stats(model, proto_vals, labels0, k, buf)
-        if weight_mode == "vector":
-            weights = _weight_vector_from_stats(
-                member_sum, total_sum, n, k, config.epsilon
-            )
-        else:
-            weights = _weight_matrix_from_stats(
-                member_sum, total_sum, sizes, n, config.epsilon
-            )
-        memo = {}
+        stats = _weight_stats(model, proto_vals, labels0, k, buf)
+        weights = learn(*stats, n, config.epsilon)
         weights_s += time.perf_counter() - t0
         updates += 1
-        just_updated = True
-        inner_count = 0
 
-    del prev_inner, prev_outer  # released before the labels are built
+    del refreshed  # released before the labels are built
+    inner_iterations = len(trace_z)
     if converged:
         # terminal fixed-point entry: the stopping check re-evaluated an
         # unchanged state
@@ -875,7 +842,7 @@ def _run_alternating(
         trace_z=tuple(trace_z),
         trace_weights_updated=tuple(trace_updated),
         trace_reseeded=tuple(trace_reseeded),
-        inner_iterations=inner_total,
+        inner_iterations=inner_iterations,
         weight_updates=updates,
         converged=converged,
         inner_monotone=max_increase <= MONOTONE_TOLERANCE,

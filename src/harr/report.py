@@ -229,7 +229,9 @@ class ReportFile:
 @dataclass(frozen=True)
 class TimingsFile:
     """Sidecar wall-clock timings: shared preparation time plus per-run
-    clustering and weight-update seconds."""
+    clustering and weight-update seconds. ``reconstruct_s`` is the variant's
+    whole ``prepare`` time (discretization, base distances, projection and
+    model build), nonzero also for variants that reconstruct nothing."""
 
     variant: str
     reconstruct_s: float

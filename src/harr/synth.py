@@ -34,6 +34,7 @@ from .schema import (
     Dataset,
     DatasetSchema,
     SchemaError,
+    _observed_range,
     _write_text,
     dataset_to_text,
     schema_to_text,
@@ -151,12 +152,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, tuple[int, ...]]:
             if uniform.any():
                 cells[uniform, r] = rng.integers(1, v + 1, size=int(uniform.sum()))
 
-    lo = np.full(d, np.nan)
-    hi = np.full(d, np.nan)
-    for r in schema.numerical_indices():
-        lo[r] = cells[:, r].min()
-        hi[r] = cells[:, r].max()
-    dataset = Dataset(schema, cells, lo, hi)
+    dataset = Dataset(schema, cells, *_observed_range(schema, cells))
     return dataset, tuple(int(x) + 1 for x in labels0)
 
 

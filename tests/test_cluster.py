@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 from collections import Counter, defaultdict
@@ -131,6 +132,34 @@ class TestAssign:
             phi = phi_tensor(dataset, space, protos)
             scores = (phi * np.asarray(w.w)[None, None, :]).sum(axis=2)
             assert got.labels.tolist() == [int(x) + 1 for x in scores.argmin(axis=1)]
+
+    @pytest.mark.parametrize(
+        "part, shape, expected",
+        [
+            ("weights", (7,), (4,)),
+            ("weights", (3,), (4,)),
+            ("weights", (3, 4), (2, 4)),
+            ("weights", (1, 4), (2, 4)),
+            ("weights", (2, 5), (2, 4)),
+            ("prototypes", (2, 3), (2, 2)),
+            ("prototypes", (2, 1), (2, 2)),
+        ],
+    )
+    def test_rejects_wrong_shapes(self, part, shape, expected):
+        # d = 2 attributes and d_hat = 4 columns (one numerical, three spans
+        # of a 3-valued nominal); k = 2 unless the prototypes say otherwise
+        dataset, space = _mixed("x,num\nc,nom,a|b|c\n", "0.0,a\n0.5,b\n1.0,c\n0.2,a")
+        assert (dataset.schema.d, space.d_hat) == (2, 4)
+        protos = Prototypes(np.ones(shape if part == "prototypes" else (2, 2)))
+        if part == "prototypes":
+            weights = None
+        elif len(shape) == 1:
+            weights = WeightVector(np.full(shape, 1.0 / shape[0]))
+        else:
+            weights = WeightMatrix(np.full(shape, 1.0 / shape[1]))
+        message = f"{part} must have shape {expected}; got {shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            assign(dataset, space, protos, weights)
 
 
 class TestUpdatePrototypes:
@@ -556,6 +585,46 @@ def test_run_matches_alternating_oracle(seed, variant):
         got = getattr(report, name)
         same = np.array_equal(got, value) if isinstance(got, np.ndarray) else got == value
         assert same, name
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["KPT", "KMD", "BD"]))
+def test_capped_baseline_matches_table_oracle(seed, variant):
+    # KPT, KMD and BD stop after inner_cap assignments; a run converged when
+    # one more assignment would change nothing
+    rng = np.random.default_rng(seed)
+    dataset = random_dataset(rng, max_n=30, min_categorical=5 if variant == "KMD" else 0)
+    config = RunConfig(
+        k=int(rng.integers(2, 5)),
+        seed=int(rng.integers(0, 1000)),
+        variant=variant,
+        inner_cap=int(rng.integers(1, 6)),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # unobserved values
+        report = run(dataset, config)
+        table = None
+        if variant == "BD":
+            table = build_base_distances(dataset, discretize_numerical(dataset))
+    kinds, tables = [], []
+    for r, attr in enumerate(dataset.schema.attributes):
+        kinds.append("cat" if attr.kind.is_categorical else "num")
+        if not attr.kind.is_categorical:
+            tables.append(None)
+        else:
+            tables.append(1.0 - np.eye(attr.v) if table is None else table.matrices[r])
+    init = list(np.random.default_rng(config.seed).choice(dataset.n, config.k, replace=False))
+
+    def oracle(max_iter):
+        return kmodes_with_table_oracle(dataset.cells, kinds, tables, init, max_iter)
+
+    labels, trace_z, trace_reseeded = oracle(config.inner_cap)
+    converged = oracle(config.inner_cap + 1)[1] == trace_z
+    assert report.labels.tolist() == [x + 1 for x in labels]
+    assert report.trace_reseeded == tuple(trace_reseeded)
+    assert report.trace_z == pytest.approx(trace_z, rel=1e-12, abs=1e-12)
+    assert report.converged == converged
+    assert report.inner_iterations == len(trace_z) - converged
 
 
 def test_score_memo_builds_each_total_once_per_epoch(monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import harr
+from harr import cli
 from harr.bench import BenchConfig, cmd_bench_time, cmd_cluster, cmd_trace_plot
 from harr.cli import main
 from harr.cluster import ConfigError, PhaseTimings, RunReport
@@ -984,6 +985,31 @@ class TestCliMain:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["cluster", "bench-time"])
+    @pytest.mark.parametrize(
+        "setting",
+        [["--k", "1"], ["--k", "2", "--inner-cap", "0"], ["--k", "2", "--outer-cap", "0"]],
+    )
+    def test_bad_run_setting_fails_before_data_is_read(self, tmp_path, command, setting):
+        # the data file is missing, so reading it would exit 3
+        missing = ["--data", str(tmp_path / "missing.csv"), "--schema", str(tmp_path / "s")]
+        assert main([command, *missing, *setting, "--out", str(tmp_path / "runs")]) == 2
+
+    @pytest.mark.parametrize(
+        "command, handler", [("cluster", "cmd_cluster"), ("bench-time", "cmd_bench_time")]
+    )
+    def test_unset_options_take_config_defaults(self, monkeypatch, command, handler):
+        seen = []
+        monkeypatch.setattr(cli, handler, lambda cfg: seen.append(cfg) or [])
+        assert main([command, "--data", "D", "--schema", "S", "--k", "3"]) == 0
+        assert seen == [BenchConfig(data="D", schema="S", k=3)]
+
+    def test_unset_synth_options_take_spec_defaults(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "write_synthetic", lambda *args: seen.append(args) or {})
+        assert main(["synth"]) == 0
+        assert seen == [(SyntheticSpec(), "harr-synth")]
 
     def test_data_error_exit_code(self, tmp_path):
         code = main(
