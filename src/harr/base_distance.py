@@ -172,7 +172,7 @@ def base_distance_ordinal(
 
 
 def build_base_distances(
-    dataset: Dataset, view: OrdinalView | None = None, bins: int | None = None
+    dataset: Dataset, view: OrdinalView | None = None
 ) -> BaseDistanceTable:
     """One base-distance matrix per categorical attribute of ``dataset``.
 
@@ -181,7 +181,7 @@ def build_base_distances(
     ordinal view is built on demand when not supplied.
     """
     if view is None:
-        view = discretize_numerical(dataset, bins=bins)
+        view = discretize_numerical(dataset)
     matrices: list[np.ndarray | None] = []
     for r, attr in enumerate(dataset.schema.attributes):
         if not attr.kind.is_categorical:

@@ -17,10 +17,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cluster import (
+    EPSILON,
     ConfigError,
     Prepared,
     RunConfig,
     RunReport,
+    _check_variant,
     prepare,
     run_prepared,
 )
@@ -40,7 +42,7 @@ from .report import (
 from .schema import (
     DataError,
     Dataset,
-    _observed_range,
+    _freeze,
     _write_text,
     ingest_table,
     normalize_numerical,
@@ -61,7 +63,6 @@ class BenchConfig:
     k: int = 2
     runs: int = 20
     base_seed: int = 0
-    bins: int | None = None
     inner_cap: int = RunConfig.inner_cap
     outer_cap: int = RunConfig.outer_cap
     out_dir: str = "harr-out"
@@ -80,17 +81,17 @@ class BenchConfig:
             raise ConfigError("repeats must be at least 1")
         if any(not 0.0 < phi <= 1.0 for phi in self.phis):
             raise ConfigError("sampling rates must lie in (0, 1]")
-        for variant in self.variants:  # RunConfig checks k, caps and bins
+        for variant in self.variants:  # RunConfig checks k and the caps
             _run_config(self, variant, self.base_seed)
 
 
-def load_dataset(schema_path: str, data_path: str, normalize: bool = True) -> Dataset:
-    """Parse schema and data files into a (normalized) dataset."""
+def load_dataset(schema_path: str, data_path: str) -> Dataset:
+    """Parse schema and data files into a normalized dataset."""
     with open(schema_path, "r", encoding="utf-8") as fh:
         schema = parse_schema(fh.read())
     with open(data_path, "r", encoding="utf-8") as fh:
         dataset = ingest_table(fh.read(), schema)
-    return normalize_numerical(dataset) if normalize else dataset
+    return normalize_numerical(dataset)
 
 
 def _run_config(cfg: BenchConfig, variant: str, seed: int) -> RunConfig:
@@ -100,7 +101,6 @@ def _run_config(cfg: BenchConfig, variant: str, seed: int) -> RunConfig:
         variant=variant,
         inner_cap=cfg.inner_cap,
         outer_cap=cfg.outer_cap,
-        bins=cfg.bins,
     )
 
 
@@ -125,6 +125,8 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
     with the same configuration; only the timings sidecars vary.
     """
     dataset = load_dataset(cfg.schema, cfg.data)
+    for variant in cfg.variants:
+        _check_variant(dataset, variant)
     labels = read_label_file(cfg.labels) if cfg.labels else None
     if labels is not None and len(labels) != dataset.n:
         raise DataError(
@@ -134,7 +136,7 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
     out: list[ReportFile] = []
     summaries: list = []
     for variant in cfg.variants:
-        prep = prepare(dataset, variant, cfg.bins)
+        prep = prepare(dataset, variant)
         configs = [
             _run_config(cfg, variant, cfg.base_seed + i) for i in range(cfg.runs)
         ]
@@ -156,10 +158,10 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
             k=cfg.k,
             runs=cfg.runs,
             base_seed=cfg.base_seed,
-            bins=cfg.bins,
+            bins=None,
             inner_cap=cfg.inner_cap,
             outer_cap=cfg.outer_cap,
-            epsilon=configs[0].epsilon,
+            epsilon=EPSILON,
             d_hat=prep.width,
             ari_mean=summary.ari_mean if summary else None,
             ari_std=summary.ari_std if summary else None,
@@ -181,8 +183,7 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
 
 
 def _subsample(dataset: Dataset, order: np.ndarray, n_sub: int) -> Dataset:
-    cells = dataset.cells[order[:n_sub]]
-    return Dataset(dataset.schema, cells, *_observed_range(dataset.schema, cells))
+    return Dataset(dataset.schema, _freeze(dataset.cells[order[:n_sub]]))
 
 
 def cmd_bench_time(cfg: BenchConfig) -> list[tuple[float, int, str, float]]:
@@ -193,6 +194,8 @@ def cmd_bench_time(cfg: BenchConfig) -> list[tuple[float, int, str, float]]:
     dataset. Each measurement is the median of ``cfg.repeats`` repeats.
     """
     dataset = load_dataset(cfg.schema, cfg.data)
+    for variant in cfg.variants:
+        _check_variant(dataset, variant)
     order = np.random.default_rng(cfg.base_seed).permutation(dataset.n)
     rows: list[tuple[float, int, str, float]] = []
     for phi in cfg.phis:
@@ -206,7 +209,7 @@ def cmd_bench_time(cfg: BenchConfig) -> list[tuple[float, int, str, float]]:
             times = []
             for _ in range(cfg.repeats):
                 started = time.perf_counter()
-                prep = prepare(sub, variant, cfg.bins)
+                prep = prepare(sub, variant)
                 run_prepared(sub, prep, _run_config(cfg, variant, cfg.base_seed))
                 times.append(time.perf_counter() - started)
             rows.append((phi, n_sub, variant, statistics.median(times)))

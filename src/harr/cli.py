@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             help=f"base seed (default {BenchConfig.base_seed})",
         )
-        command.add_argument("--bins", type=int, help="discretization bin override")
         command.add_argument(
             "--inner-cap",
             type=int,

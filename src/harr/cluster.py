@@ -42,7 +42,7 @@ import numpy as np
 
 from .base_distance import BaseDistanceTable, build_base_distances
 from .projection import ReconstructedSpace, reconstruct
-from .schema import AttributeKind, Dataset, _freeze, discretize_numerical
+from .schema import AttributeKind, Dataset, _freeze, _frozen, discretize_numerical
 
 __all__ = [
     "VARIANTS",
@@ -70,6 +70,10 @@ VARIANTS = ("HARR-V", "HARR-M", "HAR", "BD", "KMD", "KPT", "OHE+OC")
 
 MONOTONE_TOLERANCE = 1e-9
 
+# Added to each intra-cluster average distance before the weight refresh
+# divides by it: a perfectly compact attribute legitimately averages zero.
+EPSILON = 1e-12
+
 
 class ConfigError(ValueError):
     """An invalid run configuration."""
@@ -80,9 +84,9 @@ class RunConfig:
     """Configuration of a single clustering run.
 
     ``inner_cap`` bounds assignment/refit rounds per weight epoch and
-    ``outer_cap`` bounds weight refreshes; ``epsilon`` guards the division by
-    intra-cluster distance, which is legitimately zero for a perfectly
-    compact attribute. ``bins`` overrides the discretization bin count.
+    ``outer_cap`` bounds weight refreshes. HARR itself takes no parameter:
+    bin counts follow from n (``default_bin_count``) and the weight refresh
+    guards its division with the constant ``EPSILON``.
     """
 
     k: int
@@ -90,8 +94,6 @@ class RunConfig:
     variant: str = "HARR-M"
     inner_cap: int = 100
     outer_cap: int = 50
-    epsilon: float = 1e-12
-    bins: int | None = None
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -105,10 +107,6 @@ class RunConfig:
             )
         if self.inner_cap < 1 or self.outer_cap < 1:
             raise ConfigError("iteration caps must be at least 1")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
-        if self.bins is not None and self.bins < 2:
-            raise ConfigError("bins override must be at least 2")
 
 
 def _label_array(x) -> np.ndarray:
@@ -121,12 +119,6 @@ def _label_array(x) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError("labels must be one-dimensional")
     return arr.astype(np.int64, copy=False)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` as a read-only array; a writeable one is copied first, so a
-    record never shares memory that its caller can still change."""
-    return a if not a.flags.writeable else _freeze(a.copy())
 
 
 def _cluster_labels(x, k: int) -> np.ndarray:
@@ -182,7 +174,7 @@ class Prototypes:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _freeze(np.asarray(self.values, float)))
+        object.__setattr__(self, "values", _frozen(np.asarray(self.values, float)))
 
     @property
     def k(self) -> int:
@@ -197,11 +189,13 @@ class WeightVector:
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=float)
+        if w.ndim != 1:
+            raise ValueError(f"a weight vector must be 1-D; got shape {w.shape}")
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
         if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be non-negative and sum to 1")
-        object.__setattr__(self, "w", _freeze(w))
+        object.__setattr__(self, "w", _frozen(w))
 
 
 @dataclass(frozen=True)
@@ -212,11 +206,13 @@ class WeightMatrix:
 
     def __post_init__(self) -> None:
         w = np.asarray(self.w, dtype=float)
+        if w.ndim != 2:
+            raise ValueError(f"a weight matrix must be 2-D; got shape {w.shape}")
         if not np.isfinite(w).all():
             raise ValueError("every weight must be finite")
         if (w < 0).any() or (np.abs(w.sum(axis=1) - 1.0) > 1e-9).any():
             raise ValueError("every weight row must be non-negative and sum to 1")
-        object.__setattr__(self, "w", _freeze(w))
+        object.__setattr__(self, "w", _frozen(w))
 
 
 @dataclass(frozen=True)
@@ -400,7 +396,7 @@ class _ColumnModel:
             counts = g.member_counts(labels0, k)
             counts[empty] = g.value_counts
             proto[:, g.source] = counts.argmax(axis=1) + 1
-        return proto
+        return _freeze(proto)
 
 
 @dataclass(frozen=True)
@@ -563,23 +559,15 @@ def _weight_stats(
 
 
 def _weight_vector_from_stats(
-    member_sum: np.ndarray,
-    total_sum: np.ndarray,
-    sizes: np.ndarray,
-    n: int,
-    epsilon: float,
+    member_sum: np.ndarray, total_sum: np.ndarray, sizes: np.ndarray, n: int
 ) -> np.ndarray:
     intra = member_sum.sum(axis=0) / n
     inter = (total_sum - member_sum).sum(axis=0) / (n * (sizes.size - 1))
-    return normalize_importances(inter / (intra + epsilon))
+    return _freeze(normalize_importances(inter / (intra + EPSILON)))
 
 
 def _weight_matrix_from_stats(
-    member_sum: np.ndarray,
-    total_sum: np.ndarray,
-    sizes: np.ndarray,
-    n: int,
-    epsilon: float,
+    member_sum: np.ndarray, total_sum: np.ndarray, sizes: np.ndarray, n: int
 ) -> np.ndarray:
     k, m = member_sum.shape
     out = np.empty((k, m))
@@ -597,8 +585,8 @@ def _weight_matrix_from_stats(
             continue
         intra = member_sum[l] / sizes[l]
         inter = (total_sum[l] - member_sum[l]) / (n - sizes[l])
-        out[l] = normalize_importances(inter / (intra + epsilon))
-    return out
+        out[l] = normalize_importances(inter / (intra + EPSILON))
+    return _freeze(out)
 
 
 # ---------------------------------------------------------------------------
@@ -656,17 +644,16 @@ def update_weight_vector(
     space: ReconstructedSpace,
     partition: Partition,
     protos: Prototypes,
-    epsilon: float = 1e-12,
 ) -> WeightVector:
     """Refresh the shared attribute weight vector.
 
     Each attribute's importance is its average distance to other clusters'
     prototypes divided by its average distance to the assigned prototype
-    (guarded by ``epsilon``); importances are normalized onto the simplex.
+    (plus ``EPSILON``); importances are normalized onto the simplex.
     Requires k >= 2.
     """
     stats = _refresh_stats(dataset, space, partition, protos)
-    return WeightVector(_weight_vector_from_stats(*stats, dataset.n, epsilon))
+    return WeightVector(_weight_vector_from_stats(*stats, dataset.n))
 
 
 def update_weight_matrix(
@@ -674,18 +661,17 @@ def update_weight_matrix(
     space: ReconstructedSpace,
     partition: Partition,
     protos: Prototypes,
-    epsilon: float = 1e-12,
 ) -> WeightMatrix:
     """Refresh per-cluster weight rows.
 
     Row l weighs each attribute by its average distance from non-members to
-    prototype l over its average distance from members (guarded by
-    ``epsilon``). Degenerate clusters (no members, or covering every object)
-    get a uniform row with a warning; the run loop re-seeds empty clusters
-    so neither case arises there.
+    prototype l over its average distance from members (plus ``EPSILON``).
+    Degenerate clusters (no members, or covering every object) get a
+    uniform row with a warning; the run loop re-seeds empty clusters so
+    neither case arises there.
     """
     stats = _refresh_stats(dataset, space, partition, protos)
-    return WeightMatrix(_weight_matrix_from_stats(*stats, dataset.n, epsilon))
+    return WeightMatrix(_weight_matrix_from_stats(*stats, dataset.n))
 
 
 # ---------------------------------------------------------------------------
@@ -710,43 +696,43 @@ class Prepared:
         return self.model.m
 
 
-def prepare(dataset: Dataset, variant: str, bins: int | None = None) -> Prepared:
+def _check_variant(dataset: Dataset, variant: str) -> None:
+    """Raise ConfigError unless ``variant`` can cluster ``dataset``."""
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant == "KMD" and dataset.schema.d_u > 0:
+        raise ConfigError(
+            "KMD handles pure categorical data only; use KPT for mixed data"
+        )
+
+
+def prepare(dataset: Dataset, variant: str) -> Prepared:
     """Build the representation a variant clusters on, timing the build.
 
     The result is immutable and safe to share across concurrent seeded runs.
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    _check_variant(dataset, variant)
     start = time.perf_counter()
     space = None
     if variant in ("HARR-V", "HARR-M", "HAR", "BD"):
-        table = build_base_distances(dataset, discretize_numerical(dataset, bins=bins))
+        table = build_base_distances(dataset, discretize_numerical(dataset))
         if variant == "BD":
             model = _model_original(dataset, table)
         else:
             space = reconstruct(dataset, table)
             model = _model_reconstructed(dataset, space)
     elif variant in ("KMD", "KPT"):
-        if variant == "KMD" and dataset.schema.d_u > 0:
-            raise ConfigError(
-                "KMD handles pure categorical data only; use KPT for mixed data"
-            )
         model = _model_original(dataset)
     else:  # OHE+OC
         rows = dataset.distinct
-        distinct = Dataset(
-            dataset.schema,
-            dataset.cells[rows.first],
-            dataset.numeric_min,
-            dataset.numeric_max,
-        )
+        distinct = Dataset(dataset.schema, _freeze(dataset.cells[rows.first]))
         model = _PointModel(_freeze(encode_ohe_oc(distinct)), rows.inverse)
     return Prepared(variant, model, space, time.perf_counter() - start)
 
 
 def run(dataset: Dataset, config: RunConfig) -> RunReport:
     """Prepare the variant's representation and execute one seeded run."""
-    return run_prepared(dataset, prepare(dataset, config.variant, config.bins), config)
+    return run_prepared(dataset, prepare(dataset, config.variant), config)
 
 
 def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunReport:
@@ -815,7 +801,7 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
         refreshed = labels0
         t0 = time.perf_counter()
         stats = _weight_stats(model, proto_vals, labels0, k, buf)
-        weights = learn(*stats, n, config.epsilon)
+        weights = learn(*stats, n)
         weights_s += time.perf_counter() - t0
         updates += 1
 

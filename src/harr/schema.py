@@ -64,6 +64,12 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a`` as a contiguous read-only array; a writeable one is copied first,
+    so a record never shares memory that its caller can still change."""
+    return a if not a.flags.writeable and a.flags.c_contiguous else _freeze(a.copy())
+
+
 def _write_text(path: str, text: str) -> str:
     """Write ``text`` as UTF-8, creating the parent directory if needed."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
@@ -191,16 +197,15 @@ class Dataset:
     """An n x d cell table bound to its schema.
 
     Numerical cells are stored as floats, categorical cells as 1-based value
-    indices (kept in the same float table for uniform slicing). ``numeric_min``
-    and ``numeric_max`` record the observed range per numerical attribute (NaN
-    for categorical ones). Instances are immutable and safe to share across
-    concurrently executing runs.
+    indices (kept in the same float table for uniform slicing). A writeable
+    table is copied, so instances are immutable and safe to share across
+    concurrently executing runs. ``numeric_min`` and ``numeric_max``, the
+    observed range per attribute, are derived from the cells on first use:
+    NaN for categorical attributes and for an empty table.
     """
 
     schema: DatasetSchema
     cells: np.ndarray
-    numeric_min: np.ndarray
-    numeric_max: np.ndarray
 
     def __post_init__(self) -> None:
         cells = np.asarray(self.cells, dtype=float)
@@ -208,13 +213,22 @@ class Dataset:
             raise DataError(
                 f"cell table must be n x {self.schema.d}, got shape {cells.shape}"
             )
-        object.__setattr__(self, "cells", _freeze(cells))
-        object.__setattr__(
-            self, "numeric_min", _freeze(np.asarray(self.numeric_min, dtype=float))
-        )
-        object.__setattr__(
-            self, "numeric_max", _freeze(np.asarray(self.numeric_max, dtype=float))
-        )
+        object.__setattr__(self, "cells", _frozen(cells))
+
+    def _numeric_extreme(self, reduce) -> np.ndarray:
+        out = np.full(self.schema.d, np.nan)
+        if self.n:
+            for r in self.schema.numerical_indices():
+                out[r] = reduce(self.cells[:, r])
+        return _freeze(out)
+
+    @cached_property
+    def numeric_min(self) -> np.ndarray:
+        return self._numeric_extreme(np.min)
+
+    @cached_property
+    def numeric_max(self) -> np.ndarray:
+        return self._numeric_extreme(np.max)
 
     @property
     def n(self) -> int:
@@ -311,7 +325,7 @@ def ingest_table(data_text: str, schema: DatasetSchema) -> Dataset:
         bad = _parse_chunk(chunk, schema, lookups, cells[start : start + len(rows)])
         if bad is not None:
             raise _row_error(rows[bad] + 1, chunk[bad], schema, lookups)
-    return Dataset(schema, cells, *_observed_range(schema, cells))
+    return Dataset(schema, _freeze(cells))
 
 
 def _parse_chunk(
@@ -400,18 +414,6 @@ def _row_error(
     raise AssertionError(f"row {rowno}: the column pass flagged a good row")
 
 
-def _observed_range(
-    schema: DatasetSchema, cells: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.full(schema.d, np.nan)
-    hi = np.full(schema.d, np.nan)
-    if cells.shape[0]:
-        for r in schema.numerical_indices():
-            lo[r] = cells[:, r].min()
-            hi[r] = cells[:, r].max()
-    return lo, hi
-
-
 def normalize_numerical(dataset: Dataset) -> Dataset:
     """Min-max scale every numerical attribute to [0, 1].
 
@@ -425,7 +427,7 @@ def normalize_numerical(dataset: Dataset) -> Dataset:
         col = cells[:, r]
         lo, hi = col.min(), col.max()
         cells[:, r] = 0.0 if hi == lo else (col - lo) / (hi - lo)
-    return Dataset(dataset.schema, cells, *_observed_range(dataset.schema, cells))
+    return Dataset(dataset.schema, _freeze(cells))
 
 
 def default_bin_count(n: int) -> int:

@@ -34,7 +34,7 @@ from .schema import (
     Dataset,
     DatasetSchema,
     SchemaError,
-    _observed_range,
+    _freeze,
     _write_text,
     dataset_to_text,
     schema_to_text,
@@ -152,8 +152,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, tuple[int, ...]]:
             if uniform.any():
                 cells[uniform, r] = rng.integers(1, v + 1, size=int(uniform.sum()))
 
-    dataset = Dataset(schema, cells, *_observed_range(schema, cells))
-    return dataset, tuple(int(x) + 1 for x in labels0)
+    return Dataset(schema, _freeze(cells)), tuple(int(x) + 1 for x in labels0)
 
 
 def write_synthetic(spec: SyntheticSpec, out_dir: str) -> dict[str, str]:

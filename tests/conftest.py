@@ -18,13 +18,7 @@ KINDS = (AttributeKind.NUMERICAL, AttributeKind.NOMINAL, AttributeKind.ORDINAL)
 
 def build_dataset(schema: DatasetSchema, cells: np.ndarray) -> Dataset:
     """Dataset straight from arrays (tests bypass the text parser)."""
-    cells = np.asarray(cells, dtype=float)
-    lo = np.full(schema.d, np.nan)
-    hi = np.full(schema.d, np.nan)
-    for r in schema.numerical_indices():
-        lo[r] = cells[:, r].min()
-        hi[r] = cells[:, r].max()
-    return Dataset(schema, cells, lo, hi)
+    return Dataset(schema, cells)
 
 
 def random_dataset(

@@ -376,7 +376,6 @@ def alternating_oracle(
     seed: int,
     inner_cap: int,
     outer_cap: int,
-    epsilon: float = 1e-12,
 ) -> dict:
     """Per-object HARR-V / HARR-M / HAR loop on the reconstructed space.
 
@@ -476,7 +475,7 @@ def alternating_oracle(
             update = update_weight_matrix
         else:
             update = update_weight_vector
-        weights = update(dataset, space, partition, Prototypes(protos), epsilon).w
+        weights = update(dataset, space, partition, Prototypes(protos)).w
         updates += 1
         just_updated = True
         inner = 0

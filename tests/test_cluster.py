@@ -30,6 +30,7 @@ from harr.cluster import (
 )
 from harr.projection import reconstruct
 from harr.schema import (
+    Dataset,
     _freeze,
     discretize_numerical,
     ingest_table,
@@ -579,7 +580,6 @@ def test_run_matches_alternating_oracle(seed, variant):
             config.seed,
             config.inner_cap,
             config.outer_cap,
-            config.epsilon,
         )
     for name, value in expected.items():
         got = getattr(report, name)
@@ -852,3 +852,37 @@ def test_weight_vector_rejects_non_finite_weights(w):
 def test_weight_matrix_rejects_non_finite_weights(w):
     with pytest.raises(ValueError, match="^every weight must be finite$"):
         WeightMatrix(w)
+
+
+@pytest.mark.parametrize(
+    "record, w",
+    [
+        (WeightVector, np.full((2, 2), 0.25)),
+        (WeightVector, np.float64(1.0)),
+        (WeightMatrix, np.array([0.5, 0.5])),
+        (WeightMatrix, np.full((1, 2, 2), 0.5)),
+    ],
+)
+def test_weight_records_reject_the_wrong_rank(record, w):
+    rank = "a weight vector must be 1-D" if record is WeightVector else "a weight matrix must be 2-D"
+    with pytest.raises(ValueError, match=f"^{rank}; got shape {re.escape(str(w.shape))}$"):
+        record(w)
+
+
+@pytest.mark.parametrize(
+    "make, field, values",
+    [
+        (lambda a: Dataset(parse_schema("x,num\ny,num\n"), a), "cells", [[0.5, 1], [0, 2]]),
+        (Prototypes, "values", [[0.5, 1.0], [0.0, 2.0]]),
+        (WeightVector, "w", [0.25, 0.75]),
+        (WeightMatrix, "w", [[0.25, 0.75], [0.5, 0.5]]),
+    ],
+)
+def test_records_copy_a_writeable_array_and_share_a_frozen_one(make, field, values):
+    given = np.array(values, dtype=float)
+    kept = getattr(make(given), field)
+    assert given.flags.writeable and not kept.flags.writeable
+    given[...] = 0.0
+    assert np.array_equal(kept, values)
+    frozen = _freeze(np.array(values, dtype=float))
+    assert getattr(make(frozen), field) is frozen

@@ -256,8 +256,8 @@ def test_tiling_rows_keeps_distances_and_coordinates(seed):
     tiled = build_dataset(dataset.schema, np.tile(dataset.cells, (3, 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        table = build_base_distances(dataset, bins=4)
-        tiled_table = build_base_distances(tiled, bins=4)
+        table = build_base_distances(dataset, discretize_numerical(dataset, bins=4))
+        tiled_table = build_base_distances(tiled, discretize_numerical(tiled, bins=4))
         space = reconstruct(dataset, table)
         tiled_space = reconstruct(tiled, tiled_table)
     for a, b in zip(table.matrices, tiled_table.matrices, strict=True):

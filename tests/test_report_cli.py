@@ -2,7 +2,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,9 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import harr
-from harr import cli
+from harr import bench, cli
 from harr.bench import BenchConfig, cmd_bench_time, cmd_cluster, cmd_trace_plot
-from harr.cli import main
+from harr.cli import build_parser, main
 from harr.cluster import ConfigError, PhaseTimings, RunReport
 from harr.evaluation import ari, ca
 from harr.report import (
@@ -963,29 +963,6 @@ class TestCliMain:
         )
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["cluster", "--variant", "HARR-V", "--runs", "1"],
-            ["cluster", "--variant", "KPT", "--runs", "1"],
-            ["bench-time", "--variant", "HARR-V", "--phi", "1.0", "--repeats", "1"],
-        ],
-    )
-    def test_bins_below_two_is_config_error(self, tmp_path, command):
-        out = str(tmp_path / "synth")
-        main(["synth", "--n", "30", "--k-true", "2", "--d-u", "1", "--d-n", "1", "--out", out])
-        code = main(
-            command
-            + [
-                "--data", f"{out}/data.csv",
-                "--schema", f"{out}/schema.txt",
-                "--k", "2",
-                "--bins", "1",
-                "--out", str(tmp_path / "runs"),
-            ]
-        )
-        assert code == 2
-
     @pytest.mark.parametrize("command", ["cluster", "bench-time"])
     @pytest.mark.parametrize(
         "setting",
@@ -1004,6 +981,34 @@ class TestCliMain:
         monkeypatch.setattr(cli, handler, lambda cfg: seen.append(cfg) or [])
         assert main([command, "--data", "D", "--schema", "S", "--k", "3"]) == 0
         assert seen == [BenchConfig(data="D", schema="S", k=3)]
+
+    @pytest.mark.parametrize("command", [["cluster"], ["bench-time", "--phi", "1"]])
+    def test_variant_unfit_for_the_data_fails_before_any_run(
+        self, tmp_path, monkeypatch, capsys, command
+    ):
+        out = str(tmp_path / "synth")
+        main(["synth", "--n", "200", "--d-u", "1", "--d-n", "2", "--out", out])
+        monkeypatch.setattr(bench, "prepare", lambda *args: pytest.fail("prepared"))
+        runs = tmp_path / "runs"
+        args = ["--data", f"{out}/data.csv", "--schema", f"{out}/schema.txt", "--k", "2"]
+        args += ["--variant", "HARR-V", "--variant", "KMD", "--out", str(runs)]
+        capsys.readouterr()
+        assert main([*command, *args]) == 2
+        assert "KMD handles pure categorical data only" in capsys.readouterr().err
+        assert not runs.exists()
+
+    def test_options_and_config_fields_agree(self):
+        # A knob dropped on one side only would be silently unreachable.
+        parser = build_parser()
+        (commands,) = [a.choices for a in parser._actions if a.dest == "command"]
+
+        def dests(command):
+            return {a.dest for a in commands[command]._actions} - {"help"}
+
+        config_fields = {f.name for f in fields(BenchConfig)}
+        for command in ("cluster", "bench-time"):
+            assert dests(command) - {"strict"} <= config_fields, command
+        assert {f.name for f in fields(SyntheticSpec)} <= dests("synth")
 
     def test_unset_synth_options_take_spec_defaults(self, monkeypatch):
         seen = []

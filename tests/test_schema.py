@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import harr.schema
+from harr.bench import _subsample
 from harr.schema import (
     AttributeKind,
     AttributeSchema,
@@ -279,6 +280,39 @@ def test_numeric_range_recorded():
     dataset = ingest_table("2,red\n6,green", schema)
     assert dataset.numeric_min[0] == 2.0 and dataset.numeric_max[0] == 6.0
     assert math.isnan(dataset.numeric_min[1])
+
+
+def _range_oracle(dataset):
+    """Per-column min and max as Python floats; NaN where there is none."""
+    lo, hi = [], []
+    for r, attr in enumerate(dataset.schema.attributes):
+        col = [float(x) for x in dataset.cells[:, r]]
+        numeric = bool(col) and not attr.kind.is_categorical
+        lo.append(min(col) if numeric else math.nan)
+        hi.append(max(col) if numeric else math.nan)
+    return lo, hi
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.floats(0.0, 1.0))
+def test_numeric_range_matches_column_oracle(seed, categorical_only, share):
+    rng = np.random.default_rng(seed)
+    normalized = random_dataset(rng, min_categorical=5 if categorical_only else 0)
+    cells = normalized.cells.copy()
+    num = list(normalized.schema.numerical_indices())
+    cells[:, num] = cells[:, num] * rng.uniform(0.5, 9.0) - rng.uniform(0.0, 4.0)
+    raw = build_dataset(normalized.schema, cells)
+    order = rng.permutation(raw.n)
+    for dataset in (
+        raw,
+        normalize_numerical(raw),
+        _subsample(raw, order, round(share * raw.n)),
+        ingest_table("", raw.schema),
+    ):
+        lo, hi = _range_oracle(dataset)
+        assert np.array_equal(dataset.numeric_min, lo, equal_nan=True)
+        assert np.array_equal(dataset.numeric_max, hi, equal_nan=True)
+        assert not dataset.numeric_min.flags.writeable
 
 
 GOOD_NUMBERS = ("0", "-0", "1.5", "-2.25e3", "1e-300", "7", "+3.0", "١٢", ".5")
