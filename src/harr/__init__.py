@@ -55,7 +55,6 @@ from .cluster import (
     Prototypes,
     WeightVector,
     WeightMatrix,
-    PhaseTimings,
     RunReport,
     prepare,
     run,

@@ -21,6 +21,8 @@ from .schema import (
     Dataset,
     OrdinalView,
     _freeze,
+    _frozen,
+    _Record,
     _write_text,
     discretize_numerical,
 )
@@ -36,8 +38,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CpdTable:
+@dataclass(frozen=True, eq=False)
+class CpdTable(_Record):
     """Conditional distribution of a context attribute given target values.
 
     ``probs[g, j]`` is the probability of the context attribute taking its
@@ -52,16 +54,16 @@ class CpdTable:
     target_counts: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "probs", _freeze(self.probs))
-        object.__setattr__(self, "target_counts", _freeze(self.target_counts))
+        object.__setattr__(self, "probs", _frozen(self.probs))
+        object.__setattr__(self, "target_counts", _frozen(self.target_counts))
 
     @property
     def unobserved(self) -> np.ndarray:
         return self.target_counts == 0
 
 
-@dataclass(frozen=True)
-class BaseDistanceTable:
+@dataclass(frozen=True, eq=False)
+class BaseDistanceTable(_Record):
     """One symmetric, zero-diagonal distance matrix per categorical attribute.
 
     ``matrices[r]`` is None for numerical attributes.
@@ -73,7 +75,7 @@ class BaseDistanceTable:
         object.__setattr__(
             self,
             "matrices",
-            tuple(None if m is None else _freeze(m) for m in self.matrices),
+            tuple(None if m is None else _frozen(m) for m in self.matrices),
         )
 
 
@@ -99,7 +101,7 @@ def compute_cpd(
     probs = np.divide(
         joint, counts[:, None], out=np.zeros_like(joint), where=counts[:, None] > 0
     )
-    return CpdTable(target, context, probs, counts)
+    return CpdTable(target, context, _freeze(probs), _freeze(counts))
 
 
 def _warn_unobserved(dataset: Dataset, view: OrdinalView, r: int) -> None:
@@ -187,9 +189,9 @@ def build_base_distances(
         if not attr.kind.is_categorical:
             matrices.append(None)
         elif attr.kind is AttributeKind.ORDINAL:
-            matrices.append(base_distance_ordinal(dataset, view, r))
+            matrices.append(_freeze(base_distance_ordinal(dataset, view, r)))
         else:
-            matrices.append(base_distance_nominal(dataset, view, r))
+            matrices.append(_freeze(base_distance_nominal(dataset, view, r)))
     return BaseDistanceTable(tuple(matrices))
 
 

@@ -36,13 +36,21 @@ from __future__ import annotations
 
 import time
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .base_distance import BaseDistanceTable, build_base_distances
 from .projection import ReconstructedSpace, reconstruct
-from .schema import AttributeKind, Dataset, _freeze, _frozen, discretize_numerical
+from .schema import (
+    AttributeKind,
+    Dataset,
+    _freeze,
+    _frozen,
+    _label_array,
+    _Record,
+    discretize_numerical,
+)
 
 __all__ = [
     "VARIANTS",
@@ -52,7 +60,6 @@ __all__ = [
     "Prototypes",
     "WeightVector",
     "WeightMatrix",
-    "PhaseTimings",
     "RunReport",
     "Prepared",
     "prepare",
@@ -109,18 +116,6 @@ class RunConfig:
             raise ConfigError("iteration caps must be at least 1")
 
 
-def _label_array(x) -> np.ndarray:
-    """Labels as a one-dimensional int64 array. A non-integral label raises
-    rather than being truncated; a Python int beyond int64 raises
-    OverflowError."""
-    arr = np.asarray(x)
-    if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
-        raise ValueError("labels must be integers")
-    if arr.ndim != 1:
-        raise ValueError("labels must be one-dimensional")
-    return arr.astype(np.int64, copy=False)
-
-
 def _cluster_labels(x, k: int) -> np.ndarray:
     """Labels in [1, k] as a frozen int64 array."""
     try:
@@ -132,22 +127,8 @@ def _cluster_labels(x, k: int) -> np.ndarray:
     return _frozen(labels)
 
 
-def _same(a, b) -> bool:
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return a is not None and b is not None and np.array_equal(a, b)
-    return a == b
-
-
-def _records_equal(a, b) -> bool:
-    """Field-by-field equality of two records of one dataclass type; array
-    fields are equal when their shapes and values are."""
-    return all(
-        _same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare
-    )
-
-
 @dataclass(frozen=True, eq=False)
-class Partition:
+class Partition(_Record):
     """Crisp cluster labels in [1, k], one per object, as a frozen int64
     array."""
 
@@ -157,75 +138,61 @@ class Partition:
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", _cluster_labels(self.labels, self.k))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Partition):
-            return NotImplemented
-        return _records_equal(self, other)
-
     def to_zero_based(self) -> np.ndarray:
         return self.labels - 1
 
 
-@dataclass(frozen=True)
-class Prototypes:
+@dataclass(frozen=True, eq=False)
+class Prototypes(_Record):
     """Per-cluster representatives in the original attribute space: means
     for numerical attributes, modal value indices for categorical ones."""
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", _frozen(np.asarray(self.values, float)))
+        object.__setattr__(self, "values", _frozen(self.values, float))
 
     @property
     def k(self) -> int:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
-class WeightVector:
+@dataclass(frozen=True, eq=False)
+class WeightVector(_Record):
     """Non-negative attribute weights summing to 1."""
 
     w: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=float)
+        w = _frozen(self.w, float)
         if w.ndim != 1:
             raise ValueError(f"a weight vector must be 1-D; got shape {w.shape}")
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
         if (w < 0).any() or abs(w.sum() - 1.0) > 1e-9:
             raise ValueError("weights must be non-negative and sum to 1")
-        object.__setattr__(self, "w", _frozen(w))
+        object.__setattr__(self, "w", w)
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
+@dataclass(frozen=True, eq=False)
+class WeightMatrix(_Record):
     """One weight row per cluster, each on the simplex."""
 
     w: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=float)
+        w = _frozen(self.w, float)
         if w.ndim != 2:
             raise ValueError(f"a weight matrix must be 2-D; got shape {w.shape}")
         if not np.isfinite(w).all():
             raise ValueError("every weight must be finite")
         if (w < 0).any() or (np.abs(w.sum(axis=1) - 1.0) > 1e-9).any():
             raise ValueError("every weight row must be non-negative and sum to 1")
-        object.__setattr__(self, "w", _frozen(w))
-
-
-@dataclass(frozen=True)
-class PhaseTimings:
-    """Wall-clock seconds per phase; excluded from report equality."""
-
-    reconstruct_s: float = 0.0
-    cluster_s: float = 0.0
-    weights_s: float = 0.0
+        object.__setattr__(self, "w", w)
 
 
 @dataclass(frozen=True, eq=False)
-class RunReport:
+class RunReport(_Record):
     """Everything produced by one seeded clustering run.
 
     Labels (in [1, k]) and weights are frozen arrays: ``weights`` holds one
@@ -233,7 +200,9 @@ class RunReport:
     ``inner_monotone`` records whether the objective was non-increasing
     (within tolerance) across consecutive assignments of every fixed-weight
     epoch, skipping pairs interrupted by an empty-cluster re-seed;
-    ``max_inner_increase`` is the largest observed increase.
+    ``max_inner_increase`` is the largest observed increase. ``weights_s`` is
+    the run's wall-clock time in weight refreshes and ``cluster_s`` the rest
+    of its loop; neither takes part in equality.
     """
 
     variant: str
@@ -252,7 +221,8 @@ class RunReport:
     max_inner_increase: float
     ari: float | None = None
     ca: float | None = None
-    timings: PhaseTimings = field(default=PhaseTimings(), compare=False)
+    cluster_s: float = field(default=0.0, compare=False)
+    weights_s: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", _cluster_labels(self.labels, self.k))
@@ -261,15 +231,10 @@ class RunReport:
         for name, ndim in (("weights", 1), ("weight_matrix", 2)):
             w = getattr(self, name)
             if w is not None:
-                w = np.asarray(w, dtype=np.float64)
+                w = _frozen(w, np.float64)
                 if w.ndim != ndim or not np.isfinite(w).all():
                     raise ValueError(f"{name} must be {ndim}-dimensional and finite")
-                object.__setattr__(self, name, _frozen(w))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RunReport):
-            return NotImplemented
-        return _records_equal(self, other)
+                object.__setattr__(self, name, w)
 
     @property
     def partition(self) -> Partition:
@@ -289,16 +254,16 @@ class RunReport:
 # distance block in place in one flat buffer of its own (``_block_buffer``).
 
 
-@dataclass(frozen=True)
-class _NumericCol:
+@dataclass(frozen=True, eq=False)
+class _NumericCol(_Record):
     col: int  # position in the expanded column order
     source: int  # original attribute index
     values: np.ndarray  # n, per object
     distinct: np.ndarray  # u, at the distinct rows (scores only)
 
 
-@dataclass(frozen=True)
-class _CatGroup:
+@dataclass(frozen=True, eq=False)
+class _CatGroup(_Record):
     """All expanded columns of one source categorical attribute.
 
     Projected sub-attributes keep their line coordinates, and a value
@@ -399,8 +364,8 @@ class _ColumnModel:
         return _freeze(proto)
 
 
-@dataclass(frozen=True)
-class _PointModel:
+@dataclass(frozen=True, eq=False)
+class _PointModel(_Record):
     """OHE+OC: encoded points, squared Euclidean scores, member-mean refits."""
 
     points: np.ndarray  # u x m, encode_ohe_oc at the distinct rows
@@ -598,6 +563,25 @@ def _check_shape(name: str, a: np.ndarray, shape: tuple[int, ...]) -> None:
         raise ValueError(f"{name} must have shape {shape}; got {a.shape}")
 
 
+def _check_partition(dataset: Dataset, partition: Partition, k: int) -> None:
+    """One label per object, none above ``k``."""
+    _check_shape("partition labels", partition.labels, (dataset.n,))
+    if partition.labels.size and partition.labels.max() > k:
+        raise ValueError(f"partition has labels above k={k}")
+
+
+def _check_prototypes(dataset: Dataset, protos: Prototypes) -> None:
+    """Shape (k, d), and every categorical value an integer in [1, v]."""
+    _check_shape("prototypes", protos.values, (protos.k, dataset.schema.d))
+    for r, attr in enumerate(dataset.schema.attributes):
+        col = protos.values[:, r]
+        if attr.kind.is_categorical and not np.isin(col, np.arange(1, attr.v + 1)).all():
+            raise ValueError(
+                f"prototype values of attribute {attr.name!r} must be integers "
+                f"in [1, {attr.v}]"
+            )
+
+
 def assign(
     dataset: Dataset,
     space: ReconstructedSpace,
@@ -607,8 +591,8 @@ def assign(
     """Assign every object to its nearest prototype; ties break to the
     lowest cluster index. Shapes: prototypes (k, d), weights (d_hat,) or
     (k, d_hat)."""
+    _check_prototypes(dataset, protos)
     model = _model_reconstructed(dataset, space)
-    _check_shape("prototypes", protos.values, (protos.k, dataset.schema.d))
     w = None if weights is None else weights.w
     if w is not None:
         _check_shape("weights", w, (protos.k, model.m) if w.ndim == 2 else (model.m,))
@@ -625,8 +609,7 @@ def update_prototypes(dataset: Dataset, partition: Partition, k: int | None = No
     refit trailing memberless clusters, but no label may exceed it.
     """
     k = partition.k if k is None else k
-    if partition.labels.size and partition.labels.max() > k:
-        raise ValueError(f"partition has labels above k={k}")
+    _check_partition(dataset, partition, k)
     return Prototypes(_model_original(dataset).refit(partition.to_zero_based(), k))
 
 
@@ -634,6 +617,8 @@ def _refresh_stats(dataset, space, partition, protos):
     """``_weight_stats`` for the public refresh calls, with a buffer of its own."""
     if protos.k < 2:
         raise ValueError("weight learning requires k >= 2")
+    _check_prototypes(dataset, protos)
+    _check_partition(dataset, partition, protos.k)
     model = _model_reconstructed(dataset, space)
     labels0, buf = partition.to_zero_based(), _block_buffer(model)
     return _weight_stats(model, protos.values, labels0, protos.k, buf)
@@ -833,7 +818,8 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
         converged=converged,
         inner_monotone=max_increase <= MONOTONE_TOLERANCE,
         max_inner_increase=max_increase,
-        timings=PhaseTimings(prep.reconstruct_s, cluster_s, weights_s),
+        cluster_s=cluster_s,
+        weights_s=weights_s,
     )
 
 

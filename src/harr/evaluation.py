@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cluster import Partition, RunReport, _label_array
+from .cluster import Partition, RunReport
+from .schema import _label_array
 
 __all__ = [
     "contingency",

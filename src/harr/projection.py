@@ -22,7 +22,15 @@ from functools import cached_property
 import numpy as np
 
 from .base_distance import BaseDistanceTable
-from .schema import AttributeKind, Dataset, DatasetSchema, _freeze, _write_text
+from .schema import (
+    AttributeKind,
+    Dataset,
+    DatasetSchema,
+    _freeze,
+    _frozen,
+    _Record,
+    _write_text,
+)
 
 __all__ = [
     "ORDINAL_LINE",
@@ -44,8 +52,8 @@ ORDINAL_LINE = "ordinal-line"
 HAMMING_FALLBACK = "hamming"
 
 
-@dataclass(frozen=True)
-class ProjectedAttribute:
+@dataclass(frozen=True, eq=False)
+class ProjectedAttribute(_Record):
     """A one-dimensional sub-attribute of a source categorical attribute: one
     row of a ``ProjectedBlock``, seen on its own.
 
@@ -62,15 +70,15 @@ class ProjectedAttribute:
     max_span: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _freeze(np.asarray(self.coords, float)))
+        object.__setattr__(self, "coords", _frozen(self.coords, float))
 
     @property
     def v(self) -> int:
         return len(self.coords)
 
 
-@dataclass(frozen=True)
-class ProjectedBlock:
+@dataclass(frozen=True, eq=False)
+class ProjectedBlock(_Record):
     """Every sub-attribute of one source categorical attribute, as arrays.
 
     Row i is one sub-attribute: ``spans[i]`` is its spanning value pair or
@@ -84,8 +92,8 @@ class ProjectedBlock:
     max_span: np.ndarray  # (gamma,)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _freeze(np.asarray(self.coords, float)))
-        object.__setattr__(self, "max_span", _freeze(np.asarray(self.max_span, float)))
+        object.__setattr__(self, "coords", _frozen(self.coords, float))
+        object.__setattr__(self, "max_span", _frozen(self.max_span, float))
 
     @property
     def gamma(self) -> int:
@@ -108,8 +116,8 @@ class ProjectedBlock:
         )
 
 
-@dataclass(frozen=True)
-class ReconstructedSpace:
+@dataclass(frozen=True, eq=False)
+class ReconstructedSpace(_Record):
     """The expanded attribute set: numerical pass-throughs plus one block of
     sub-attributes per categorical attribute, in a fixed order (pass-throughs
     first, then sub-attributes by source and spanning pair)."""
@@ -156,9 +164,9 @@ def project_nominal(kappa: np.ndarray, source: int = 0) -> ProjectedBlock:
         )
         g, h, c = g[~degenerate], h[~degenerate], c[~degenerate]
     sq = (kappa * kappa).T  # sq[g] is column g of the squared distances
-    coords = (sq[g] - sq[h] + (c * c)[:, None]) / (2.0 * c)[:, None]
+    coords = _freeze((sq[g] - sq[h] + (c * c)[:, None]) / (2.0 * c)[:, None])
     spans = tuple(zip((g + 1).tolist(), (h + 1).tolist()))
-    return ProjectedBlock(source, spans, coords, np.ptp(coords, axis=1))
+    return ProjectedBlock(source, spans, coords, _freeze(np.ptp(coords, axis=1)))
 
 
 def project_ordinal(kappa: np.ndarray, source: int = 0) -> ProjectedBlock | None:
@@ -168,8 +176,8 @@ def project_ordinal(kappa: np.ndarray, source: int = 0) -> ProjectedBlock | None
     Returns None when the matrix is all zero (degenerate; callers fall back
     to 0/1 mismatch).
     """
-    coords = np.asarray(kappa, dtype=float)[None, :, 0]
-    gap = np.ptp(coords, axis=1)
+    coords = _freeze(np.asarray(kappa, dtype=float)[None, :, 0])
+    gap = _freeze(np.ptp(coords, axis=1))
     if gap[0] <= 0.0:
         warnings.warn(
             f"attribute index {source}: ordinal base distances are all zero; "
@@ -205,13 +213,14 @@ def normalize_projected(block: ProjectedBlock) -> ProjectedBlock | None:
     keep = ~flat
     spans = tuple(s for s, drop in zip(block.spans, flat) if not drop)
     coords = block.coords[keep] / gaps[keep, None]
-    return ProjectedBlock(block.source, spans, coords, gaps[keep])
+    return ProjectedBlock(block.source, spans, _freeze(coords), _freeze(gaps[keep]))
 
 
 def hamming_fallback(v: int, source: int = 0) -> ProjectedBlock:
     """0/1 mismatch sub-attribute used when every span of an attribute is
     degenerate; keeps the attribute in play."""
-    return ProjectedBlock(source, (HAMMING_FALLBACK,), np.zeros((1, v)), np.ones(1))
+    coords, gap = _freeze(np.zeros((1, v))), _freeze(np.ones(1))
+    return ProjectedBlock(source, (HAMMING_FALLBACK,), coords, gap)
 
 
 def value_distance(attr: ProjectedAttribute, u: int, f: int) -> float:

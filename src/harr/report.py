@@ -410,7 +410,7 @@ def timings_from_reports(
     return TimingsFile(
         variant,
         reconstruct_s,
-        tuple((r.seed, r.timings.cluster_s, r.timings.weights_s) for r in reports),
+        tuple((r.seed, r.cluster_s, r.weights_s) for r in reports),
     )
 
 

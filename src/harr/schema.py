@@ -12,7 +12,7 @@ import enum
 import itertools
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -59,15 +59,52 @@ class AttributeKind(enum.Enum):
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     """Contiguous read-only array for the package's immutable records."""
-    a = np.ascontiguousarray(a)
+    a = np.asarray(a, order="C")
     a.flags.writeable = False
     return a
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """``a`` as a contiguous read-only array; a writeable one is copied first,
-    so a record never shares memory that its caller can still change."""
+def _frozen(a, dtype=None) -> np.ndarray:
+    """``a`` as a contiguous read-only array of ``dtype`` (if given); a
+    writeable one is copied first, so a record never shares memory that its
+    caller can still change."""
+    a = np.asarray(a, dtype)
     return a if not a.flags.writeable and a.flags.c_contiguous else _freeze(a.copy())
+
+
+def _label_array(x) -> np.ndarray:
+    """Labels as a one-dimensional int64 array. A non-integral label raises
+    rather than being truncated; a Python int beyond int64 raises
+    OverflowError."""
+    arr = np.asarray(x)
+    if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
+        raise ValueError("labels must be integers")
+    if arr.ndim != 1:
+        raise ValueError("labels must be one-dimensional")
+    return arr.astype(np.int64, copy=False)
+
+
+def _same(a, b) -> bool:
+    """Arrays are equal by shape and value, tuples item by item."""
+    if isinstance(a, tuple) and isinstance(b, tuple):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return a is not None and b is not None and np.array_equal(a, b)
+    return a == b
+
+
+class _Record:
+    """Base of every frozen dataclass that holds arrays, declared with
+    ``eq=False``: records of one type are equal when every compared field
+    is (``_same``), and unhashable. Arrays come in through ``_frozen``."""
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        compared = [f.name for f in fields(self) if f.compare]
+        return all(_same(getattr(self, n), getattr(other, n)) for n in compared)
+
+    __hash__ = None
 
 
 def _write_text(path: str, text: str) -> str:
@@ -156,8 +193,8 @@ class DatasetSchema:
         )
 
 
-@dataclass(frozen=True)
-class DistinctRows:
+@dataclass(frozen=True, eq=False)
+class DistinctRows(_Record):
     """The distinct rows of a cell table.
 
     ``first[j]`` is the lowest index of the objects holding distinct row j
@@ -169,8 +206,8 @@ class DistinctRows:
     inverse: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "first", _freeze(self.first))
-        object.__setattr__(self, "inverse", _freeze(self.inverse))
+        object.__setattr__(self, "first", _frozen(self.first))
+        object.__setattr__(self, "inverse", _frozen(self.inverse))
 
     @property
     def u(self) -> int:
@@ -189,11 +226,11 @@ def _distinct_rows(cells: np.ndarray) -> DistinctRows:
         new[1:] |= col[1:] != col[:-1]
     inverse = np.empty(n, dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
-    return DistinctRows(order[new], inverse)
+    return DistinctRows(_freeze(order[new]), _freeze(inverse))
 
 
-@dataclass(frozen=True)
-class Dataset:
+@dataclass(frozen=True, eq=False)
+class Dataset(_Record):
     """An n x d cell table bound to its schema.
 
     Numerical cells are stored as floats, categorical cells as 1-based value
@@ -208,12 +245,12 @@ class Dataset:
     cells: np.ndarray
 
     def __post_init__(self) -> None:
-        cells = np.asarray(self.cells, dtype=float)
+        cells = _frozen(self.cells, float)
         if cells.ndim != 2 or cells.shape[1] != self.schema.d:
             raise DataError(
                 f"cell table must be n x {self.schema.d}, got shape {cells.shape}"
             )
-        object.__setattr__(self, "cells", _frozen(cells))
+        object.__setattr__(self, "cells", cells)
 
     def _numeric_extreme(self, reduce) -> np.ndarray:
         out = np.full(self.schema.d, np.nan)
@@ -240,8 +277,8 @@ class Dataset:
         return _distinct_rows(self.cells)
 
 
-@dataclass(frozen=True)
-class OrdinalView:
+@dataclass(frozen=True, eq=False)
+class OrdinalView(_Record):
     """Discretized view of a dataset: every attribute as 1-based codes.
 
     Numerical attributes are binned into ``bin_counts[r]`` equal-width bins
@@ -254,8 +291,7 @@ class OrdinalView:
     codes: np.ndarray
 
     def __post_init__(self) -> None:
-        codes = np.asarray(self.codes, dtype=np.int64)
-        object.__setattr__(self, "codes", _freeze(codes))
+        object.__setattr__(self, "codes", _frozen(self.codes, np.int64))
         object.__setattr__(self, "bin_counts", tuple(self.bin_counts))
 
 
@@ -423,10 +459,10 @@ def normalize_numerical(dataset: Dataset) -> Dataset:
     if dataset.n < 1:
         raise DataError("cannot normalize an empty dataset")
     cells = dataset.cells.copy()
+    lo, hi = dataset.numeric_min, dataset.numeric_max
     for r in dataset.schema.numerical_indices():
         col = cells[:, r]
-        lo, hi = col.min(), col.max()
-        cells[:, r] = 0.0 if hi == lo else (col - lo) / (hi - lo)
+        cells[:, r] = 0.0 if hi[r] == lo[r] else (col - lo[r]) / (hi[r] - lo[r])
     return Dataset(dataset.schema, _freeze(cells))
 
 
@@ -466,7 +502,7 @@ def discretize_numerical(dataset: Dataset, bins: int | None = None) -> OrdinalVi
             np.clip(idx, 1, b, out=idx)
             codes[:, r] = idx
             bin_counts.append(b)
-    return OrdinalView(dataset.schema, tuple(bin_counts), codes)
+    return OrdinalView(dataset.schema, tuple(bin_counts), _freeze(codes))
 
 
 def schema_to_text(schema: DatasetSchema) -> str:

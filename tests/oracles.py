@@ -231,26 +231,29 @@ def projection_oracle(kappa: np.ndarray, source: int = 0):
     return raw, normalized
 
 
+def _block_gaps(block, u: int, f: int) -> list[float]:
+    """Distances between values ``u`` and ``f`` (1-based) under each
+    sub-attribute of one block: coordinate gaps, or 0/1 mismatch for the
+    Hamming fallback."""
+    if block.is_fallback:
+        return [float(u != f)]
+    return np.abs(block.coords[:, u - 1] - block.coords[:, f - 1]).tolist()
+
+
 def phi_tensor(dataset, space, protos) -> np.ndarray:
     """Naive per-attribute distances between every object and prototype,
     in the expanded attribute order (numeric pass-throughs first)."""
-    from harr.projection import value_distance
-
     n = dataset.n
     k = protos.values.shape[0]
     m = space.d_hat
     phi = np.zeros((n, k, m))
     for i in range(n):
         for l in range(k):
-            j = 0
-            for r in space.numeric_attrs:
-                phi[i, l, j] = abs(dataset.cells[i, r] - protos.values[l, r])
-                j += 1
-            for sub in space.sub_attributes:
-                u = int(dataset.cells[i, sub.source])
-                f = int(protos.values[l, sub.source])
-                phi[i, l, j] = value_distance(sub, u, f)
-                j += 1
+            x, p = dataset.cells[i], protos.values[l]
+            row = [abs(x[r] - p[r]) for r in space.numeric_attrs]
+            for b in space.blocks:
+                row += _block_gaps(b, int(x[b.source]), int(p[b.source]))
+            phi[i, l] = row
     return phi
 
 
@@ -280,11 +283,7 @@ def weighted_distance(dataset, space, protos, weights, x: int, m: int) -> float:
     for block in space.blocks:
         u = int(dataset.cells[x, block.source])
         f = int(protos.values[m, block.source])
-        if block.is_fallback:
-            phis = [float(u != f)]
-        else:
-            phis = np.abs(block.coords[:, u - 1] - block.coords[:, f - 1]).tolist()
-        for phi in phis:
+        for phi in _block_gaps(block, u, f):
             total += phi * (w[j] if w is not None else 1.0)
             j += 1
     return total

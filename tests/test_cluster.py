@@ -163,6 +163,54 @@ class TestAssign:
             assign(dataset, space, protos, weights)
 
 
+# d = 2 attributes (one numerical, one 3-valued nominal) and n = 4 objects
+_STEP_DATA = ("x,num\nc,nom,a|b|c\n", "0.0,a\n0.5,b\n1.0,c\n0.2,a")
+
+
+def _refit(dataset, space, partition, protos):
+    return update_prototypes(dataset, partition)
+
+
+def _assign(dataset, space, partition, protos):
+    return assign(dataset, space, protos, None)
+
+
+class TestStepInputs:
+    """The single-step operations reject inputs that do not fit the dataset."""
+
+    @pytest.mark.parametrize("step", [_refit, update_weight_vector, update_weight_matrix])
+    def test_partition_of_another_length(self, step):
+        dataset, space = _mixed(*_STEP_DATA)
+        protos = Prototypes(np.ones((2, 2)))
+        message = "partition labels must have shape (4,); got (3,)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            step(dataset, space, Partition((1, 2, 1), 2), protos)
+
+    @pytest.mark.parametrize("step", [update_weight_vector, update_weight_matrix])
+    def test_prototypes_of_another_width(self, step):
+        dataset, space = _mixed(*_STEP_DATA)
+        protos = Prototypes(np.ones((2, 5)))
+        message = "prototypes must have shape (2, 2); got (2, 5)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            step(dataset, space, Partition((1, 2, 2, 1), 2), protos)
+
+    @pytest.mark.parametrize("step", [update_weight_vector, update_weight_matrix])
+    def test_labels_above_the_prototype_count(self, step):
+        dataset, space = _mixed(*_STEP_DATA)
+        protos = Prototypes(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="^partition has labels above k=2$"):
+            step(dataset, space, Partition((1, 2, 3, 1), 3), protos)
+
+    @pytest.mark.parametrize("step", [_assign, update_weight_vector, update_weight_matrix])
+    @pytest.mark.parametrize("value", [0.0, 1.5, 4.0, 9.0, np.nan])
+    def test_categorical_prototype_outside_the_values(self, step, value):
+        dataset, space = _mixed(*_STEP_DATA)
+        protos = Prototypes(np.array([[0.5, 1.0], [0.5, value]]))
+        message = "prototype values of attribute 'c' must be integers in [1, 3]"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            step(dataset, space, Partition((1, 2, 2, 1), 2), protos)
+
+
 class TestUpdatePrototypes:
     def test_numerical_mean(self):
         dataset, _ = _numeric_space(np.array([[0.2], [0.4]]))
@@ -803,10 +851,8 @@ def test_report_equality_ignores_timings():
         inner_monotone=True,
         max_inner_increase=0.0,
     )
-    from harr.cluster import PhaseTimings
-
     a = RunReport(**kw)
-    b = RunReport(**kw, timings=PhaseTimings(1.0, 2.0, 3.0))
+    b = RunReport(**kw, cluster_s=2.0, weights_s=3.0)
     assert a == b
 
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from harr.cluster import PhaseTimings, RunReport
+from harr.cluster import RunReport
 from harr.evaluation import aggregate_runs, ari, ca, contingency, format_mean_std
 
 from oracles import ari_paircount_oracle, ca_permutation_oracle
@@ -153,7 +153,6 @@ def _report(labels, seed=0, ari_val=None, ca_val=None):
         max_inner_increase=0.0,
         ari=ari_val,
         ca=ca_val,
-        timings=PhaseTimings(),
     )
 
 

@@ -14,7 +14,7 @@ import harr
 from harr import bench, cli
 from harr.bench import BenchConfig, cmd_bench_time, cmd_cluster, cmd_trace_plot
 from harr.cli import build_parser, main
-from harr.cluster import ConfigError, PhaseTimings, RunReport
+from harr.cluster import ConfigError, RunReport
 from harr.evaluation import ari, ca
 from harr.report import (
     ReportFile,
@@ -54,7 +54,8 @@ def _run_report(variant="HARR-V", seed=0, weights=(0.25, 0.75), matrix=None):
         max_inner_increase=0.0,
         ari=0.5,
         ca=0.75,
-        timings=PhaseTimings(0.1, 0.2, 0.05),
+        cluster_s=0.2,
+        weights_s=0.05,
     )
 
 
@@ -995,6 +996,17 @@ class TestCliMain:
         capsys.readouterr()
         assert main([*command, *args]) == 2
         assert "KMD handles pure categorical data only" in capsys.readouterr().err
+        assert not runs.exists()
+
+    def test_k_above_n_fails_before_any_run(self, tmp_path, monkeypatch, capsys):
+        out = str(tmp_path / "synth")
+        main(["synth", "--n", "20", "--out", out])
+        monkeypatch.setattr(bench, "prepare", lambda *args: pytest.fail("prepared"))
+        runs = tmp_path / "runs"
+        args = ["--data", f"{out}/data.csv", "--schema", f"{out}/schema.txt", "--k", "21"]
+        capsys.readouterr()
+        assert main(["cluster", *args, "--out", str(runs)]) == 2
+        assert "k=21 exceeds the 20 available objects" in capsys.readouterr().err
         assert not runs.exists()
 
     def test_options_and_config_fields_agree(self):

@@ -1,5 +1,8 @@
+import importlib
 import math
+import pkgutil
 import tracemalloc
+from dataclasses import fields, is_dataclass
 from unittest import mock
 
 import numpy as np
@@ -7,14 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import harr
 import harr.schema
+from harr.base_distance import BaseDistanceTable, CpdTable
 from harr.bench import _subsample
+from harr.cluster import Prototypes, WeightMatrix, WeightVector
+from harr.projection import ProjectedAttribute, ProjectedBlock, ReconstructedSpace
 from harr.schema import (
     AttributeKind,
     AttributeSchema,
     DataError,
+    Dataset,
     DatasetSchema,
+    DistinctRows,
+    OrdinalView,
     SchemaError,
+    _Record,
     dataset_to_text,
     default_bin_count,
     discretize_numerical,
@@ -440,3 +451,102 @@ def test_ingest_memory_stays_below_all_tokens():
         tracemalloc.stop()
     assert np.array_equal(dataset.cells, codes)
     assert peak < 40e6, f"ingest peak {peak / 1e6:.1f} MB"
+
+
+def _harr_dataclasses():
+    for info in pkgutil.iter_modules(harr.__path__):
+        module = importlib.import_module(f"harr.{info.name}")
+        for obj in vars(module).values():
+            if is_dataclass(obj) and obj.__module__ == module.__name__:
+                yield obj
+
+
+def test_every_dataclass_holding_arrays_is_a_record():
+    # An array field under the generated __eq__ makes == raise ValueError.
+    holders = [
+        cls
+        for cls in _harr_dataclasses()
+        if any("ndarray" in str(f.type) for f in fields(cls))
+    ]
+    assert {"Dataset", "RunReport", "BaseDistanceTable", "_CatGroup"} <= {
+        cls.__name__ for cls in holders
+    }
+    for cls in holders:
+        assert issubclass(cls, _Record), cls.__qualname__
+        assert cls.__eq__ is _Record.__eq__, cls.__qualname__
+        assert cls.__hash__ is None, cls.__qualname__
+
+
+_TWO = parse_schema("x,num\nc,nom,a|b\n")
+
+
+def _block(coords):
+    return ProjectedBlock(1, ((1, 2),), coords, np.ones(1))
+
+
+# (record, build from one array, that array, the array with entries changed)
+ARRAY_RECORDS = [
+    (
+        "Dataset",
+        lambda a: Dataset(_TWO, a),
+        [[0.5, 1.0], [0.0, 2.0]],
+        [[0.5, 1.0], [0.0, 1.0]],
+    ),
+    ("DistinctRows", lambda a: DistinctRows(a, np.array([0, 1, 0])), [0, 1], [0, 2]),
+    (
+        "OrdinalView",
+        lambda a: OrdinalView(_TWO, (2, 2), a),
+        [[1, 2], [2, 1]],
+        [[1, 2], [2, 2]],
+    ),
+    (
+        "CpdTable",
+        lambda a: CpdTable(1, 0, a, np.ones(2)),
+        [[1.0, 0.0], [0.0, 1.0]],
+        [[1.0, 0.0], [0.5, 0.5]],
+    ),
+    (
+        "BaseDistanceTable",
+        lambda a: BaseDistanceTable((None, a)),
+        [[0.0, 2.0], [2.0, 0.0]],
+        [[0.0, 2.0], [2.0, 1.0]],
+    ),
+    (
+        "ProjectedAttribute",
+        lambda a: ProjectedAttribute(1, (1, 2), a, 1.0),
+        [0.0, 1.0],
+        [0.0, 0.5],
+    ),
+    ("ProjectedBlock", _block, [[0.0, 1.0]], [[0.0, 0.5]]),
+    (
+        "ReconstructedSpace",
+        lambda a: ReconstructedSpace(_TWO, (0,), (_block(a),)),
+        [[0.0, 1.0]],
+        [[0.0, 0.5]],
+    ),
+    ("Prototypes", Prototypes, [[0.5, 1.0]], [[0.5, 2.0]]),
+    # entries on the simplex cannot change one at a time
+    ("WeightVector", WeightVector, [0.25, 0.75], [0.75, 0.25]),
+    ("WeightMatrix", WeightMatrix, [[0.25, 0.75]], [[0.75, 0.25]]),
+]
+
+
+@pytest.mark.parametrize(
+    "make, values, changed",
+    [pytest.param(*case[1:], id=case[0]) for case in ARRAY_RECORDS],
+)
+def test_array_records_compare_by_value(make, values, changed):
+    given = np.array(values)
+    record = make(given)
+    assert record == make(np.array(values))
+    assert not record != make(np.array(values))
+    assert record != make(np.array(changed))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(record)
+    assert given.flags.writeable
+
+
+def test_ingested_datasets_compare_equal():
+    schema = parse_schema("x,num\n")
+    assert ingest_table("1\n2", schema) == ingest_table("1\n2", schema)
+    assert ingest_table("1\n2", schema) != ingest_table("1\n3", schema)
