@@ -24,7 +24,6 @@ from harr import (
     project_nominal,
     project_ordinal,
     reconstruct,
-    value_distance,
 )
 
 # A hand-made distance matrix over values a, b, c: think of a triangle
@@ -43,12 +42,13 @@ print("-> in span (1, 2), value 3 projects to "
       f"{block.coords[0, 2]:.4f} (between the endpoints)")
 
 # Normalization scales each sub-attribute (each row) so its largest value
-# gap is 1, comparable to a normalized numerical attribute. A block's
-# ``sub_attributes`` views its rows one at a time.
-span_ab = normalize_projected(block).sub_attributes[0]
+# gap is 1, comparable to a normalized numerical attribute. The distance
+# between two values under a sub-attribute is the gap between their
+# coordinates in its row.
+span_ab = normalize_projected(block).coords[0]
 print("\nvalue distances in normalized span (1, 2):")
 for u, f in [(1, 2), (1, 3), (2, 3)]:
-    print(f"  d({u},{f}) = {value_distance(span_ab, u, f):.4f}")
+    print(f"  d({u},{f}) = {abs(span_ab[u - 1] - span_ab[f - 1]):.4f}")
 
 # Ordinal attributes: one line is enough. Every nominal-style span of an
 # additive matrix reproduces the same pairwise distances.

@@ -43,7 +43,6 @@ from .projection import (
     project_nominal,
     project_ordinal,
     normalize_projected,
-    value_distance,
     reconstruct,
     dump_reconstruction,
 )

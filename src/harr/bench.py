@@ -116,6 +116,15 @@ def _scored(report: RunReport, labels: np.ndarray) -> RunReport:
     return replace(report, ari=ari(labels, report.labels), ca=ca(labels, report.labels))
 
 
+def _load_checked(cfg: BenchConfig) -> Dataset:
+    """Load the data and check that every variant can cluster it, before any
+    run or file."""
+    dataset = load_dataset(cfg.schema, cfg.data)
+    for variant in cfg.variants:
+        _check_variant(dataset, variant)
+    return dataset
+
+
 def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
     """Run every variant ``cfg.runs`` times and persist reports.
 
@@ -123,9 +132,7 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
     aggregate summary table. Report files are byte-identical across reruns
     with the same configuration; only the timings sidecars vary.
     """
-    dataset = load_dataset(cfg.schema, cfg.data)
-    for variant in cfg.variants:
-        _check_variant(dataset, variant)
+    dataset = _load_checked(cfg)
     if cfg.k > dataset.n:
         raise ConfigError(f"k={cfg.k} exceeds the {dataset.n} available objects")
     labels = read_label_file(cfg.labels) if cfg.labels else None
@@ -163,7 +170,7 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
             inner_cap=cfg.inner_cap,
             outer_cap=cfg.outer_cap,
             epsilon=EPSILON,
-            d_hat=prep.width,
+            d_hat=prep.model.m,
             ari_mean=summary.ari_mean if summary else None,
             ari_std=summary.ari_std if summary else None,
             ca_mean=summary.ca_mean if summary else None,
@@ -194,17 +201,16 @@ def cmd_bench_time(cfg: BenchConfig) -> list[tuple[float, int, str, float]]:
     Subsamples take the first ceil(phi * n) rows of the seed-shuffled
     dataset. Each measurement is the median of ``cfg.repeats`` repeats.
     """
-    dataset = load_dataset(cfg.schema, cfg.data)
-    for variant in cfg.variants:
-        _check_variant(dataset, variant)
+    dataset = _load_checked(cfg)
+    smallest = min(cfg.phis)
+    if (n_min := math.ceil(smallest * dataset.n)) < cfg.k:
+        raise ConfigError(
+            f"sampling rate {smallest} keeps {n_min} objects, fewer than k={cfg.k}"
+        )
     order = np.random.default_rng(cfg.base_seed).permutation(dataset.n)
     rows: list[tuple[float, int, str, float]] = []
     for phi in cfg.phis:
         n_sub = math.ceil(phi * dataset.n)
-        if n_sub < cfg.k:
-            raise ConfigError(
-                f"sampling rate {phi} keeps {n_sub} objects, fewer than k={cfg.k}"
-            )
         sub = _subsample(dataset, order, n_sub)
         for variant in cfg.variants:
             config = _run_config(cfg, variant, cfg.base_seed)

@@ -116,17 +116,6 @@ class RunConfig:
             raise ConfigError("iteration caps must be at least 1")
 
 
-def _cluster_labels(x, k: int) -> np.ndarray:
-    """Labels in [1, k] as a frozen int64 array."""
-    try:
-        labels = _label_array(x)
-    except OverflowError:  # beyond int64, so outside [1, k]
-        raise ValueError(f"labels must lie in [1, {k}]") from None
-    if labels.size and (labels.min() < 1 or labels.max() > k):
-        raise ValueError(f"labels must lie in [1, {k}]")
-    return _frozen(labels)
-
-
 @dataclass(frozen=True, eq=False)
 class Partition(_Record):
     """Crisp cluster labels in [1, k], one per object, as a frozen int64
@@ -136,7 +125,7 @@ class Partition(_Record):
     k: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", _cluster_labels(self.labels, self.k))
+        object.__setattr__(self, "labels", _label_array(self.labels, self.k))
 
     def to_zero_based(self) -> np.ndarray:
         return self.labels - 1
@@ -225,7 +214,7 @@ class RunReport(_Record):
     weights_s: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "labels", _cluster_labels(self.labels, self.k))
+        object.__setattr__(self, "labels", _label_array(self.labels, self.k))
         if self.weights is not None and self.weight_matrix is not None:
             raise ValueError("a run has a weight vector or a weight matrix, not both")
         for name, ndim in (("weights", 1), ("weight_matrix", 2)):
@@ -235,10 +224,6 @@ class RunReport(_Record):
                 if w.ndim != ndim or not np.isfinite(w).all():
                     raise ValueError(f"{name} must be {ndim}-dimensional and finite")
                 object.__setattr__(self, name, w)
-
-    @property
-    def partition(self) -> Partition:
-        return Partition(self.labels, self.k)
 
 
 # ---------------------------------------------------------------------------
@@ -673,12 +658,6 @@ class Prepared:
     model: _ColumnModel | _PointModel
     space: ReconstructedSpace | None
     reconstruct_s: float
-
-    @property
-    def width(self) -> int:
-        """Columns the variant clusters on: d_hat for the reconstructed
-        space, the encoded width for OHE+OC, d otherwise."""
-        return self.model.m
 
 
 def _check_variant(dataset: Dataset, variant: str) -> None:

@@ -28,12 +28,7 @@ __all__ = [
 
 
 def _as_labels(x) -> np.ndarray:
-    if isinstance(x, Partition):
-        x = x.labels
-    arr = _label_array(x)
-    if arr.size and arr.min() < 1:
-        raise ValueError("labels must be positive integers (1-based)")
-    return arr
+    return _label_array(x.labels if isinstance(x, Partition) else x)
 
 
 def contingency(labels, pred) -> np.ndarray:

@@ -42,7 +42,6 @@ __all__ = [
     "project_ordinal",
     "normalize_projected",
     "hamming_fallback",
-    "value_distance",
     "reconstruct",
     "dump_reconstruction",
 ]
@@ -221,13 +220,6 @@ def hamming_fallback(v: int, source: int = 0) -> ProjectedBlock:
     degenerate; keeps the attribute in play."""
     coords, gap = _freeze(np.zeros((1, v))), _freeze(np.ones(1))
     return ProjectedBlock(source, (HAMMING_FALLBACK,), coords, gap)
-
-
-def value_distance(attr: ProjectedAttribute, u: int, f: int) -> float:
-    """Distance between two values (1-based indices) under one sub-attribute."""
-    if attr.span == HAMMING_FALLBACK:
-        return float(u != f)
-    return float(abs(attr.coords[u - 1] - attr.coords[f - 1]))
 
 
 def reconstruct(dataset: Dataset, table: BaseDistanceTable) -> ReconstructedSpace:

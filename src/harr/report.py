@@ -25,7 +25,7 @@ import numpy as np
 
 from .cluster import RunReport
 from .evaluation import RunSummary
-from .schema import DataError, _freeze, _write_text
+from .schema import DataError, _freeze, _label_array, _write_text
 
 __all__ = [
     "ReportFile",
@@ -377,9 +377,10 @@ def load_report(path: str) -> ReportFile:
     runs = []
     for _ in src.blocks(head["runs"]):
         run = src.fields(_RUN_HEAD)
-        labels = run["labels"]
-        if labels.size and (labels.min() < 1 or labels.max() > k):
-            raise src.error(f"labels must lie in [1, {k}]")
+        try:
+            run["labels"] = _label_array(run["labels"], k)
+        except ValueError as exc:
+            raise src.error(str(exc)) from None
         _read_weights(src, run, k, head["d_hat"])
         run.update(src.fields(_RUN_TAIL))
         runs.append(RunReport(variant=head["variant"], k=k, **run))

@@ -72,16 +72,24 @@ def _frozen(a, dtype=None) -> np.ndarray:
     return a if not a.flags.writeable and a.flags.c_contiguous else _freeze(a.copy())
 
 
-def _label_array(x) -> np.ndarray:
-    """Labels as a one-dimensional int64 array. A non-integral label raises
-    rather than being truncated; a Python int beyond int64 raises
-    OverflowError."""
+def _label_array(x, k: int | None = None) -> np.ndarray:
+    """The one label rule: labels as a frozen one-dimensional int64 array,
+    each at least 1 and, when ``k`` is given, at most k. Every fault is a
+    ValueError: a non-integral label raises rather than being truncated, and
+    a label beyond int64 is out of bounds."""
     arr = np.asarray(x)
     if arr.dtype.kind == "f" and not (np.isfinite(arr) & (arr == np.trunc(arr))).all():
         raise ValueError("labels must be integers")
     if arr.ndim != 1:
         raise ValueError("labels must be one-dimensional")
-    return arr.astype(np.int64, copy=False)
+    bounds = "be positive integers (1-based)" if k is None else f"lie in [1, {k}]"
+    try:
+        labels = _frozen(arr, np.int64)
+    except OverflowError:
+        raise ValueError(f"labels must {bounds}") from None
+    if labels.size and (labels.min() < 1 or (k is not None and labels.max() > k)):
+        raise ValueError(f"labels must {bounds}")
+    return labels
 
 
 def _same(a, b) -> bool:

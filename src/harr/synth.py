@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .report import write_label_file
 from .schema import (
     AttributeKind,
     AttributeSchema,
@@ -166,5 +167,5 @@ def write_synthetic(spec: SyntheticSpec, out_dir: str) -> dict[str, str]:
     return {
         "schema": write("schema.txt", schema_to_text(dataset.schema)),
         "data": write("data.csv", dataset_to_text(dataset)),
-        "labels": write("labels.txt", "".join(f"{x}\n" for x in labels)),
+        "labels": write_label_file(labels, os.path.join(out_dir, "labels.txt")),
     }

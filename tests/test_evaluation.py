@@ -208,3 +208,12 @@ def test_non_integral_labels_are_rejected(score):
         score([1.9, 2, 1, 2], [1, 2, 1, 2])
     with pytest.raises(ValueError, match="^labels must be integers$"):
         score([1, 2, 1, 2], [1, 2, 1, 2.5])
+
+
+@pytest.mark.parametrize("score", [ari, ca, contingency])
+def test_labels_beyond_int64_are_rejected(score):
+    message = r"^labels must be positive integers \(1-based\)$"
+    with pytest.raises(ValueError, match=message):
+        score([10**20, 1], [1, 1])
+    with pytest.raises(ValueError, match=message):
+        score([1, 1], [1, 2**70])

@@ -16,7 +16,6 @@ from harr.projection import (
     project_nominal,
     project_ordinal,
     reconstruct,
-    value_distance,
 )
 from harr.schema import (
     AttributeKind,
@@ -27,7 +26,7 @@ from harr.schema import (
 )
 
 from conftest import build_dataset, random_dataset
-from oracles import projection_oracle
+from oracles import _block_gaps, projection_oracle
 
 # Three-value configuration used across several cases below.
 KAPPA_ABC = np.array(
@@ -137,24 +136,27 @@ class TestNormalize:
 
 
 class TestValueDistance:
+    """Value distances are coordinate gaps within a block's rows, and 0/1
+    mismatch for the Hamming fallback."""
+
     def test_identity(self):
         line = normalize_projected(project_ordinal(additive_kappa([0.4, 0.6])))
-        assert value_distance(line.sub_attributes[0], 2, 2) == 0.0
+        assert _block_gaps(line, 2, 2) == [0.0]
 
     def test_endpoint_gap(self):
         line = normalize_projected(project_ordinal(additive_kappa([0.4, 0.6])))
-        assert value_distance(line.sub_attributes[0], 1, 3) == pytest.approx(1.0)
+        assert _block_gaps(line, 1, 3) == [pytest.approx(1.0)]
 
     def test_hand_example_scaled(self):
-        span_ab = normalize_projected(project_nominal(KAPPA_ABC)).sub_attributes[0]
-        assert value_distance(span_ab, 3, 1) == pytest.approx(
-            0.6875 / span_ab.max_span, rel=1e-12
+        block = normalize_projected(project_nominal(KAPPA_ABC))
+        assert _block_gaps(block, 3, 1)[0] == pytest.approx(
+            0.6875 / block.max_span[0], rel=1e-12
         )
 
     def test_hamming_marker(self):
-        sub = hamming_fallback(4).sub_attributes[0]
-        assert value_distance(sub, 1, 1) == 0.0
-        assert value_distance(sub, 1, 3) == 1.0
+        block = hamming_fallback(4)
+        assert _block_gaps(block, 1, 1) == [0.0]
+        assert _block_gaps(block, 1, 3) == [1.0]
 
 
 class TestReconstruct:
@@ -196,17 +198,18 @@ class TestReconstruct:
             dataset = random_dataset(rng, min_categorical=1)
             table = build_base_distances(dataset, discretize_numerical(dataset))
             space = reconstruct(dataset, table)
-            for sub in space.sub_attributes:
-                v = sub.v
-                mat = np.array(
-                    [[value_distance(sub, u, f) for f in range(1, v + 1)]
+            for block in space.blocks:
+                v = block.v
+                mats = np.array(
+                    [[_block_gaps(block, u, f) for f in range(1, v + 1)]
                      for u in range(1, v + 1)]
                 )
-                assert np.array_equal(mat, mat.T)
-                assert np.all(np.diag(mat) == 0.0)
-                assert np.all(mat >= 0.0)
-                for u, f, t in itertools.product(range(v), repeat=3):
-                    assert mat[u, f] <= mat[u, t] + mat[t, f] + 1e-9
+                for mat in np.moveaxis(mats, 2, 0):  # one (v, v) per row
+                    assert np.array_equal(mat, mat.T)
+                    assert np.all(np.diag(mat) == 0.0)
+                    assert np.all(mat >= 0.0)
+                    for u, f, t in itertools.product(range(v), repeat=3):
+                        assert mat[u, f] <= mat[u, t] + mat[t, f] + 1e-9
 
     def test_distances_bounded_and_endpoints_faithful(self):
         rng = np.random.default_rng(123)
@@ -214,19 +217,21 @@ class TestReconstruct:
             dataset = random_dataset(rng, min_categorical=1)
             table = build_base_distances(dataset, discretize_numerical(dataset))
             space = reconstruct(dataset, table)
-            for sub in space.sub_attributes:
+            for block in space.blocks:
                 pairs = [
-                    value_distance(sub, u, f)
-                    for u in range(1, sub.v + 1)
-                    for f in range(1, sub.v + 1)
+                    gap
+                    for u in range(1, block.v + 1)
+                    for f in range(1, block.v + 1)
+                    for gap in _block_gaps(block, u, f)
                 ]
                 assert 0.0 <= min(pairs) and max(pairs) <= 1.0 + 1e-12
-                if isinstance(sub.span, tuple):
-                    g, h = sub.span
-                    kappa = table.matrices[sub.source]
-                    assert value_distance(sub, g, h) == pytest.approx(
-                        kappa[g - 1, h - 1] / sub.max_span, rel=1e-12
-                    )
+                kappa = table.matrices[block.source]
+                for i, span in enumerate(block.spans):
+                    if isinstance(span, tuple):
+                        g, h = span
+                        assert _block_gaps(block, g, h)[i] == pytest.approx(
+                            kappa[g - 1, h - 1] / block.max_span[i], rel=1e-12
+                        )
 
 
 @settings(deadline=None, max_examples=40)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1008,6 +1009,36 @@ class TestCliMain:
         assert main(["cluster", *args, "--out", str(runs)]) == 2
         assert "k=21 exceeds the 20 available objects" in capsys.readouterr().err
         assert not runs.exists()
+
+    def test_smallest_sampling_rate_below_k_fails_before_any_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        out = str(tmp_path / "synth")
+        main(["synth", "--n", "2000", "--out", out])
+        monkeypatch.setattr(bench, "prepare", lambda *args: pytest.fail("prepared"))
+        runs = tmp_path / "runs"
+        args = ["--data", f"{out}/data.csv", "--schema", f"{out}/schema.txt", "--k", "500"]
+        args += ["--phi", "1", "--phi", "0.1", "--out", str(runs)]
+        capsys.readouterr()
+        assert main(["bench-time", *args]) == 2
+        assert "sampling rate 0.1 keeps 200 objects, fewer than k=500" in capsys.readouterr().err
+        assert not runs.exists()
+
+    def test_readme_synopsis_lists_every_option(self):
+        # The README's "Command line" block is the one synopsis users read.
+        readme = Path(__file__).parents[1] / "README.md"
+        block = readme.read_text(encoding="utf-8").split("## Command line")[1].split("```")[1]
+        listed: dict[str, set[str]] = {}
+        for line in filter(str.strip, block.splitlines()):
+            if line.startswith("harr "):
+                command = line.split()[1]
+            listed.setdefault(command, set()).update(re.findall(r"--[a-z-]+", line))
+        (commands,) = [a.choices for a in build_parser()._actions if a.dest == "command"]
+        options = {
+            name: {o for a in parser._actions for o in a.option_strings} - {"-h", "--help"}
+            for name, parser in commands.items()
+        }
+        assert listed == options
 
     def test_options_and_config_fields_agree(self):
         # A knob dropped on one side only would be silently unreachable.
