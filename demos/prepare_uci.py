@@ -25,6 +25,8 @@ import argparse
 import os
 import sys
 
+from harr.report import write_label_file
+
 DATASETS = {
     # name: (delimiter, label column, drop strategy)
     "soybean": (",", 0, "rows"),
@@ -81,9 +83,7 @@ def write_outputs(name, data, labels, out_root):
     with open(os.path.join(out_dir, "data.csv"), "w", encoding="utf-8") as fh:
         for row in data:
             fh.write(",".join(row) + "\n")
-    with open(os.path.join(out_dir, "labels.txt"), "w", encoding="utf-8") as fh:
-        for label in labels:
-            fh.write(f"{label}\n")
+    write_label_file(labels, os.path.join(out_dir, "labels.txt"))
     return out_dir
 
 

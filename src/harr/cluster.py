@@ -585,17 +585,15 @@ def assign(
     return Partition(scores.argmin(axis=0)[model.inverse] + 1, protos.k)
 
 
-def update_prototypes(dataset: Dataset, partition: Partition, k: int | None = None) -> Prototypes:
+def update_prototypes(dataset: Dataset, partition: Partition) -> Prototypes:
     """Refit prototypes: numerical attributes take the member mean,
     categorical attributes the most frequent value index (ties to the lowest
     index). A memberless cluster falls back to the dataset-wide mean/mode;
     the run loop re-seeds empty clusters before refitting, so the fallback
-    only matters for direct calls. ``k`` may exceed the partition's k to
-    refit trailing memberless clusters, but no label may exceed it.
-    """
-    k = partition.k if k is None else k
-    _check_partition(dataset, partition, k)
-    return Prototypes(_model_original(dataset).refit(partition.to_zero_based(), k))
+    only matters for direct calls."""
+    _check_partition(dataset, partition, partition.k)
+    labels0, k = partition.to_zero_based(), partition.k
+    return Prototypes(_model_original(dataset).refit(labels0, k))
 
 
 def _refresh_stats(dataset, space, partition, protos):

@@ -50,11 +50,6 @@ def contingency(labels, pred) -> np.ndarray:
     return np.bincount(pairs, minlength=n_rows * n_cols).reshape(n_rows, n_cols)
 
 
-def _canonical(arr: np.ndarray) -> tuple[int, ...]:
-    seen: dict[int, int] = {}
-    return tuple(seen.setdefault(int(x), len(seen)) for x in arr)
-
-
 def ari(labels, pred) -> float:
     """Adjusted pair-counting agreement from the contingency table.
 
@@ -84,7 +79,9 @@ def ari(labels, pred) -> float:
             RuntimeWarning,
             stacklevel=2,
         )
-        return 1.0 if _canonical(truth) == _canonical(guess) else 0.0
+        # Identical up to relabeling: no class meets two clusters, no cluster two classes.
+        nonzero = table > 0
+        return float(max(nonzero.sum(axis=0).max(), nonzero.sum(axis=1).max()) <= 1)
     return (index - expected) / (maximum - expected)
 
 

@@ -77,34 +77,37 @@ def _optional(codec):
     )
 
 
-def _label_text(labels: np.ndarray) -> str:
-    """Labels, each at least 1, as space-separated decimals."""
+def _label_text(labels: np.ndarray, sep: str = " ") -> str:
+    """Labels, each at least 1, as decimals with one ``sep`` between two."""
     if labels.size and labels.max() <= 9:  # one digit each
-        buf = np.full(2 * labels.size - 1, ord(" "), np.uint8)
+        buf = np.full(2 * labels.size - 1, ord(sep), np.uint8)
         buf[::2] = labels + ord("0")
         return buf.tobytes().decode("ascii")
     values, index = np.unique(labels, return_inverse=True)
-    return " ".join(values.astype(str)[index].tolist())
+    return sep.join(values.astype(str)[index].tolist())
 
 
 def _read_labels(text: str, sep: str = " ") -> np.ndarray:
     """Decimals, one ``sep`` between two, to int64, parsed from the bytes
-    with numpy."""
-    raw = np.frombuffer(text.encode("ascii"), np.uint8)
+    with numpy. A fault is a ValueError whose message completes "label ..."."""
+    raw = np.frombuffer(text.encode("ascii", "replace"), np.uint8)
     digit = raw != ord(sep)
     starts = np.flatnonzero(digit & np.r_[True, ~digit[:-1]])
     ends = np.flatnonzero(digit & np.r_[~digit[1:], True]) + 1
     if raw.size and starts.size != raw.size - digit.sum() + 1:
-        raise ValueError(f"labels must be separated by a single {sep!r}")
+        raise ValueError(f"is not separated by a single {sep!r}")
     if ((raw < ord("0")) | (raw > ord("9")))[digit].any():
-        raise ValueError("labels must be decimal digits")
-    width = int((ends - starts).max()) if starts.size else 0
-    if width > 18:  # every 18-digit decimal fits in int64
-        raise ValueError("label too long")
+        raise ValueError("is not an integer")
+    top = np.iinfo(np.int64).max
     labels = np.zeros(starts.size, np.int64)
-    for j in range(width):
+    over = np.zeros(starts.size, bool)
+    for j in range(int((ends - starts).max()) if starts.size else 0):
         live = starts + j < ends
-        labels[live] = labels[live] * 10 + (raw[starts[live] + j] - ord("0"))
+        value, digits = labels[live], raw[starts[live] + j] - ord("0")
+        over[live] |= (value > top // 10) | ((value == top // 10) & (digits > top % 10))
+        labels[live] = value * 10 + digits
+    if over.any():
+        raise ValueError("does not fit in int64")
     return labels
 
 
@@ -476,28 +479,41 @@ def load_bench_time(path: str) -> list[tuple[float, int, str, float]]:
     return _load_table(_BENCH_TIME, path)
 
 
-def read_label_file(path: str) -> np.ndarray:
-    """Read labels, one integer per line, as a frozen int64 array; blank
-    lines are skipped. A bad label is a DataError naming its line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _labels_of(lines: list[str]) -> np.ndarray:
+    """Labels of stripped lines under the label rule; blank lines are skipped."""
+    labels = _read_labels("\n".join(filter(None, lines)), "\n")
     try:
-        return _freeze(_read_labels(text.rstrip("\n"), "\n"))
+        return _label_array(labels)
+    except ValueError as exc:
+        raise ValueError(f"is out of range: {exc}") from None
+
+
+def read_label_file(path: str) -> np.ndarray:
+    """Read labels, one positive decimal integer per line, as a frozen int64
+    array; blanks and blank lines are skipped. A bad label's DataError names
+    its line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read().rstrip("\n")
+    try:
+        return _labels_of([text])  # plain digit lines, in one pass
     except ValueError:
-        pass  # not plain digit lines: read line by line, naming a bad one
-    labels = []
-    for lineno, token in enumerate(map(str.strip, text.split("\n")), 1):
-        if not token:
-            continue
-        try:
-            label = int(token)
-        except ValueError:
-            raise DataError(f"{path}, line {lineno}: label {token!r} is not an integer") from None
-        if not -(2**63) <= label < 2**63:
-            raise DataError(f"{path}, line {lineno}: label {token!r} does not fit in int64")
-        labels.append(label)
-    return _freeze(np.array(labels, dtype=np.int64))
+        lines = [line.strip() for line in text.split("\n")]
+    try:
+        return _labels_of(lines)
+    except ValueError:
+        lo, hi = 0, len(lines)  # lines[:lo] are good; lines[lo:hi] are not
+        while lo < hi:  # bisect for the first bad line
+            mid = max(lo + 1, (lo + hi) // 2)
+            try:
+                _labels_of(lines[lo:mid])
+                lo = mid
+            except ValueError as exc:
+                if mid == lo + 1:
+                    raise DataError(f"{path}, line {mid}: label {lines[lo]!r} {exc}") from None
+                hi = mid
+        raise
 
 
 def write_label_file(labels, path: str) -> str:
-    return _write_text(path, "".join(f"{int(x)}\n" for x in labels))
+    """Write labels, one per line, in the format ``read_label_file`` reads."""
+    return _write_text(path, _label_text(_label_array(labels), "\n") + "\n")

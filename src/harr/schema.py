@@ -366,42 +366,28 @@ def ingest_table(data_text: str, schema: DatasetSchema) -> Dataset:
     for start in range(0, kept.size, step):
         rows = kept[start : start + step].tolist()
         chunk = [lines[i] for i in rows]
-        bad = _parse_chunk(chunk, schema, lookups, cells[start : start + len(rows)])
-        if bad is not None:
-            raise _row_error(rows[bad] + 1, chunk[bad], schema, lookups)
+        if not _parse_chunk(chunk, lookups, cells[start : start + len(rows)]):
+            errors = (_row_error(i + 1, lines[i], schema, lookups) for i in rows)
+            raise next(filter(None, errors))
     return Dataset(schema, _freeze(cells))
 
 
 def _parse_chunk(
-    chunk: list[str],
-    schema: DatasetSchema,
-    lookups: list[dict[str, float] | None],
-    out: np.ndarray,
-) -> int | None:
-    """Parse the rows of ``chunk`` column by column into ``out``; return the
-    index of the first bad row, or None when every row is good."""
-    d = schema.d
+    chunk: list[str], lookups: list[dict[str, float] | None], out: np.ndarray
+) -> bool:
+    """Parse ``chunk`` column by column into ``out``; return whether it parsed."""
+    d = len(lookups)
     commas = list(map(str.count, chunk, itertools.repeat(",")))
-    first_bad = None
     if commas.count(d - 1) != len(commas):
-        first_bad = next(i for i, m in enumerate(commas) if m != d - 1)
-        chunk = chunk[:first_bad]
-    if not chunk:
-        return first_bad
-    # Every row left has d tokens, so column c is every d-th token from c.
+        return False
+    # Every row has d tokens, so column c is every d-th token from c.
     tokens = ",".join(chunk).split(",")
-    for c, (attr, lookup) in enumerate(zip(schema.attributes, lookups)):
-        toks = tokens[c::d]
-        vals = _parse_column(toks, lookup)
-        if vals is not None:
-            out[: len(chunk), c] = vals
-            continue
-        bad = next(
-            i for i, tok in enumerate(toks) if _cell_error(tok.strip(), attr, lookup)
-        )
-        if first_bad is None or bad < first_bad:
-            first_bad = bad
-    return first_bad
+    for c, lookup in enumerate(lookups):
+        vals = _parse_column(tokens[c::d], lookup)
+        if vals is None:
+            return False
+        out[:, c] = vals
+    return True
 
 
 def _parse_column(
@@ -446,8 +432,8 @@ def _cell_error(
 
 def _row_error(
     rowno: int, raw: str, schema: DatasetSchema, lookups: list[dict[str, float] | None]
-) -> DataError:
-    """The error for the first bad cell of a row the column pass flagged."""
+) -> DataError | None:
+    """The error for the first bad cell of a row, or None for a good row."""
     tokens = [t.strip() for t in raw.split(",")]
     if len(tokens) != schema.d:
         return DataError(f"row {rowno}: expected {schema.d} columns, got {len(tokens)}")
@@ -455,7 +441,7 @@ def _row_error(
         problem = _cell_error(tok, attr, lookup)
         if problem is not None:
             return DataError(f"row {rowno}, column {attr.name!r}: {problem}")
-    raise AssertionError(f"row {rowno}: the column pass flagged a good row")
+    return None
 
 
 def normalize_numerical(dataset: Dataset) -> Dataset:

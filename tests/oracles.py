@@ -462,7 +462,7 @@ def alternating_oracle(
         labels = new_labels
         partition = Partition(tuple(x + 1 for x in labels), k)
         if changed and inner < inner_cap:
-            protos = update_prototypes(dataset, partition, k).values
+            protos = update_prototypes(dataset, partition).values
             continue
         if variant == "HAR" or labels == last_refresh:
             converged = not changed

@@ -634,10 +634,39 @@ def test_bench_time_roundtrip(tmp_path):
 
 
 def test_label_file_roundtrip(tmp_path):
-    path = write_label_file([1, 2, 3, 1], str(tmp_path / "labels.txt"))
+    top = 2**63 - 1
+    path = write_label_file([1, 2, 3, 1, top], str(tmp_path / "labels.txt"))
+    assert Path(path).read_text() == f"1\n2\n3\n1\n{top}\n"
     labels = read_label_file(path)
-    assert labels.tolist() == [1, 2, 3, 1]
+    assert labels.tolist() == [1, 2, 3, 1, top]
     assert labels.dtype == np.int64 and not labels.flags.writeable
+    Path(path).write_text(f"\n 1\n\t2 \n\n  {top}  \n \n")
+    assert read_label_file(path).tolist() == [1, 2, top]
+    with pytest.raises(ValueError, match=r"^labels must be positive integers \(1-based\)$"):
+        write_label_file([1, 0], path)
+
+
+_LABEL_LINES = ["1", " 2 ", "", "10", "0", "x", "-3", "1_0", "9" * 19]
+
+
+@settings(
+    max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.lists(st.sampled_from(_LABEL_LINES), max_size=60))
+def test_label_file_names_its_first_bad_line(tmp_path, lines):
+    # Against a line-by-line reading with Python's own integers.
+    def bad(token):
+        return token and not (token.isdigit() and 1 <= int(token) < 2**63)
+
+    path = tmp_path / "labels.txt"
+    path.write_text("".join(f"{line}\n" for line in lines))
+    first = next((i for i, line in enumerate(lines, 1) if bad(line.strip())), None)
+    if first is None:
+        want = [int(line) for line in lines if line.strip()]
+        assert read_label_file(str(path)).tolist() == want
+    else:
+        with pytest.raises(ValueError, match=f", line {first}: label "):
+            read_label_file(str(path))
 
 
 def test_variant_slug():
@@ -1072,20 +1101,31 @@ class TestCliMain:
         assert code == 3
 
     @pytest.mark.parametrize("command", ["cluster", "eval"])
-    def test_bad_label_names_file_and_line(self, tmp_path, capsys, command):
+    def test_bad_label_names_file_and_line(self, tmp_path, monkeypatch, capsys, command):
         out = str(tmp_path / "synth")
         main(["synth", "--n", "3", "--k-true", "2", "--d-n", "1", "--out", out])
+        monkeypatch.setattr(bench, "prepare", lambda *args: pytest.fail("prepared"))
+        runs = tmp_path / "runs"
         bad = tmp_path / "labels.txt"
-        bad.write_text("1\n2\nx\n")
-        capsys.readouterr()
-        if command == "cluster":
-            args = ["--data", f"{out}/data.csv", "--schema", f"{out}/schema.txt"]
-            args += ["--labels", str(bad), "--k", "2", "--out", str(tmp_path / "runs")]
-        else:
-            args = ["--labels", f"{out}/labels.txt", "--pred", str(bad)]
-        assert main([command] + args) == 3
-        err = capsys.readouterr().err
-        assert err == f"data error: {bad}, line 3: label 'x' is not an integer\n"
+        cases = [
+            ("1\n2\nx\n", 3, "'x' is not an integer"),
+            ("1\n0\n2\n", 2, "'0' is out of range: labels must be positive integers (1-based)"),
+            ("-3\n1\n2\n", 1, "'-3' is not an integer"),
+            ("1\n\n +2 \n2\n", 3, "'+2' is not an integer"),
+            ("1\n2\n1_0\n", 3, "'1_0' is not an integer"),
+        ]
+        for text, line, problem in cases:
+            bad.write_text(text)
+            capsys.readouterr()
+            if command == "cluster":
+                args = ["--data", f"{out}/data.csv", "--schema", f"{out}/schema.txt"]
+                args += ["--labels", str(bad), "--k", "2", "--out", str(runs)]
+            else:
+                args = ["--labels", f"{out}/labels.txt", "--pred", str(bad)]
+            assert main([command] + args) == 3
+            err = capsys.readouterr().err
+            assert err == f"data error: {bad}, line {line}: label {problem}\n"
+            assert not runs.exists()
 
     @pytest.mark.parametrize("command", ["cluster", "eval"])
     def test_label_beyond_int64_names_file_and_line(self, tmp_path, capsys, command):
