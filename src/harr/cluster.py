@@ -13,11 +13,13 @@ baselines run a single epoch.
 The score and refit steps come from the variant's model. Identical rows
 score alike, so a model scores each distinct row of the dataset once; the
 partition stays per object, and objects read their scores through the
-dataset's distinct-row index. The column model keeps prototypes in the
-original attribute space and refits them as per-cluster means (numerical
-attributes) and modal values (categorical attributes); OHE+OC's point model
-scores encoded points by squared Euclidean distance and refits them as
-member means.
+dataset's distinct-row index. The categorical part of a score depends only
+on the row's categorical cells, so it is summed once per categorical
+sub-row and the numerical part is added per distinct row. The column model
+keeps prototypes in the original attribute space and refits them as
+per-cluster means (numerical attributes) and modal values (categorical
+attributes); OHE+OC's point model scores encoded points by squared
+Euclidean distance and refits them as member means.
 
 Variants:
 
@@ -231,12 +233,15 @@ class RunReport(_Record):
 # score alike, so scores are k x u, one contiguous row per cluster, with one
 # column per distinct row that ``inverse`` reads per object. The partition,
 # the re-seeds, the objective sum, the refits and the weight statistics stay
-# per object. The column model serves every variant but OHE+OC. Categorical
-# distances depend only on the value index, so scoring gathers one weighted
-# per-value total per source attribute. Within a fixed-weight epoch a total
-# depends only on the prototype's value (and a weight matrix's row), so a
-# run memoizes the (v,) totals per epoch. Each run builds every (gamma, v)
-# distance block in place in one flat buffer of its own (``_block_buffer``).
+# per object. A score is its categorical part, summed at the s categorical
+# sub-rows and repeated over each sub-row's run of distinct rows, plus its
+# numerical gaps, added in attribute order. The column model serves every
+# variant but OHE+OC. Categorical distances depend only on the value index,
+# so scoring gathers one weighted per-value total per source attribute.
+# Within a fixed-weight epoch a total depends only on the prototype's value
+# (and a weight matrix's row), so a run memoizes the (v,) totals per epoch.
+# Each run builds every (gamma, v) distance block in place in one flat
+# buffer of its own (``_block_buffer``).
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +265,7 @@ class _CatGroup(_Record):
     source: int
     cols: np.ndarray  # positions in the expanded column order
     codes0: np.ndarray  # n, 0-based value codes per object
-    distinct: np.ndarray  # u, 0-based value codes at the distinct rows
+    sub: np.ndarray  # s, 0-based value codes at the categorical sub-rows
     value_counts: np.ndarray  # (v,) occurrences over the whole dataset
     coords: np.ndarray | None = None  # (len(cols), v) line coordinates
     table: np.ndarray | None = None  # (v, v) distances of the only column
@@ -283,12 +288,13 @@ class _CatGroup(_Record):
         return counts.reshape(k, v).astype(float)
 
 
-@dataclass(frozen=True)
-class _ColumnModel:
+@dataclass(frozen=True, eq=False)
+class _ColumnModel(_Record):
     dataset: Dataset
     m: int
     numeric: tuple[_NumericCol, ...]
     groups: tuple[_CatGroup, ...]
+    repeats: np.ndarray  # s, distinct rows per categorical sub-row
 
     @property
     def inverse(self) -> np.ndarray:
@@ -311,13 +317,9 @@ class _ColumnModel:
         """
         k = proto_vals.shape[0]
         by_row = weights is not None and weights.ndim == 2
-        scores = np.zeros((k, self.dataset.distinct.u))
-        for l in range(k):
-            w_l = weights[l] if by_row else weights
-            s = scores[l]
-            for num in self.numeric:
-                gap = np.abs(num.distinct - proto_vals[l, num.source])
-                s += gap if w_l is None else w_l[num.col] * gap
+        rows = [weights[l] if by_row else weights for l in range(k)]
+        cat = np.zeros((k, self.repeats.size))
+        for l, w_l in enumerate(rows):
             for g in self.groups:
                 p = int(proto_vals[l, g.source]) - 1
                 key = (g.source, p, l) if by_row else (g.source, p)
@@ -329,7 +331,12 @@ class _ColumnModel:
                     if w_l is not None:
                         np.multiply(w_l[g.cols, None], block, out=block)
                     totals = memo[key] = block.sum(axis=0)
-                s += totals[g.distinct]
+                cat[l] += totals[g.sub]
+        scores = np.repeat(cat, self.repeats, axis=1)
+        for l, w_l in enumerate(rows):
+            for num in self.numeric:
+                gap = np.abs(num.distinct - proto_vals[l, num.source])
+                scores[l] += gap if w_l is None else w_l[num.col] * gap
         return scores
 
     def refit(self, labels0: np.ndarray, k: int) -> np.ndarray:
@@ -351,31 +358,47 @@ class _ColumnModel:
 
 @dataclass(frozen=True, eq=False)
 class _PointModel(_Record):
-    """OHE+OC: encoded points, squared Euclidean scores, member-mean refits."""
+    """OHE+OC: encoded points, squared Euclidean scores, member-mean refits.
 
-    points: np.ndarray  # u x m, encode_ohe_oc at the distinct rows
+    The one-hot and ordinal columns of a point depend only on its
+    categorical sub-row, so they are kept once per sub-row; the numerical
+    columns are kept per distinct row."""
+
+    m: int
+    cat: np.ndarray  # m_c x s, the encoded categorical columns at the sub-rows
+    cat_cols: np.ndarray  # m_c, their positions among the m encoded columns
+    numeric: tuple[_NumericCol, ...]  # ``col``: position among the m columns
+    repeats: np.ndarray  # s, distinct rows per categorical sub-row
+    sub_inverse: np.ndarray  # n, object -> categorical sub-row
     inverse: np.ndarray  # n, object -> distinct row
     groups = ()  # no categorical blocks
 
-    @property
-    def m(self) -> int:
-        return self.points.shape[1]
-
     def at(self, objects: np.ndarray) -> np.ndarray:
-        return self.points[self.inverse[objects]]
+        points = np.empty((objects.size, self.m))
+        points[:, self.cat_cols] = self.cat[:, self.sub_inverse[objects]].T
+        for num in self.numeric:
+            points[:, num.col] = num.values[objects]
+        return points
 
     def scores(self, centroids: np.ndarray, weights: None, memo, buf) -> np.ndarray:
         """k x u squared Euclidean distances; OHE+OC is unweighted."""
-        sq = np.empty((centroids.shape[0], self.points.shape[0]))
-        for l in range(centroids.shape[0]):
-            sq[l] = ((self.points - centroids[l]) ** 2).sum(axis=1)
+        cat = np.empty((centroids.shape[0], self.repeats.size))
+        for l, c in enumerate(centroids):
+            cat[l] = ((self.cat - c[self.cat_cols, None]) ** 2).sum(axis=0)
+        sq = np.repeat(cat, self.repeats, axis=1)
+        for l, c in enumerate(centroids):
+            for num in self.numeric:
+                sq[l] += (num.distinct - c[num.col]) ** 2
         return sq
 
     def refit(self, labels0: np.ndarray, k: int) -> np.ndarray:
-        # one row per member object, in object order, as the mean sums them
-        return np.stack(
-            [self.points[self.inverse[labels0 == l]].mean(axis=0) for l in range(k)]
-        )
+        """Member means, each column summed over the objects in object order."""
+        sums = np.empty((k, self.m))
+        for col, at_sub in zip(self.cat_cols, self.cat):
+            sums[:, col] = np.bincount(labels0, at_sub[self.sub_inverse], minlength=k)
+        for num in self.numeric:
+            sums[:, num.col] = np.bincount(labels0, num.values, minlength=k)
+        return sums / np.bincount(labels0, minlength=k)[:, None]
 
 
 def _block_buffer(model: _ColumnModel | _PointModel) -> np.ndarray:
@@ -384,13 +407,21 @@ def _block_buffer(model: _ColumnModel | _PointModel) -> np.ndarray:
     return np.empty(max(sizes, default=0))
 
 
-def _make_group(dataset, source, cols, v, coords=None, table=None) -> _CatGroup:
+def _sub_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Each categorical sub-row's count of distinct rows, and the lowest
+    object holding its first distinct row."""
+    rows = dataset.distinct
+    repeats = np.bincount(rows.sub)
+    return _freeze(repeats), rows.first[np.cumsum(repeats) - repeats]
+
+
+def _make_group(dataset, held, source, cols, v, coords=None, table=None) -> _CatGroup:
     codes0 = dataset.cells[:, source].astype(np.int64) - 1
     return _CatGroup(
         source,
         _freeze(np.asarray(cols, dtype=np.int64)),
         _freeze(codes0),
-        _freeze(codes0[dataset.distinct.first]),
+        _freeze(codes0[held]),
         _freeze(np.bincount(codes0, minlength=v).astype(float)),
         None if coords is None else _freeze(coords),
         None if table is None else _freeze(table),
@@ -403,6 +434,7 @@ def _make_numeric(dataset: Dataset, col: int, source: int) -> _NumericCol:
 
 
 def _model_reconstructed(dataset: Dataset, space: ReconstructedSpace) -> _ColumnModel:
+    repeats, held = _sub_rows(dataset)
     numeric = [
         _make_numeric(dataset, col, r) for col, r in enumerate(space.numeric_attrs)
     ]
@@ -414,8 +446,8 @@ def _model_reconstructed(dataset: Dataset, space: ReconstructedSpace) -> _Column
         # A fallback's coordinates are all zero, so it needs the 0/1 table;
         # any other block's frozen coordinates are shared, not copied.
         coords, table = (None, 1.0 - np.eye(b.v)) if b.is_fallback else (b.coords, None)
-        groups.append(_make_group(dataset, b.source, cols, b.v, coords, table))
-    return _ColumnModel(dataset, col, tuple(numeric), tuple(groups))
+        groups.append(_make_group(dataset, held, b.source, cols, b.v, coords, table))
+    return _ColumnModel(dataset, col, tuple(numeric), tuple(groups), repeats)
 
 
 def _model_original(
@@ -423,6 +455,7 @@ def _model_original(
 ) -> _ColumnModel:
     """KMD/KPT columns (0/1 mismatch on categorical attributes), or the BD
     columns when a base-distance table is supplied."""
+    repeats, held = _sub_rows(dataset)
     numeric = []
     groups = []
     for r, attr in enumerate(dataset.schema.attributes):
@@ -430,8 +463,36 @@ def _model_original(
             numeric.append(_make_numeric(dataset, r, r))
         else:
             dist = 1.0 - np.eye(attr.v) if table is None else table.matrices[r]
-            groups.append(_make_group(dataset, r, [r], attr.v, table=dist))
-    return _ColumnModel(dataset, dataset.schema.d, tuple(numeric), tuple(groups))
+            groups.append(_make_group(dataset, held, r, [r], attr.v, table=dist))
+    return _ColumnModel(
+        dataset, dataset.schema.d, tuple(numeric), tuple(groups), repeats
+    )
+
+
+def _model_ohe_oc(dataset: Dataset) -> _PointModel:
+    repeats, held = _sub_rows(dataset)
+    encoded = encode_ohe_oc(Dataset(dataset.schema, dataset.cells[held]))
+    # encode_ohe_oc's layout: attributes in order, a nominal one as v columns
+    widths = [
+        a.v if a.kind is AttributeKind.NOMINAL else 1 for a in dataset.schema.attributes
+    ]
+    starts = np.cumsum(widths) - widths
+    numeric = [
+        _make_numeric(dataset, int(starts[r]), r)
+        for r in dataset.schema.numerical_indices()
+    ]
+    is_cat = np.ones(encoded.shape[1], dtype=bool)
+    is_cat[[num.col for num in numeric]] = False
+    rows = dataset.distinct
+    return _PointModel(
+        encoded.shape[1],
+        _freeze(encoded[:, is_cat].T),
+        _freeze(np.flatnonzero(is_cat)),
+        tuple(numeric),
+        repeats,
+        _freeze(rows.sub[rows.inverse]),
+        rows.inverse,
+    )
 
 
 def _reseed_empty(
@@ -686,9 +747,7 @@ def prepare(dataset: Dataset, variant: str) -> Prepared:
     elif variant in ("KMD", "KPT"):
         model = _model_original(dataset)
     else:  # OHE+OC
-        rows = dataset.distinct
-        distinct = Dataset(dataset.schema, _freeze(dataset.cells[rows.first]))
-        model = _PointModel(_freeze(encode_ohe_oc(distinct)), rows.inverse)
+        model = _model_ohe_oc(dataset)
     return Prepared(variant, model, space, time.perf_counter() - start)
 
 

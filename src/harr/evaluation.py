@@ -53,9 +53,9 @@ def contingency(labels, pred) -> np.ndarray:
 def ari(labels, pred) -> float:
     """Adjusted pair-counting agreement from the contingency table.
 
-    When the adjustment is degenerate (expected agreement equals the maximum,
-    e.g. both partitions all-singletons or all-one-cluster) the convention is
-    1 for structurally identical partitions and 0 otherwise, with a warning.
+    The adjustment is degenerate (expected agreement equals the maximum)
+    exactly when both labelings are all singletons or both a single group;
+    the score is then 1, with a warning.
     """
     truth = _as_labels(labels)
     guess = _as_labels(pred)
@@ -63,26 +63,26 @@ def ari(labels, pred) -> float:
         raise ValueError("need at least two objects")
     table = contingency(truth, guess)
 
-    def _pairs(x: np.ndarray) -> float:
-        return float((x * (x - 1) // 2).sum())
+    def _pairs(x: np.ndarray) -> int:
+        return int((x * (x - 1) // 2).sum())
 
     index = _pairs(table)
     row_pairs = _pairs(table.sum(axis=1))
     col_pairs = _pairs(table.sum(axis=0))
     total_pairs = truth.shape[0] * (truth.shape[0] - 1) // 2
-    expected = row_pairs * col_pairs / total_pairs
-    maximum = (row_pairs + col_pairs) / 2.0
-    if maximum == expected:
+    # maximum == expected, decided in integers
+    if 2 * row_pairs * col_pairs == total_pairs * (row_pairs + col_pairs):
         warnings.warn(
             "degenerate adjustment (maximum equals expected agreement); "
-            "returning 1 for identical partitions, 0 otherwise",
+            "returning 1: both labelings are all singletons or both are a "
+            "single group",
             RuntimeWarning,
             stacklevel=2,
         )
-        # Identical up to relabeling: no class meets two clusters, no cluster two classes.
-        nonzero = table > 0
-        return float(max(nonzero.sum(axis=0).max(), nonzero.sum(axis=1).max()) <= 1)
-    return (index - expected) / (maximum - expected)
+        return 1.0
+    expected = float(row_pairs) * float(col_pairs) / total_pairs
+    maximum = (float(row_pairs) + float(col_pairs)) / 2.0
+    return (float(index) - expected) / (maximum - expected)
 
 
 def ca(labels, pred) -> float:

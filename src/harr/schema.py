@@ -207,34 +207,48 @@ class DistinctRows(_Record):
 
     ``first[j]`` is the lowest index of the objects holding distinct row j
     and ``inverse[i]`` is the distinct row of object i, so
-    ``cells[first][inverse]`` equals ``cells``.
+    ``cells[first][inverse]`` equals ``cells``. ``sub[j]`` numbers distinct
+    row j's categorical sub-row, its categorical cells: two distinct rows
+    share a number exactly when those cells are equal, and the numbers never
+    decrease over the distinct rows.
     """
 
     first: np.ndarray
     inverse: np.ndarray
+    sub: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "first", _frozen(self.first))
-        object.__setattr__(self, "inverse", _frozen(self.inverse))
+        for name in ("first", "inverse", "sub"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @property
     def u(self) -> int:
         return self.first.shape[0]
 
 
-def _distinct_rows(cells: np.ndarray) -> DistinctRows:
-    n, d = cells.shape
-    # lexsort is stable, so each run of equal rows opens with its lowest
-    # object index. Rows are compared column by column: no n x d sorted copy.
-    order = np.lexsort(cells.T[::-1])
-    new = np.zeros(n, dtype=bool)
+def _run_starts(cells: np.ndarray, order: np.ndarray, cols) -> np.ndarray:
+    """Where the rows listed in ``order`` open a run of equal ``cols`` cells.
+    Rows are compared column by column: no sorted copy of the table."""
+    new = np.zeros(order.shape[0], dtype=bool)
     new[:1] = True
-    for c in range(d):
+    for c in cols:
         col = cells[order, c]
         new[1:] |= col[1:] != col[:-1]
-    inverse = np.empty(n, dtype=np.int64)
+    return new
+
+
+def _distinct_rows(cells: np.ndarray, categorical: tuple[int, ...]) -> DistinctRows:
+    numerical = [c for c in range(cells.shape[1]) if c not in categorical]
+    # The categorical columns are the primary keys, so each categorical
+    # sub-row is one run of distinct rows. lexsort is stable, so each run of
+    # equal rows opens with its lowest object index.
+    order = np.lexsort([cells[:, c] for c in [*categorical, *numerical][::-1]])
+    new_sub = _run_starts(cells, order, categorical)
+    new = new_sub | _run_starts(cells, order, numerical)
+    inverse = np.empty(order.shape[0], dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
-    return DistinctRows(_freeze(order[new]), _freeze(inverse))
+    sub = np.cumsum(new_sub)[new] - 1
+    return DistinctRows(_freeze(order[new]), _freeze(inverse), _freeze(sub))
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,7 +296,7 @@ class Dataset(_Record):
     @cached_property
     def distinct(self) -> DistinctRows:
         """The distinct rows of ``cells``, found once per dataset."""
-        return _distinct_rows(self.cells)
+        return _distinct_rows(self.cells, self.schema.categorical_indices())
 
 
 @dataclass(frozen=True, eq=False)

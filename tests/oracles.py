@@ -380,8 +380,8 @@ def alternating_oracle(
 
     Starts from ``k`` seeded objects and uniform weights. Each assignment
     scores every object against every prototype one column at a time, in
-    the engine's order: the numerical pass-throughs, then each categorical
-    attribute's sub-attributes summed in order and added as one total; ties
+    the engine's order: each categorical attribute's sub-attributes summed
+    in order and added as one total, then the numerical pass-throughs; ties
     go to the lowest cluster. Empty clusters are re-seeded as in
     ``kmodes_with_table_oracle``. An epoch ends when the labels repeat or
     after ``inner_cap`` assignments; the weights are then refreshed (HARR-V,
@@ -410,10 +410,7 @@ def alternating_oracle(
     def score(i: int, l: int) -> float:
         w = weights[l] if weights.ndim == 2 else weights
         total = 0.0
-        j = 0
-        for r in space.numeric_attrs:
-            total += float(w[j]) * abs(float(dataset.cells[i, r]) - float(protos[l, r]))
-            j += 1
+        j = len(space.numeric_attrs)  # sub-attribute columns follow the numerics
         for block in space.blocks:
             x = int(dataset.cells[i, block.source]) - 1
             p = int(protos[l, block.source]) - 1
@@ -426,6 +423,8 @@ def alternating_oracle(
                 group += float(w[j]) * phi
                 j += 1
             total += group
+        for j, r in enumerate(space.numeric_attrs):
+            total += float(w[j]) * abs(float(dataset.cells[i, r]) - float(protos[l, r]))
         return total
 
     labels: list[int] | None = None

@@ -30,7 +30,9 @@ from harr.cluster import (
 )
 from harr.projection import reconstruct
 from harr.schema import (
+    AttributeKind,
     Dataset,
+    DatasetSchema,
     _freeze,
     discretize_numerical,
     ingest_table,
@@ -675,6 +677,114 @@ def test_capped_baseline_matches_table_oracle(seed, variant):
     assert report.inner_iterations == len(trace_z) - converged
 
 
+def _mixed_sample(rng):
+    """A random dataset with numerical and categorical attributes whose rows
+    are drawn with replacement, so objects share distinct rows and distinct
+    rows share categorical sub-rows."""
+    while True:
+        base = random_dataset(rng, max_n=30, max_v=6, min_categorical=1)
+        if base.schema.d_u:
+            break
+    return build_dataset(base.schema, base.cells[rng.integers(0, base.n, 2 * base.n)])
+
+
+def _object_scores(dataset, variant, prep, protos, weights):
+    """k x n dissimilarities recomputed object by object from their
+    definitions, in the engine's order: each categorical attribute's terms
+    summed and added as one total, then the numerical attributes' terms."""
+    schema, cells = dataset.schema, dataset.cells
+    m = prep.model.m
+    tables = None
+    if variant == "BD":
+        tables = build_base_distances(dataset, discretize_numerical(dataset)).matrices
+    enc = encode_ohe_oc(dataset)
+    widths = [a.v if a.kind is AttributeKind.NOMINAL else 1 for a in schema.attributes]
+    enc_numeric = [int(np.cumsum(widths)[r] - 1) for r in schema.numerical_indices()]
+
+    def parts(i, l):
+        """(one list of terms per categorical total, the numerical terms)"""
+        if variant == "OHE+OC":
+            sq = [(float(enc[i, j]) - float(protos[l, j])) ** 2 for j in range(m)]
+            cat = [[t for j, t in enumerate(sq) if j not in enc_numeric]]
+            return cat, [sq[j] for j in enc_numeric]
+        w = np.ones(m) if weights is None else weights
+        w = [float(x) for x in (w[l] if w.ndim == 2 else w)]
+        x = [int(c) - 1 for c in cells[i]]
+        p = [int(c) - 1 for c in protos[l]]
+        if prep.space is None:  # one column per attribute
+            numeric = [(r, r) for r in schema.numerical_indices()]
+            cat = [
+                [w[r] * (float(x[r] != p[r]) if tables is None else tables[r][x[r], p[r]])]
+                for r in schema.categorical_indices()
+            ]
+        else:  # numerical pass-throughs, then each block's sub-attributes
+            numeric = list(enumerate(prep.space.numeric_attrs))
+            cat, col = [], len(numeric)
+            for b in prep.space.blocks:
+                xb, pb = x[b.source], p[b.source]
+                phi = [
+                    float(xb != pb) if b.is_fallback
+                    else abs(float(b.coords[c, xb]) - float(b.coords[c, pb]))
+                    for c in range(b.gamma)
+                ]
+                cat.append([w[col + c] * phi[c] for c in range(b.gamma)])
+                col += b.gamma
+        gaps = [w[j] * abs(float(cells[i, r]) - float(protos[l, r])) for j, r in numeric]
+        return cat, gaps
+
+    out = np.empty((protos.shape[0], dataset.n))
+    for l in range(protos.shape[0]):
+        for i in range(dataset.n):
+            cat, gaps = parts(i, l)
+            total = 0.0
+            for terms in cat:
+                part = 0.0
+                for t in terms:
+                    part += t
+                total += part
+            for t in gaps:
+                total += t
+            out[l, i] = total
+    return out
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(cluster.VARIANTS))
+def test_score_step_matches_per_object_scores(seed, variant):
+    # Scores sum their categorical part once per categorical sub-row, repeat
+    # it over the sub-row's distinct rows and add the numerical gaps; read
+    # per object they agree with a per-object recomputation, and so does
+    # every object's nearest prototype. OHE+OC refits to its members' means.
+    rng = np.random.default_rng(seed)
+    dataset = _mixed_sample(rng)
+    if variant == "KMD":  # pure categorical data only
+        cat = list(dataset.schema.categorical_indices())
+        schema = DatasetSchema(tuple(dataset.schema.attributes[r] for r in cat))
+        dataset = build_dataset(schema, dataset.cells[:, cat])
+    k = int(rng.integers(2, 5))
+    labels0 = rng.permutation(np.arange(dataset.n) % k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        prep = prepare(dataset, variant)
+    model = prep.model
+    protos = model.refit(labels0, k)
+    weights = {
+        "HARR-V": rng.dirichlet(np.ones(model.m)),
+        "HARR-M": rng.dirichlet(np.ones(model.m), size=k),
+        "HAR": np.full(model.m, 1.0 / model.m),
+    }.get(variant)
+    scores = model.scores(protos, weights, {}, cluster._block_buffer(model))
+    assert scores.shape == (k, dataset.distinct.u)
+    expected = _object_scores(dataset, variant, prep, protos, weights)
+    got = scores[:, model.inverse]
+    assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
+    assert np.array_equal(got.argmin(axis=0), expected.argmin(axis=0))
+    if variant == "OHE+OC":
+        enc = encode_ohe_oc(dataset)
+        means = np.stack([enc[labels0 == l].mean(axis=0) for l in range(k)])
+        assert protos.tobytes() == means.tobytes()
+
+
 def test_score_memo_builds_each_total_once_per_epoch(monkeypatch):
     # One 30-valued nominal has 435 sub-attributes, so every per-value build
     # is a (435, 30) array. Within a fixed-weight epoch, HARR-M builds each
@@ -745,7 +855,7 @@ def test_per_value_builds_block_in_buffer(v, table, seed, data):
         source=0,
         cols=_freeze(np.arange(rows)),
         codes0=_freeze(np.zeros(1, dtype=np.int64)),
-        distinct=_freeze(np.zeros(1, dtype=np.int64)),
+        sub=_freeze(np.zeros(1, dtype=np.int64)),
         value_counts=_freeze(np.ones(v)),
         coords=None if table else _freeze(values),
         table=_freeze(values) if table else None,

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,57 @@ class TestAri:
         # one-cluster truth vs singleton prediction is not a degenerate
         # adjustment; the formula itself yields 0
         assert ari([1, 1, 1], [1, 2, 3]) == 0.0
+
+
+def _ari_float_rule(labels, pred) -> tuple[float, bool]:
+    """``ari`` as it was when it decided degeneracy by comparing floats and
+    then scored 1 only for labelings identical up to relabeling; also
+    whether it found the adjustment degenerate."""
+    table = contingency(labels, pred)
+
+    def _pairs(x):
+        return float((x * (x - 1) // 2).sum())
+
+    index = _pairs(table)
+    row_pairs = _pairs(table.sum(axis=1))
+    col_pairs = _pairs(table.sum(axis=0))
+    total_pairs = len(labels) * (len(labels) - 1) // 2
+    expected = row_pairs * col_pairs / total_pairs
+    maximum = (row_pairs + col_pairs) / 2.0
+    if maximum == expected:
+        nonzero = table > 0
+        same = max(nonzero.sum(axis=0).max(), nonzero.sum(axis=1).max()) <= 1
+        return float(same), True
+    return (index - expected) / (maximum - expected), False
+
+
+def test_ari_equals_the_float_rule():
+    # 20,000 random labelings, a quarter of them both all singletons and a
+    # quarter both a single group, with labels spread up to 60 (sparse
+    # labels leave empty rows and columns in the table): the integer test
+    # finds the same degenerate cases, each scored 1, and every score is the
+    # same float.
+    rng = np.random.default_rng(17)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for trial in range(20_000):
+            n = int(rng.integers(2, 13))
+            shape = trial % 4
+            if shape == 0:  # both all singletons
+                labels, pred = (rng.choice(60, n, replace=False) + 1 for _ in range(2))
+            elif shape == 1:  # both a single group
+                labels, pred = (np.full(n, rng.integers(1, 61)) for _ in range(2))
+            else:
+                k1, k2 = rng.integers(1, n + 1, size=2)
+                spread = 60 if shape == 3 else max(k1, k2)
+                labels = rng.choice(spread, k1, replace=False)[rng.integers(0, k1, n)] + 1
+                pred = rng.choice(spread, k2, replace=False)[rng.integers(0, k2, n)] + 1
+            warned = len(caught)
+            got = ari(labels, pred)
+            warned = len(caught) > warned
+            assert (got, warned) == _ari_float_rule(labels, pred), (labels, pred)
+        degenerate = len(caught)
+    assert degenerate >= 10_000
 
 
 class TestCa:

@@ -276,6 +276,14 @@ def test_distinct_rows_record(seed, copies):
     same_id = rows.inverse[:, None] == rows.inverse[None, :]
     same_row = (cells[:, None, :] == cells[None, :, :]).all(axis=2)
     assert np.array_equal(same_id, same_row)
+    # Categorical sub-rows: two distinct rows share an id exactly when their
+    # categorical cells are equal, and the ids count up from 0, never
+    # decreasing over the distinct rows.
+    cat = cells[rows.first][:, list(base.schema.categorical_indices())]
+    same_sub = rows.sub[:, None] == rows.sub[None, :]
+    assert np.array_equal(same_sub, (cat[:, None, :] == cat[None, :, :]).all(axis=2))
+    assert rows.sub.shape == (rows.u,) and rows.sub[0] == 0
+    assert set(np.diff(rows.sub).tolist()) <= {0, 1}
     assert dataset.distinct is rows
 
 
@@ -492,7 +500,12 @@ ARRAY_RECORDS = [
         [[0.5, 1.0], [0.0, 2.0]],
         [[0.5, 1.0], [0.0, 1.0]],
     ),
-    ("DistinctRows", lambda a: DistinctRows(a, np.array([0, 1, 0])), [0, 1], [0, 2]),
+    (
+        "DistinctRows",
+        lambda a: DistinctRows(a, np.array([0, 1, 0]), np.zeros(2, dtype=np.int64)),
+        [0, 1],
+        [0, 2],
+    ),
     (
         "OrdinalView",
         lambda a: OrdinalView(_TWO, (2, 2), a),
