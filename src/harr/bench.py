@@ -86,9 +86,9 @@ class BenchConfig:
 
 def load_dataset(schema_path: str, data_path: str) -> Dataset:
     """Parse schema and data files into a normalized dataset."""
-    with open(schema_path, "r", encoding="utf-8") as fh:
+    with open(schema_path, "r", encoding="utf-8-sig") as fh:
         schema = parse_schema(fh.read())
-    with open(data_path, "r", encoding="utf-8") as fh:
+    with open(data_path, "r", encoding="utf-8-sig") as fh:
         dataset = ingest_table(fh.read(), schema)
     return normalize_numerical(dataset)
 

@@ -18,8 +18,9 @@ on the row's categorical cells, so it is summed once per categorical
 sub-row and the numerical part is added per distinct row. The column model
 keeps prototypes in the original attribute space and refits them as
 per-cluster means (numerical attributes) and modal values (categorical
-attributes); OHE+OC's point model scores encoded points by squared
-Euclidean distance and refits them as member means.
+attributes); OHE+OC's point model, built from the same parts, scores
+encoded points by squared Euclidean distance and refits them as member
+means.
 
 Variants:
 
@@ -235,9 +236,10 @@ class RunReport(_Record):
 # the re-seeds, the objective sum, the refits and the weight statistics stay
 # per object. A score is its categorical part, summed at the s categorical
 # sub-rows and repeated over each sub-row's run of distinct rows, plus its
-# numerical gaps, added in attribute order. The column model serves every
-# variant but OHE+OC. Categorical distances depend only on the value index,
-# so scoring gathers one weighted per-value total per source attribute.
+# numerical gaps, added in attribute order. The column model holds every
+# variant's columns; OHE+OC's point model reads the same parts with its own
+# geometry. Categorical distances depend only on the value index, so
+# scoring gathers one (weighted) per-value total per source attribute.
 # Within a fixed-weight epoch a total depends only on the prototype's value
 # (and a weight matrix's row), so a run memoizes the (v,) totals per epoch.
 # Each run builds every (gamma, v) distance block in place in one flat
@@ -257,7 +259,8 @@ class _CatGroup(_Record):
     """All expanded columns of one source categorical attribute.
 
     Projected sub-attributes keep their line coordinates, and a value
-    distance is a coordinate gap. A one-column group whose distances are not
+    distance is a coordinate gap; OHE+OC keeps its encoded columns there
+    (``_PointModel``). A one-column group whose distances are not
     coordinate gaps (BD base distances, 0/1 mismatch, the Hamming fallback)
     keeps a value-by-value table instead.
     """
@@ -356,35 +359,29 @@ class _ColumnModel(_Record):
         return _freeze(proto)
 
 
-@dataclass(frozen=True, eq=False)
-class _PointModel(_Record):
-    """OHE+OC: encoded points, squared Euclidean scores, member-mean refits.
+class _PointModel(_ColumnModel):
+    """OHE+OC on the column model's parts, with its own geometry.
 
-    The one-hot and ordinal columns of a point depend only on its
-    categorical sub-row, so they are kept once per sub-row; the numerical
-    columns are kept per distinct row."""
-
-    m: int
-    cat: np.ndarray  # m_c x s, the encoded categorical columns at the sub-rows
-    cat_cols: np.ndarray  # m_c, their positions among the m encoded columns
-    numeric: tuple[_NumericCol, ...]  # ``col``: position among the m columns
-    repeats: np.ndarray  # s, distinct rows per categorical sub-row
-    sub_inverse: np.ndarray  # n, object -> categorical sub-row
-    inverse: np.ndarray  # n, object -> distinct row
-    groups = ()  # no categorical blocks
+    Each categorical group's ``coords`` are its attribute's encoded columns,
+    one per value: the one-hot rows of a nominal attribute, the rank row of
+    an ordinal one. Prototypes are encoded centroids, scores are squared
+    Euclidean distances and refits are member means."""
 
     def at(self, objects: np.ndarray) -> np.ndarray:
+        """Encoded points of the given objects."""
         points = np.empty((objects.size, self.m))
-        points[:, self.cat_cols] = self.cat[:, self.sub_inverse[objects]].T
+        for g in self.groups:
+            points[:, g.cols] = g.coords[:, g.codes0[objects]].T
         for num in self.numeric:
             points[:, num.col] = num.values[objects]
         return points
 
     def scores(self, centroids: np.ndarray, weights: None, memo, buf) -> np.ndarray:
         """k x u squared Euclidean distances; OHE+OC is unweighted."""
-        cat = np.empty((centroids.shape[0], self.repeats.size))
+        cat = np.zeros((centroids.shape[0], self.repeats.size))
         for l, c in enumerate(centroids):
-            cat[l] = ((self.cat - c[self.cat_cols, None]) ** 2).sum(axis=0)
+            for g in self.groups:
+                cat[l] += ((g.coords - c[g.cols, None]) ** 2).sum(axis=0)[g.sub]
         sq = np.repeat(cat, self.repeats, axis=1)
         for l, c in enumerate(centroids):
             for num in self.numeric:
@@ -394,14 +391,15 @@ class _PointModel(_Record):
     def refit(self, labels0: np.ndarray, k: int) -> np.ndarray:
         """Member means, each column summed over the objects in object order."""
         sums = np.empty((k, self.m))
-        for col, at_sub in zip(self.cat_cols, self.cat):
-            sums[:, col] = np.bincount(labels0, at_sub[self.sub_inverse], minlength=k)
+        for g in self.groups:
+            for col, coord in zip(g.cols, g.coords):
+                sums[:, col] = np.bincount(labels0, coord[g.codes0], minlength=k)
         for num in self.numeric:
             sums[:, num.col] = np.bincount(labels0, num.values, minlength=k)
         return sums / np.bincount(labels0, minlength=k)[:, None]
 
 
-def _block_buffer(model: _ColumnModel | _PointModel) -> np.ndarray:
+def _block_buffer(model: _ColumnModel) -> np.ndarray:
     """Flat scratch for one categorical block at a time; one per run."""
     sizes = [g.cols.size * g.value_counts.size for g in model.groups]
     return np.empty(max(sizes, default=0))
@@ -470,29 +468,23 @@ def _model_original(
 
 
 def _model_ohe_oc(dataset: Dataset) -> _PointModel:
+    """OHE+OC columns, attributes in order: a numerical attribute passes
+    through, an ordinal one becomes its normalized rank (t-1)/(v-1) and a
+    nominal one a one-hot block of v columns (two different values sit at
+    distance 2 in the squared-Euclidean geometry)."""
     repeats, held = _sub_rows(dataset)
-    encoded = encode_ohe_oc(Dataset(dataset.schema, dataset.cells[held]))
-    # encode_ohe_oc's layout: attributes in order, a nominal one as v columns
-    widths = [
-        a.v if a.kind is AttributeKind.NOMINAL else 1 for a in dataset.schema.attributes
-    ]
-    starts = np.cumsum(widths) - widths
-    numeric = [
-        _make_numeric(dataset, int(starts[r]), r)
-        for r in dataset.schema.numerical_indices()
-    ]
-    is_cat = np.ones(encoded.shape[1], dtype=bool)
-    is_cat[[num.col for num in numeric]] = False
-    rows = dataset.distinct
-    return _PointModel(
-        encoded.shape[1],
-        _freeze(encoded[:, is_cat].T),
-        _freeze(np.flatnonzero(is_cat)),
-        tuple(numeric),
-        repeats,
-        _freeze(rows.sub[rows.inverse]),
-        rows.inverse,
-    )
+    numeric, groups, col = [], [], 0
+    for r, attr in enumerate(dataset.schema.attributes):
+        if not attr.kind.is_categorical:
+            numeric.append(_make_numeric(dataset, col, r))
+            col += 1
+            continue
+        nominal = attr.kind is AttributeKind.NOMINAL
+        coords = np.eye(attr.v) if nominal else np.arange(attr.v)[None] / (attr.v - 1)
+        cols = range(col, col + len(coords))
+        col += len(coords)
+        groups.append(_make_group(dataset, held, r, cols, attr.v, coords))
+    return _PointModel(dataset, col, tuple(numeric), tuple(groups), repeats)
 
 
 def _reseed_empty(
@@ -714,7 +706,7 @@ class Prepared:
     base distances, projection, model build), so KPT's is nonzero too."""
 
     variant: str
-    model: _ColumnModel | _PointModel
+    model: _ColumnModel
     space: ReconstructedSpace | None
     reconstruct_s: float
 
@@ -860,19 +852,6 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
 
 
 def encode_ohe_oc(dataset: Dataset) -> np.ndarray:
-    """Numeric encoding for the OHE+OC baseline: numerical attributes pass
-    through, ordinal values become normalized ranks (t-1)/(v-1), nominal
-    values become one-hot blocks (two different values sit at distance 2 in
-    the squared-Euclidean geometry)."""
-    cols: list[np.ndarray] = []
-    for r, attr in enumerate(dataset.schema.attributes):
-        col = dataset.cells[:, r]
-        if attr.kind is AttributeKind.NUMERICAL:
-            cols.append(col)
-        elif attr.kind is AttributeKind.ORDINAL:
-            cols.append((col - 1.0) / (attr.v - 1))
-        else:
-            onehot = np.zeros((dataset.n, attr.v))
-            onehot[np.arange(dataset.n), col.astype(np.int64) - 1] = 1.0
-            cols.extend(onehot.T)
-    return np.column_stack(cols)
+    """Numeric encoding for the OHE+OC baseline, one row per object: the
+    columns ``_model_ohe_oc`` clusters on."""
+    return _model_ohe_oc(dataset).at(np.arange(dataset.n))

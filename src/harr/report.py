@@ -492,7 +492,7 @@ def read_label_file(path: str) -> np.ndarray:
     """Read labels, one positive decimal integer per line, as a frozen int64
     array; blanks and blank lines are skipped. A bad label's DataError names
     its line."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         text = fh.read().rstrip("\n")
     try:
         return _labels_of([text])  # plain digit lines, in one pass

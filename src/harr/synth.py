@@ -28,13 +28,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cluster import ConfigError
 from .report import write_label_file
 from .schema import (
     AttributeKind,
     AttributeSchema,
     Dataset,
     DatasetSchema,
-    SchemaError,
     _freeze,
     _write_text,
     dataset_to_text,
@@ -59,17 +59,17 @@ class SyntheticSpec:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise SchemaError("n must be at least 1")
+            raise ConfigError("n must be at least 1")
         if self.k_true < 1:
-            raise SchemaError("k_true must be at least 1")
+            raise ConfigError("k_true must be at least 1")
         if min(self.d_u, self.d_n, self.d_o) < 0 or self.d < 1:
-            raise SchemaError("attribute counts must be non-negative with d >= 1")
+            raise ConfigError("attribute counts must be non-negative with d >= 1")
         if not 0.0 <= self.separation <= 1.0:
-            raise SchemaError("separation must lie in [0, 1]")
+            raise ConfigError("separation must lie in [0, 1]")
         if self.values < 2:
-            raise SchemaError("categorical attributes need at least 2 values")
+            raise ConfigError("categorical attributes need at least 2 values")
         if (self.d_n or self.d_o) and self.k_true > self.values:
-            raise SchemaError(
+            raise ConfigError(
                 f"k_true={self.k_true} exceeds the {self.values} distinct "
                 "preferred values available per categorical attribute"
             )

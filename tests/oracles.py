@@ -496,6 +496,24 @@ def alternating_oracle(
     }
 
 
+def ohe_oc_oracle(dataset: Dataset) -> np.ndarray:
+    """The OHE+OC encoding, attribute by attribute: a numerical attribute
+    passes through, an ordinal value t becomes the rank (t-1)/(v-1) and a
+    nominal attribute a one-hot block of v columns."""
+    cols: list[np.ndarray] = []
+    for r, attr in enumerate(dataset.schema.attributes):
+        col = dataset.cells[:, r]
+        if attr.kind is AttributeKind.NUMERICAL:
+            cols.append(col)
+        elif attr.kind is AttributeKind.ORDINAL:
+            cols.append((col - 1.0) / (attr.v - 1))
+        else:
+            onehot = np.zeros((dataset.n, attr.v))
+            onehot[np.arange(dataset.n), col.astype(np.int64) - 1] = 1.0
+            cols.extend(onehot.T)
+    return np.column_stack(cols)
+
+
 def lloyd_oracle(
     points: np.ndarray, init_idx: list[int], max_iter: int = 100
 ) -> tuple[list[int], list[float]]:

@@ -45,6 +45,7 @@ from oracles import (
     alternating_oracle,
     kmodes_with_table_oracle,
     lloyd_oracle,
+    ohe_oc_oracle,
     phi_tensor,
     weight_matrix_oracle,
     weight_vector_oracle,
@@ -460,7 +461,7 @@ class TestBaselines:
             if any(report.trace_reseeded) or not report.converged:
                 continue  # the replay has no cap or re-seed handling
             init = np.random.default_rng(seed).choice(dataset.n, size=k, replace=False)
-            labels, trace = lloyd_oracle(encode_ohe_oc(dataset), list(init))
+            labels, trace = lloyd_oracle(ohe_oc_oracle(dataset), list(init))
             assert report.labels.tolist() == [label + 1 for label in labels]
             # converged runs close with a repeat of the fixed-point objective
             assert np.allclose(report.trace_z[:-1], trace, rtol=1e-12, atol=0.0)
@@ -688,6 +689,12 @@ def _mixed_sample(rng):
     return build_dataset(base.schema, base.cells[rng.integers(0, base.n, 2 * base.n)])
 
 
+def _attributes(dataset, keep):
+    """The dataset restricted to the attributes in ``keep``."""
+    schema = DatasetSchema(tuple(dataset.schema.attributes[r] for r in keep))
+    return build_dataset(schema, dataset.cells[:, list(keep)])
+
+
 def _object_scores(dataset, variant, prep, protos, weights):
     """k x n dissimilarities recomputed object by object from their
     definitions, in the engine's order: each categorical attribute's terms
@@ -697,16 +704,19 @@ def _object_scores(dataset, variant, prep, protos, weights):
     tables = None
     if variant == "BD":
         tables = build_base_distances(dataset, discretize_numerical(dataset)).matrices
-    enc = encode_ohe_oc(dataset)
+    enc = ohe_oc_oracle(dataset)
     widths = [a.v if a.kind is AttributeKind.NOMINAL else 1 for a in schema.attributes]
-    enc_numeric = [int(np.cumsum(widths)[r] - 1) for r in schema.numerical_indices()]
+    starts = [sum(widths[:r]) for r in range(schema.d)]
 
     def parts(i, l):
         """(one list of terms per categorical total, the numerical terms)"""
         if variant == "OHE+OC":
             sq = [(float(enc[i, j]) - float(protos[l, j])) ** 2 for j in range(m)]
-            cat = [[t for j, t in enumerate(sq) if j not in enc_numeric]]
-            return cat, [sq[j] for j in enc_numeric]
+            cat = [
+                sq[starts[r] : starts[r] + widths[r]]
+                for r in schema.categorical_indices()
+            ]
+            return cat, [sq[starts[r]] for r in schema.numerical_indices()]
         w = np.ones(m) if weights is None else weights
         w = [float(x) for x in (w[l] if w.ndim == 2 else w)]
         x = [int(c) - 1 for c in cells[i]]
@@ -758,9 +768,7 @@ def test_score_step_matches_per_object_scores(seed, variant):
     rng = np.random.default_rng(seed)
     dataset = _mixed_sample(rng)
     if variant == "KMD":  # pure categorical data only
-        cat = list(dataset.schema.categorical_indices())
-        schema = DatasetSchema(tuple(dataset.schema.attributes[r] for r in cat))
-        dataset = build_dataset(schema, dataset.cells[:, cat])
+        dataset = _attributes(dataset, dataset.schema.categorical_indices())
     k = int(rng.integers(2, 5))
     labels0 = rng.permutation(np.arange(dataset.n) % k)
     with warnings.catch_warnings():
@@ -780,9 +788,37 @@ def test_score_step_matches_per_object_scores(seed, variant):
     assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
     assert np.array_equal(got.argmin(axis=0), expected.argmin(axis=0))
     if variant == "OHE+OC":
-        enc = encode_ohe_oc(dataset)
+        enc = ohe_oc_oracle(dataset)
         means = np.stack([enc[labels0 == l].mean(axis=0) for l in range(k)])
         assert protos.tobytes() == means.tobytes()
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(["any", "no rows", "numerical only", "categorical only"]),
+)
+def test_encode_ohe_oc_matches_oracle(seed, shape):
+    # The OHE+OC model's encoded points equal the attribute-by-attribute
+    # encoding bit for bit, in shape and in column order.
+    rng = np.random.default_rng(seed)
+    if shape == "any":
+        dataset = random_dataset(rng)
+    elif shape == "no rows":
+        base = random_dataset(rng)
+        dataset = build_dataset(base.schema, base.cells[:0])
+    else:
+        base = _mixed_sample(rng)
+        schema = base.schema
+        keep = (
+            schema.numerical_indices()
+            if shape == "numerical only"
+            else schema.categorical_indices()
+        )
+        dataset = _attributes(base, keep)
+    got, expected = encode_ohe_oc(dataset), ohe_oc_oracle(dataset)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_score_memo_builds_each_total_once_per_epoch(monkeypatch):

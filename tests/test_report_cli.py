@@ -669,6 +669,24 @@ def test_label_file_names_its_first_bad_line(tmp_path, lines):
             read_label_file(str(path))
 
 
+def test_inputs_may_start_with_a_byte_order_mark(tmp_path):
+    # One leading UTF-8 BOM is skipped in schema, data and label files; a
+    # second one is still read as text.
+    paths = write_synthetic(SyntheticSpec(n=30, k_true=2, d_u=1, d_n=2), str(tmp_path))
+    marked = {}
+    for kind in ("schema", "data", "labels"):
+        text = Path(paths[kind]).read_text(encoding="utf-8")
+        marked[kind] = tmp_path / f"bom-{kind}"
+        marked[kind].write_text("\ufeff" + text, encoding="utf-8")
+    plain = bench.load_dataset(paths["schema"], paths["data"])
+    assert bench.load_dataset(str(marked["schema"]), str(marked["data"])) == plain
+    labels = read_label_file(str(marked["labels"]))
+    assert labels.tolist() == read_label_file(paths["labels"]).tolist()
+    marked["labels"].write_text("\ufeff\ufeff1\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=", line 1: label "):
+        read_label_file(str(marked["labels"]))
+
+
 def test_variant_slug():
     assert variant_slug("OHE+OC") == "OHE_OC"
     assert variant_slug("HARR-V") == "HARR-V"
@@ -1005,6 +1023,18 @@ class TestCliMain:
         assert main([command, *missing, *setting, "--out", str(tmp_path / "runs")]) == 2
 
     @pytest.mark.parametrize(
+        "setting",
+        [["--n", "0"], ["--values", "1"], ["--separation", "2"], ["--k-true", "6", "--values", "4"]],
+        ids=["n", "values", "separation", "k-true"],
+    )
+    def test_bad_synth_setting_is_a_config_error(self, tmp_path, capsys, setting):
+        # Like every other bad option, and unlike bad input data, exits 2.
+        out = tmp_path / "synth"
+        assert main(["synth", *setting, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "command, handler", [("cluster", "cmd_cluster"), ("bench-time", "cmd_bench_time")]
     )
     def test_unset_options_take_config_defaults(self, monkeypatch, command, handler):
@@ -1173,19 +1203,6 @@ class TestCliMain:
             ]
         )
         assert code == 4
-
-    def test_impossible_synth_spec_is_data_error(self, tmp_path):
-        code = main(
-            [
-                "synth",
-                "--n", "10",
-                "--k-true", "9",
-                "--d-n", "1",
-                "--values", "4",
-                "--out", str(tmp_path / "synth"),
-            ]
-        )
-        assert code == 3
 
 
 def test_cli_import_loads_no_scipy():

@@ -3,11 +3,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from harr.cluster import RunConfig, run
+from harr.cluster import ConfigError, RunConfig, run
 from harr.evaluation import ari
 from harr.schema import (
     AttributeKind,
-    SchemaError,
     ingest_table,
     normalize_numerical,
     parse_schema,
@@ -17,15 +16,15 @@ from harr.synth import SyntheticSpec, generate_synthetic, write_synthetic
 
 class TestSpecValidation:
     def test_capacity_error(self):
-        with pytest.raises(SchemaError, match="exceeds"):
+        with pytest.raises(ConfigError, match="exceeds"):
             SyntheticSpec(n=10, k_true=6, d_n=1, values=4)
 
     def test_separation_range(self):
-        with pytest.raises(SchemaError, match="separation"):
+        with pytest.raises(ConfigError, match="separation"):
             SyntheticSpec(separation=1.5)
 
     def test_needs_attributes(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ConfigError):
             SyntheticSpec(d_u=0, d_n=0, d_o=0)
 
     def test_default_matches_timing_shape(self):
