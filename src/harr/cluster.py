@@ -40,6 +40,7 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -243,7 +244,8 @@ class RunReport(_Record):
 # Within a fixed-weight epoch a total depends only on the prototype's value
 # (and a weight matrix's row), so a run memoizes the (v,) totals per epoch.
 # Each run builds every (gamma, v) distance block in place in one flat
-# buffer of its own (``_block_buffer``).
+# buffer of its own (``_block_buffer``). A refit and a weight refresh group
+# the partition's members once per step (``_Members``).
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,7 +269,6 @@ class _CatGroup(_Record):
 
     source: int
     cols: np.ndarray  # positions in the expanded column order
-    codes0: np.ndarray  # n, 0-based value codes per object
     sub: np.ndarray  # s, 0-based value codes at the categorical sub-rows
     value_counts: np.ndarray  # (v,) occurrences over the whole dataset
     coords: np.ndarray | None = None  # (len(cols), v) line coordinates
@@ -284,11 +285,13 @@ class _CatGroup(_Record):
             np.abs(block, out=block)
         return block
 
-    def member_counts(self, labels0: np.ndarray, k: int) -> np.ndarray:
-        """(k, v) occurrences of every value among each cluster's members."""
-        v = self.value_counts.shape[0]
-        counts = np.bincount(labels0 * v + self.codes0, minlength=k * v)
-        return counts.reshape(k, v).astype(float)
+    def member_counts(self, sub_counts: np.ndarray) -> np.ndarray:
+        """(k, v) occurrences of every value among each cluster's members,
+        from the (k, s) member counts of the categorical sub-rows."""
+        k, v = sub_counts.shape[0], self.value_counts.size
+        keys = (np.arange(k)[:, None] * v + self.sub).ravel()
+        # integer counts, so the float sums are exact in any order
+        return np.bincount(keys, sub_counts.ravel(), minlength=k * v).reshape(k, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,6 +301,7 @@ class _ColumnModel(_Record):
     numeric: tuple[_NumericCol, ...]
     groups: tuple[_CatGroup, ...]
     repeats: np.ndarray  # s, distinct rows per categorical sub-row
+    sub_of: np.ndarray  # n, categorical sub-row of each object
 
     @property
     def inverse(self) -> np.ndarray:
@@ -347,13 +351,15 @@ class _ColumnModel(_Record):
         the lowest value); a memberless cluster takes the dataset-wide
         mean or mode."""
         proto = np.empty((k, self.dataset.schema.d))
-        empty = np.bincount(labels0, minlength=k) == 0
+        members = _Members(self, labels0, k)
+        empty = members.sizes == 0
         for num in self.numeric:
+            by_cluster = num.values[members.order]
             for l in range(k):
-                members = num.values if empty[l] else num.values[labels0 == l]
-                proto[l, num.source] = members.mean()
+                values = num.values if empty[l] else by_cluster[members.bounds(l)]
+                proto[l, num.source] = values.mean()
         for g in self.groups:
-            counts = g.member_counts(labels0, k)
+            counts = g.member_counts(members.sub_counts)
             counts[empty] = g.value_counts
             proto[:, g.source] = counts.argmax(axis=1) + 1
         return _freeze(proto)
@@ -371,7 +377,7 @@ class _PointModel(_ColumnModel):
         """Encoded points of the given objects."""
         points = np.empty((objects.size, self.m))
         for g in self.groups:
-            points[:, g.cols] = g.coords[:, g.codes0[objects]].T
+            points[:, g.cols] = g.coords[:, g.sub[self.sub_of[objects]]].T
         for num in self.numeric:
             points[:, num.col] = num.values[objects]
         return points
@@ -393,10 +399,45 @@ class _PointModel(_ColumnModel):
         sums = np.empty((k, self.m))
         for g in self.groups:
             for col, coord in zip(g.cols, g.coords):
-                sums[:, col] = np.bincount(labels0, coord[g.codes0], minlength=k)
+                per_object = coord[g.sub][self.sub_of]
+                sums[:, col] = np.bincount(labels0, per_object, minlength=k)
         for num in self.numeric:
             sums[:, num.col] = np.bincount(labels0, num.values, minlength=k)
         return sums / np.bincount(labels0, minlength=k)[:, None]
+
+
+class _Members:
+    """A partition's members, grouped once for a refit or a weight refresh.
+
+    ``order`` lists the objects by cluster, each cluster's in object order,
+    so ``values[order][bounds(l)]`` holds cluster l's values in the order
+    the mask ``values[labels0 == l]`` gathers them and their pairwise
+    ``sum`` and ``mean`` are bitwise the same. ``sub_counts`` is the (k, s)
+    count of each cluster's members at every categorical sub-row, no larger
+    than the k x u scores. Both are built on first use, so data without
+    numerical attributes is never sorted and data without categorical ones
+    never counted.
+    """
+
+    def __init__(self, model: _ColumnModel, labels0: np.ndarray, k: int):
+        self.model, self.labels0, self.k = model, labels0, k
+        self.sizes = np.bincount(labels0, minlength=k)
+        self.ends = np.cumsum(self.sizes)
+
+    def bounds(self, l: int) -> slice:
+        return slice(self.ends[l] - self.sizes[l], self.ends[l])
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        # a radix sort: the smallest unsigned label type, for k <= 65,536
+        key = self.labels0.astype(np.min_scalar_type(self.k - 1))
+        return np.argsort(key, kind="stable")
+
+    @cached_property
+    def sub_counts(self) -> np.ndarray:
+        s = self.model.repeats.size
+        counts = np.bincount(self.labels0 * s + self.model.sub_of, minlength=self.k * s)
+        return counts.reshape(self.k, s)
 
 
 def _block_buffer(model: _ColumnModel) -> np.ndarray:
@@ -405,12 +446,14 @@ def _block_buffer(model: _ColumnModel) -> np.ndarray:
     return np.empty(max(sizes, default=0))
 
 
-def _sub_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Each categorical sub-row's count of distinct rows, and the lowest
-    object holding its first distinct row."""
+def _sub_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each categorical sub-row's count of distinct rows, each object's
+    sub-row, and the lowest object holding each sub-row's first distinct
+    row."""
     rows = dataset.distinct
     repeats = np.bincount(rows.sub)
-    return _freeze(repeats), rows.first[np.cumsum(repeats) - repeats]
+    held = rows.first[np.cumsum(repeats) - repeats]
+    return _freeze(repeats), _freeze(rows.sub[rows.inverse]), held
 
 
 def _make_group(dataset, held, source, cols, v, coords=None, table=None) -> _CatGroup:
@@ -418,7 +461,6 @@ def _make_group(dataset, held, source, cols, v, coords=None, table=None) -> _Cat
     return _CatGroup(
         source,
         _freeze(np.asarray(cols, dtype=np.int64)),
-        _freeze(codes0),
         _freeze(codes0[held]),
         _freeze(np.bincount(codes0, minlength=v).astype(float)),
         None if coords is None else _freeze(coords),
@@ -432,7 +474,7 @@ def _make_numeric(dataset: Dataset, col: int, source: int) -> _NumericCol:
 
 
 def _model_reconstructed(dataset: Dataset, space: ReconstructedSpace) -> _ColumnModel:
-    repeats, held = _sub_rows(dataset)
+    repeats, sub_of, held = _sub_rows(dataset)
     numeric = [
         _make_numeric(dataset, col, r) for col, r in enumerate(space.numeric_attrs)
     ]
@@ -445,7 +487,7 @@ def _model_reconstructed(dataset: Dataset, space: ReconstructedSpace) -> _Column
         # any other block's frozen coordinates are shared, not copied.
         coords, table = (None, 1.0 - np.eye(b.v)) if b.is_fallback else (b.coords, None)
         groups.append(_make_group(dataset, held, b.source, cols, b.v, coords, table))
-    return _ColumnModel(dataset, col, tuple(numeric), tuple(groups), repeats)
+    return _ColumnModel(dataset, col, tuple(numeric), tuple(groups), repeats, sub_of)
 
 
 def _model_original(
@@ -453,7 +495,7 @@ def _model_original(
 ) -> _ColumnModel:
     """KMD/KPT columns (0/1 mismatch on categorical attributes), or the BD
     columns when a base-distance table is supplied."""
-    repeats, held = _sub_rows(dataset)
+    repeats, sub_of, held = _sub_rows(dataset)
     numeric = []
     groups = []
     for r, attr in enumerate(dataset.schema.attributes):
@@ -463,7 +505,7 @@ def _model_original(
             dist = 1.0 - np.eye(attr.v) if table is None else table.matrices[r]
             groups.append(_make_group(dataset, held, r, [r], attr.v, table=dist))
     return _ColumnModel(
-        dataset, dataset.schema.d, tuple(numeric), tuple(groups), repeats
+        dataset, dataset.schema.d, tuple(numeric), tuple(groups), repeats, sub_of
     )
 
 
@@ -472,7 +514,7 @@ def _model_ohe_oc(dataset: Dataset) -> _PointModel:
     through, an ordinal one becomes its normalized rank (t-1)/(v-1) and a
     nominal one a one-hot block of v columns (two different values sit at
     distance 2 in the squared-Euclidean geometry)."""
-    repeats, held = _sub_rows(dataset)
+    repeats, sub_of, held = _sub_rows(dataset)
     numeric, groups, col = [], [], 0
     for r, attr in enumerate(dataset.schema.attributes):
         if not attr.kind.is_categorical:
@@ -484,7 +526,7 @@ def _model_ohe_oc(dataset: Dataset) -> _PointModel:
         cols = range(col, col + len(coords))
         col += len(coords)
         groups.append(_make_group(dataset, held, r, cols, attr.v, coords))
-    return _PointModel(dataset, col, tuple(numeric), tuple(groups), repeats)
+    return _PointModel(dataset, col, tuple(numeric), tuple(groups), repeats, sub_of)
 
 
 def _reseed_empty(
@@ -505,7 +547,7 @@ def _reseed_empty(
         if not reseeded:
             labels0 = labels0.copy()
             reseeded = True
-        own = scores[labels0, inverse]
+        own = scores.ravel()[labels0 * scores.shape[1] + inverse]
         sizes = np.bincount(labels0, minlength=k)
         movable = sizes[labels0] > 1
         if not movable.any():
@@ -539,26 +581,29 @@ def _weight_stats(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-cluster member sums and all-object sums of per-column distances.
 
-    Categorical columns aggregate through per-value occurrence counts, so the
-    cost is one pass over the numeric columns per cluster plus one count and
-    one (columns, v) block, built in the caller's ``buf``, per cluster per
-    categorical attribute.
+    The members are grouped once (``_Members``). A numerical column costs one
+    pass over all objects per cluster, for its total, plus one pass over
+    each cluster's own slice for its member sum. A categorical attribute
+    aggregates through per-value occurrence counts: one count from the
+    (k, s) sub-row counts per categorical attribute, then one (columns, v)
+    block, built in the caller's ``buf``, per cluster.
     """
     member_sum = np.empty((k, model.m))
     total_sum = np.empty((k, model.m))
+    members = _Members(model, labels0, k)
     for num in model.numeric:
+        by_cluster = num.values[members.order]
         for l in range(k):
-            gap = np.abs(num.values - proto_vals[l, num.source])
-            total_sum[l, num.col] = gap.sum()
-            member_sum[l, num.col] = gap[labels0 == l].sum()
+            p = proto_vals[l, num.source]
+            total_sum[l, num.col] = np.abs(num.values - p).sum()
+            member_sum[l, num.col] = np.abs(by_cluster[members.bounds(l)] - p).sum()
     for g in model.groups:
-        counts = g.member_counts(labels0, k)
+        counts = g.member_counts(members.sub_counts)
         for l in range(k):
             per_value = g.per_value(int(proto_vals[l, g.source]) - 1, buf)
             member_sum[l, g.cols] = per_value @ counts[l]
             total_sum[l, g.cols] = per_value @ g.value_counts
-    sizes = np.bincount(labels0, minlength=k).astype(float)
-    return member_sum, total_sum, sizes
+    return member_sum, total_sum, members.sizes.astype(float)
 
 
 def _weight_vector_from_stats(
@@ -790,7 +835,7 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
             new = scores.argmin(axis=0)[inverse]
             new, reseeded = _reseed_empty(new, scores, inverse, k)
             # per-object values summed in object order
-            z = float(scores[new, inverse].sum())
+            z = float(scores.ravel()[new * scores.shape[1] + inverse].sum())
             del scores  # freed before the next score step allocates its own
             if inner > 0 and not (reseeded or trace_reseeded[-1]):
                 max_increase = max(max_increase, z - trace_z[-1])

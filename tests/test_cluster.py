@@ -821,6 +821,113 @@ def test_encode_ohe_oc_matches_oracle(seed, shape):
     assert got.tobytes() == expected.tobytes()
 
 
+def _masked_counts(model, g, labels0, k):
+    """(k, v) value counts of one categorical group, counted per object."""
+    v = g.value_counts.size
+    codes0 = model.dataset.cells[:, g.source].astype(np.int64) - 1
+    return np.bincount(labels0 * v + codes0, minlength=k * v).reshape(k, v).astype(float)
+
+
+def _masked_refit(model, labels0, k):
+    """The column model's refit with one boolean mask per cluster and one
+    per-object count per categorical attribute."""
+    proto = np.empty((k, model.dataset.schema.d))
+    empty = np.bincount(labels0, minlength=k) == 0
+    for num in model.numeric:
+        for l in range(k):
+            members = num.values if empty[l] else num.values[labels0 == l]
+            proto[l, num.source] = members.mean()
+    for g in model.groups:
+        counts = _masked_counts(model, g, labels0, k)
+        counts[empty] = g.value_counts
+        proto[:, g.source] = counts.argmax(axis=1) + 1
+    return proto
+
+
+def _masked_weight_stats(model, proto_vals, labels0, k):
+    """``_weight_stats`` with one boolean mask per cluster and one
+    per-object count per categorical attribute."""
+    member_sum = np.empty((k, model.m))
+    total_sum = np.empty((k, model.m))
+    buf = cluster._block_buffer(model)
+    for num in model.numeric:
+        for l in range(k):
+            gap = np.abs(num.values - proto_vals[l, num.source])
+            total_sum[l, num.col] = gap.sum()
+            member_sum[l, num.col] = gap[labels0 == l].sum()
+    for g in model.groups:
+        counts = _masked_counts(model, g, labels0, k)
+        for l in range(k):
+            per_value = g.per_value(int(proto_vals[l, g.source]) - 1, buf)
+            member_sum[l, g.cols] = per_value @ counts[l]
+            total_sum[l, g.cols] = per_value @ g.value_counts
+    return member_sum, total_sum, np.bincount(labels0, minlength=k).astype(float)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(
+        ["any", "empty clusters", "k = 300", "no numerical", "no categorical"]
+    ),
+    st.sampled_from(["HARR-M", "KPT", "BD"]),
+)
+def test_grouped_members_match_masked_reference(seed, shape, variant):
+    # A refit and a weight refresh group the members once: a stable sort
+    # of the labels gives each cluster a slice of every numerical column and
+    # one sub-row count gives every categorical attribute's value counts.
+    # Both match the per-cluster mask and per-object count bit for bit,
+    # with empty clusters (the dataset-wide fallback) and with k = 300,
+    # whose sort key is 16 bits wide.
+    rng = np.random.default_rng(seed)
+    dataset = _mixed_sample(rng)
+    schema = dataset.schema
+    if shape == "no numerical":
+        dataset = _attributes(dataset, schema.categorical_indices())
+    elif shape == "no categorical":
+        dataset = _attributes(dataset, schema.numerical_indices())
+    k = int(rng.integers(2, 6))
+    labels0 = rng.integers(0, k, dataset.n)
+    if shape == "k = 300":
+        k = 300
+        dataset = build_dataset(schema, dataset.cells[rng.integers(0, dataset.n, 3000)])
+        labels0 = rng.integers(0, k, dataset.n)
+    elif shape == "empty clusters":
+        k += 2
+        alive = rng.choice(k, size=int(rng.integers(1, k - 1)), replace=False)
+        labels0 = alive[rng.integers(0, alive.size, dataset.n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = prepare(dataset, variant).model
+    protos = model.refit(labels0, k)
+    assert protos.tobytes() == _masked_refit(model, labels0, k).tobytes()
+    stats = cluster._weight_stats(model, protos, labels0, k, cluster._block_buffer(model))
+    expected = _masked_weight_stats(model, protos, labels0, k)
+    for got, want in zip(stats, expected):
+        assert got.tobytes() == want.tobytes()
+
+
+def test_refit_without_numerical_attributes_sorts_nothing():
+    # Five 5-valued nominals, 100,000 objects. Only numerical columns read
+    # the labels' sort permutation (800 KB), so an all-categorical refit
+    # never builds it: its largest array is the one n-length sub-row key.
+    n, k = 100_000, 5
+    schema = parse_schema("".join(f"a{r},nom,p|q|r|s|t\n" for r in range(5)))
+    rng = np.random.default_rng(11)
+    dataset = build_dataset(schema, rng.integers(1, 6, size=(n, 5)))
+    labels0 = rng.integers(0, k, n)
+    for variant in ("KMD", "HARR-M"):
+        model = prepare(dataset, variant).model
+        model.refit(labels0, k)
+        tracemalloc.start()
+        try:
+            model.refit(labels0, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * 8, variant
+
+
 def test_score_memo_builds_each_total_once_per_epoch(monkeypatch):
     # One 30-valued nominal has 435 sub-attributes, so every per-value build
     # is a (435, 30) array. Within a fixed-weight epoch, HARR-M builds each
@@ -890,7 +997,6 @@ def test_per_value_builds_block_in_buffer(v, table, seed, data):
     group = cluster._CatGroup(
         source=0,
         cols=_freeze(np.arange(rows)),
-        codes0=_freeze(np.zeros(1, dtype=np.int64)),
         sub=_freeze(np.zeros(1, dtype=np.int64)),
         value_counts=_freeze(np.ones(v)),
         coords=None if table else _freeze(values),
