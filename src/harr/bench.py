@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -107,6 +106,9 @@ def _execute_runs(
     dataset: Dataset, prep: Prepared, configs: list[RunConfig], workers: int
 ) -> list[RunReport]:
     if workers > 1:
+        # imported here: a one-worker invocation never loads the pool or logging
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda c: run_prepared(dataset, prep, c), configs))
     return [run_prepared(dataset, prep, c) for c in configs]

@@ -340,10 +340,14 @@ class _ColumnModel(_Record):
                     totals = memo[key] = block.sum(axis=0)
                 cat[l] += totals[g.sub]
         scores = np.repeat(cat, self.repeats, axis=1)
+        gap = np.empty(scores.shape[1])  # every numerical gap, in turn
         for l, w_l in enumerate(rows):
             for num in self.numeric:
-                gap = np.abs(num.distinct - proto_vals[l, num.source])
-                scores[l] += gap if w_l is None else w_l[num.col] * gap
+                np.subtract(num.distinct, proto_vals[l, num.source], out=gap)
+                np.abs(gap, out=gap)
+                if w_l is not None:
+                    np.multiply(w_l[num.col], gap, out=gap)
+                scores[l] += gap
         return scores
 
     def refit(self, labels0: np.ndarray, k: int) -> np.ndarray:
@@ -389,9 +393,11 @@ class _PointModel(_ColumnModel):
             for g in self.groups:
                 cat[l] += ((g.coords - c[g.cols, None]) ** 2).sum(axis=0)[g.sub]
         sq = np.repeat(cat, self.repeats, axis=1)
+        gap = np.empty(sq.shape[1])  # every numerical gap, in turn
         for l, c in enumerate(centroids):
             for num in self.numeric:
-                sq[l] += (num.distinct - c[num.col]) ** 2
+                np.subtract(num.distinct, c[num.col], out=gap)
+                sq[l] += np.square(gap, out=gap)
         return sq
 
     def refit(self, labels0: np.ndarray, k: int) -> np.ndarray:
@@ -529,6 +535,23 @@ def _model_ohe_oc(dataset: Dataset) -> _PointModel:
     return _PointModel(dataset, col, tuple(numeric), tuple(groups), repeats, sub_of)
 
 
+def _nearest(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's nearest row, ties to the lowest, and its score.
+
+    The same as ``scores.argmin(axis=0)`` and ``scores.min(axis=0)`` for
+    scores without NaN, but argmin reduces a k x u array down its short
+    strided axis, while the minimum is one contiguous reduction and one pass
+    per row then counts the rows before the first that reaches it.
+    """
+    best = scores.min(axis=0)
+    nearest = np.zeros(scores.shape[1], dtype=np.intp)
+    found = np.zeros(scores.shape[1], dtype=bool)
+    for row in scores[:-1]:  # where no earlier row reaches it, the last does
+        found |= row == best
+        nearest += ~found
+    return nearest, best
+
+
 def _reseed_empty(
     labels0: np.ndarray, scores: np.ndarray, inverse: np.ndarray, k: int
 ) -> tuple[np.ndarray, bool]:
@@ -654,11 +677,17 @@ def _check_partition(dataset: Dataset, partition: Partition, k: int) -> None:
 
 
 def _check_prototypes(dataset: Dataset, protos: Prototypes) -> None:
-    """Shape (k, d), and every categorical value an integer in [1, v]."""
+    """Shape (k, d), every numerical value finite (a NaN score has no
+    nearest prototype) and every categorical value an integer in [1, v]."""
     _check_shape("prototypes", protos.values, (protos.k, dataset.schema.d))
     for r, attr in enumerate(dataset.schema.attributes):
         col = protos.values[:, r]
-        if attr.kind.is_categorical and not np.isin(col, np.arange(1, attr.v + 1)).all():
+        if not attr.kind.is_categorical:
+            if not np.isfinite(col).all():
+                raise ValueError(
+                    f"prototype values of attribute {attr.name!r} must be finite"
+                )
+        elif not np.isin(col, np.arange(1, attr.v + 1)).all():
             raise ValueError(
                 f"prototype values of attribute {attr.name!r} must be integers "
                 f"in [1, {attr.v}]"
@@ -679,8 +708,8 @@ def assign(
     w = None if weights is None else weights.w
     if w is not None:
         _check_shape("weights", w, (protos.k, model.m) if w.ndim == 2 else (model.m,))
-    scores = model.scores(protos.values, w, {}, _block_buffer(model))
-    return Partition(scores.argmin(axis=0)[model.inverse] + 1, protos.k)
+    nearest, _ = _nearest(model.scores(protos.values, w, {}, _block_buffer(model)))
+    return Partition(nearest[model.inverse] + 1, protos.k)
 
 
 def update_prototypes(dataset: Dataset, partition: Partition) -> Prototypes:
@@ -832,11 +861,16 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
         memo: dict = {}  # per-value totals under this epoch's weights
         for inner in range(config.inner_cap):
             scores = model.scores(proto_vals, weights, memo, buf)
-            new = scores.argmin(axis=0)[inverse]
-            new, reseeded = _reseed_empty(new, scores, inverse, k)
-            # per-object values summed in object order
-            z = float(scores.ravel()[new * scores.shape[1] + inverse].sum())
-            del scores  # freed before the next score step allocates its own
+            nearest, best = _nearest(scores)
+            new, reseeded = _reseed_empty(nearest[inverse], scores, inverse, k)
+            # per-object values summed in object order; a re-seeded object no
+            # longer sits at its row's minimum, so that step gathers its score
+            if reseeded:
+                own = scores.ravel()[new * scores.shape[1] + inverse]
+            else:
+                own = best[inverse]
+            z = float(own.sum())
+            del scores, nearest, best, own  # freed before the next score step
             if inner > 0 and not (reseeded or trace_reseeded[-1]):
                 max_increase = max(max_increase, z - trace_z[-1])
             trace_z.append(z)

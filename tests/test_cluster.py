@@ -205,6 +205,16 @@ class TestStepInputs:
             step(dataset, space, Partition((1, 2, 3, 1), 3), protos)
 
     @pytest.mark.parametrize("step", [_assign, update_weight_vector, update_weight_matrix])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_numerical_prototype_not_finite(self, step, value):
+        # a NaN score has no nearest prototype
+        dataset, space = _mixed(*_STEP_DATA)
+        protos = Prototypes(np.array([[0.5, 1.0], [value, 2.0]]))
+        message = "prototype values of attribute 'x' must be finite"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            step(dataset, space, Partition((1, 2, 2, 1), 2), protos)
+
+    @pytest.mark.parametrize("step", [_assign, update_weight_vector, update_weight_matrix])
     @pytest.mark.parametrize("value", [0.0, 1.5, 4.0, 9.0, np.nan])
     def test_categorical_prototype_outside_the_values(self, step, value):
         dataset, space = _mixed(*_STEP_DATA)
@@ -791,6 +801,28 @@ def test_score_step_matches_per_object_scores(seed, variant):
         enc = ohe_oc_oracle(dataset)
         means = np.stack([enc[labels0 == l].mean(axis=0) for l in range(k)])
         assert protos.tobytes() == means.tobytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    k=st.sampled_from([1, 2, 5, 300]),
+    u=st.integers(1, 50),
+    levels=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_nearest_is_the_first_column_minimum(k, u, levels, seed):
+    # Quarter steps of either sign tie exactly, zeros as 0.0 and -0.0;
+    # duplicated rows tie whole columns and one column ties every row. Each
+    # column's nearest row is argmin's, ties to the lowest, and the minimum
+    # is the column minimum bit for bit.
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, levels + 1, (k, u)) * rng.choice([-0.25, 0.25], (k, u))
+    scores[rng.integers(0, k, k // 2)] = scores[rng.integers(0, k, k // 2)]
+    scores[:, rng.integers(0, u)] = scores[0, 0]
+    nearest, best = cluster._nearest(scores)
+    assert nearest.dtype == np.intp
+    assert np.array_equal(nearest, scores.argmin(axis=0))
+    assert best.tobytes() == scores.min(axis=0).tobytes()
 
 
 @settings(deadline=None, max_examples=80)

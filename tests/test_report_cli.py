@@ -1205,14 +1205,14 @@ class TestCliMain:
         assert code == 4
 
 
-def test_cli_import_loads_no_scipy():
-    """``harr cluster`` pays for its imports in every process; scipy alone
-    used to add more than half a second, so the CLI must not load it."""
+def _loaded_by_cli_import(*roots: str) -> list[str]:
+    """Modules under the given top-level packages that a fresh
+    ``import harr.cli`` leaves loaded."""
     src = str(Path(harr.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     probe = (
         "import sys, harr.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        f"print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] in {roots!r})))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -1222,4 +1222,16 @@ def test_cli_import_loads_no_scipy():
         check=True,
         timeout=120,
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    """``harr cluster`` pays for its imports in every process; scipy alone
+    used to add more than half a second, so the CLI must not load it."""
+    assert _loaded_by_cli_import("scipy") == []
+
+
+def test_cli_import_loads_no_thread_pool():
+    """Only ``--workers`` above 1 needs the thread pool, which also pulls in
+    ``logging``; a one-worker invocation must not pay for either."""
+    assert _loaded_by_cli_import("concurrent", "logging") == []
