@@ -18,6 +18,7 @@ import numpy as np
 
 from .schema import (
     AttributeKind,
+    AttributeSchema,
     Dataset,
     OrdinalView,
     _freeze,
@@ -96,17 +97,25 @@ def compute_cpd(
     v_t = view.bin_counts[target]
     v_c = view.bin_counts[context]
     pairs = (view.codes[:, target] - 1) * v_c + (view.codes[:, context] - 1)
-    joint = np.bincount(pairs, minlength=v_t * v_c).reshape(v_t, v_c).astype(float)
+    joint = np.bincount(pairs, minlength=v_t * v_c).reshape(v_t, v_c)
+    probs, counts = _conditional(joint)
+    return CpdTable(target, context, _freeze(probs), _freeze(counts))
+
+
+def _conditional(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of the integer count table ``joint`` over its total, as a
+    C-ordered float array, and the row totals; a row without counts stays
+    zero."""
+    joint = joint.astype(float, order="C")
     counts = joint.sum(axis=1)
     probs = np.divide(
         joint, counts[:, None], out=np.zeros_like(joint), where=counts[:, None] > 0
     )
-    return CpdTable(target, context, _freeze(probs), _freeze(counts))
+    return probs, counts
 
 
-def _warn_unobserved(dataset: Dataset, view: OrdinalView, r: int) -> None:
-    attr = dataset.schema.attributes[r]
-    counts = np.bincount(view.codes[:, r], minlength=attr.v + 1)[1:]
+def _warn_unobserved(attr: AttributeSchema, counts: np.ndarray) -> None:
+    """Warn about the declared values of ``attr`` with no occurrence."""
     if (counts == 0).any():
         missing = [attr.possible_values[i] for i in np.flatnonzero(counts == 0)]
         warnings.warn(
@@ -118,6 +127,16 @@ def _warn_unobserved(dataset: Dataset, view: OrdinalView, r: int) -> None:
         )
 
 
+def _per_context(dataset: Dataset, view: OrdinalView, r: int) -> list[np.ndarray]:
+    """Attribute ``r``'s conditional distributions, one per context attribute
+    in order, after the unobserved-value warning."""
+    attr = dataset.schema.attributes[r]
+    if not attr.kind.is_categorical:
+        raise ValueError(f"attribute {attr.name!r} is not categorical")
+    _warn_unobserved(attr, np.bincount(view.codes[:, r] - 1, minlength=attr.v))
+    return [compute_cpd(dataset, view, r, s).probs for s in range(dataset.schema.d)]
+
+
 def base_distance_nominal(
     dataset: Dataset, view: OrdinalView, r: int
 ) -> np.ndarray:
@@ -126,13 +145,14 @@ def base_distance_nominal(
     Every attribute acts as context, the attribute itself included, so two
     distinct observed values are always at distance of at least 2.
     """
-    attr = dataset.schema.attributes[r]
-    if not attr.kind.is_categorical:
-        raise ValueError(f"attribute {attr.name!r} is not categorical")
-    _warn_unobserved(dataset, view, r)
-    kappa = np.zeros((attr.v, attr.v))
-    for s in range(dataset.schema.d):
-        kappa += _cityblock(compute_cpd(dataset, view, r, s).probs)
+    return _kappa_nominal(_per_context(dataset, view, r))
+
+
+def _kappa_nominal(per_context: list[np.ndarray]) -> np.ndarray:
+    v = per_context[0].shape[0]
+    kappa = np.zeros((v, v))
+    for probs in per_context:
+        kappa += _cityblock(probs)
     return kappa
 
 
@@ -158,17 +178,17 @@ def base_distance_ordinal(
     accumulate the adjacent distances along the rank order, so the matrix is
     additive along the order by construction.
     """
-    attr = dataset.schema.attributes[r]
-    if not attr.kind.is_categorical:
-        raise ValueError(f"attribute {attr.name!r} is not categorical")
-    _warn_unobserved(dataset, view, r)
-    adjacent = np.zeros(attr.v - 1)
-    for s in range(dataset.schema.d):
-        cpd = compute_cpd(dataset, view, r, s)
-        adjacent += np.abs(np.diff(cpd.probs, axis=0)).sum(axis=1)
-    kappa = np.zeros((attr.v, attr.v))
-    for g in range(attr.v - 1):
-        for h in range(g + 1, attr.v):
+    return _kappa_ordinal(_per_context(dataset, view, r))
+
+
+def _kappa_ordinal(per_context: list[np.ndarray]) -> np.ndarray:
+    v = per_context[0].shape[0]
+    adjacent = np.zeros(v - 1)
+    for probs in per_context:
+        adjacent += np.abs(np.diff(probs, axis=0)).sum(axis=1)
+    kappa = np.zeros((v, v))
+    for g in range(v - 1):
+        for h in range(g + 1, v):
             kappa[g, h] = kappa[h, g] = math.fsum(adjacent[g:h])
     return kappa
 
@@ -181,17 +201,47 @@ def build_base_distances(
     Nominal attributes use the full pairwise construction, ordinal attributes
     the additive-along-rank construction. The dataset must be normalized; the
     ordinal view is built on demand when not supplied.
+
+    Each unordered attribute pair's joint counts are taken once, from the
+    0-based code columns: the reverse pair reads their transpose and an
+    attribute paired with itself its value counts on the diagonal. The
+    counts are exact integers, so every distribution is bitwise the one
+    ``compute_cpd`` gives.
     """
     if view is None:
         view = discretize_numerical(dataset)
+    attrs, sizes = dataset.schema.attributes, view.bin_counts
+    # each column in its smallest unsigned type: no second n x d int64 table
+    codes0 = [
+        (view.codes[:, s] - 1).astype(np.min_scalar_type(v - 1))
+        for s, v in enumerate(sizes)
+    ]
+    later: dict[tuple[int, int], np.ndarray] = {}  # (r, s) counts that s reads
     matrices: list[np.ndarray | None] = []
-    for r, attr in enumerate(dataset.schema.attributes):
+    for r, attr in enumerate(attrs):
         if not attr.kind.is_categorical:
             matrices.append(None)
-        elif attr.kind is AttributeKind.ORDINAL:
-            matrices.append(_freeze(base_distance_ordinal(dataset, view, r)))
+            continue
+        counts = np.bincount(codes0[r], minlength=attr.v)
+        _warn_unobserved(attr, counts)
+        per_context = []
+        for s, other in enumerate(attrs):
+            if s == r:
+                joint = np.diag(counts)
+            elif (s, r) in later:
+                joint = later.pop((s, r)).T
+            else:
+                pairs = np.multiply(codes0[r], sizes[s], dtype=np.intp)
+                pairs += codes0[s]
+                joint = np.bincount(pairs, minlength=attr.v * sizes[s])
+                joint = joint.reshape(attr.v, sizes[s])
+                if other.kind.is_categorical:
+                    later[r, s] = joint
+            per_context.append(_conditional(joint)[0])
+        if attr.kind is AttributeKind.ORDINAL:
+            matrices.append(_freeze(_kappa_ordinal(per_context)))
         else:
-            matrices.append(_freeze(base_distance_nominal(dataset, view, r)))
+            matrices.append(_freeze(_kappa_nominal(per_context)))
     return BaseDistanceTable(tuple(matrices))
 
 

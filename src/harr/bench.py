@@ -102,19 +102,13 @@ def _run_config(cfg: BenchConfig, variant: str, seed: int) -> RunConfig:
     )
 
 
-def _execute_runs(
-    dataset: Dataset, prep: Prepared, configs: list[RunConfig], workers: int
-) -> list[RunReport]:
-    if workers > 1:
-        # imported here: a one-worker invocation never loads the pool or logging
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda c: run_prepared(dataset, prep, c), configs))
-    return [run_prepared(dataset, prep, c) for c in configs]
-
-
-def _scored(report: RunReport, labels: np.ndarray) -> RunReport:
+def _scored_run(
+    dataset: Dataset, prep: Prepared, config: RunConfig, labels: np.ndarray | None
+) -> RunReport:
+    """One seeded run, scored against the ground truth when there is one."""
+    report = run_prepared(dataset, prep, config)
+    if labels is None:
+        return report
     return replace(report, ari=ari(labels, report.labels), ca=ca(labels, report.labels))
 
 
@@ -133,6 +127,12 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
     Writes one report file and one timings sidecar per variant, plus an
     aggregate summary table. Report files are byte-identical across reruns
     with the same configuration; only the timings sidecars vary.
+
+    Every run goes to one pool of ``cfg.workers`` threads. While a
+    variant's runs execute, this thread prepares and submits the next
+    variant, then saves the one before: a failed run or prepare leaves the
+    files of the variants before it and no summary, as when variants ran
+    one after another.
     """
     dataset = _load_checked(cfg)
     if cfg.k > dataset.n:
@@ -143,23 +143,28 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
             f"label file has {len(labels)} entries but the dataset has "
             f"{dataset.n} objects"
         )
+    # imported here: importing the CLI alone never loads the pool or logging
+    from concurrent.futures import ThreadPoolExecutor
+
     out: list[ReportFile] = []
     summaries: list = []
-    for variant in cfg.variants:
+    pool = ThreadPoolExecutor(max_workers=cfg.workers)
+
+    def submit(variant: str):
         prep = prepare(dataset, variant)
-        configs = [
-            _run_config(cfg, variant, cfg.base_seed + i) for i in range(cfg.runs)
-        ]
-        reports = _execute_runs(dataset, prep, configs, cfg.workers)
+        configs = [_run_config(cfg, variant, cfg.base_seed + i) for i in range(cfg.runs)]
+        futures = [pool.submit(_scored_run, dataset, prep, c, labels) for c in configs]
+        # the pool's tasks hold the model, which goes with this variant's last run
+        return variant, prep.model.m, prep.reconstruct_s, futures
+
+    def save(variant: str, d_hat: int, reconstruct_s: float, futures) -> None:
+        reports = tuple(f.result() for f in futures)
+        summary = None
         if labels is not None:
-            reports = [_scored(r, labels) for r in reports]
             summary = RunSummary.from_scores(
                 variant, [r.ari for r in reports], [r.ca for r in reports]
             )
-            summaries.append(summary)
-        else:
-            summary = None
-            summaries.append((variant, None))
+        summaries.append((variant, None) if summary is None else summary)
         report_file = ReportFile(
             variant=variant,
             dataset=cfg.data,
@@ -172,22 +177,33 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
             inner_cap=cfg.inner_cap,
             outer_cap=cfg.outer_cap,
             epsilon=EPSILON,
-            d_hat=prep.model.m,
+            d_hat=d_hat,
             ari_mean=summary.ari_mean if summary else None,
             ari_std=summary.ari_std if summary else None,
             ca_mean=summary.ca_mean if summary else None,
             ca_std=summary.ca_std if summary else None,
-            run_reports=tuple(reports),
+            run_reports=reports,
         )
         slug = variant_slug(variant)
         save_report(report_file, f"{cfg.out_dir}/{slug}.report.txt")
         save_timings(
-            timings_from_reports(variant, tuple(reports), prep.reconstruct_s),
+            timings_from_reports(variant, reports, reconstruct_s),
             f"{cfg.out_dir}/{slug}.timings.txt",
         )
         out.append(report_file)
-        # Free this variant's model before prepare() builds the next one.
-        del prep
+
+    try:
+        submitted = None
+        for variant in cfg.variants:
+            try:
+                following = submit(variant)
+            finally:  # the variant before is saved even if this one fails
+                if submitted is not None:
+                    save(*submitted)
+            submitted = following
+        save(*submitted)
+    finally:
+        pool.shutdown(cancel_futures=True)  # after a failure, drop unstarted runs
     save_summary(summaries, f"{cfg.out_dir}/summary.csv")
     return out
 
@@ -213,11 +229,12 @@ def cmd_bench_time(cfg: BenchConfig) -> list[tuple[float, int, str, float]]:
     rows: list[tuple[float, int, str, float]] = []
     for phi in cfg.phis:
         n_sub = math.ceil(phi * dataset.n)
-        sub = _subsample(dataset, order, n_sub)
         for variant in cfg.variants:
             config = _run_config(cfg, variant, cfg.base_seed)
             times = []
             for _ in range(cfg.repeats):
+                # a fresh dataset, so no repeat finds another's set-up built
+                sub = _subsample(dataset, order, n_sub)
                 prep = prepare(sub, variant)
                 report = run_prepared(sub, prep, config)
                 times.append(prep.reconstruct_s + report.cluster_s + report.weights_s)

@@ -401,15 +401,22 @@ class _PointModel(_ColumnModel):
         return sq
 
     def refit(self, labels0: np.ndarray, k: int) -> np.ndarray:
-        """Member means, each column summed over the objects in object order."""
+        """Member means. A one-hot column's member sum is a count, read from
+        the sub-row counts; a rank or numerical column is summed over the
+        objects in object order."""
         sums = np.empty((k, self.m))
+        members = _Members(self, labels0, k)
+        attrs = self.dataset.schema.attributes
         for g in self.groups:
+            if attrs[g.source].kind is AttributeKind.NOMINAL:
+                sums[:, g.cols] = g.member_counts(members.sub_counts)
+                continue
             for col, coord in zip(g.cols, g.coords):
                 per_object = coord[g.sub][self.sub_of]
                 sums[:, col] = np.bincount(labels0, per_object, minlength=k)
         for num in self.numeric:
             sums[:, num.col] = np.bincount(labels0, num.values, minlength=k)
-        return sums / np.bincount(labels0, minlength=k)[:, None]
+        return sums / members.sizes[:, None]
 
 
 class _Members:
@@ -455,32 +462,45 @@ def _block_buffer(model: _ColumnModel) -> np.ndarray:
 def _sub_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each categorical sub-row's count of distinct rows, each object's
     sub-row, and the lowest object holding each sub-row's first distinct
-    row."""
-    rows = dataset.distinct
-    repeats = np.bincount(rows.sub)
-    held = rows.first[np.cumsum(repeats) - repeats]
-    return _freeze(repeats), _freeze(rows.sub[rows.inverse]), held
+    row; built once per dataset."""
+
+    def build():
+        rows = dataset.distinct
+        repeats = np.bincount(rows.sub)
+        held = rows.first[np.cumsum(repeats) - repeats]
+        return _freeze(repeats), _freeze(rows.sub[rows.inverse]), _freeze(held)
+
+    return dataset._part("sub_rows", build)
 
 
-def _make_group(dataset, held, source, cols, v, coords=None, table=None) -> _CatGroup:
-    codes0 = dataset.cells[:, source].astype(np.int64) - 1
+def _make_group(dataset, source, cols, v, coords=None, table=None) -> _CatGroup:
+    def build():  # the codes at the sub-rows and their counts, once per dataset
+        codes0 = dataset.cells[:, source].astype(np.int64) - 1
+        held = _sub_rows(dataset)[2]
+        counts = np.bincount(codes0, minlength=v).astype(float)
+        return _freeze(codes0[held]), _freeze(counts)
+
+    sub, value_counts = dataset._part(("codes", source), build)
     return _CatGroup(
         source,
         _freeze(np.asarray(cols, dtype=np.int64)),
-        _freeze(codes0[held]),
-        _freeze(np.bincount(codes0, minlength=v).astype(float)),
+        sub,
+        value_counts,
         None if coords is None else _freeze(coords),
         None if table is None else _freeze(table),
     )
 
 
 def _make_numeric(dataset: Dataset, col: int, source: int) -> _NumericCol:
-    values = _freeze(dataset.cells[:, source])
-    return _NumericCol(col, source, values, _freeze(values[dataset.distinct.first]))
+    def build():  # the values per object and at the distinct rows, once per dataset
+        values = _freeze(dataset.cells[:, source])
+        return values, _freeze(values[dataset.distinct.first])
+
+    return _NumericCol(col, source, *dataset._part(("numeric", source), build))
 
 
 def _model_reconstructed(dataset: Dataset, space: ReconstructedSpace) -> _ColumnModel:
-    repeats, sub_of, held = _sub_rows(dataset)
+    repeats, sub_of, _ = _sub_rows(dataset)
     numeric = [
         _make_numeric(dataset, col, r) for col, r in enumerate(space.numeric_attrs)
     ]
@@ -492,7 +512,7 @@ def _model_reconstructed(dataset: Dataset, space: ReconstructedSpace) -> _Column
         # A fallback's coordinates are all zero, so it needs the 0/1 table;
         # any other block's frozen coordinates are shared, not copied.
         coords, table = (None, 1.0 - np.eye(b.v)) if b.is_fallback else (b.coords, None)
-        groups.append(_make_group(dataset, held, b.source, cols, b.v, coords, table))
+        groups.append(_make_group(dataset, b.source, cols, b.v, coords, table))
     return _ColumnModel(dataset, col, tuple(numeric), tuple(groups), repeats, sub_of)
 
 
@@ -501,7 +521,7 @@ def _model_original(
 ) -> _ColumnModel:
     """KMD/KPT columns (0/1 mismatch on categorical attributes), or the BD
     columns when a base-distance table is supplied."""
-    repeats, sub_of, held = _sub_rows(dataset)
+    repeats, sub_of, _ = _sub_rows(dataset)
     numeric = []
     groups = []
     for r, attr in enumerate(dataset.schema.attributes):
@@ -509,7 +529,7 @@ def _model_original(
             numeric.append(_make_numeric(dataset, r, r))
         else:
             dist = 1.0 - np.eye(attr.v) if table is None else table.matrices[r]
-            groups.append(_make_group(dataset, held, r, [r], attr.v, table=dist))
+            groups.append(_make_group(dataset, r, [r], attr.v, table=dist))
     return _ColumnModel(
         dataset, dataset.schema.d, tuple(numeric), tuple(groups), repeats, sub_of
     )
@@ -520,7 +540,7 @@ def _model_ohe_oc(dataset: Dataset) -> _PointModel:
     through, an ordinal one becomes its normalized rank (t-1)/(v-1) and a
     nominal one a one-hot block of v columns (two different values sit at
     distance 2 in the squared-Euclidean geometry)."""
-    repeats, sub_of, held = _sub_rows(dataset)
+    repeats, sub_of, _ = _sub_rows(dataset)
     numeric, groups, col = [], [], 0
     for r, attr in enumerate(dataset.schema.attributes):
         if not attr.kind.is_categorical:
@@ -531,7 +551,7 @@ def _model_ohe_oc(dataset: Dataset) -> _PointModel:
         coords = np.eye(attr.v) if nominal else np.arange(attr.v)[None] / (attr.v - 1)
         cols = range(col, col + len(coords))
         col += len(coords)
-        groups.append(_make_group(dataset, held, r, cols, attr.v, coords))
+        groups.append(_make_group(dataset, r, cols, attr.v, coords))
     return _PointModel(dataset, col, tuple(numeric), tuple(groups), repeats, sub_of)
 
 
@@ -776,8 +796,10 @@ def update_weight_matrix(
 @dataclass(frozen=True)
 class Prepared:
     """Variant-specific immutable inputs shared by every run on a dataset.
-    ``reconstruct_s`` is the variant's whole ``prepare`` time (discretize,
-    base distances, projection, model build), so KPT's is nonzero too."""
+    ``reconstruct_s`` is the variant's ``prepare`` time: the set-up it did
+    not find already built for the dataset (discretize, base distances,
+    projection, shared columns) plus its own model build, so KPT's is
+    nonzero too. It may overlap the runs of the variant before."""
 
     variant: str
     model: _ColumnModel
@@ -795,21 +817,41 @@ def _check_variant(dataset: Dataset, variant: str) -> None:
         )
 
 
+def _base_distances(dataset: Dataset) -> BaseDistanceTable:
+    """The dataset's base-distance table. The discretized view it is built
+    from is not kept."""
+    return dataset._part(
+        "base_distances",
+        lambda: build_base_distances(dataset, discretize_numerical(dataset)),
+    )
+
+
+def _reconstructed(dataset: Dataset) -> tuple[ReconstructedSpace, _ColumnModel]:
+    """The dataset's reconstructed space and the column model on it, which
+    HARR-V, HARR-M and HAR share."""
+
+    def build():
+        space = reconstruct(dataset, _base_distances(dataset))
+        return space, _model_reconstructed(dataset, space)
+
+    return dataset._part("reconstructed", build)
+
+
 def prepare(dataset: Dataset, variant: str) -> Prepared:
     """Build the representation a variant clusters on, timing the build.
 
-    The result is immutable and safe to share across concurrent seeded runs.
+    What belongs to the dataset rather than to the variant (the sub-rows,
+    the base-distance table, the reconstructed space and its model) is built
+    once per dataset and kept on it, so later variants find it. The result
+    is immutable and safe to share across concurrent seeded runs.
     """
     _check_variant(dataset, variant)
     start = time.perf_counter()
     space = None
-    if variant in ("HARR-V", "HARR-M", "HAR", "BD"):
-        table = build_base_distances(dataset, discretize_numerical(dataset))
-        if variant == "BD":
-            model = _model_original(dataset, table)
-        else:
-            space = reconstruct(dataset, table)
-            model = _model_reconstructed(dataset, space)
+    if variant in ("HARR-V", "HARR-M", "HAR"):
+        space, model = _reconstructed(dataset)
+    elif variant == "BD":
+        model = _model_original(dataset, _base_distances(dataset))
     elif variant in ("KMD", "KPT"):
         model = _model_original(dataset)
     else:  # OHE+OC

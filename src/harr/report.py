@@ -233,8 +233,10 @@ class ReportFile:
 class TimingsFile:
     """Sidecar wall-clock timings: shared preparation time plus per-run
     clustering and weight-update seconds. ``reconstruct_s`` is the variant's
-    whole ``prepare`` time (discretization, base distances, projection and
-    model build), nonzero also for variants that reconstruct nothing."""
+    ``prepare`` time: the set-up it did not find already built for the
+    dataset by an earlier variant (discretization, base distances,
+    projection) plus its model build, nonzero also for variants that
+    reconstruct nothing. It may overlap earlier variants' runs."""
 
     variant: str
     reconstruct_s: float

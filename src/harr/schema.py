@@ -12,6 +12,7 @@ import enum
 import itertools
 import math
 import os
+import threading
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -226,25 +227,46 @@ class DistinctRows(_Record):
         return self.first.shape[0]
 
 
-def _run_starts(cells: np.ndarray, order: np.ndarray, cols) -> np.ndarray:
-    """Where the rows listed in ``order`` open a run of equal ``cols`` cells.
-    Rows are compared column by column: no sorted copy of the table."""
+def _run_starts(columns, order: np.ndarray) -> np.ndarray:
+    """Where the rows listed in ``order`` open a run of equal cells in every
+    one of ``columns``. Rows are compared column by column: no sorted copy
+    of the table."""
     new = np.zeros(order.shape[0], dtype=bool)
     new[:1] = True
-    for c in cols:
-        col = cells[order, c]
+    for col in columns:
+        col = col[order]
         new[1:] |= col[1:] != col[:-1]
     return new
 
 
-def _distinct_rows(cells: np.ndarray, categorical: tuple[int, ...]) -> DistinctRows:
-    numerical = [c for c in range(cells.shape[1]) if c not in categorical]
-    # The categorical columns are the primary keys, so each categorical
-    # sub-row is one run of distinct rows. lexsort is stable, so each run of
-    # equal rows opens with its lowest object index.
-    order = np.lexsort([cells[:, c] for c in [*categorical, *numerical][::-1]])
-    new_sub = _run_starts(cells, order, categorical)
-    new = new_sub | _run_starts(cells, order, numerical)
+def _packed_keys(cells: np.ndarray, schema: DatasetSchema) -> list[np.ndarray]:
+    """The categorical columns packed into int64 keys, consecutive columns
+    per key in radix v+1 while the product of the radices stays below 2**63.
+    Codes lie in 1..v, so the keys order rows as their columns do."""
+    keys: list[np.ndarray] = []
+    span = 1  # the radix product of the last key's columns
+    for c in schema.categorical_indices():
+        radix = schema.attributes[c].v + 1
+        col = cells[:, c].astype(np.int64)
+        if keys and span * radix < 2**63:
+            keys[-1] *= radix
+            keys[-1] += col
+            span *= radix
+        else:
+            keys.append(col)
+            span = radix
+    return keys
+
+
+def _distinct_rows(cells: np.ndarray, schema: DatasetSchema) -> DistinctRows:
+    keys = _packed_keys(cells, schema)
+    numerical = [cells[:, c] for c in schema.numerical_indices()]
+    # The categorical keys are the primary ones, so each categorical sub-row
+    # is one run of distinct rows, opening wherever a key changes. lexsort is
+    # stable, so each run of equal rows opens with its lowest object index.
+    order = np.lexsort([*keys, *numerical][::-1])
+    new_sub = _run_starts(keys, order)
+    new = new_sub | _run_starts(numerical, order)
     inverse = np.empty(order.shape[0], dtype=np.int64)
     inverse[order] = np.cumsum(new) - 1
     sub = np.cumsum(new_sub)[new] - 1
@@ -256,11 +278,14 @@ class Dataset(_Record):
     """An n x d cell table bound to its schema.
 
     Numerical cells are stored as floats, categorical cells as 1-based value
-    indices (kept in the same float table for uniform slicing). A writeable
-    table is copied, so instances are immutable and safe to share across
-    concurrently executing runs. ``numeric_min`` and ``numeric_max``, the
-    observed range per attribute, are derived from the cells on first use:
-    NaN for categorical attributes and for an empty table.
+    indices (kept in the same float table for uniform slicing). Every cell
+    is checked here: a numerical cell must be finite and a categorical one an
+    integer in 1..v. A writeable table is copied, so instances are immutable
+    and safe to share across concurrently executing runs. ``numeric_min``
+    and ``numeric_max``, the observed range per attribute, are derived from
+    the cells on first use: NaN for categorical attributes and for an empty
+    table. Parts that other layers derive from the dataset alone are kept
+    on it too (``_part``).
     """
 
     schema: DatasetSchema
@@ -272,7 +297,29 @@ class Dataset(_Record):
             raise DataError(
                 f"cell table must be n x {self.schema.d}, got shape {cells.shape}"
             )
+        for r, attr in enumerate(self.schema.attributes):
+            # one strided pass, then contiguous ones
+            col = np.ascontiguousarray(cells[:, r])
+            if not attr.kind.is_categorical:
+                if not np.isfinite(col).all():
+                    raise DataError(f"column {attr.name!r}: numerical cells must be finite")
+            elif not ((col >= 1) & (col <= attr.v) & (col == np.trunc(col))).all():
+                raise DataError(
+                    f"column {attr.name!r}: categorical cells must be value "
+                    f"indices in 1..{attr.v}"
+                )
         object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "_parts", {})
+        object.__setattr__(self, "_lock", threading.RLock())
+
+    def _part(self, key, build):
+        """The dataset's one copy of a part derived from it alone: ``build()``
+        runs on first use, under the dataset's lock, so threads that ask at
+        once share one build, and the part lives as long as the dataset."""
+        with self._lock:
+            if key not in self._parts:
+                self._parts[key] = build()
+            return self._parts[key]
 
     def _numeric_extreme(self, reduce) -> np.ndarray:
         out = np.full(self.schema.d, np.nan)
@@ -296,7 +343,7 @@ class Dataset(_Record):
     @cached_property
     def distinct(self) -> DistinctRows:
         """The distinct rows of ``cells``, found once per dataset."""
-        return _distinct_rows(self.cells, self.schema.categorical_indices())
+        return _distinct_rows(self.cells, self.schema)
 
 
 @dataclass(frozen=True, eq=False)

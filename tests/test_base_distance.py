@@ -4,7 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from harr.base_distance import (
+    _cityblock,
     base_distance_nominal,
     base_distance_ordinal,
     build_base_distances,
@@ -12,6 +16,7 @@ from harr.base_distance import (
     dump_base_distances,
 )
 from harr.schema import (
+    AttributeKind,
     discretize_numerical,
     ingest_table,
     normalize_numerical,
@@ -212,6 +217,29 @@ class TestBuildTable:
                     assert want is None
                 else:
                     assert np.allclose(got, want, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:attribute .* never observed")
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 12))
+def test_table_bitwise_equals_per_pair_cpds(seed, max_v):
+    """Joint counts taken once per attribute pair give the same bits as one
+    ``compute_cpd`` per (target, context) pair."""
+    rng = np.random.default_rng(seed)
+    dataset = random_dataset(rng, max_n=80, max_d=6, max_v=max_v, min_categorical=1)
+    view = discretize_numerical(dataset)
+    table = build_base_distances(dataset, view)
+    for r, attr in enumerate(dataset.schema.attributes):
+        if not attr.kind.is_categorical:
+            assert table.matrices[r] is None
+            continue
+        if attr.kind is AttributeKind.ORDINAL:
+            want = base_distance_ordinal(dataset, view, r)
+        else:
+            want = np.zeros((attr.v, attr.v))
+            for s in range(dataset.schema.d):
+                want += _cityblock(compute_cpd(dataset, view, r, s).probs)
+        assert table.matrices[r].tobytes() == want.tobytes()
 
 
 def test_dump_files_roundtrip(tmp_path):

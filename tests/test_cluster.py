@@ -1,4 +1,6 @@
 import re
+import threading
+import time
 import tracemalloc
 import warnings
 from collections import Counter, defaultdict
@@ -1116,6 +1118,148 @@ class TestPreparedSharing:
         prep = prepare(dataset, "KPT")
         with pytest.raises(ConfigError, match="prepared for"):
             run_prepared(dataset, prep, RunConfig(k=2, variant="BD"))
+
+
+def _variants_for(dataset):
+    return [v for v in cluster.VARIANTS if v != "KMD" or not dataset.schema.d_u]
+
+
+def _fresh(dataset):
+    """An equal dataset that has built nothing yet."""
+    return Dataset(dataset.schema, dataset.cells)
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.integers(0, 2**32 - 1))
+def test_prepare_gives_equal_models_in_any_variant_order(seed):
+    # Set-up shared on one dataset gives every variant the model and space
+    # it gets on a dataset of its own, whichever variant comes first.
+    rng = np.random.default_rng(seed)
+    dataset = _mixed_sample(rng)
+    variants = _variants_for(dataset)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        shared = {v: prepare(dataset, v) for v in rng.permutation(variants)}
+        for variant in variants:
+            alone = prepare(_fresh(dataset), variant)
+            assert shared[variant].model == alone.model, variant
+            assert shared[variant].space == alone.space, variant
+    reconstructed = {id(shared[v].model) for v in ("HARR-V", "HARR-M", "HAR")}
+    assert len(reconstructed) == 1
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls ``harr.cluster`` makes to each of ``names``."""
+    calls = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(cluster, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(cluster, name, counted)
+    return calls
+
+
+def test_prepare_builds_shared_parts_once_per_dataset(monkeypatch):
+    calls = _count_calls(
+        monkeypatch, "discretize_numerical", "build_base_distances", "reconstruct"
+    )
+    dataset = _mixed_sample(np.random.default_rng(8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for variant in _variants_for(dataset):
+            prepare(dataset, variant)
+        assert calls == {
+            "discretize_numerical": 1, "build_base_distances": 1, "reconstruct": 1
+        }
+        prepare(_fresh(dataset), "HAR")
+    assert calls == {
+        "discretize_numerical": 2, "build_base_distances": 2, "reconstruct": 2
+    }
+
+
+def test_shared_set_up_warns_once_per_dataset():
+    # 'yy' and 'zz' never occur: the base distances warn about both, and
+    # their all-zero rows leave the span between them degenerate.
+    schema = parse_schema("c,nom,a|b|yy|zz\nx,num\n")
+    dataset = normalize_numerical(ingest_table("a,0.1\nb,0.9\na,0.2\nb,0.8", schema))
+
+    def recorded(data, variants):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for variant in variants:
+                prepare(data, variant)
+        return Counter(str(w.message) for w in caught)
+
+    once = recorded(dataset, ["HARR-V", "HARR-M", "HAR", "BD", "KPT", "OHE+OC"])
+    assert any("never observed: yy, zz" in m for m in once)
+    assert any("degenerate spans [(3, 4)]" in m for m in once)
+    assert set(once.values()) == {1}
+    assert recorded(dataset, ["HARR-V", "BD"]) == Counter()
+    assert recorded(_fresh(dataset), ["HARR-M"]) == once
+
+
+@pytest.mark.parametrize("variants", [("HARR-V", "HARR-M"), ("BD", "HAR")])
+def test_threads_preparing_one_dataset_share_one_build(monkeypatch, variants):
+    calls = _count_calls(monkeypatch, "build_base_distances")
+    slow = cluster.build_base_distances
+
+    def build(*args):  # widen the window in which both threads ask
+        time.sleep(0.05)
+        return slow(*args)
+
+    monkeypatch.setattr(cluster, "build_base_distances", build)
+    dataset = _mixed_sample(np.random.default_rng(21))
+    start = threading.Barrier(len(variants))
+    got = {}
+
+    def work(variant):
+        start.wait()
+        got[variant] = prepare(dataset, variant)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        threads = [threading.Thread(target=work, args=(v,)) for v in variants]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert calls["build_base_distances"] == 1
+        for variant in variants:
+            alone = prepare(_fresh(dataset), variant)
+            assert got[variant].model == alone.model
+            assert got[variant].space == alone.space
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6))
+def test_ohe_oc_refit_matches_per_object_sums(seed, k):
+    # A one-hot column's member sum is an exact count, so reading it from the
+    # sub-row counts gives the bits of the per-object sum; rank and numerical
+    # columns keep the per-object sum.
+    rng = np.random.default_rng(seed)
+    schema = parse_schema(
+        "x,num\nn1,nom,a|b|c\no1,ord,lo|mid|hi|top\nn2,nom,p|q\ny,num\n"
+    )
+    n = int(rng.integers(k, 200))
+    cells = np.column_stack(
+        [
+            rng.integers(0, 4, n) / 3,
+            rng.integers(1, 4, n),
+            rng.integers(1, 5, n),
+            rng.integers(1, 3, n),
+            rng.random(n),
+        ]
+    )
+    dataset = build_dataset(schema, cells)
+    labels0 = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
+    model = prepare(dataset, "OHE+OC").model
+    points = encode_ohe_oc(dataset)
+    sums = np.empty((k, model.m))
+    for j in range(model.m):
+        sums[:, j] = np.bincount(labels0, points[:, j], minlength=k)
+    want = sums / np.bincount(labels0, minlength=k)[:, None]
+    assert model.refit(labels0, k).tobytes() == want.tobytes()
 
 
 def test_report_equality_ignores_timings():

@@ -789,6 +789,50 @@ class TestCmdCluster:
             b = (tmp_path / "p" / name).read_bytes()
             assert a == b
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "failing, step, written",
+        [
+            ("KPT", "prepare", []),
+            ("HARR-V", "prepare", ["KPT"]),
+            ("BD", "prepare", ["KPT", "HARR-V"]),
+            ("KPT", "run_prepared", []),
+            ("HARR-V", "run_prepared", ["KPT"]),
+            ("BD", "run_prepared", ["KPT", "HARR-V"]),
+        ],
+    )
+    def test_failure_leaves_the_variants_before_it(
+        self, synth_dir, tmp_path, monkeypatch, workers, failing, step, written
+    ):
+        # The next variant is prepared while the runs of one execute, yet a
+        # failed prepare or run leaves the files of exactly the variants
+        # before it, and no summary, as when variants ran one at a time.
+        real = getattr(bench, step)
+
+        def fail(dataset, *args):
+            variant = args[0] if step == "prepare" else args[0].variant
+            if variant == failing:
+                raise RuntimeError(f"{step} failed")
+            return real(dataset, *args)
+
+        monkeypatch.setattr(bench, step, fail)
+        cfg = BenchConfig(
+            data=synth_dir["data"],
+            schema=synth_dir["schema"],
+            labels=synth_dir["labels"],
+            variants=("KPT", "HARR-V", "BD"),
+            k=3,
+            runs=3,
+            workers=workers,
+            out_dir=str(tmp_path / "out"),
+        )
+        with pytest.raises(RuntimeError, match=f"{step} failed"):
+            cmd_cluster(cfg)
+        files = sorted(p.name for p in (tmp_path / "out").glob("*"))
+        assert files == sorted(
+            f"{v}.{kind}.txt" for v in written for kind in ("report", "timings")
+        )
+
     def test_workers_do_not_change_wide_nominal_results(self, tmp_path):
         # A 24-valued nominal builds (276, 24) distance blocks; concurrent
         # runs must each build theirs in a buffer of their own.
@@ -904,6 +948,31 @@ class TestCmdBenchTime:
         )
         with pytest.raises(ConfigError, match="fewer than k"):
             cmd_bench_time(cfg)
+
+
+    def test_every_repeat_builds_its_variant_set_up(self, synth_dir, tmp_path, monkeypatch):
+        # each repeat clusters a fresh subsample, so it times the variant's
+        # whole prepare: no repeat finds the base distances already built
+        from harr import cluster
+
+        calls = []
+        build = cluster.build_base_distances
+        monkeypatch.setattr(
+            cluster, "build_base_distances", lambda *a: calls.append(1) or build(*a)
+        )
+        cfg = BenchConfig(
+            data=synth_dir["data"],
+            schema=synth_dir["schema"],
+            variants=("HARR-V", "HARR-M", "HAR", "BD", "KPT"),
+            k=3,
+            phis=(0.5, 1.0),
+            repeats=2,
+            inner_cap=2,
+            outer_cap=1,
+            out_dir=str(tmp_path / "out"),
+        )
+        cmd_bench_time(cfg)
+        assert len(calls) == 4 * 2 * 2  # variants with base distances x phis x repeats
 
 
 class TestCmdTrace:
@@ -1232,6 +1301,7 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_cli_import_loads_no_thread_pool():
-    """Only ``--workers`` above 1 needs the thread pool, which also pulls in
-    ``logging``; a one-worker invocation must not pay for either."""
+    """``cmd_cluster`` imports the thread pool, which also pulls in
+    ``logging``, when it runs; importing the CLI must not pay for either, so
+    ``eval``, ``synth``, ``trace`` and ``bench-time`` never do."""
     assert _loaded_by_cli_import("concurrent", "logging") == []

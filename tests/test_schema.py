@@ -287,6 +287,77 @@ def test_distinct_rows_record(seed, copies):
     assert dataset.distinct is rows
 
 
+def _distinct_rows_reference(cells, schema):
+    """Distinct rows from one lexsort over the raw columns, categorical
+    columns first, and a row-by-row comparison of the sorted table."""
+    cat, num = list(schema.categorical_indices()), list(schema.numerical_indices())
+    order = np.lexsort([cells[:, c] for c in (cat + num)[::-1]])
+    ordered = cells[order]
+    differs = np.ones(ordered.shape, dtype=bool)
+    differs[1:] = ordered[1:] != ordered[:-1]
+    new_sub = differs[:, cat].any(axis=1)
+    new_sub[0] = True
+    new = new_sub | differs[:, num].any(axis=1)
+    inverse = np.empty(cells.shape[0], dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse, np.cumsum(new_sub)[new] - 1
+
+
+def _assert_distinct_rows_match_reference(dataset):
+    rows = dataset.distinct
+    first, inverse, sub = _distinct_rows_reference(dataset.cells, dataset.schema)
+    assert np.array_equal(rows.first, first)
+    assert np.array_equal(rows.inverse, inverse)
+    assert np.array_equal(rows.sub, sub)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 70))
+def test_packed_distinct_rows_match_lexsort_reference(seed, copies, max_v):
+    rng = np.random.default_rng(seed)
+    base = random_dataset(rng, max_d=8, max_v=max_v)
+    cells = base.cells[rng.integers(0, base.n, size=base.n * copies)]
+    _assert_distinct_rows_match_reference(build_dataset(base.schema, cells))
+
+
+def test_packed_distinct_rows_split_keys_past_int64():
+    # 61**12 exceeds 2**63, so the twelve columns need two packed keys
+    attrs = [
+        AttributeSchema(f"c{r}", AttributeKind.NOMINAL, tuple(map(str, range(60))))
+        for r in range(12)
+    ]
+    schema = DatasetSchema((*attrs, AttributeSchema("x", AttributeKind.NUMERICAL)))
+    rng = np.random.default_rng(5)
+    cells = np.empty((400, 13))
+    cells[:, :12] = rng.integers(1, 61, size=(400, 12))
+    cells[:, :12][rng.random((400, 12)) < 0.9] = 60  # many shared sub-rows
+    cells[:, 12] = rng.integers(0, 3, size=400) / 2
+    cells = cells[rng.integers(0, 400, size=800)]
+    dataset = build_dataset(schema, cells)
+    assert len(harr.schema._packed_keys(cells, schema)) == 2
+    _assert_distinct_rows_match_reference(dataset)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_numerical_cells(bad):
+    schema = parse_schema("x,num\ny,num\n")
+    with pytest.raises(DataError, match="column 'x': numerical cells must be finite"):
+        Dataset(schema, np.array([[bad, 1.0], [0.0, 2.0], [1.0, 3.0], [np.inf, 0.0]]))
+
+
+@pytest.mark.parametrize("code", [7.0, 0.5, 0.0, -1.0, np.nan])
+def test_dataset_rejects_categorical_cells_that_are_not_value_indices(code):
+    schema = parse_schema("x,num\nc,nom,a|b\n")
+    with pytest.raises(DataError, match=r"column 'c': .* value indices in 1\.\.2"):
+        Dataset(schema, np.array([[0.0, 1.0], [1.0, code], [0.5, 2.0]]))
+
+
+def test_ingest_keeps_its_row_and_column_message():
+    schema = parse_schema("x,num\nc,nom,a|b\n")
+    with pytest.raises(DataError, match="row 2, column 'x': non-finite value 'nan'"):
+        ingest_table("1,a\nnan,b", schema)
+
+
 def test_infer_schema_heuristic():
     schema = infer_schema("1.5,red\n2.5,green\n")
     assert schema.attributes[0].kind is AttributeKind.NUMERICAL
