@@ -29,8 +29,6 @@ from .base_distance import (
     CpdTable,
     BaseDistanceTable,
     compute_cpd,
-    base_distance_nominal,
-    base_distance_ordinal,
     build_base_distances,
     dump_base_distances,
 )

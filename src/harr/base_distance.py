@@ -32,8 +32,6 @@ __all__ = [
     "CpdTable",
     "BaseDistanceTable",
     "compute_cpd",
-    "base_distance_nominal",
-    "base_distance_ordinal",
     "build_base_distances",
     "dump_base_distances",
 ]
@@ -94,12 +92,18 @@ def compute_cpd(
             f"target attribute {dataset.schema.attributes[target].name!r} "
             "is not categorical"
         )
-    v_t = view.bin_counts[target]
-    v_c = view.bin_counts[context]
-    pairs = (view.codes[:, target] - 1) * v_c + (view.codes[:, context] - 1)
-    joint = np.bincount(pairs, minlength=v_t * v_c).reshape(v_t, v_c)
+    v_t, v_c = view.bin_counts[target], view.bin_counts[context]
+    joint = _joint(view.codes[:, target] - 1, view.codes[:, context] - 1, v_t, v_c)
     probs, counts = _conditional(joint)
     return CpdTable(target, context, _freeze(probs), _freeze(counts))
+
+
+def _joint(codes0_t: np.ndarray, codes0_c: np.ndarray, v_t: int, v_c: int) -> np.ndarray:
+    """The v_t x v_c table counting each pair of 0-based codes, one object
+    per pair."""
+    pairs = np.multiply(codes0_t, v_c, dtype=np.intp)
+    pairs += codes0_c
+    return np.bincount(pairs, minlength=v_t * v_c).reshape(v_t, v_c)
 
 
 def _conditional(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -127,28 +131,10 @@ def _warn_unobserved(attr: AttributeSchema, counts: np.ndarray) -> None:
         )
 
 
-def _per_context(dataset: Dataset, view: OrdinalView, r: int) -> list[np.ndarray]:
-    """Attribute ``r``'s conditional distributions, one per context attribute
-    in order, after the unobserved-value warning."""
-    attr = dataset.schema.attributes[r]
-    if not attr.kind.is_categorical:
-        raise ValueError(f"attribute {attr.name!r} is not categorical")
-    _warn_unobserved(attr, np.bincount(view.codes[:, r] - 1, minlength=attr.v))
-    return [compute_cpd(dataset, view, r, s).probs for s in range(dataset.schema.d)]
-
-
-def base_distance_nominal(
-    dataset: Dataset, view: OrdinalView, r: int
-) -> np.ndarray:
-    """Pairwise base distances for nominal attribute ``r``.
-
-    Every attribute acts as context, the attribute itself included, so two
-    distinct observed values are always at distance of at least 2.
-    """
-    return _kappa_nominal(_per_context(dataset, view, r))
-
-
 def _kappa_nominal(per_context: list[np.ndarray]) -> np.ndarray:
+    """A nominal attribute's κ from its distributions given each context
+    attribute, itself included, so two distinct observed values are always
+    at least 2 apart."""
     v = per_context[0].shape[0]
     kappa = np.zeros((v, v))
     for probs in per_context:
@@ -169,19 +155,10 @@ def _cityblock(p: np.ndarray) -> np.ndarray:
     return dist
 
 
-def base_distance_ordinal(
-    dataset: Dataset, view: OrdinalView, r: int
-) -> np.ndarray:
-    """Pairwise base distances for ordinal attribute ``r``.
-
-    Adjacent ranks get the total-variation construction; non-adjacent pairs
-    accumulate the adjacent distances along the rank order, so the matrix is
-    additive along the order by construction.
-    """
-    return _kappa_ordinal(_per_context(dataset, view, r))
-
-
 def _kappa_ordinal(per_context: list[np.ndarray]) -> np.ndarray:
+    """An ordinal attribute's κ: adjacent ranks get the total-variation
+    construction, and other pairs sum the adjacent distances between them,
+    so κ is additive along the rank order."""
     v = per_context[0].shape[0]
     adjacent = np.zeros(v - 1)
     for probs in per_context:
@@ -231,10 +208,7 @@ def build_base_distances(
             elif (s, r) in later:
                 joint = later.pop((s, r)).T
             else:
-                pairs = np.multiply(codes0[r], sizes[s], dtype=np.intp)
-                pairs += codes0[s]
-                joint = np.bincount(pairs, minlength=attr.v * sizes[s])
-                joint = joint.reshape(attr.v, sizes[s])
+                joint = _joint(codes0[r], codes0[s], attr.v, sizes[s])
                 if other.kind.is_categorical:
                     later[r, s] = joint
             per_context.append(_conditional(joint)[0])

@@ -9,7 +9,6 @@ serially to avoid interference.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -238,7 +237,7 @@ def cmd_bench_time(cfg: BenchConfig) -> list[tuple[float, int, str, float]]:
                 prep = prepare(sub, variant)
                 report = run_prepared(sub, prep, config)
                 times.append(prep.reconstruct_s + report.cluster_s + report.weights_s)
-            rows.append((phi, n_sub, variant, statistics.median(times)))
+            rows.append((phi, n_sub, variant, float(np.median(times))))
     save_bench_time(rows, f"{cfg.out_dir}/bench_time.csv")
     lines = [f"{'phi':>8} {'n':>9} {'variant':<10} {'seconds':>12}\n"]
     for phi, n_sub, variant, seconds in rows:

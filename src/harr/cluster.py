@@ -826,30 +826,27 @@ def _base_distances(dataset: Dataset) -> BaseDistanceTable:
     )
 
 
-def _reconstructed(dataset: Dataset) -> tuple[ReconstructedSpace, _ColumnModel]:
-    """The dataset's reconstructed space and the column model on it, which
-    HARR-V, HARR-M and HAR share."""
-
-    def build():
-        space = reconstruct(dataset, _base_distances(dataset))
-        return space, _model_reconstructed(dataset, space)
-
-    return dataset._part("reconstructed", build)
+def _space(dataset: Dataset) -> ReconstructedSpace:
+    """The dataset's reconstructed space, which HARR-V, HARR-M and HAR share."""
+    return dataset._part("space", lambda: reconstruct(dataset, _base_distances(dataset)))
 
 
 def prepare(dataset: Dataset, variant: str) -> Prepared:
     """Build the representation a variant clusters on, timing the build.
 
     What belongs to the dataset rather than to the variant (the sub-rows,
-    the base-distance table, the reconstructed space and its model) is built
-    once per dataset and kept on it, so later variants find it. The result
-    is immutable and safe to share across concurrent seeded runs.
+    the columns, the base-distance table and the reconstructed space) is
+    built once per dataset and kept on it, so later variants find it; the
+    model is built from those parts on each call, since a model refers to
+    its dataset and a part must not. The result is immutable and safe to
+    share across concurrent seeded runs.
     """
     _check_variant(dataset, variant)
     start = time.perf_counter()
     space = None
     if variant in ("HARR-V", "HARR-M", "HAR"):
-        space, model = _reconstructed(dataset)
+        space = _space(dataset)
+        model = _model_reconstructed(dataset, space)
     elif variant == "BD":
         model = _model_original(dataset, _base_distances(dataset))
     elif variant in ("KMD", "KPT"):

@@ -31,6 +31,16 @@ def _as_labels(x) -> np.ndarray:
     return _label_array(x.labels if isinstance(x, Partition) else x)
 
 
+def _compact(labels: np.ndarray) -> np.ndarray:
+    """``labels`` numbered 1..(distinct labels) when its largest label exceeds
+    its length, so a score's table is bounded by the objects; ARI and CA do
+    not change under relabeling. harr's own labels never exceed k <= n, so
+    they skip the sort."""
+    if labels.size and labels.max() > labels.size:
+        return np.unique(labels, return_inverse=True)[1] + 1
+    return labels
+
+
 def contingency(labels, pred) -> np.ndarray:
     """Co-occurrence counts between two labelings.
 
@@ -57,8 +67,8 @@ def ari(labels, pred) -> float:
     exactly when both labelings are all singletons or both a single group;
     the score is then 1, with a warning.
     """
-    truth = _as_labels(labels)
-    guess = _as_labels(pred)
+    truth = _compact(_as_labels(labels))
+    guess = _compact(_as_labels(pred))
     if truth.shape[0] < 2:
         raise ValueError("need at least two objects")
     table = contingency(truth, guess)
@@ -93,8 +103,8 @@ def ca(labels, pred) -> float:
     the matched count over n. Invariant under permutations of cluster
     indices.
     """
-    truth = _as_labels(labels)
-    guess = _as_labels(pred)
+    truth = _compact(_as_labels(labels))
+    guess = _compact(_as_labels(pred))
     table = contingency(truth, guess)
     if truth.shape[0] == 0:
         raise ValueError("need at least one object")

@@ -509,15 +509,19 @@ def normalize_numerical(dataset: Dataset) -> Dataset:
     """Min-max scale every numerical attribute to [0, 1].
 
     Constant attributes map to all zeros (they contribute zero distance
-    everywhere); categorical cells are untouched. Idempotent.
+    everywhere); categorical cells are untouched. Idempotent. A range wider
+    than the largest float is scaled in halves, so every cell stays finite.
     """
     if dataset.n < 1:
         raise DataError("cannot normalize an empty dataset")
     cells = dataset.cells.copy()
-    lo, hi = dataset.numeric_min, dataset.numeric_max
+    lo, hi = dataset.numeric_min.tolist(), dataset.numeric_max.tolist()
     for r in dataset.schema.numerical_indices():
-        col = cells[:, r]
-        cells[:, r] = 0.0 if hi[r] == lo[r] else (col - lo[r]) / (hi[r] - lo[r])
+        # Halving is exact for normal floats but drops a subnormal's last
+        # bit, so a range that fits is scaled by 1.0, which is exact.
+        half = 0.5 if math.isinf(hi[r] - lo[r]) else 1.0
+        a, b = lo[r] * half, hi[r] * half
+        cells[:, r] = 0.0 if a == b else (cells[:, r] * half - a) / (b - a)
     return Dataset(dataset.schema, _freeze(cells))
 
 

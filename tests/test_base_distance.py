@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from harr.base_distance import (
     _cityblock,
-    base_distance_nominal,
-    base_distance_ordinal,
+    _kappa_ordinal,
     build_base_distances,
     compute_cpd,
     dump_base_distances,
@@ -31,6 +30,14 @@ def _dataset(schema_text, data_text, bins=None):
     schema = parse_schema(schema_text)
     dataset = normalize_numerical(ingest_table(data_text, schema))
     return dataset, discretize_numerical(dataset, bins=bins)
+
+
+def _kappas(dataset, view, kind=None):
+    """(r, κ) for each categorical attribute, or each one of ``kind``."""
+    table = build_base_distances(dataset, view)
+    for r, attr in enumerate(dataset.schema.attributes):
+        if attr.kind.is_categorical and kind in (None, attr.kind):
+            yield r, table.matrices[r]
 
 
 class TestCpd:
@@ -76,7 +83,7 @@ class TestNominal:
         # With only the self-attribute as context, rows are one-hot and the
         # total-variation gap between two observed values is exactly 2.
         dataset, view = _dataset("c,nom,a|b|c\n", "a\nb\nc\na")
-        kappa = base_distance_nominal(dataset, view, 0)
+        kappa = build_base_distances(dataset, view).matrices[0]
         off = kappa[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 2.0, atol=1e-12)
         assert np.all(np.diag(kappa) == 0.0)
@@ -86,11 +93,11 @@ class TestNominal:
         for _ in range(10):
             dataset = random_dataset(rng, min_categorical=1)
             view = discretize_numerical(dataset)
-            for r in dataset.schema.categorical_indices():
-                kappa = base_distance_nominal(dataset, view, r)
+            for _, kappa in _kappas(dataset, view):
                 assert np.array_equal(kappa, kappa.T)
                 assert np.all(np.diag(kappa) == 0.0)
                 assert np.all(kappa >= 0.0)
+            for _, kappa in _kappas(dataset, view, AttributeKind.NOMINAL):
                 assert kappa.max() <= 2.0 * dataset.schema.d + 1e-12
 
     def test_eight_row_toy_matches_oracle(self):
@@ -98,7 +105,7 @@ class TestNominal:
             "u,nom,a|b|c\nw,nom,x|y\n",
             "a,x\na,y\nb,x\nb,x\nc,y\nc,y\na,x\nb,y",
         )
-        kappa = base_distance_nominal(dataset, view, 0)
+        kappa = build_base_distances(dataset, view).matrices[0]
         expected = kappa_nominal_oracle(view, 0)
         assert np.allclose(kappa, expected, atol=1e-12)
 
@@ -106,22 +113,24 @@ class TestNominal:
     def test_bitwise_equal_to_cdist_reference(self):
         distance = pytest.importorskip("scipy.spatial.distance")
         rng = np.random.default_rng(5)
+        checked = 0
         for _ in range(30):
             dataset = random_dataset(rng, max_n=200, max_d=6, max_v=30, min_categorical=1)
             view = discretize_numerical(dataset)
-            for r in dataset.schema.categorical_indices():
+            for r, kappa in _kappas(dataset, view, AttributeKind.NOMINAL):
                 v = dataset.schema.attributes[r].v
                 expected = np.zeros((v, v))
                 for s in range(dataset.schema.d):
                     probs = compute_cpd(dataset, view, r, s).probs
                     expected += distance.cdist(probs, probs, metric="cityblock")
-                kappa = base_distance_nominal(dataset, view, r)
                 assert kappa.tobytes() == expected.tobytes()
+                checked += 1
+        assert checked >= 10
 
     def test_unobserved_value_warns(self):
         dataset, view = _dataset("c,nom,a|b|zz\n", "a\nb\na\nb")
         with pytest.warns(RuntimeWarning, match="never observed: zz"):
-            kappa = base_distance_nominal(dataset, view, 0)
+            kappa = build_base_distances(dataset, view).matrices[0]
         # unobserved value: zero CPD rows still yield a finite distance
         assert kappa[0, 2] > 0.0
 
@@ -132,31 +141,33 @@ class TestOrdinal:
             "g,ord,low|mid|high\nx,nom,p|q\n",
             "low,p\nlow,p\nmid,p\nmid,q\nhigh,q\nhigh,q\nlow,q\nhigh,p\nmid,p\nlow,p",
         )
-        kappa = base_distance_ordinal(dataset, view, 0)
+        kappa = build_base_distances(dataset, view).matrices[0]
         assert kappa[0, 2] == math.fsum([kappa[0, 1], kappa[1, 2]])
 
     def test_two_values_match_nominal(self):
-        dataset, view = _dataset("g,ord,lo|hi\nx,nom,p|q\n", "lo,p\nhi,q\nlo,q\nhi,p")
-        ordinal = base_distance_ordinal(dataset, view, 0)
-        nominal = base_distance_nominal(dataset, view, 0)
-        assert np.allclose(ordinal, nominal, atol=1e-12)
+        # the same cells under two schemas: g ordinal, then g nominal
+        cells = "lo,p\nhi,q\nlo,q\nhi,p"
+        ordinal = build_base_distances(*_dataset("g,ord,lo|hi\nx,nom,p|q\n", cells))
+        nominal = build_base_distances(*_dataset("g,nom,lo|hi\nx,nom,p|q\n", cells))
+        assert np.allclose(ordinal.matrices[0], nominal.matrices[0], atol=1e-12)
 
     def test_ten_row_toy_matches_oracle(self):
         dataset, view = _dataset(
             "g,ord,low|mid|high\nx,nom,p|q\n",
             "low,p\nlow,p\nmid,q\nmid,p\nhigh,q\nhigh,q\nlow,p\nmid,q\nhigh,p\nlow,q",
         )
-        kappa = base_distance_ordinal(dataset, view, 0)
+        kappa = build_base_distances(dataset, view).matrices[0]
         expected = base_distance_table_oracle(dataset, view)[0]
         assert np.allclose(kappa, expected, atol=1e-12)
 
     def test_ordered_triple_equality(self):
         rng = np.random.default_rng(3)
-        for _ in range(5):
+        checked = 0
+        for _ in range(15):
             dataset = random_dataset(rng, min_categorical=1)
             view = discretize_numerical(dataset)
-            for r in dataset.schema.categorical_indices():
-                kappa = base_distance_ordinal(dataset, view, r)
+            for _, kappa in _kappas(dataset, view, AttributeKind.ORDINAL):
+                checked += 1
                 v = kappa.shape[0]
                 for g in range(v):
                     for s in range(g + 1, v):
@@ -164,6 +175,7 @@ class TestOrdinal:
                             assert kappa[g, h] == pytest.approx(
                                 kappa[g, s] + kappa[s, h], abs=1e-12
                             )
+        assert checked >= 5
 
 
 class TestBuildTable:
@@ -234,7 +246,9 @@ def test_table_bitwise_equals_per_pair_cpds(seed, max_v):
             assert table.matrices[r] is None
             continue
         if attr.kind is AttributeKind.ORDINAL:
-            want = base_distance_ordinal(dataset, view, r)
+            want = _kappa_ordinal(
+                [compute_cpd(dataset, view, r, s).probs for s in range(dataset.schema.d)]
+            )
         else:
             want = np.zeros((attr.v, attr.v))
             for s in range(dataset.schema.d):

@@ -1,8 +1,10 @@
+import gc
 import re
 import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from collections import Counter, defaultdict
 
 import numpy as np
@@ -1144,8 +1146,35 @@ def test_prepare_gives_equal_models_in_any_variant_order(seed):
             alone = prepare(_fresh(dataset), variant)
             assert shared[variant].model == alone.model, variant
             assert shared[variant].space == alone.space, variant
-    reconstructed = {id(shared[v].model) for v in ("HARR-V", "HARR-M", "HAR")}
-    assert len(reconstructed) == 1
+    # HARR-V, HARR-M and HAR build their own models on one space and one set
+    # of columns
+    first, *rest = (shared[v] for v in ("HARR-V", "HARR-M", "HAR"))
+    for prep in rest:
+        assert prep.space is first.space
+        for g, h in zip(prep.model.groups, first.model.groups, strict=True):
+            assert g.coords is h.coords and g.sub is h.sub
+
+
+@pytest.mark.parametrize("variant", cluster.VARIANTS)
+def test_prepared_dataset_is_freed_by_reference_counting(variant):
+    # No part kept on a dataset refers back to it, so dropping the last
+    # reference frees the dataset and its parts without the cyclic collector.
+    dataset = _mixed_sample(np.random.default_rng(31))
+    if variant == "KMD":
+        dataset = _attributes(dataset, dataset.schema.categorical_indices())
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            prep = prepare(dataset, variant)
+            run_prepared(dataset, prep, RunConfig(k=2, seed=0, variant=variant))
+        alive = weakref.ref(dataset)
+        del dataset, prep
+        assert alive() is None
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _count_calls(monkeypatch, *names):

@@ -269,3 +269,11 @@ def test_labels_beyond_int64_are_rejected(score):
         score([10**20, 1], [1, 1])
     with pytest.raises(ValueError, match=message):
         score([1, 1], [1, 2**70])
+
+
+@pytest.mark.parametrize("score", [ari, ca])
+def test_scores_are_sized_by_distinct_labels(score):
+    # a table sized by the largest label would have 2**124 cells here
+    small = [1, 2, 2, 1, 2], [2, 2, 1, 1, 2]
+    big = [[2**62 if x == 2 else x for x in labels] for labels in small]
+    assert score(*big) == score(*small)

@@ -1303,5 +1303,8 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_thread_pool():
     """``cmd_cluster`` imports the thread pool, which also pulls in
     ``logging``, when it runs; importing the CLI must not pay for either, so
-    ``eval``, ``synth``, ``trace`` and ``bench-time`` never do."""
-    assert _loaded_by_cli_import("concurrent", "logging") == []
+    ``eval``, ``synth``, ``trace`` and ``bench-time`` never do. ``bench-time``
+    takes its median with numpy: ``statistics`` would load ``decimal`` and
+    ``fractions`` in every process too."""
+    loaded = ("concurrent", "logging", "statistics", "decimal", "fractions")
+    assert _loaded_by_cli_import(*loaded) == []

@@ -173,6 +173,12 @@ class TestNormalize:
         dataset = normalize_numerical(ingest_table("5\n5\n5", schema))
         assert dataset.cells[:, 0].tolist() == [0.0, 0.0, 0.0]
 
+    def test_range_wider_than_largest_float(self):
+        # 1e308 - (-1e308) overflows; every cell is finite, and so is the result
+        schema = parse_schema("x,num\n")
+        dataset = normalize_numerical(ingest_table("-1e308\n1e308\n0", schema))
+        assert dataset.cells[:, 0].tolist() == [0.0, 1.0, 0.5]
+
     def test_already_normalized_unchanged(self):
         schema = parse_schema("x,num\n")
         dataset = normalize_numerical(ingest_table("0\n1", schema))
