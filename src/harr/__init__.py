@@ -23,14 +23,12 @@ from .schema import (
     default_bin_count,
     schema_to_text,
     dataset_to_text,
-    infer_schema,
 )
 from .base_distance import (
     CpdTable,
     BaseDistanceTable,
     compute_cpd,
     build_base_distances,
-    dump_base_distances,
 )
 from .projection import (
     ORDINAL_LINE,
@@ -42,7 +40,6 @@ from .projection import (
     project_ordinal,
     normalize_projected,
     reconstruct,
-    dump_reconstruction,
 )
 from .cluster import (
     VARIANTS,
@@ -60,7 +57,6 @@ from .cluster import (
     update_prototypes,
     update_weight_vector,
     update_weight_matrix,
-    encode_ohe_oc,
 )
 from .evaluation import contingency, ari, ca, aggregate_runs, RunSummary
 from .synth import SyntheticSpec, generate_synthetic, write_synthetic

@@ -10,7 +10,6 @@ ordinal view; they never receive a distance matrix of their own.
 from __future__ import annotations
 
 import math
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ from .schema import (
     _freeze,
     _frozen,
     _Record,
-    _write_text,
     discretize_numerical,
 )
 
@@ -33,7 +31,6 @@ __all__ = [
     "BaseDistanceTable",
     "compute_cpd",
     "build_base_distances",
-    "dump_base_distances",
 ]
 
 
@@ -217,18 +214,3 @@ def build_base_distances(
         else:
             matrices.append(_freeze(_kappa_nominal(per_context)))
     return BaseDistanceTable(tuple(matrices))
-
-
-def dump_base_distances(
-    table: BaseDistanceTable, dataset: Dataset, out_dir: str
-) -> list[str]:
-    """Debug dump: one CSV per categorical attribute, 12 significant digits."""
-    paths = []
-    for r, mat in enumerate(table.matrices):
-        if mat is None:
-            continue
-        name = dataset.schema.attributes[r].name
-        text = "".join(",".join(format(x, ".12g") for x in row) + "\n" for row in mat)
-        path = os.path.join(out_dir, f"base_distance_{name}.csv")
-        paths.append(_write_text(path, text))
-    return paths

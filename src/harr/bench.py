@@ -40,7 +40,6 @@ from .schema import (
     DataError,
     Dataset,
     _freeze,
-    _write_text,
     ingest_table,
     normalize_numerical,
     parse_schema,
@@ -70,6 +69,9 @@ class BenchConfig:
     def __post_init__(self) -> None:
         if not self.variants:
             raise ConfigError("at least one variant is required")
+        for name, given in (("variant", self.variants), ("sampling rate", self.phis)):
+            if len(set(given)) < len(given):
+                raise ConfigError(f"each {name} may be given only once: {given}")
         if self.runs < 1:
             raise ConfigError("runs must be at least 1")
         if self.workers < 1:
@@ -213,7 +215,8 @@ def _subsample(dataset: Dataset, order: np.ndarray, n_sub: int) -> Dataset:
 
 def cmd_bench_time(cfg: BenchConfig) -> list[tuple[float, int, str, float]]:
     """Time preparation plus one clustering run per variant at each sampling
-    rate, as the recorded prepare, clustering and weight seconds; no file I/O.
+    rate, as the recorded prepare, clustering and weight seconds, and write
+    the rows to ``bench_time.csv``. The timed region does no file I/O.
 
     Subsamples take the first ceil(phi * n) rows of the seed-shuffled
     dataset. Each measurement is the median of ``cfg.repeats`` repeats.
@@ -239,10 +242,6 @@ def cmd_bench_time(cfg: BenchConfig) -> list[tuple[float, int, str, float]]:
                 times.append(prep.reconstruct_s + report.cluster_s + report.weights_s)
             rows.append((phi, n_sub, variant, float(np.median(times))))
     save_bench_time(rows, f"{cfg.out_dir}/bench_time.csv")
-    lines = [f"{'phi':>8} {'n':>9} {'variant':<10} {'seconds':>12}\n"]
-    for phi, n_sub, variant, seconds in rows:
-        lines.append(f"{phi:>8g} {n_sub:>9d} {variant:<10} {seconds:>12.6f}\n")
-    _write_text(f"{cfg.out_dir}/bench_time.txt", "".join(lines))
     return rows
 
 

@@ -74,7 +74,6 @@ __all__ = [
     "update_weight_vector",
     "update_weight_matrix",
     "normalize_importances",
-    "encode_ohe_oc",
 ]
 
 VARIANTS = ("HARR-V", "HARR-M", "HAR", "BD", "KMD", "KPT", "OHE+OC")
@@ -118,6 +117,8 @@ class RunConfig:
             )
         if self.inner_cap < 1 or self.outer_cap < 1:
             raise ConfigError("iteration caps must be at least 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -967,9 +968,3 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
         cluster_s=cluster_s,
         weights_s=weights_s,
     )
-
-
-def encode_ohe_oc(dataset: Dataset) -> np.ndarray:
-    """Numeric encoding for the OHE+OC baseline, one row per object: the
-    columns ``_model_ohe_oc`` clusters on."""
-    return _model_ohe_oc(dataset).at(np.arange(dataset.n))

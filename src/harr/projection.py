@@ -29,7 +29,6 @@ from .schema import (
     _freeze,
     _frozen,
     _Record,
-    _write_text,
 )
 
 __all__ = [
@@ -43,7 +42,6 @@ __all__ = [
     "normalize_projected",
     "hamming_fallback",
     "reconstruct",
-    "dump_reconstruction",
 ]
 
 # Span markers for sub-attributes that are not spanned by a value pair.
@@ -257,16 +255,3 @@ def reconstruct(dataset: Dataset, table: BaseDistanceTable) -> ReconstructedSpac
     return ReconstructedSpace(
         dataset.schema, dataset.schema.numerical_indices(), tuple(blocks)
     )
-
-
-def dump_reconstruction(space: ReconstructedSpace, path: str) -> str:
-    """Dump the coordinate table: one row per sub-attribute
-    (source name, span, normalized coordinates, 12 significant digits)."""
-    lines = []
-    for block in space.blocks:
-        name = space.schema.attributes[block.source].name
-        for span, row in zip(block.spans, block.coords.tolist()):
-            label = f"{span[0]}-{span[1]}" if isinstance(span, tuple) else span
-            coords = ",".join(format(x, ".12g") for x in row)
-            lines.append(f"{name},{label},{coords}\n")
-    return _write_text(path, "".join(lines))

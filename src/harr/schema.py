@@ -34,7 +34,6 @@ __all__ = [
     "default_bin_count",
     "schema_to_text",
     "dataset_to_text",
-    "infer_schema",
 ]
 
 
@@ -592,36 +591,3 @@ def dataset_to_text(dataset: Dataset) -> str:
                 toks.append(format(row[c], ".12g"))
         lines.append(",".join(toks))
     return "\n".join(lines) + ("\n" if lines else "")
-
-
-def infer_schema(data_text: str, names: list[str] | None = None) -> DatasetSchema:
-    """Convenience heuristic: columns that parse as numbers in every row are
-    numerical, everything else nominal with values in order of appearance.
-
-    Never used in benchmark mode; benchmark datasets declare explicit schemas.
-    """
-    rows = [
-        [t.strip() for t in raw.split(",")]
-        for raw in data_text.splitlines()
-        if raw.strip()
-    ]
-    if not rows:
-        raise DataError("cannot infer a schema from an empty table")
-    d = len(rows[0])
-    if any(len(r) != d for r in rows):
-        raise DataError("cannot infer a schema: rows have differing arity")
-    attrs = []
-    for c in range(d):
-        name = names[c] if names else f"attr{c + 1}"
-        column = [r[c] for r in rows]
-        try:
-            for tok in column:
-                float(tok)
-        except ValueError:
-            seen: dict[str, None] = {}
-            for tok in column:
-                seen.setdefault(tok, None)
-            attrs.append(AttributeSchema(name, AttributeKind.NOMINAL, tuple(seen)))
-        else:
-            attrs.append(AttributeSchema(name, AttributeKind.NUMERICAL))
-    return DatasetSchema(tuple(attrs))

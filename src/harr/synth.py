@@ -68,6 +68,8 @@ class SyntheticSpec:
             raise ConfigError("separation must lie in [0, 1]")
         if self.values < 2:
             raise ConfigError("categorical attributes need at least 2 values")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if (self.d_n or self.d_o) and self.k_true > self.values:
             raise ConfigError(
                 f"k_true={self.k_true} exceeds the {self.values} distinct "

@@ -1,5 +1,4 @@
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from harr.base_distance import (
     _kappa_ordinal,
     build_base_distances,
     compute_cpd,
-    dump_base_distances,
 )
 from harr.schema import (
     AttributeKind,
@@ -254,17 +252,3 @@ def test_table_bitwise_equals_per_pair_cpds(seed, max_v):
             for s in range(dataset.schema.d):
                 want += _cityblock(compute_cpd(dataset, view, r, s).probs)
         assert table.matrices[r].tobytes() == want.tobytes()
-
-
-def test_dump_files_roundtrip(tmp_path):
-    dataset, view = _dataset("c,nom,a|b\nx,num\n", "a,0.0\nb,0.5\na,1.0\nb,0.2")
-    table = build_base_distances(dataset, view)
-    paths = dump_base_distances(table, dataset, str(tmp_path))
-    assert len(paths) == 1
-    loaded = np.array(
-        [
-            [float(tok) for tok in line.split(",")]
-            for line in Path(paths[0]).read_text(encoding="utf-8").splitlines()
-        ]
-    )
-    assert np.allclose(loaded, table.matrices[0], rtol=5e-12, atol=0)

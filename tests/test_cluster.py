@@ -23,7 +23,6 @@ from harr.cluster import (
     WeightMatrix,
     WeightVector,
     assign,
-    encode_ohe_oc,
     normalize_importances,
     prepare,
     run,
@@ -449,7 +448,7 @@ class TestBaselines:
         dataset = normalize_numerical(
             ingest_table("a,lo,0.0\nb,hi,1.0\nc,mid,0.5", schema)
         )
-        enc = encode_ohe_oc(dataset)
+        enc = prepare(dataset, "OHE+OC").model.at(np.arange(dataset.n))
         # one-hot block: two different nominal values differ in 2 coordinates
         assert np.abs(enc[0, :3] - enc[1, :3]).sum() == 2.0
         # order coding: normalized ranks
@@ -852,7 +851,8 @@ def test_encode_ohe_oc_matches_oracle(seed, shape):
             else schema.categorical_indices()
         )
         dataset = _attributes(base, keep)
-    got, expected = encode_ohe_oc(dataset), ohe_oc_oracle(dataset)
+    got = prepare(dataset, "OHE+OC").model.at(np.arange(dataset.n))
+    expected = ohe_oc_oracle(dataset)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
 
@@ -1283,7 +1283,7 @@ def test_ohe_oc_refit_matches_per_object_sums(seed, k):
     dataset = build_dataset(schema, cells)
     labels0 = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, n - k)]))
     model = prepare(dataset, "OHE+OC").model
-    points = encode_ohe_oc(dataset)
+    points = model.at(np.arange(dataset.n))
     sums = np.empty((k, model.m))
     for j in range(model.m):
         sums[:, j] = np.bincount(labels0, points[:, j], minlength=k)

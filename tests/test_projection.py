@@ -1,6 +1,5 @@
 import itertools
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from harr.base_distance import build_base_distances
 from harr.projection import (
     ORDINAL_LINE,
-    dump_reconstruction,
     hamming_fallback,
     normalize_projected,
     project_nominal,
@@ -240,16 +238,6 @@ def test_ordinal_line_normalized_gaps_bounded(gaps):
     line = normalize_projected(project_ordinal(additive_kappa(gaps))).coords[0]
     diffs = np.abs(line[:, None] - line[None, :])
     assert diffs.max() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_dump_reconstruction(tmp_path):
-    schema = parse_schema("c,nom,a|b\nx,num\n")
-    dataset = normalize_numerical(ingest_table("a,0\nb,1\na,0.3\nb,0.9", schema))
-    space = reconstruct(dataset, build_base_distances(dataset))
-    path = dump_reconstruction(space, str(tmp_path / "coords.csv"))
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    assert len(lines) == len(space.sub_attributes)
-    assert lines[0].startswith("c,1-2,")
 
 
 @settings(deadline=None, max_examples=40)

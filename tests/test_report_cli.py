@@ -936,6 +936,19 @@ class TestCmdBenchTime:
         loaded = load_bench_time(f"{cfg.out_dir}/bench_time.csv")
         assert loaded == rows
 
+    def test_writes_only_the_csv_table(self, synth_dir, tmp_path):
+        cfg = BenchConfig(
+            data=synth_dir["data"],
+            schema=synth_dir["schema"],
+            variants=("KPT",),
+            k=3,
+            phis=(1.0,),
+            repeats=1,
+            out_dir=str(tmp_path / "out"),
+        )
+        cmd_bench_time(cfg)
+        assert os.listdir(cfg.out_dir) == ["bench_time.csv"]
+
     def test_subsample_smaller_than_k(self, synth_dir, tmp_path):
         cfg = BenchConfig(
             data=synth_dir["data"],
@@ -1084,17 +1097,47 @@ class TestCliMain:
     @pytest.mark.parametrize("command", ["cluster", "bench-time"])
     @pytest.mark.parametrize(
         "setting",
-        [["--k", "1"], ["--k", "2", "--inner-cap", "0"], ["--k", "2", "--outer-cap", "0"]],
+        [
+            ["--k", "1"],
+            ["--k", "2", "--inner-cap", "0"],
+            ["--k", "2", "--outer-cap", "0"],
+            ["--k", "2", "--seed", "-1"],
+        ],
     )
     def test_bad_run_setting_fails_before_data_is_read(self, tmp_path, command, setting):
         # the data file is missing, so reading it would exit 3
         missing = ["--data", str(tmp_path / "missing.csv"), "--schema", str(tmp_path / "s")]
         assert main([command, *missing, *setting, "--out", str(tmp_path / "runs")]) == 2
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("cluster", "--variant", "KPT"),
+            ("bench-time", "--variant", "KPT"),
+            ("bench-time", "--phi", "0.5"),
+        ],
+    )
+    def test_repeated_variant_or_rate_fails_before_data_is_read(
+        self, tmp_path, capsys, command, option, value
+    ):
+        # a repeat would run the same variant or rate twice and write its rows twice
+        missing = ["--data", str(tmp_path / "missing.csv"), "--schema", str(tmp_path / "s")]
+        args = [*missing, "--k", "2", option, value, option, value]
+        assert main([command, *args, "--out", str(tmp_path / "runs")]) == 2
+        assert "may be given only once" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(
         "setting",
-        [["--n", "0"], ["--values", "1"], ["--separation", "2"], ["--k-true", "6", "--values", "4"]],
-        ids=["n", "values", "separation", "k-true"],
+        [
+            ["--n", "0"],
+            ["--values", "1"],
+            ["--separation", "2"],
+            ["--k-true", "6", "--values", "4"],
+            ["--seed", "-1"],
+        ],
+        ids=["n", "values", "separation", "k-true", "seed"],
     )
     def test_bad_synth_setting_is_a_config_error(self, tmp_path, capsys, setting):
         # Like every other bad option, and unlike bad input data, exits 2.

@@ -29,7 +29,6 @@ from harr.schema import (
     dataset_to_text,
     default_bin_count,
     discretize_numerical,
-    infer_schema,
     ingest_table,
     normalize_numerical,
     parse_schema,
@@ -362,13 +361,6 @@ def test_ingest_keeps_its_row_and_column_message():
     schema = parse_schema("x,num\nc,nom,a|b\n")
     with pytest.raises(DataError, match="row 2, column 'x': non-finite value 'nan'"):
         ingest_table("1,a\nnan,b", schema)
-
-
-def test_infer_schema_heuristic():
-    schema = infer_schema("1.5,red\n2.5,green\n")
-    assert schema.attributes[0].kind is AttributeKind.NUMERICAL
-    assert schema.attributes[1].kind is AttributeKind.NOMINAL
-    assert schema.attributes[1].possible_values == ("red", "green")
 
 
 def test_numeric_range_recorded():
