@@ -238,7 +238,10 @@ class RunReport(_Record):
 # the re-seeds, the objective sum, the refits and the weight statistics stay
 # per object. A score is its categorical part, summed at the s categorical
 # sub-rows and repeated over each sub-row's run of distinct rows, plus its
-# numerical gaps, added in attribute order. The column model holds every
+# numerical gaps, added in attribute order. Every variant has one column
+# layout (``_model``): the numerical columns first, in attribute order, then
+# one contiguous group per categorical attribute, whose form (coordinates or
+# a value-by-value table) is the variant's. The column model holds every
 # variant's columns; OHE+OC's point model reads the same parts with its own
 # geometry. Categorical distances depend only on the value index, so
 # scoring gathers one (weighted) per-value total per source attribute.
@@ -251,7 +254,7 @@ class RunReport(_Record):
 
 @dataclass(frozen=True, eq=False)
 class _NumericCol(_Record):
-    col: int  # position in the expanded column order
+    col: int  # column index; the numerical columns come first, in attribute order
     source: int  # original attribute index
     values: np.ndarray  # n, per object
     distinct: np.ndarray  # u, at the distinct rows (scores only)
@@ -259,17 +262,18 @@ class _NumericCol(_Record):
 
 @dataclass(frozen=True, eq=False)
 class _CatGroup(_Record):
-    """All expanded columns of one source categorical attribute.
+    """The contiguous columns of one source categorical attribute.
 
     Projected sub-attributes keep their line coordinates, and a value
     distance is a coordinate gap; OHE+OC keeps its encoded columns there
     (``_PointModel``). A one-column group whose distances are not
     coordinate gaps (BD base distances, 0/1 mismatch, the Hamming fallback)
-    keeps a value-by-value table instead.
+    keeps a value-by-value table instead. ``sub`` and ``value_counts`` are
+    the dataset's, shared by every variant's group of the attribute.
     """
 
     source: int
-    cols: np.ndarray  # positions in the expanded column order
+    cols: np.ndarray  # ascending column indices, after the numerical columns
     sub: np.ndarray  # s, 0-based value codes at the categorical sub-rows
     value_counts: np.ndarray  # (v,) occurrences over the whole dataset
     coords: np.ndarray | None = None  # (len(cols), v) line coordinates
@@ -460,100 +464,63 @@ def _block_buffer(model: _ColumnModel) -> np.ndarray:
     return np.empty(max(sizes, default=0))
 
 
-def _sub_rows(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each categorical sub-row's count of distinct rows, each object's
-    sub-row, and the lowest object holding each sub-row's first distinct
-    row; built once per dataset."""
+def _columns(dataset: Dataset) -> tuple:
+    """The columns every model of a dataset shares, built once per dataset:
+    each categorical sub-row's count of distinct rows, each object's
+    sub-row, the numerical columns in attribute order, and each categorical
+    attribute's 0-based codes at the sub-rows and value counts, by source."""
 
     def build():
-        rows = dataset.distinct
+        rows, schema = dataset.distinct, dataset.schema
         repeats = np.bincount(rows.sub)
+        # the lowest object holding each sub-row's first distinct row
         held = rows.first[np.cumsum(repeats) - repeats]
-        return _freeze(repeats), _freeze(rows.sub[rows.inverse]), _freeze(held)
+        numeric = []
+        for col, r in enumerate(schema.numerical_indices()):
+            values = _freeze(dataset.cells[:, r])
+            numeric.append(_NumericCol(col, r, values, _freeze(values[rows.first])))
+        codes = {}
+        for r in schema.categorical_indices():
+            codes0 = dataset.cells[:, r].astype(np.int64) - 1
+            counts = np.bincount(codes0, minlength=schema.attributes[r].v)
+            codes[r] = _freeze(codes0[held]), _freeze(counts.astype(float))
+        return _freeze(repeats), _freeze(rows.sub[rows.inverse]), tuple(numeric), codes
 
-    return dataset._part("sub_rows", build)
-
-
-def _make_group(dataset, source, cols, v, coords=None, table=None) -> _CatGroup:
-    def build():  # the codes at the sub-rows and their counts, once per dataset
-        codes0 = dataset.cells[:, source].astype(np.int64) - 1
-        held = _sub_rows(dataset)[2]
-        counts = np.bincount(codes0, minlength=v).astype(float)
-        return _freeze(codes0[held]), _freeze(counts)
-
-    sub, value_counts = dataset._part(("codes", source), build)
-    return _CatGroup(
-        source,
-        _freeze(np.asarray(cols, dtype=np.int64)),
-        sub,
-        value_counts,
-        None if coords is None else _freeze(coords),
-        None if table is None else _freeze(table),
-    )
+    return dataset._part("columns", build)
 
 
-def _make_numeric(dataset: Dataset, col: int, source: int) -> _NumericCol:
-    def build():  # the values per object and at the distinct rows, once per dataset
-        values = _freeze(dataset.cells[:, source])
-        return values, _freeze(values[dataset.distinct.first])
-
-    return _NumericCol(col, source, *dataset._part(("numeric", source), build))
-
-
-def _model_reconstructed(dataset: Dataset, space: ReconstructedSpace) -> _ColumnModel:
-    repeats, sub_of, _ = _sub_rows(dataset)
-    numeric = [
-        _make_numeric(dataset, col, r) for col, r in enumerate(space.numeric_attrs)
-    ]
-    groups = []
-    col = len(numeric)
-    for b in space.blocks:
-        cols = range(col, col + b.gamma)
-        col += b.gamma
-        # A fallback's coordinates are all zero, so it needs the 0/1 table;
-        # any other block's frozen coordinates are shared, not copied.
-        coords, table = (None, 1.0 - np.eye(b.v)) if b.is_fallback else (b.coords, None)
-        groups.append(_make_group(dataset, b.source, cols, b.v, coords, table))
-    return _ColumnModel(dataset, col, tuple(numeric), tuple(groups), repeats, sub_of)
-
-
-def _model_original(
-    dataset: Dataset, table: BaseDistanceTable | None = None
-) -> _ColumnModel:
-    """KMD/KPT columns (0/1 mismatch on categorical attributes), or the BD
-    columns when a base-distance table is supplied."""
-    repeats, sub_of, _ = _sub_rows(dataset)
-    numeric = []
-    groups = []
-    for r, attr in enumerate(dataset.schema.attributes):
-        if not attr.kind.is_categorical:
-            numeric.append(_make_numeric(dataset, r, r))
-        else:
-            dist = 1.0 - np.eye(attr.v) if table is None else table.matrices[r]
-            groups.append(_make_group(dataset, r, [r], attr.v, table=dist))
-    return _ColumnModel(
-        dataset, dataset.schema.d, tuple(numeric), tuple(groups), repeats, sub_of
-    )
+def _model(dataset: Dataset, forms, cls=_ColumnModel) -> _ColumnModel:
+    """A model on the dataset's shared columns: the numerical columns, then
+    one contiguous group of columns per categorical form ``(source, coords,
+    table)``, in the order given. A form with neither coordinates nor a
+    table scores 0/1 mismatch."""
+    repeats, sub_of, numeric, codes = _columns(dataset)
+    groups, col = [], len(numeric)
+    for source, coords, table in forms:
+        if coords is None and table is None:
+            table = 1.0 - np.eye(dataset.schema.attributes[source].v)
+        width = 1 if coords is None else len(coords)
+        groups.append(
+            _CatGroup(
+                source,
+                _freeze(np.arange(col, col + width, dtype=np.int64)),
+                *codes[source],
+                None if coords is None else _freeze(coords),
+                None if table is None else _freeze(table),
+            )
+        )
+        col += width
+    return cls(dataset, col, numeric, tuple(groups), repeats, sub_of)
 
 
-def _model_ohe_oc(dataset: Dataset) -> _PointModel:
-    """OHE+OC columns, attributes in order: a numerical attribute passes
-    through, an ordinal one becomes its normalized rank (t-1)/(v-1) and a
-    nominal one a one-hot block of v columns (two different values sit at
-    distance 2 in the squared-Euclidean geometry)."""
-    repeats, sub_of, _ = _sub_rows(dataset)
-    numeric, groups, col = [], [], 0
-    for r, attr in enumerate(dataset.schema.attributes):
-        if not attr.kind.is_categorical:
-            numeric.append(_make_numeric(dataset, col, r))
-            col += 1
-            continue
-        nominal = attr.kind is AttributeKind.NOMINAL
-        coords = np.eye(attr.v) if nominal else np.arange(attr.v)[None] / (attr.v - 1)
-        cols = range(col, col + len(coords))
-        col += len(coords)
-        groups.append(_make_group(dataset, r, cols, attr.v, coords))
-    return _PointModel(dataset, col, tuple(numeric), tuple(groups), repeats, sub_of)
+def _space_forms(dataset: Dataset, space: ReconstructedSpace) -> list:
+    """The forms of a reconstructed space of the dataset's schema: each
+    block's line coordinates, or 0/1 mismatch for a Hamming fallback,
+    whose coordinates are all zero. Any other block's frozen coordinates
+    are shared, not copied."""
+    if space.schema != dataset.schema:
+        raise ValueError("the space was reconstructed for another schema")
+    return [(b.source, None if b.is_fallback else b.coords, None) for b in space.blocks]
 
 
 def _nearest(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -725,7 +692,7 @@ def assign(
     lowest cluster index. Shapes: prototypes (k, d), weights (d_hat,) or
     (k, d_hat)."""
     _check_prototypes(dataset, protos)
-    model = _model_reconstructed(dataset, space)
+    model = _model(dataset, _space_forms(dataset, space))
     w = None if weights is None else weights.w
     if w is not None:
         _check_shape("weights", w, (protos.k, model.m) if w.ndim == 2 else (model.m,))
@@ -741,7 +708,8 @@ def update_prototypes(dataset: Dataset, partition: Partition) -> Prototypes:
     only matters for direct calls."""
     _check_partition(dataset, partition, partition.k)
     labels0, k = partition.to_zero_based(), partition.k
-    return Prototypes(_model_original(dataset).refit(labels0, k))
+    forms = [(r, None, None) for r in dataset.schema.categorical_indices()]
+    return Prototypes(_model(dataset, forms).refit(labels0, k))
 
 
 def _refresh_stats(dataset, space, partition, protos):
@@ -750,7 +718,7 @@ def _refresh_stats(dataset, space, partition, protos):
         raise ValueError("weight learning requires k >= 2")
     _check_prototypes(dataset, protos)
     _check_partition(dataset, partition, protos.k)
-    model = _model_reconstructed(dataset, space)
+    model = _model(dataset, _space_forms(dataset, space))
     labels0, buf = partition.to_zero_based(), _block_buffer(model)
     return _weight_stats(model, protos.values, labels0, protos.k, buf)
 
@@ -835,8 +803,8 @@ def _space(dataset: Dataset) -> ReconstructedSpace:
 def prepare(dataset: Dataset, variant: str) -> Prepared:
     """Build the representation a variant clusters on, timing the build.
 
-    What belongs to the dataset rather than to the variant (the sub-rows,
-    the columns, the base-distance table and the reconstructed space) is
+    What belongs to the dataset rather than to the variant (the shared
+    columns, the base-distance table and the reconstructed space) is
     built once per dataset and kept on it, so later variants find it; the
     model is built from those parts on each call, since a model refers to
     its dataset and a part must not. The result is immutable and safe to
@@ -844,16 +812,28 @@ def prepare(dataset: Dataset, variant: str) -> Prepared:
     """
     _check_variant(dataset, variant)
     start = time.perf_counter()
-    space = None
+    schema = dataset.schema
+    space, cls = None, _ColumnModel
     if variant in ("HARR-V", "HARR-M", "HAR"):
         space = _space(dataset)
-        model = _model_reconstructed(dataset, space)
+        forms = _space_forms(dataset, space)
     elif variant == "BD":
-        model = _model_original(dataset, _base_distances(dataset))
-    elif variant in ("KMD", "KPT"):
-        model = _model_original(dataset)
-    else:  # OHE+OC
-        model = _model_ohe_oc(dataset)
+        table = _base_distances(dataset)
+        forms = [(r, None, table.matrices[r]) for r in schema.categorical_indices()]
+    elif variant == "OHE+OC":
+        # an ordinal attribute becomes its normalized rank (t-1)/(v-1), a
+        # nominal one v one-hot columns, so two different values sit at
+        # distance 2 in the squared-Euclidean geometry
+        forms, cls = [], _PointModel
+        for r in schema.categorical_indices():
+            v = schema.attributes[r].v
+            if schema.attributes[r].kind is AttributeKind.NOMINAL:
+                forms.append((r, np.eye(v), None))
+            else:
+                forms.append((r, np.arange(v)[None] / (v - 1), None))
+    else:  # KMD, KPT: 0/1 mismatch
+        forms = [(r, None, None) for r in schema.categorical_indices()]
+    model = _model(dataset, forms, cls)
     return Prepared(variant, model, space, time.perf_counter() - start)
 
 
@@ -863,13 +843,16 @@ def run(dataset: Dataset, config: RunConfig) -> RunReport:
 
 
 def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunReport:
-    """Execute one seeded run on an already-prepared representation: the
-    epochs the module docstring describes. A run converged when its last
-    epoch ended on a repeat (Q') and no cap cut the run short."""
+    """Execute one seeded run on the representation ``prepare`` built for
+    this dataset: the epochs the module docstring describes. A run
+    converged when its last epoch ended on a repeat (Q') and no cap cut the
+    run short."""
     if prep.variant != config.variant:
         raise ConfigError(
             f"prepared for {prep.variant!r} but config asks for {config.variant!r}"
         )
+    if prep.model.dataset is not dataset:
+        raise ConfigError("prepared for another dataset")
     if config.k > dataset.n:
         raise ConfigError(f"k={config.k} exceeds the {dataset.n} available objects")
     rng = np.random.default_rng(config.seed)

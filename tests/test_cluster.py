@@ -32,6 +32,7 @@ from harr.cluster import (
     update_weight_vector,
 )
 from harr.projection import reconstruct
+from harr.synth import SyntheticSpec, generate_synthetic
 from harr.schema import (
     AttributeKind,
     Dataset,
@@ -225,6 +226,31 @@ class TestStepInputs:
         message = "prototype values of attribute 'c' must be integers in [1, 3]"
         with pytest.raises(ValueError, match=re.escape(message)):
             step(dataset, space, Partition((1, 2, 2, 1), 2), protos)
+
+
+    def test_space_of_another_schema(self):
+        # Refused before the dataset builds anything from it, so later runs
+        # on the dataset still work. A space reconstructed from another
+        # dataset of the same schema is accepted.
+        rows = "a,x\nb,y\nc,x\na,y\nb,x\nc,y\na,x\nc,y"
+        dataset = ingest_table(rows, parse_schema("c,nom,a|b|c\nd,nom,x|y\n"))
+        other = ingest_table(rows, parse_schema("c,nom,a|b|c|e\nd,nom,x|y\n"))
+        protos = Prototypes(np.array([[1.0, 1.0], [2.0, 2.0]]))
+        partition = Partition((1, 2) * 4, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            foreign = prepare(other, "HARR-V").space
+            message = "^the space was reconstructed for another schema$"
+            with pytest.raises(ValueError, match=message):
+                assign(dataset, foreign, protos, None)
+            for step in (update_weight_vector, update_weight_matrix):
+                with pytest.raises(ValueError, match=message):
+                    step(dataset, foreign, partition, protos)
+            for variant in ("HARR-V", "KPT"):
+                run(dataset, RunConfig(k=2, variant=variant))
+            twin = build_dataset(dataset.schema, dataset.cells[:6])
+            twin_space = prepare(twin, "HARR-V").space
+        assert assign(dataset, twin_space, protos, None).labels.shape == (dataset.n,)
 
 
 class TestUpdatePrototypes:
@@ -449,10 +475,12 @@ class TestBaselines:
             ingest_table("a,lo,0.0\nb,hi,1.0\nc,mid,0.5", schema)
         )
         enc = prepare(dataset, "OHE+OC").model.at(np.arange(dataset.n))
+        # the numerical attribute comes first
+        assert enc[:, 0].tolist() == [0.0, 1.0, 0.5]
         # one-hot block: two different nominal values differ in 2 coordinates
-        assert np.abs(enc[0, :3] - enc[1, :3]).sum() == 2.0
+        assert np.abs(enc[0, 1:4] - enc[1, 1:4]).sum() == 2.0
         # order coding: normalized ranks
-        assert enc[:, 3].tolist() == [0.0, 1.0, 0.5]
+        assert enc[:, 4].tolist() == [0.0, 1.0, 0.5]
         assert enc.shape == (3, 5)
 
     def test_ohe_oc_runs_deterministically(self):
@@ -708,6 +736,18 @@ def _attributes(dataset, keep):
     return build_dataset(schema, dataset.cells[:, list(keep)])
 
 
+def _ohe_oc_columns(dataset):
+    """``ohe_oc_oracle``'s columns in the column layout: the numerical
+    attributes first, then each categorical attribute's columns."""
+    schema = dataset.schema
+    widths = [a.v if a.kind is AttributeKind.NOMINAL else 1 for a in schema.attributes]
+    starts = np.cumsum([0, *widths])
+    order = [starts[r] for r in schema.numerical_indices()]
+    for r in schema.categorical_indices():
+        order.extend(range(starts[r], starts[r + 1]))
+    return ohe_oc_oracle(dataset)[:, order]
+
+
 def _object_scores(dataset, variant, prep, protos, weights):
     """k x n dissimilarities recomputed object by object from their
     definitions, in the engine's order: each categorical attribute's terms
@@ -717,32 +757,33 @@ def _object_scores(dataset, variant, prep, protos, weights):
     tables = None
     if variant == "BD":
         tables = build_base_distances(dataset, discretize_numerical(dataset)).matrices
-    enc = ohe_oc_oracle(dataset)
-    widths = [a.v if a.kind is AttributeKind.NOMINAL else 1 for a in schema.attributes]
-    starts = [sum(widths[:r]) for r in range(schema.d)]
+    enc = _ohe_oc_columns(dataset)
+    d_u = schema.d_u
+    # numerical pass-throughs, then each categorical attribute's columns
+    numeric = list(enumerate(schema.numerical_indices()))
 
     def parts(i, l):
         """(one list of terms per categorical total, the numerical terms)"""
         if variant == "OHE+OC":
             sq = [(float(enc[i, j]) - float(protos[l, j])) ** 2 for j in range(m)]
-            cat = [
-                sq[starts[r] : starts[r] + widths[r]]
-                for r in schema.categorical_indices()
-            ]
-            return cat, [sq[starts[r]] for r in schema.numerical_indices()]
+            cat, col = [], d_u
+            for r in schema.categorical_indices():
+                attr = schema.attributes[r]
+                width = attr.v if attr.kind is AttributeKind.NOMINAL else 1
+                cat.append(sq[col : col + width])
+                col += width
+            return cat, sq[:d_u]
         w = np.ones(m) if weights is None else weights
         w = [float(x) for x in (w[l] if w.ndim == 2 else w)]
         x = [int(c) - 1 for c in cells[i]]
         p = [int(c) - 1 for c in protos[l]]
-        if prep.space is None:  # one column per attribute
-            numeric = [(r, r) for r in schema.numerical_indices()]
-            cat = [
-                [w[r] * (float(x[r] != p[r]) if tables is None else tables[r][x[r], p[r]])]
-                for r in schema.categorical_indices()
-            ]
-        else:  # numerical pass-throughs, then each block's sub-attributes
-            numeric = list(enumerate(prep.space.numeric_attrs))
-            cat, col = [], len(numeric)
+        if prep.space is None:  # one column per categorical attribute
+            cat = []
+            for col, r in enumerate(schema.categorical_indices(), d_u):
+                phi = float(x[r] != p[r]) if tables is None else tables[r][x[r], p[r]]
+                cat.append([w[col] * phi])
+        else:  # each block's sub-attributes
+            cat, col = [], d_u
             for b in prep.space.blocks:
                 xb, pb = x[b.source], p[b.source]
                 phi = [
@@ -801,7 +842,7 @@ def test_score_step_matches_per_object_scores(seed, variant):
     assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
     assert np.array_equal(got.argmin(axis=0), expected.argmin(axis=0))
     if variant == "OHE+OC":
-        enc = ohe_oc_oracle(dataset)
+        enc = _ohe_oc_columns(dataset)
         means = np.stack([enc[labels0 == l].mean(axis=0) for l in range(k)])
         assert protos.tobytes() == means.tobytes()
 
@@ -852,7 +893,7 @@ def test_encode_ohe_oc_matches_oracle(seed, shape):
         )
         dataset = _attributes(base, keep)
     got = prepare(dataset, "OHE+OC").model.at(np.arange(dataset.n))
-    expected = ohe_oc_oracle(dataset)
+    expected = _ohe_oc_columns(dataset)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
 
@@ -1114,6 +1155,17 @@ class TestPreparedSharing:
         cfg = RunConfig(k=2, seed=9, variant="HARR-M")
         assert run_prepared(dataset, prep, cfg) == run(dataset, cfg)
 
+    def test_prep_of_another_dataset(self):
+        # prepared on 200 rows, a run on 50 of them would label 200 objects
+        spec = SyntheticSpec(
+            n=200, k_true=2, d_u=1, d_n=2, d_o=1, values=3, separation=0.8, seed=5
+        )
+        dataset = generate_synthetic(spec)[0]
+        prep = prepare(dataset, "HARR-V")
+        fewer = build_dataset(dataset.schema, dataset.cells[:50])
+        with pytest.raises(ConfigError, match="^prepared for another dataset$"):
+            run_prepared(fewer, prep, RunConfig(k=2, variant="HARR-V"))
+
     def test_prep_variant_mismatch(self):
         rng = np.random.default_rng(56)
         dataset = random_dataset(rng, max_n=20, min_categorical=1)
@@ -1153,6 +1205,41 @@ def test_prepare_gives_equal_models_in_any_variant_order(seed):
         assert prep.space is first.space
         for g, h in zip(prep.model.groups, first.model.groups, strict=True):
             assert g.coords is h.coords and g.sub is h.sub
+    # and every variant reads the dataset's one copy of each column
+    first, *rest = (shared[v].model for v in variants)
+    for model in rest:
+        for num, same in zip(model.numeric, first.numeric, strict=True):
+            assert num.values is same.values and num.distinct is same.distinct
+        for g, h in zip(model.groups, first.groups, strict=True):
+            assert g.sub is h.sub and g.value_counts is h.value_counts
+
+
+@pytest.mark.parametrize("variant", cluster.VARIANTS)
+def test_every_variant_has_one_column_layout(variant):
+    # The numerical columns come first, in attribute order, then one
+    # contiguous group per categorical attribute, in attribute order, though
+    # a numerical attribute follows a categorical one here.
+    schema = parse_schema("c,nom,a|b|c|d\nx,num\ng,ord,lo|mid|hi\ny,num\n")
+    rng = np.random.default_rng(17)
+    cells = rng.random((60, 4))
+    cells[:, 0] = rng.integers(1, 5, 60)
+    cells[:, 2] = rng.integers(1, 4, 60)
+    dataset = build_dataset(schema, cells)
+    if variant == "KMD":  # pure categorical data only
+        dataset = _attributes(dataset, schema.categorical_indices())
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = prepare(dataset, variant).model
+    numerical = dataset.schema.numerical_indices()
+    assert [num.col for num in model.numeric] == list(range(len(numerical)))
+    assert tuple(num.source for num in model.numeric) == numerical
+    sources = tuple(g.source for g in model.groups)
+    assert sources == dataset.schema.categorical_indices()
+    col = len(numerical)
+    for g in model.groups:
+        assert g.cols.tolist() == list(range(col, col + g.cols.size))
+        col += g.cols.size
+    assert model.m == col
 
 
 @pytest.mark.parametrize("variant", cluster.VARIANTS)
