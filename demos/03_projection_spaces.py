@@ -10,7 +10,8 @@ arrangement. Ordinal values already sit on one line, so a single
 sub-attribute suffices, and every pair span reproduces it exactly.
 
 All sub-attributes of one attribute are computed at once and kept together
-as a block: a (γ, v) coordinate array with one row per span.
+as a block: a (γ, v) coordinate array with one row per span, each row
+already scaled so that its largest value gap is 1.
 """
 
 import numpy as np
@@ -19,7 +20,6 @@ from harr import (
     build_base_distances,
     ingest_table,
     normalize_numerical,
-    normalize_projected,
     parse_schema,
     project_nominal,
     project_ordinal,
@@ -34,19 +34,19 @@ kappa = np.array([
     [1.0, 1.5, 0.0],
 ])
 
+# Each sub-attribute (each row) is divided by its largest value gap, kept
+# as max_span, so it is comparable to a normalized numerical attribute.
 block = project_nominal(kappa)
-print("spans and raw coordinates for a 3-value nominal attribute:")
-for span, coords in zip(block.spans, block.coords):
-    print(f"  span {span}: coords {np.round(coords, 4)}")
+print("spans and unit-scale coordinates for a 3-value nominal attribute:")
+for span, coords, gap in zip(block.spans, block.coords, block.max_span):
+    print(f"  span {span}: coords {np.round(coords, 4)} (max_span {gap:.4f})")
 print("-> in span (1, 2), value 3 projects to "
       f"{block.coords[0, 2]:.4f} (between the endpoints)")
 
-# Normalization scales each sub-attribute (each row) so its largest value
-# gap is 1, comparable to a normalized numerical attribute. The distance
-# between two values under a sub-attribute is the gap between their
-# coordinates in its row.
-span_ab = normalize_projected(block).coords[0]
-print("\nvalue distances in normalized span (1, 2):")
+# The distance between two values under a sub-attribute is the gap between
+# their coordinates in its row.
+span_ab = block.coords[0]
+print("\nvalue distances in span (1, 2):")
 for u, f in [(1, 2), (1, 3), (2, 3)]:
     print(f"  d({u},{f}) = {abs(span_ab[u - 1] - span_ab[f - 1]):.4f}")
 
@@ -55,9 +55,9 @@ for u, f in [(1, 2), (1, 3), (2, 3)]:
 gaps = np.array([0.4, 0.6])
 pos = np.concatenate([[0.0], np.cumsum(gaps)])
 additive = np.abs(pos[:, None] - pos[None, :])
-line = normalize_projected(project_ordinal(additive)).coords[0]
+line = project_ordinal(additive).coords[0]
 print("\nordinal line coordinates:", np.round(line, 4))
-spans = normalize_projected(project_nominal(additive))
+spans = project_nominal(additive)
 for span, coords in zip(spans.spans, spans.coords):
     mats_equal = np.allclose(
         np.abs(coords[:, None] - coords[None, :]),

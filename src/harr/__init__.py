@@ -38,7 +38,6 @@ from .projection import (
     ReconstructedSpace,
     project_nominal,
     project_ordinal,
-    normalize_projected,
     reconstruct,
 )
 from .cluster import (

@@ -82,8 +82,11 @@ def compute_cpd(
     the categorical attribute ``target``.
 
     Numerical context attributes enter through their ordinal-view bins. A
-    target value with zero occurrences yields an all-zero row.
+    target value with zero occurrences yields an all-zero row. A ``view`` of
+    another schema or row count raises ValueError; one of another dataset
+    with the same schema and n cannot be told apart.
     """
+    _check_view(dataset, view)
     if not dataset.schema.attributes[target].kind.is_categorical:
         raise ValueError(
             f"target attribute {dataset.schema.attributes[target].name!r} "
@@ -93,6 +96,15 @@ def compute_cpd(
     joint = _joint(view.codes[:, target] - 1, view.codes[:, context] - 1, v_t, v_c)
     probs, counts = _conditional(joint)
     return CpdTable(target, context, _freeze(probs), _freeze(counts))
+
+
+def _check_view(dataset: Dataset, view: OrdinalView) -> None:
+    """Reject a view of another schema or row count: the attributes come
+    from ``dataset`` and the codes from ``view``."""
+    if view.schema != dataset.schema:
+        raise ValueError("the ordinal view was built for another schema")
+    if (n := view.codes.shape[0]) != dataset.n:
+        raise ValueError(f"the ordinal view has {n} rows, but the dataset has {dataset.n}")
 
 
 def _joint(codes0_t: np.ndarray, codes0_c: np.ndarray, v_t: int, v_c: int) -> np.ndarray:
@@ -174,7 +186,9 @@ def build_base_distances(
 
     Nominal attributes use the full pairwise construction, ordinal attributes
     the additive-along-rank construction. The dataset must be normalized; the
-    ordinal view is built on demand when not supplied.
+    ordinal view is built on demand when not supplied. A supplied view of
+    another schema or row count raises ValueError; one of another dataset
+    with the same schema and n cannot be told apart.
 
     Each unordered attribute pair's joint counts are taken once, from the
     0-based code columns: the reverse pair reads their transpose and an
@@ -184,6 +198,7 @@ def build_base_distances(
     """
     if view is None:
         view = discretize_numerical(dataset)
+    _check_view(dataset, view)
     attrs, sizes = dataset.schema.attributes, view.bin_counts
     # each column in its smallest unsigned type: no second n x d int64 table
     codes0 = [

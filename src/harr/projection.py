@@ -6,8 +6,9 @@ per unordered value pair: each value is projected onto the line through the
 pair, its coordinate derived from the three pairwise base distances by the
 Pythagorean relation. An ordinal attribute, whose values already sit on one
 line, yields a single sub-attribute with coordinates accumulated along the
-rank order. Coordinates are then scaled per sub-attribute so the largest
-value-level distance is 1, comparable to normalized numerical attributes.
+rank order. Each projection scales its coordinates per sub-attribute so the
+largest value-level distance is 1, comparable to normalized numerical
+attributes.
 
 The sub-attributes of one source attribute are stored together as one
 ``ProjectedBlock``: row i of its (γ, v) coordinate array is sub-attribute i.
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "ReconstructedSpace",
     "project_nominal",
     "project_ordinal",
-    "normalize_projected",
     "hamming_fallback",
     "reconstruct",
 ]
@@ -104,14 +103,6 @@ class ProjectedBlock(_Record):
     def is_fallback(self) -> bool:
         return self.spans == (HAMMING_FALLBACK,)
 
-    @cached_property
-    def sub_attributes(self) -> tuple[ProjectedAttribute, ...]:
-        """Read-only per-row view; the coordinates are shared, not copied."""
-        return tuple(
-            ProjectedAttribute(self.source, span, row, float(gap))
-            for span, row, gap in zip(self.spans, self.coords, self.max_span)
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class ReconstructedSpace(_Record):
@@ -133,19 +124,28 @@ class ReconstructedSpace(_Record):
 
     @property
     def sub_attributes(self) -> tuple[ProjectedAttribute, ...]:
-        """Every sub-attribute in column order, as a read-only view."""
-        return tuple(sub for b in self.blocks for sub in b.sub_attributes)
+        """Every sub-attribute in column order, as a read-only view; the
+        coordinates are shared with the blocks, not copied."""
+        return tuple(
+            ProjectedAttribute(b.source, span, row, float(gap))
+            for b in self.blocks
+            for span, row, gap in zip(b.spans, b.coords, b.max_span)
+        )
 
 
 def project_nominal(kappa: np.ndarray, source: int = 0) -> ProjectedBlock:
-    """One sub-attribute per unordered value pair with positive base distance.
+    """One unit-scale sub-attribute per unordered value pair with positive
+    base distance.
 
     The coordinate of value t on the line through values (g, h) is its
     projection along that line, measured from g; it is signed, so values that
     project beyond g keep a consistent arrangement and any two spanning pairs
-    of collinear configurations produce the same pairwise gaps. Spans whose
-    spanning pair is at base distance zero are dropped with a warning; an
-    empty block signals that the caller should fall back to 0/1 mismatch.
+    of collinear configurations produce the same pairwise gaps. Each row is
+    then divided by its largest pairwise gap, kept as ``max_span``. Spans
+    whose spanning pair is at base distance zero are dropped with one
+    warning, then rows whose coordinates are all equal with one warning
+    each; an empty block signals that the caller should fall back to 0/1
+    mismatch.
     """
     kappa = np.asarray(kappa, dtype=float)
     g, h = np.triu_indices(kappa.shape[0], 1)
@@ -161,20 +161,37 @@ def project_nominal(kappa: np.ndarray, source: int = 0) -> ProjectedBlock:
         )
         g, h, c = g[~degenerate], h[~degenerate], c[~degenerate]
     sq = (kappa * kappa).T  # sq[g] is column g of the squared distances
-    coords = _freeze((sq[g] - sq[h] + (c * c)[:, None]) / (2.0 * c)[:, None])
+    coords = sq[g]  # becomes the block: the arithmetic below works in place
+    coords -= sq[h]
+    coords += (c * c)[:, None]
+    coords /= (2.0 * c)[:, None]
     spans = tuple(zip((g + 1).tolist(), (h + 1).tolist()))
-    return ProjectedBlock(source, spans, coords, _freeze(np.ptp(coords, axis=1)))
+    gaps = np.ptp(coords, axis=1)
+    flat = gaps <= 0.0
+    for i in np.flatnonzero(flat):
+        warnings.warn(
+            f"attribute index {source}, span {spans[i]}: all coordinates "
+            "equal; sub-attribute dropped",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    if flat.any():
+        spans = tuple(s for s, drop in zip(spans, flat) if not drop)
+        coords, gaps = coords[~flat], gaps[~flat]
+    coords /= gaps[:, None]
+    return ProjectedBlock(source, spans, _freeze(coords), _freeze(gaps))
 
 
 def project_ordinal(kappa: np.ndarray, source: int = 0) -> ProjectedBlock | None:
-    """Single line for an ordinal attribute: the coordinate of each value is
-    its base distance from the lowest-ranked value.
+    """Single unit-scale line for an ordinal attribute: the coordinate of
+    each value is its base distance from the lowest-ranked value, divided by
+    the largest such distance (``max_span``).
 
     Returns None when the matrix is all zero (degenerate; callers fall back
     to 0/1 mismatch).
     """
-    coords = _freeze(np.asarray(kappa, dtype=float)[None, :, 0])
-    gap = _freeze(np.ptp(coords, axis=1))
+    coords = np.asarray(kappa, dtype=float)[None, :, 0]
+    gap = np.ptp(coords, axis=1)
     if gap[0] <= 0.0:
         warnings.warn(
             f"attribute index {source}: ordinal base distances are all zero; "
@@ -183,34 +200,7 @@ def project_ordinal(kappa: np.ndarray, source: int = 0) -> ProjectedBlock | None
             stacklevel=2,
         )
         return None
-    return ProjectedBlock(source, (ORDINAL_LINE,), coords, gap)
-
-
-def normalize_projected(block: ProjectedBlock) -> ProjectedBlock | None:
-    """Scale each sub-attribute's coordinates by its largest pairwise gap so
-    its maximum value-level distance is 1.
-
-    A sub-attribute whose gap is zero is dropped with a warning; None means
-    none is left. A fallback block is already unit-scale and passes through
-    unchanged.
-    """
-    if block.is_fallback:
-        return block
-    gaps = np.ptp(block.coords, axis=1)
-    flat = gaps <= 0.0
-    for i in np.flatnonzero(flat):
-        warnings.warn(
-            f"attribute index {block.source}, span {block.spans[i]}: all "
-            "coordinates equal; sub-attribute dropped",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    if flat.all():
-        return None
-    keep = ~flat
-    spans = tuple(s for s, drop in zip(block.spans, flat) if not drop)
-    coords = block.coords[keep] / gaps[keep, None]
-    return ProjectedBlock(block.source, spans, _freeze(coords), _freeze(gaps[keep]))
+    return ProjectedBlock(source, (ORDINAL_LINE,), _freeze(coords / gap), _freeze(gap))
 
 
 def hamming_fallback(v: int, source: int = 0) -> ProjectedBlock:
@@ -228,22 +218,23 @@ def reconstruct(dataset: Dataset, table: BaseDistanceTable) -> ReconstructedSpac
     whose spans are all degenerate falls back to a single 0/1 mismatch
     sub-attribute. Pure function of its inputs.
     """
+    schema, matrices = dataset.schema, table.matrices
     blocks: list[ProjectedBlock] = []
-    for r, attr in enumerate(dataset.schema.attributes):
+    for r, attr in enumerate(schema.attributes):
         if not attr.kind.is_categorical:
             continue
-        kappa = table.matrices[r]
-        if kappa is None:
+        kappa = matrices[r] if len(matrices) == schema.d else None
+        if kappa is None or kappa.shape != (attr.v, attr.v):
             raise ValueError(
-                f"base-distance table has no matrix for categorical "
-                f"attribute {attr.name!r}"
+                f"base-distance table ({len(matrices)} matrices, {schema.d} "
+                f"attributes) has no ({attr.v}, {attr.v}) matrix for "
+                f"categorical attribute {attr.name!r}"
             )
         if attr.kind is AttributeKind.ORDINAL:
-            raw = project_ordinal(kappa, source=r)
+            block = project_ordinal(kappa, source=r)
         else:
-            raw = project_nominal(kappa, source=r)
-        block = None if raw is None else normalize_projected(raw)
-        if block is None:
+            block = project_nominal(kappa, source=r)
+        if block is None or not block.spans:
             warnings.warn(
                 f"attribute {attr.name!r}: every span degenerate; falling back "
                 "to a single 0/1 mismatch sub-attribute",
@@ -252,6 +243,4 @@ def reconstruct(dataset: Dataset, table: BaseDistanceTable) -> ReconstructedSpac
             )
             block = hamming_fallback(attr.v, source=r)
         blocks.append(block)
-    return ReconstructedSpace(
-        dataset.schema, dataset.schema.numerical_indices(), tuple(blocks)
-    )
+    return ReconstructedSpace(schema, schema.numerical_indices(), tuple(blocks))

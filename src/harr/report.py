@@ -12,8 +12,7 @@ never in the report itself.
 Each format is declared once, below: a (write, read) codec per value type,
 a (key, codec) table per part of a line format, and a (format, header,
 column codecs) triple per CSV table. One writer and one reader walk them.
-The writers write the current version of each line format; the readers
-also read the previous one.
+Each format is read in the one version that harr writes.
 """
 
 from __future__ import annotations
@@ -128,13 +127,12 @@ _FLOATS = _spaced(_FLOAT)
 _BITS = _spaced(_BIT)
 _LABELS = (_label_text, _read_labels)
 _B64_ROW = (_b64_write, _b64_read)  # exact: the float64 bytes themselves
-_FLOAT_ROW = (_FLOATS[0], lambda text: np.array(_FLOATS[1](text), dtype=np.float64))
 
 # Line formats: ``format: <name>``, one ``key: value`` line per header field,
 # then one ``[run]`` ... ``[end]`` block per run. Keys are field names of the
-# record they describe. v2 reports add an ``extends: harr-report-v1`` line
-# after the format line: they keep every v1 field and change only how a
-# weight row is written, adding the summary lines below.
+# record they describe. A report's format line is followed by an
+# ``extends: harr-report-v1`` line: v2 keeps every v1 field and changes only
+# how a weight row is written, adding the summary lines below.
 _REPORT_V1 = "harr-report-v1"
 _REPORT_V2 = "harr-report-v2"
 _REPORT_HEAD = (
@@ -156,8 +154,8 @@ _REPORT_HEAD = (
     ("ca_std", _optional(_FLOAT)),
 )
 # A run's optional ``weights:`` or ``weight_matrix:`` + ``row:`` lines sit
-# between its head and its tail, written with its format's row codec; in v2
-# the summary of the rows follows them.
+# between its head and its tail, each row in base64, and the summary of the
+# rows follows them.
 _RUN_HEAD = (
     ("seed", _INT),
     ("converged", _BOOL),
@@ -174,7 +172,6 @@ _RUN_TAIL = (
     ("trace_weights_updated", _BITS),
     ("trace_reseeded", _BITS),
 )
-_WEIGHT_ROWS = {_REPORT_V1: _FLOAT_ROW, _REPORT_V2: _B64_ROW}
 # Derived from the rows, one entry per row, and checked against them on read:
 # Shannon entropy in nats, the largest weight and its 0-based column.
 _WEIGHT_SUMMARY = (
@@ -182,8 +179,7 @@ _WEIGHT_SUMMARY = (
     ("weight_max", _FLOATS),
     ("weight_max_column", _spaced(_INT)),
 )
-_TIMINGS_V1 = "harr-timings-v1"
-_TIMINGS_V2 = "harr-timings-v2"  # adds the ``runs:`` count to the header
+_TIMINGS_V2 = "harr-timings-v2"  # v1 had no ``runs:`` count in the header
 _TIMINGS_HEAD = (("variant", _STR), ("reconstruct_s", _FLOAT))
 _TIMINGS_RUN = (("seed", _INT), ("cluster_s", _FLOAT), ("weights_s", _FLOAT))
 
@@ -256,18 +252,16 @@ def _save_lines(path: str, head: list[str], runs) -> str:
 
 
 class _Lines:
-    """A file's lines, read in order after its format line, which must name
-    one of ``formats``; every fault names the path and the line."""
+    """A file's lines, read in order after its format line, which must be
+    ``prefix`` + ``fmt``; every fault names the path and the line."""
 
-    def __init__(self, path: str, prefix: str, formats):
+    def __init__(self, path: str, prefix: str, fmt: str):
         with open(path, "r", encoding="utf-8") as fh:
             self.lines = fh.read().splitlines()
         self.path = path
         self.pos = 0  # lines consumed
-        first = self.next()
-        self.format = first[len(prefix) :]
-        if not first.startswith(prefix) or self.format not in formats:
-            raise ValueError(f"{path}: not a {' or '.join(formats)} file")
+        if self.next() != prefix + fmt:
+            raise ValueError(f"{path}: not a {fmt} file")
 
     def more(self) -> bool:
         return self.pos < len(self.lines)
@@ -299,9 +293,9 @@ class _Lines:
     def fields(self, table) -> dict:
         return {key: self.field(key, read) for key, (_, read) in table}
 
-    def blocks(self, declared: int | None):
+    def blocks(self, declared: int):
         """Yield once per ``[run]`` block, then check its ``[end]``; at the
-        end of the file, check the block count against a ``runs:`` header."""
+        end of the file, check the block count against the ``runs:`` header."""
         count = 0
         while self.more():
             if (line := self.next()) != "[run]":
@@ -310,7 +304,7 @@ class _Lines:
             if self.next() != "[end]":
                 raise self.error("missing [end] marker")
             count += 1
-        if declared is not None and count != declared:
+        if count != declared:
             raise self.error(f"{count} [run] blocks, but the header says {declared}")
 
 
@@ -347,7 +341,7 @@ def save_report(report: ReportFile, path: str) -> str:
 
 
 def _weight_row(src: _Lines, key: str, d_hat: int) -> np.ndarray:
-    row = src.field(key, _WEIGHT_ROWS[src.format][1])
+    row = src.field(key, _B64_ROW[1])
     if row.size != d_hat:
         raise src.error(f"{row.size} weights, but d_hat is {d_hat}")
     if not np.isfinite(row).all():
@@ -366,16 +360,16 @@ def _read_weights(src: _Lines, run: dict, k: int, d_hat: int) -> None:
             raise src.error(f"{count} weight rows, but k is {k}")
         rows = _freeze(np.stack([_weight_row(src, "row", d_hat) for _ in range(k)]))
         run["weight_matrix"] = rows
-    if rows is not None and src.format == _REPORT_V2:
+    if rows is not None:
         for line in _fields(_WEIGHT_SUMMARY, _weight_summary(rows)):
             if (got := src.next()) != line:
                 raise src.error(f"expected {line[:60]!r}, got {got[:60]!r}")
 
 
 def load_report(path: str) -> ReportFile:
-    """Read a v2 or v1 report; labels and weights come back as arrays."""
-    src = _Lines(path, "format: ", (_REPORT_V2, _REPORT_V1))
-    if src.format == _REPORT_V2 and src.field("extends", str) != _REPORT_V1:
+    """Read a v2 report; labels and weights come back as arrays."""
+    src = _Lines(path, "format: ", _REPORT_V2)
+    if src.field("extends", str) != _REPORT_V1:
         raise src.error(f"a {_REPORT_V2} file extends {_REPORT_V1}")
     head = src.fields(_REPORT_HEAD)
     k = head["k"]
@@ -401,11 +395,10 @@ def save_timings(timings: TimingsFile, path: str) -> str:
 
 
 def load_timings(path: str) -> TimingsFile:
-    """Read a v2 or v1 timings sidecar (v1 has no ``runs:`` count)."""
-    src = _Lines(path, "format: ", (_TIMINGS_V2, _TIMINGS_V1))
+    """Read a v2 timings sidecar."""
+    src = _Lines(path, "format: ", _TIMINGS_V2)
     head = src.fields(_TIMINGS_HEAD)
-    declared = src.field("runs", int) if src.format == _TIMINGS_V2 else None
-    blocks = src.blocks(declared)
+    blocks = src.blocks(src.field("runs", int))
     runs = tuple(tuple(src.fields(_TIMINGS_RUN).values()) for _ in blocks)
     return TimingsFile(**head, runs=runs)
 
@@ -430,7 +423,7 @@ def _save_table(table, rows, path: str) -> str:
 
 def _load_table(table, path: str) -> list[tuple]:
     fmt, header, codecs = table
-    src = _Lines(path, "# format: ", (fmt,))
+    src = _Lines(path, "# format: ", fmt)
     if src.next() != header:
         raise src.error("unexpected header")
     rows = []

@@ -27,7 +27,6 @@ from harr.cluster import (
 from harr.evaluation import ari, ca
 from harr.projection import (
     HAMMING_FALLBACK,
-    normalize_projected,
     project_nominal,
     project_ordinal,
     reconstruct,
@@ -174,11 +173,11 @@ def test_c03_ordinal_overlap():
         gaps = rng.uniform(0.05, 2.0, size=v - 1)
         pos = np.concatenate([[0.0], np.cumsum(gaps)])
         kappa = np.abs(pos[:, None] - pos[None, :])
-        line = normalize_projected(project_ordinal(kappa)).coords[0]
+        line = project_ordinal(kappa).coords[0]
         line_mat = np.abs(line[:, None] - line[None, :])
         spans = project_nominal(kappa)
         assert spans.gamma == v * (v - 1) // 2
-        for coords in normalize_projected(spans).coords:
+        for coords in spans.coords:
             mat = np.abs(coords[:, None] - coords[None, :])
             worst = max(worst, float(np.abs(mat - line_mat).max()))
     ok = worst <= 1e-9

@@ -229,6 +229,33 @@ class TestBuildTable:
                     assert np.allclose(got, want, atol=1e-12)
 
 
+SCHEMA_A = "c,nom,a|b|c\nd,nom,x|y\n"
+SCHEMA_B = "c,nom,a|b|c|d\nd,nom,x|y\n"  # ``c`` has a fourth value
+
+
+@pytest.mark.parametrize(
+    "schema_text, data_text, message",
+    [
+        (SCHEMA_B, "a,x\nd,y\nc,x", "the ordinal view was built for another schema"),
+        (
+            SCHEMA_A,
+            "a,x\nb,y\nc,x\na,y\nb,x\nc,y",
+            "the ordinal view has 6 rows, but the dataset has 4",
+        ),
+    ],
+    ids=["other-schema", "other-rows"],
+)
+def test_view_of_another_dataset_is_rejected(schema_text, data_text, message):
+    # The attributes come from the dataset and the codes from the view, so a
+    # view of another schema or row count would mix two datasets.
+    dataset, _ = _dataset(SCHEMA_A, "a,x\nb,y\nc,x\na,x")
+    _, foreign = _dataset(schema_text, data_text)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_base_distances(dataset, foreign)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        compute_cpd(dataset, foreign, 0, 1)
+
+
 @pytest.mark.filterwarnings("ignore:attribute .* never observed")
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 2**32 - 1), st.integers(2, 12))

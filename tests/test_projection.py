@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,11 +7,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from harr.base_distance import build_base_distances
+from harr.base_distance import BaseDistanceTable, build_base_distances
 from harr.projection import (
     ORDINAL_LINE,
     hamming_fallback,
-    normalize_projected,
     project_nominal,
     project_ordinal,
     reconstruct,
@@ -54,15 +54,19 @@ class TestProjectNominal:
         ]
 
     def test_endpoints_project_to_themselves(self):
+        # The endpoints sit at 0 and kappa(a,b) = 2, the span's largest gap,
+        # so on the unit scale they read 0 and 1.
         block = project_nominal(KAPPA_ABC)
         assert block.spans[0] == (1, 2)
+        assert block.max_span[0] == 2.0
         assert block.coords[0, 0] == 0.0
-        assert block.coords[0, 1] == pytest.approx(2.0, rel=1e-12)
+        assert block.coords[0, 1] == 1.0
 
     def test_hand_computed_third_point(self):
-        # |kappa(c,a)^2 - kappa(c,b)^2 + kappa(a,b)^2| / (2 kappa(a,b))
+        # |kappa(c,a)^2 - kappa(c,b)^2 + kappa(a,b)^2| / (2 kappa(a,b)) is
+        # 0.6875, over the span's largest gap 2.
         block = project_nominal(KAPPA_ABC)
-        assert block.coords[0, 2] == pytest.approx(0.6875, abs=1e-12)
+        assert block.coords[0, 2] == 0.34375
 
     def test_degenerate_span_dropped_with_warning(self):
         kappa = np.array(
@@ -92,7 +96,8 @@ class TestProjectOrdinal:
     def test_two_values(self):
         kappa = additive_kappa([0.7])
         line = project_ordinal(kappa)
-        assert np.allclose(line.coords[0], [0.0, 0.7], atol=1e-12)
+        assert line.coords[0].tolist() == [0.0, 1.0]
+        assert line.max_span[0] == 0.7
 
     def test_zero_matrix_degenerate(self):
         with pytest.warns(RuntimeWarning, match="degenerate"):
@@ -106,31 +111,25 @@ class TestProjectOrdinal:
             v = int(rng.integers(2, 8))
             gaps = rng.uniform(0.1, 1.0, size=v - 1)
             kappa = additive_kappa(gaps)
-            line = normalize_projected(project_ordinal(kappa)).coords[0]
+            line = project_ordinal(kappa).coords[0]
             line_matrix = np.abs(line[:, None] - line[None, :])
-            for coords in normalize_projected(project_nominal(kappa)).coords:
+            for coords in project_nominal(kappa).coords:
                 got = np.abs(coords[:, None] - coords[None, :])
                 assert np.allclose(got, line_matrix, atol=1e-9)
 
 
 class TestNormalize:
+    """The projections return unit-scale rows and keep each row's scale."""
+
     def test_identity_when_max_gap_one(self):
         line = project_ordinal(additive_kappa([0.4, 0.6]))
-        normed = normalize_projected(line)
-        assert np.allclose(normed.coords[0], [0.0, 0.4, 1.0], atol=1e-12)
-        assert normed.max_span[0] == pytest.approx(1.0)
+        assert np.allclose(line.coords[0], [0.0, 0.4, 1.0], atol=1e-12)
+        assert line.max_span[0] == pytest.approx(1.0)
 
     def test_scaling(self):
         line = project_ordinal(additive_kappa([2.0, 1.0]))
-        normed = normalize_projected(line)
-        assert np.allclose(normed.coords[0], [0.0, 2 / 3, 1.0], atol=1e-12)
-        assert normed.max_span[0] == pytest.approx(3.0)
-
-    def test_all_equal_dropped(self):
-        line = project_ordinal(additive_kappa([1.0]))
-        flat = type(line)(line.source, line.spans, np.array([[0.3, 0.3]]), [0.0])
-        with pytest.warns(RuntimeWarning, match="dropped"):
-            assert normalize_projected(flat) is None
+        assert np.allclose(line.coords[0], [0.0, 2 / 3, 1.0], atol=1e-12)
+        assert line.max_span[0] == pytest.approx(3.0)
 
 
 class TestValueDistance:
@@ -138,15 +137,15 @@ class TestValueDistance:
     mismatch for the Hamming fallback."""
 
     def test_identity(self):
-        line = normalize_projected(project_ordinal(additive_kappa([0.4, 0.6])))
+        line = project_ordinal(additive_kappa([0.4, 0.6]))
         assert _block_gaps(line, 2, 2) == [0.0]
 
     def test_endpoint_gap(self):
-        line = normalize_projected(project_ordinal(additive_kappa([0.4, 0.6])))
+        line = project_ordinal(additive_kappa([0.4, 0.6]))
         assert _block_gaps(line, 1, 3) == [pytest.approx(1.0)]
 
     def test_hand_example_scaled(self):
-        block = normalize_projected(project_nominal(KAPPA_ABC))
+        block = project_nominal(KAPPA_ABC)
         assert _block_gaps(block, 3, 1)[0] == pytest.approx(
             0.6875 / block.max_span[0], rel=1e-12
         )
@@ -231,11 +230,43 @@ class TestReconstruct:
                             kappa[g - 1, h - 1] / block.max_span[i], rel=1e-12
                         )
 
+    def test_table_of_another_schema_is_rejected(self):
+        # ``c`` has 3 values here and 4 in the table's dataset.
+        dataset = ingest_table("a,x\nb,y\nc,x", parse_schema("c,nom,a|b|c\nd,nom,x|y\n"))
+        other = ingest_table("a,x\nd,y\nc,x", parse_schema("c,nom,a|b|c|d\nd,nom,x|y\n"))
+        message = r"no \(3, 3\) matrix for categorical attribute 'c'$"
+        with pytest.raises(ValueError, match=message):
+            reconstruct(dataset, build_base_distances(other))
+
+    def test_table_of_another_width_is_rejected(self):
+        dataset = ingest_table("a,x\nb,y\nc,x", parse_schema("c,nom,a|b|c\nd,nom,x|y\n"))
+        short = BaseDistanceTable(build_base_distances(dataset).matrices[:1])
+        with pytest.raises(ValueError, match=r"\(1 matrices, 2 attributes\).*'c'$"):
+            reconstruct(dataset, short)
+
+    def test_peak_memory_is_about_two_blocks(self):
+        # One 150-valued nominal: 11,175 spans, a 13.4 MB block. The
+        # projection holds the block and one gathered (γ, v) array at once.
+        v = 150
+        schema = parse_schema("c,nom," + "|".join(f"v{t}" for t in range(v)) + "\n")
+        dataset = build_dataset(schema, (np.arange(v) + 1)[:, None])
+        upper = np.triu(np.random.default_rng(3).uniform(0.5, 2.0, (v, v)), 1)
+        table = BaseDistanceTable((upper + upper.T,))
+        tracemalloc.start()
+        try:
+            space = reconstruct(dataset, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = space.blocks[0].coords
+        assert block.shape == (v * (v - 1) // 2, v)
+        assert peak < 2.5 * block.nbytes
+
 
 @settings(deadline=None, max_examples=40)
 @given(st.lists(st.floats(0.01, 5.0), min_size=1, max_size=7))
 def test_ordinal_line_normalized_gaps_bounded(gaps):
-    line = normalize_projected(project_ordinal(additive_kappa(gaps))).coords[0]
+    line = project_ordinal(additive_kappa(gaps)).coords[0]
     diffs = np.abs(line[:, None] - line[None, :])
     assert diffs.max() == pytest.approx(1.0, abs=1e-12)
 
@@ -269,11 +300,6 @@ def _recorded(fn, *args):
     return out, [(w.category, str(w.message)) for w in caught]
 
 
-def _project_and_normalize(kappa, source):
-    raw = project_nominal(kappa, source)
-    return raw, normalize_projected(raw)
-
-
 def _assert_block_is(block, rows):
     """``block`` holds exactly the oracle's (span, coords, max_span) rows."""
     assert block.spans == tuple(span for span, _, _ in rows)
@@ -284,15 +310,11 @@ def _assert_block_is(block, rows):
 
 
 def _assert_matches_oracle(kappa, source):
-    (raw, normalized), got = _recorded(_project_and_normalize, kappa, source)
-    (raw_o, normalized_o), want = _recorded(projection_oracle, kappa, source)
+    block, got = _recorded(project_nominal, kappa, source)
+    (_, normalized), want = _recorded(projection_oracle, kappa, source)
     assert got == want
-    _assert_block_is(raw, raw_o)
-    if normalized_o:
-        _assert_block_is(normalized, normalized_o)
-    else:
-        assert normalized is None
-    return normalized_o
+    _assert_block_is(block, normalized)
+    return normalized
 
 
 @st.composite

@@ -152,74 +152,6 @@ def test_timings_roundtrip(tmp_path):
     assert load_timings(path) == timings
 
 
-# What the previous writer wrote for ``_golden_report()``; the reader still
-# reads it, to a report equal to the one the current writer writes below.
-GOLDEN_REPORT_V1 = """\
-format: harr-report-v1
-variant: HARR-M
-dataset: data.csv
-schema: schema.txt
-labels_file: none
-k: 2
-runs: 3
-base_seed: 7
-bins: none
-inner_cap: 100
-outer_cap: 50
-epsilon: 1e-12
-d_hat: 2
-ari_mean: none
-ari_std: none
-ca_mean: none
-ca_std: none
-[run]
-seed: 7
-converged: true
-inner_iterations: 3
-weight_updates: 1
-inner_monotone: false
-max_inner_increase: 0.1
-ari: none
-ca: none
-labels: 1 2 2 1
-weights: 0.3333333333333333 0.6666666666666666
-trace_z: 12.5 3.25 3.25
-trace_weights_updated: 0 1 0
-trace_reseeded: 0 0 1
-[end]
-[run]
-seed: 8
-converged: false
-inner_iterations: 2
-weight_updates: 0
-inner_monotone: true
-max_inner_increase: 0.0
-ari: none
-ca: none
-labels: 2 1 1 2
-weight_matrix: 2
-row: 0.5 0.5
-row: 0.125 0.875
-trace_z: 1e-05
-trace_weights_updated: 0
-trace_reseeded: 0
-[end]
-[run]
-seed: 9
-converged: true
-inner_iterations: 2
-weight_updates: 0
-inner_monotone: true
-max_inner_increase: 0.0
-ari: none
-ca: none
-labels: 1 1 2 2
-trace_z: 0.5
-trace_weights_updated: 0
-trace_reseeded: 0
-[end]
-"""
-
 GOLDEN_REPORT_V2 = """\
 format: harr-report-v2
 extends: harr-report-v1
@@ -293,23 +225,6 @@ trace_reseeded: 0
 [end]
 """
 
-GOLDEN_TIMINGS_V1 = """\
-format: harr-timings-v1
-variant: HARR-M
-reconstruct_s: 0.125
-[run]
-seed: 7
-cluster_s: 0.5
-weights_s: 0.25
-[end]
-[run]
-seed: 8
-cluster_s: 1.0
-weights_s: 0.0
-[end]
-"""
-
-
 GOLDEN_TIMINGS_V2 = """\
 format: harr-timings-v2
 variant: HARR-M
@@ -372,16 +287,30 @@ def test_golden_report_and_timings_bytes(tmp_path):
     path = save_report(report, str(tmp_path / "r.txt"))
     assert Path(path).read_text(encoding="utf-8") == GOLDEN_REPORT_V2
     assert load_report(path) == report
-    v1 = tmp_path / "r-v1.txt"
-    v1.write_text(GOLDEN_REPORT_V1, encoding="utf-8")
-    assert load_report(str(v1)) == report
     timings = TimingsFile("HARR-M", 0.125, ((7, 0.5, 0.25), (8, 1.0, 0.0)))
     path = save_timings(timings, str(tmp_path / "t.txt"))
     assert Path(path).read_text(encoding="utf-8") == GOLDEN_TIMINGS_V2
     assert load_timings(path) == timings
-    v1 = tmp_path / "t-v1.txt"
-    v1.write_text(GOLDEN_TIMINGS_V1, encoding="utf-8")
-    assert load_timings(str(v1)) == timings
+
+
+def test_previous_format_versions_are_rejected(tmp_path):
+    # harr-report-v1 wrote weights as decimals and harr-timings-v1 had no
+    # runs count; nothing writes either any more.
+    report = tmp_path / "r.txt"
+    report.write_text(
+        GOLDEN_REPORT_V2.replace("format: harr-report-v2\nextends: harr-report-v1\n",
+                                 "format: harr-report-v1\n")
+    )
+    with pytest.raises(ValueError) as raised:
+        load_report(str(report))
+    assert str(raised.value) == f"{report}: not a harr-report-v2 file"
+    timings = tmp_path / "t.txt"
+    timings.write_text(
+        GOLDEN_TIMINGS_V2.replace("harr-timings-v2", "harr-timings-v1").replace("runs: 2\n", "")
+    )
+    with pytest.raises(ValueError) as raised:
+        load_timings(str(timings))
+    assert str(raised.value) == f"{timings}: not a harr-timings-v2 file"
 
 
 # Printable ASCII without surrounding blanks: a report reads each value back
@@ -509,18 +438,18 @@ def test_report_cut_at_every_line_is_a_data_error(synth_dir, tmp_path):
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("[end]\n", "[end]\nextra\n", "line 64: expected [run], got 'extra'"),
-        ("runs: 3", "runs: 4", "line 63: 3 [run] blocks, but the header says 4"),
-        ("seed: 8", "seed: x", "line 34: cannot read 'x'"),
-        ("0\n[end]", "2\n[end]", "line 62: cannot read '2'"),
-        ("[end]\n[run]\nseed: 9", "[run]\nseed: 9", "line 49: missing [end] marker"),
+        ("[end]\n", "[end]\nextra\n", "line 71: expected [run], got 'extra'"),
+        ("runs: 3", "runs: 4", "line 70: 3 [run] blocks, but the header says 4"),
+        ("seed: 8", "seed: x", "line 38: cannot read 'x'"),
+        ("0\n[end]", "2\n[end]", "line 69: cannot read '2'"),
+        ("[end]\n[run]\nseed: 9", "[run]\nseed: 9", "line 56: missing [end] marker"),
     ],
     ids=["after-last-end", "runs-header", "bad-int", "bad-bit", "missing-end"],
 )
 def test_malformed_report_names_path_and_line(tmp_path, old, new, message):
     path = tmp_path / "r.txt"
     # Edit the last occurrence, so that appending lands after the last [end].
-    head, _, tail = GOLDEN_REPORT_V1.rpartition(old)
+    head, _, tail = GOLDEN_REPORT_V2.rpartition(old)
     path.write_text(head + new + tail)
     with pytest.raises(ValueError) as raised:
         load_report(str(path))
@@ -559,15 +488,13 @@ def test_malformed_v2_report_names_path_and_line(tmp_path, old, new, message):
 
 
 def test_cut_timings_file_is_a_data_error(tmp_path):
-    # A v2 sidecar cut after a complete [run] block no longer reloads as a
-    # shorter valid file; a v1 sidecar has no count to check.
+    # A sidecar cut after a complete [run] block does not reload as a
+    # shorter valid file.
     path = tmp_path / "t.txt"
     path.write_text("".join(GOLDEN_TIMINGS_V2.splitlines(True)[:9]))
     with pytest.raises(ValueError) as raised:
         load_timings(str(path))
     assert str(raised.value) == f"{path}, line 9: 1 [run] blocks, but the header says 2"
-    path.write_text("".join(GOLDEN_TIMINGS_V1.splitlines(True)[:8]))
-    assert len(load_timings(str(path)).runs) == 1
 
 
 def test_loaded_wide_matrix_report_holds_arrays(tmp_path):
