@@ -368,10 +368,11 @@ def parse_schema(schema_text: str) -> DatasetSchema:
 
     Each line reads ``name,kind[,value1|value2|...]`` with kind one of
     ``num``, ``nom``, ``ord``; for ``ord`` the listed order is the rank order.
-    Lines starting with ``#`` and blank lines are skipped.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``. Lines starting with ``#``
+    and blank lines are skipped.
     """
     attrs: list[AttributeSchema] = []
-    for lineno, raw in enumerate(schema_text.splitlines(), start=1):
+    for lineno, raw in enumerate(_physical_lines(schema_text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -400,7 +401,7 @@ def parse_schema(schema_text: str) -> DatasetSchema:
     return DatasetSchema(tuple(attrs))
 
 
-# Cells parsed per chunk: the tokens of one chunk are held at a time.
+# Cells per chunk of lines: the tokens of one chunk are held at a time.
 _CHUNK_CELLS = 1 << 15
 
 
@@ -409,8 +410,11 @@ def ingest_table(data_text: str, schema: DatasetSchema) -> Dataset:
 
     Categorical labels are resolved to 1-based value indices; numerical
     tokens must parse to finite reals. Empty cells are treated as missing
-    data and rejected. Fully blank lines are skipped, but rows are numbered
-    by physical line. The first bad cell in row-major order is reported.
+    data and rejected. Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, as
+    ``open()`` reads them. Fully blank lines are skipped, but rows are
+    numbered by physical line. The first bad cell in row-major order is
+    reported. The lines are read in chunks, and each distinct line of a
+    chunk is parsed once.
     """
     # An empty token is a missing cell even where "" is a declared label.
     lookups = [
@@ -419,17 +423,42 @@ def ingest_table(data_text: str, schema: DatasetSchema) -> Dataset:
         else None
         for a in schema.attributes
     ]
-    lines = data_text.splitlines()
-    kept = np.flatnonzero(list(map(len, map(str.strip, lines))))
-    cells = np.empty((kept.size, schema.d))
+    lines = _physical_lines(data_text)
+    cells = np.empty((len(lines), schema.d))
+    n = 0  # rows written
     step = max(1, _CHUNK_CELLS // schema.d)
-    for start in range(0, kept.size, step):
-        rows = kept[start : start + step].tolist()
-        chunk = [lines[i] for i in rows]
-        if not _parse_chunk(chunk, lookups, cells[start : start + len(rows)]):
-            errors = (_row_error(i + 1, lines[i], schema, lookups) for i in rows)
+    for start in range(0, len(lines), step):
+        chunk = lines[start : start + step]
+        # Each distinct line maps to its row of ``parsed``; a blank one to -1.
+        ids = dict.fromkeys(chunk, -1)
+        good = list(filter(str.strip, ids))
+        ids.update(zip(good, itertools.count()))
+        parsed = np.empty((len(good), schema.d))
+        if good and not _parse_chunk(good, lookups, parsed):
+            errors = (
+                _row_error(rowno, raw, schema, lookups)
+                for rowno, raw in enumerate(chunk, start + 1)
+                if raw.strip()
+            )
             raise next(filter(None, errors))
+        rows = np.fromiter(map(ids.__getitem__, chunk), np.intp, len(chunk))
+        rows = rows[rows >= 0]
+        np.take(parsed, rows, axis=0, out=cells[n : n + rows.size])
+        n += rows.size
+    if n < len(lines):  # free the rows left for skipped blank lines
+        cells = cells[:n].copy()
     return Dataset(schema, _freeze(cells))
+
+
+def _physical_lines(text: str) -> list[str]:
+    """``text`` split at ``\\n``, ``\\r\\n`` and ``\\r`` only, unlike
+    ``str.splitlines``; a line end that closes the text opens no line."""
+    if "\r" in text:  # a search for "\r\n" costs far more than one for "\r"
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
 
 
 def _parse_chunk(

@@ -7,6 +7,7 @@ code with the vectorized implementations it checks.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import warnings
@@ -567,7 +568,10 @@ def ingest_rowwise_oracle(
         for a in schema.attributes
     ]
     rows: list[np.ndarray] = []
-    for rowno, raw in enumerate(data_text.splitlines(), start=1):
+    # Lines end where ``open()`` ends them: at "\n", "\r\n" or "\r".
+    lines = io.StringIO(data_text, newline=None)
+    for rowno, raw in enumerate(lines, start=1):
+        raw = raw.removesuffix("\n")
         if not raw.strip():
             continue
         tokens = [t.strip() for t in raw.split(",")]

@@ -413,7 +413,7 @@ BLANK_LINES = ("", "   ", "\t")
 def csv_tables(draw):
     """A schema and a CSV text over it; with ``faulty`` set, cells may be
     empty, unknown or non-numeric, rows may have the wrong arity, and blank
-    lines may sit anywhere."""
+    lines may sit anywhere. Lines often repeat an earlier line."""
     kinds = draw(
         st.lists(
             st.sampled_from(
@@ -446,7 +446,11 @@ def csv_tables(draw):
         )
 
     lines = []
+    repeat_one_in = draw(st.sampled_from((2, 4, 1_000)))
     for _ in range(draw(st.integers(0, 40))):
+        if lines and draw(st.integers(1, repeat_one_in)) == 1:
+            lines.append(draw(st.sampled_from(lines)))
+            continue
         if draw(st.integers(0, 7)) == 0:
             lines.append(draw(st.sampled_from(BLANK_LINES)))
             continue
@@ -454,7 +458,7 @@ def csv_tables(draw):
         if faulty and draw(st.integers(1, one_in)) == 1:
             cells = cells[:-1] if draw(st.booleans()) else cells + ["1"]
         lines.append(",".join(cells))
-    newline = draw(st.sampled_from(("\n", "\r\n")))
+    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
     return DatasetSchema(tuple(attrs)), newline.join(lines)
 
 
@@ -512,8 +516,8 @@ def test_ingest_reports_first_bad_row_across_chunks(later, earlier, message):
 
 def test_ingest_memory_stays_below_all_tokens():
     """Ingest holds one chunk of tokens at a time: 200,000 rows of five
-    nominal cells peak at about 26 MB, while holding all 1,000,000 tokens
-    at once peaks near 100 MB."""
+    nominal cells peak at about 26 MB (27.6 MB when every line was parsed),
+    while holding all 1,000,000 tokens at once peaks near 100 MB."""
     schema = parse_schema(
         "\n".join(f"c{r},nom,v1|v2|v3|v4|v5" for r in range(5)) + "\n"
     )
@@ -528,6 +532,110 @@ def test_ingest_memory_stays_below_all_tokens():
         tracemalloc.stop()
     assert np.array_equal(dataset.cells, codes)
     assert peak < 40e6, f"ingest peak {peak / 1e6:.1f} MB"
+
+
+def test_ingest_memory_of_distinct_lines_stays_below_a_whole_file_index():
+    """Lines are grouped one chunk at a time, so 100,000 distinct lines of
+    two numerical and five nominal cells peak at about 19 MB, as when every
+    line was parsed on its own. An index of every line of the file, with a
+    second cell table for its distinct lines, peaks at about 31 MB."""
+    schema = parse_schema(
+        "x,num\ny,num\n" + "".join(f"c{r},nom,v1|v2|v3|v4|v5\n" for r in range(5))
+    )
+    rng = np.random.default_rng(7)
+    nums = rng.random((100_000, 2))
+    codes = rng.integers(1, 6, size=(100_000, 5))
+    text = "".join(
+        f"{a:.12g},{b:.12g}," + ",".join(f"v{c}" for c in row) + "\n"
+        for (a, b), row in zip(nums.tolist(), codes.tolist())
+    )
+    tracemalloc.start()
+    try:
+        dataset = ingest_table(text, schema)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dataset.distinct.u == 100_000
+    assert np.array_equal(dataset.cells[:, 2:], codes)
+    assert peak < 25e6, f"ingest peak {peak / 1e6:.1f} MB"
+
+
+# Characters at which str.splitlines ends a line but open() does not.
+NOT_LINE_ENDS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("char", NOT_LINE_ENDS)
+def test_lines_end_only_where_open_ends_them(char):
+    """Data and schema lines end at "\\n", "\\r\\n" and "\\r" only, so rows
+    keep their physical line numbers and the character stays in its cell."""
+    schema = parse_schema("a,nom,x|y\nb,nom,x|y\n")
+    with pytest.raises(DataError, match=r"^row 1: expected 2 columns, got 3$"):
+        ingest_table(f"x,y{char}x,y\nx,y\n", schema)
+    with pytest.raises(DataError, match=r"^row 1, column 'b': unknown value"):
+        ingest_table(f"x,y{char}y\nx,z\n", schema)
+    # Stripped as padding, the character leaves a good cell on its own line.
+    with pytest.raises(DataError, match=r"^row 3, column 'b': unknown value 'z'"):
+        ingest_table(f"x,y{char}\nx,y\rx,z\r\n", schema)
+    assert ingest_table(f"x,y{char}\r\ny,x", schema).n == 2
+    with pytest.raises(SchemaError, match=r"^schema line 1: expected"):
+        parse_schema(f"a,nom,x|y{char}b,nom,x|y\n")
+
+
+@pytest.fixture(params=[None, 8], ids=["default-chunks", "chunks-of-4-lines"])
+def chunk_cells(request):
+    """Run a test at the default chunk size and at chunks of four lines of
+    a two-column table."""
+    if request.param is None:
+        yield harr.schema._CHUNK_CELLS
+        return
+    with mock.patch.object(harr.schema, "_CHUNK_CELLS", request.param):
+        yield request.param
+
+
+COLOR_SCHEMA = "x,num\ncolor,nom,red|green|blue\n"
+
+
+def test_repeated_bad_line_is_reported_at_its_first_copy(chunk_cells):
+    lines = ["1,red", "2,blue", "1,red", "3,mauve", "2,blue", "3,mauve", "1,red"]
+    with pytest.raises(DataError, match=r"^row 4, column 'color': unknown value 'mauve'"):
+        ingest_table("\n".join(lines * 3), parse_schema(COLOR_SCHEMA))
+
+
+@pytest.mark.parametrize("bad", ["2,mauve", "2", "nan,red"])
+def test_bad_line_after_many_duplicates_is_found_in_its_chunk(chunk_cells, bad):
+    step = chunk_cells // 2
+    copies = 3 * step // 4  # the bad line lies inside the second chunk
+    lines = ["1,red", "2.5,green"] * copies + [bad, "1,red", bad]
+    with pytest.raises(DataError, match=rf"^row {2 * copies + 1}\b"):
+        ingest_table("\n".join(lines), parse_schema(COLOR_SCHEMA))
+
+
+def test_lines_that_differ_only_in_spelling_are_one_row(chunk_cells):
+    lines = ["1,red", " 1.0 ,red", "1e0,\tred ", "+1.00,  red", "\u30001,red\u3000", "2,blue"]
+    dataset = ingest_table("\n".join(lines * 3), parse_schema(COLOR_SCHEMA))
+    assert dataset.cells.tolist() == ([[1.0, 1.0]] * 5 + [[2.0, 3.0]]) * 3
+    assert dataset.distinct.u == 2
+    assert dataset.distinct.inverse.tolist() == ([0] * 5 + [1]) * 3
+
+
+def test_blank_lines_between_duplicates_keep_the_line_numbers(chunk_cells):
+    lines = ["1,red", "", "1,red", "   ", "1,red", "\t", "2,blue", "", "1,red"]
+    schema = parse_schema(COLOR_SCHEMA)
+    dataset = ingest_table("\n".join(lines), schema)
+    assert dataset.cells.tolist() == [[1.0, 1.0]] * 3 + [[2.0, 3.0], [1.0, 1.0]]
+    with pytest.raises(DataError, match=r"^row 11, column 'x': not a number: 'x'"):
+        ingest_table("\n".join(lines + ["", "x,red", "1,red"]), schema)
+
+
+def test_chunk_of_only_blank_lines_is_skipped(chunk_cells):
+    step = chunk_cells // 2
+    lines = ["1,red"] * step + ["", "  "] * step + ["2,blue"]
+    schema = parse_schema(COLOR_SCHEMA)
+    dataset = ingest_table("\n".join(lines), schema)
+    assert dataset.cells.tolist() == [[1.0, 1.0]] * step + [[2.0, 3.0]]
+    with pytest.raises(DataError, match=rf"^row {3 * step + 2}: expected 2 columns"):
+        ingest_table("\n".join(lines + ["2,blue,3"]), schema)
+    assert ingest_table("\n".join(["", " "] * step), schema).n == 0
 
 
 def _harr_dataclasses():
