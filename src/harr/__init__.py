@@ -33,7 +33,6 @@ from .base_distance import (
 from .projection import (
     ORDINAL_LINE,
     HAMMING_FALLBACK,
-    ProjectedAttribute,
     ProjectedBlock,
     ReconstructedSpace,
     project_nominal,

@@ -40,6 +40,7 @@ from .schema import (
     DataError,
     Dataset,
     _freeze,
+    _read_text,
     ingest_table,
     normalize_numerical,
     parse_schema,
@@ -86,11 +87,8 @@ class BenchConfig:
 
 def load_dataset(schema_path: str, data_path: str) -> Dataset:
     """Parse schema and data files into a normalized dataset."""
-    with open(schema_path, "r", encoding="utf-8-sig") as fh:
-        schema = parse_schema(fh.read())
-    with open(data_path, "r", encoding="utf-8-sig") as fh:
-        dataset = ingest_table(fh.read(), schema)
-    return normalize_numerical(dataset)
+    schema = parse_schema(_read_text(schema_path))
+    return normalize_numerical(ingest_table(_read_text(data_path), schema))
 
 
 def _run_config(cfg: BenchConfig, variant: str, seed: int) -> RunConfig:
@@ -135,6 +133,10 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
     files of the variants before it and no summary, as when variants ran
     one after another.
     """
+    paths = {"--data": cfg.data, "--schema": cfg.schema, "--labels": cfg.labels or ""}
+    for option, path in paths.items():  # each is echoed on one report line
+        if "\n" in path or "\r" in path:
+            raise ConfigError(f"{option} {path!r}: a report line cannot hold a line break")
     dataset = _load_checked(cfg)
     if cfg.k > dataset.n:
         raise ConfigError(f"k={cfg.k} exceeds the {dataset.n} available objects")

@@ -34,7 +34,6 @@ from .schema import (
 __all__ = [
     "ORDINAL_LINE",
     "HAMMING_FALLBACK",
-    "ProjectedAttribute",
     "ProjectedBlock",
     "ReconstructedSpace",
     "project_nominal",
@@ -46,31 +45,6 @@ __all__ = [
 # Span markers for sub-attributes that are not spanned by a value pair.
 ORDINAL_LINE = "ordinal-line"
 HAMMING_FALLBACK = "hamming"
-
-
-@dataclass(frozen=True, eq=False)
-class ProjectedAttribute(_Record):
-    """A one-dimensional sub-attribute of a source categorical attribute: one
-    row of a ``ProjectedBlock``, seen on its own.
-
-    ``span`` is the spanning value pair (1-based indices) for nominal
-    projections, or one of the markers ``ORDINAL_LINE`` / ``HAMMING_FALLBACK``.
-    ``coords[t]`` is the coordinate of value t+1 on the line; for the fallback
-    marker the coordinates are unused and value distances are 0/1 mismatch.
-    ``max_span`` is the largest pairwise coordinate gap used to normalize.
-    """
-
-    source: int
-    span: tuple[int, int] | str
-    coords: np.ndarray
-    max_span: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coords", _frozen(self.coords, float))
-
-    @property
-    def v(self) -> int:
-        return len(self.coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,8 +85,11 @@ class ReconstructedSpace(_Record):
     first, then sub-attributes by source and spanning pair)."""
 
     schema: DatasetSchema
-    numeric_attrs: tuple[int, ...]
     blocks: tuple[ProjectedBlock, ...]
+
+    @property
+    def numeric_attrs(self) -> tuple[int, ...]:
+        return self.schema.numerical_indices()
 
     @property
     def d_hat(self) -> int:
@@ -123,13 +100,15 @@ class ReconstructedSpace(_Record):
         return sum(b.gamma for b in self.blocks if b.source == r)
 
     @property
-    def sub_attributes(self) -> tuple[ProjectedAttribute, ...]:
-        """Every sub-attribute in column order, as a read-only view; the
-        coordinates are shared with the blocks, not copied."""
+    def sub_attributes(self) -> tuple[ProjectedBlock, ...]:
+        """Every sub-attribute in column order as a one-row block whose arrays
+        are views of its block's rows, not copies. It exists for perfbench's
+        traced run, which reads ``len`` and each entry's ``v``; the engine and
+        the tests read ``blocks``."""
         return tuple(
-            ProjectedAttribute(b.source, span, row, float(gap))
+            ProjectedBlock(b.source, b.spans[row], b.coords[row], b.max_span[row])
             for b in self.blocks
-            for span, row, gap in zip(b.spans, b.coords, b.max_span)
+            for row in map(slice, range(b.gamma), range(1, b.gamma + 1))
         )
 
 
@@ -182,13 +161,14 @@ def project_nominal(kappa: np.ndarray, source: int = 0) -> ProjectedBlock:
     return ProjectedBlock(source, spans, _freeze(coords), _freeze(gaps))
 
 
-def project_ordinal(kappa: np.ndarray, source: int = 0) -> ProjectedBlock | None:
+def project_ordinal(kappa: np.ndarray, source: int = 0) -> ProjectedBlock:
     """Single unit-scale line for an ordinal attribute: the coordinate of
     each value is its base distance from the lowest-ranked value, divided by
     the largest such distance (``max_span``).
 
-    Returns None when the matrix is all zero (degenerate; callers fall back
-    to 0/1 mismatch).
+    When the matrix is all zero (degenerate) the block is empty, as for a
+    nominal attribute whose spans are all degenerate: the caller falls back
+    to 0/1 mismatch.
     """
     coords = np.asarray(kappa, dtype=float)[None, :, 0]
     gap = np.ptp(coords, axis=1)
@@ -199,7 +179,7 @@ def project_ordinal(kappa: np.ndarray, source: int = 0) -> ProjectedBlock | None
             RuntimeWarning,
             stacklevel=2,
         )
-        return None
+        return ProjectedBlock(source, (), coords[:0], gap[:0])
     return ProjectedBlock(source, (ORDINAL_LINE,), _freeze(coords / gap), _freeze(gap))
 
 
@@ -234,7 +214,7 @@ def reconstruct(dataset: Dataset, table: BaseDistanceTable) -> ReconstructedSpac
             block = project_ordinal(kappa, source=r)
         else:
             block = project_nominal(kappa, source=r)
-        if block is None or not block.spans:
+        if not block.spans:
             warnings.warn(
                 f"attribute {attr.name!r}: every span degenerate; falling back "
                 "to a single 0/1 mismatch sub-attribute",
@@ -243,4 +223,4 @@ def reconstruct(dataset: Dataset, table: BaseDistanceTable) -> ReconstructedSpac
             )
             block = hamming_fallback(attr.v, source=r)
         blocks.append(block)
-    return ReconstructedSpace(schema, schema.numerical_indices(), tuple(blocks))
+    return ReconstructedSpace(schema, tuple(blocks))

@@ -24,7 +24,14 @@ import numpy as np
 
 from .cluster import RunReport
 from .evaluation import RunSummary
-from .schema import DataError, _freeze, _label_array, _write_text
+from .schema import (
+    DataError,
+    _freeze,
+    _label_array,
+    _physical_lines,
+    _read_text,
+    _write_text,
+)
 
 __all__ = [
     "ReportFile",
@@ -256,8 +263,7 @@ class _Lines:
     ``prefix`` + ``fmt``; every fault names the path and the line."""
 
     def __init__(self, path: str, prefix: str, fmt: str):
-        with open(path, "r", encoding="utf-8") as fh:
-            self.lines = fh.read().splitlines()
+        self.lines = _physical_lines(_read_text(path))
         self.path = path
         self.pos = 0  # lines consumed
         if self.next() != prefix + fmt:
@@ -282,13 +288,14 @@ class _Lines:
             raise self.error(f"cannot read {text[:60]!r}") from None
 
     def has(self, key: str) -> bool:
-        return self.more() and self.lines[self.pos].startswith(f"{key}:")
+        return self.more() and self.lines[self.pos].startswith(f"{key}: ")
 
     def field(self, key: str, read):
+        """The value of a ``key: value`` line as ``_fields`` wrote it, verbatim."""
         line = self.next()
-        if not line.startswith(f"{key}:"):
+        if not line.startswith(f"{key}: "):
             raise self.error(f"expected {key!r} line, got {line[:60]!r}")
-        return self.decode(read, line[len(key) + 1 :].strip())
+        return self.decode(read, line[len(key) + 2 :])
 
     def fields(self, table) -> dict:
         return {key: self.field(key, read) for key, (_, read) in table}
@@ -487,8 +494,7 @@ def read_label_file(path: str) -> np.ndarray:
     """Read labels, one positive decimal integer per line, as a frozen int64
     array; blanks and blank lines are skipped. A bad label's DataError names
     its line."""
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        text = fh.read().rstrip("\n")
+    text = _read_text(path).rstrip("\n")
     try:
         return _labels_of([text])  # plain digit lines, in one pass
     except ValueError:

@@ -115,6 +115,13 @@ class _Record:
     __hash__ = None
 
 
+def _read_text(path: str) -> str:
+    """The text of a file harr reads: UTF-8 after one optional byte order
+    mark, with ``\\r\\n`` and ``\\r`` line ends read as ``\\n``."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        return fh.read()
+
+
 def _write_text(path: str, text: str) -> str:
     """Write ``text`` as UTF-8, creating the parent directory if needed."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)

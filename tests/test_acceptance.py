@@ -76,14 +76,15 @@ def _pairwise_object_distances(dataset, space, w):
         col = dataset.cells[:, r]
         dist += w[j] * np.abs(col[:, None] - col[None, :])
         j += 1
-    for sub in space.sub_attributes:
-        codes = dataset.cells[:, sub.source].astype(np.int64)
-        if sub.span == HAMMING_FALLBACK:
-            dist += w[j] * (codes[:, None] != codes[None, :])
-        else:
-            col = sub.coords[codes - 1]
-            dist += w[j] * np.abs(col[:, None] - col[None, :])
-        j += 1
+    for block in space.blocks:
+        codes = dataset.cells[:, block.source].astype(np.int64)
+        for span, coords in zip(block.spans, block.coords):
+            if span == HAMMING_FALLBACK:
+                dist += w[j] * (codes[:, None] != codes[None, :])
+            else:
+                col = coords[codes - 1]
+                dist += w[j] * np.abs(col[:, None] - col[None, :])
+            j += 1
     return dist
 
 
@@ -99,19 +100,21 @@ def test_c01_metric_axioms():
             space = reconstruct(
                 dataset, build_base_distances(dataset, discretize_numerical(dataset))
             )
-            for sub in space.sub_attributes:
-                v = sub.v
-                if sub.span == HAMMING_FALLBACK:
-                    mat = 1.0 - np.eye(v)
-                else:
-                    mat = np.abs(sub.coords[:, None] - sub.coords[None, :])
-                if not (
-                    np.array_equal(mat, mat.T)
-                    and np.all(np.diag(mat) == 0.0)
-                    and np.all(mat >= 0.0)
-                    and np.all(mat[:, None, :] <= mat[:, :, None] + mat[None, :, :] + 1e-9)
-                ):
-                    value_failures.append((case, sub.source, sub.span))
+            for block in space.blocks:
+                for span, coords in zip(block.spans, block.coords):
+                    if span == HAMMING_FALLBACK:
+                        mat = 1.0 - np.eye(block.v)
+                    else:
+                        mat = np.abs(coords[:, None] - coords[None, :])
+                    if not (
+                        np.array_equal(mat, mat.T)
+                        and np.all(np.diag(mat) == 0.0)
+                        and np.all(mat >= 0.0)
+                        and np.all(
+                            mat[:, None, :] <= mat[:, :, None] + mat[None, :, :] + 1e-9
+                        )
+                    ):
+                        value_failures.append((case, block.source, span))
             w = rng.dirichlet(np.ones(space.d_hat))
             dist = _pairwise_object_distances(dataset, space, w)
             rows_equal = np.all(

@@ -101,7 +101,8 @@ class TestProjectOrdinal:
 
     def test_zero_matrix_degenerate(self):
         with pytest.warns(RuntimeWarning, match="degenerate"):
-            assert project_ordinal(np.zeros((3, 3))) is None
+            block = project_ordinal(np.zeros((3, 3)))
+        assert block.spans == () and block.coords.shape == (0, 3)
 
     def test_overlap_with_nominal_spans(self):
         # On an additive matrix every pair span reproduces the line's
@@ -179,15 +180,34 @@ class TestReconstruct:
     def test_pure_numerical_passthrough(self):
         _, space = self._space("x,num\ny,num\n", "0.0,0.5\n1.0,0.25\n0.5,1.0")
         assert space.d_hat == 2
-        assert space.sub_attributes == ()
+        assert space.blocks == ()
 
     def test_deterministic(self):
         dataset, space1 = self._space("c,nom,a|b|c\nx,num\n", "a,0\nb,0.5\nc,1\na,0.2")
         table = build_base_distances(dataset, discretize_numerical(dataset))
         space2 = reconstruct(dataset, table)
         assert space1.d_hat == space2.d_hat
-        for s1, s2 in zip(space1.sub_attributes, space2.sub_attributes):
-            assert s1.span == s2.span and np.array_equal(s1.coords, s2.coords)
+        for b1, b2 in zip(space1.blocks, space2.blocks, strict=True):
+            assert b1.spans == b2.spans and np.array_equal(b1.coords, b2.coords)
+
+    def test_sub_attributes_are_views_of_block_rows(self):
+        ords_ = ["lo", "mid", "hi"]
+        rows = [f"{i / 11:.3f},{'abcd'[i % 4]},{ords_[i % 3]}" for i in range(12)]
+        _, space = self._space(
+            "x,num\nc,nom,a|b|c|d\ng,ord,lo|mid|hi\n", "\n".join(rows)
+        )
+        subs = iter(space.sub_attributes)
+        for block in space.blocks:
+            for i in range(block.gamma):
+                sub = next(subs)
+                assert (sub.source, sub.v) == (block.source, block.v)
+                assert sub.spans == (block.spans[i],)
+                assert np.array_equal(sub.coords[0], block.coords[i])
+                assert sub.max_span.tolist() == [block.max_span[i]]
+                assert np.shares_memory(sub.coords, block.coords[i])
+                assert np.shares_memory(sub.max_span, block.max_span[i : i + 1])
+        assert next(subs, None) is None
+        assert len(space.sub_attributes) == space.d_hat - len(space.numeric_attrs) == 7
 
     def test_metric_axioms_per_subattribute(self):
         rng = np.random.default_rng(99)
@@ -286,9 +306,10 @@ def test_tiling_rows_keeps_distances_and_coordinates(seed):
         tiled_space = reconstruct(tiled, tiled_table)
     for a, b in zip(table.matrices, tiled_table.matrices, strict=True):
         assert (a is None and b is None) or a.tobytes() == b.tobytes()
-    assert len(space.sub_attributes) == len(tiled_space.sub_attributes)
-    for a, b in zip(space.sub_attributes, tiled_space.sub_attributes):
-        assert (a.source, a.span, a.max_span) == (b.source, b.span, b.max_span)
+    assert len(space.blocks) == len(tiled_space.blocks)
+    for a, b in zip(space.blocks, tiled_space.blocks):
+        assert (a.source, a.spans) == (b.source, b.spans)
+        assert a.max_span.tolist() == b.max_span.tolist()
         assert a.coords.tobytes() == b.coords.tobytes()
 
 

@@ -614,6 +614,21 @@ def test_inputs_may_start_with_a_byte_order_mark(tmp_path):
         read_label_file(str(marked["labels"]))
 
 
+def test_written_files_may_start_with_a_byte_order_mark(tmp_path):
+    # harr reads reports through the reader of its inputs, so one leading
+    # UTF-8 BOM is skipped there too
+    report = _report_file([_run_report()])
+    timings = TimingsFile("HARR-V", 0.125, ((0, 0.5, 0.25),))
+    for load, path in [
+        (load_report, save_report(report, str(tmp_path / "r.txt"))),
+        (load_timings, save_timings(timings, str(tmp_path / "t.txt"))),
+        (load_summary, save_summary([("BD", None)], str(tmp_path / "s.csv"))),
+    ]:
+        plain = load(path)
+        Path(path).write_text("\ufeff" + Path(path).read_text(encoding="utf-8"), "utf-8")
+        assert load(path) == plain
+
+
 def test_variant_slug():
     assert variant_slug("OHE+OC") == "OHE_OC"
     assert variant_slug("HARR-V") == "HARR-V"
@@ -659,6 +674,21 @@ class TestCmdCluster:
             assert len(timings.runs) == 3
         summary = load_summary(f"{cfg.out_dir}/summary.csv")
         assert [row[0] for row in summary] == ["KPT", "HARR-M"]
+
+    @pytest.mark.parametrize(
+        "relative",
+        ["line\u2028sep/data.csv", "next\x85line/data.csv", "form\ffeed/data.csv", "data.csv "],
+    )
+    def test_report_reloads_the_data_path_verbatim(self, synth_dir, tmp_path, relative):
+        # only \n, \r\n and \r end a report line, and a value is read
+        # verbatim after its "key: ", so every other character reloads
+        data = tmp_path / relative
+        data.parent.mkdir(exist_ok=True)
+        data.write_bytes(Path(synth_dir["data"]).read_bytes())
+        out = tmp_path / "out"
+        args = ["--data", str(data), "--schema", synth_dir["schema"], "--k", "3"]
+        assert main(["cluster", *args, "--runs", "1", "--variant", "KPT", "--out", str(out)]) == 0
+        assert load_report(str(out / "KPT.report.txt")).dataset == str(data)
 
     def test_single_run_zero_std(self, synth_dir, tmp_path):
         cfg = BenchConfig(
@@ -1035,6 +1065,19 @@ class TestCliMain:
         # the data file is missing, so reading it would exit 3
         missing = ["--data", str(tmp_path / "missing.csv"), "--schema", str(tmp_path / "s")]
         assert main([command, *missing, *setting, "--out", str(tmp_path / "runs")]) == 2
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("option", ["--data", "--schema", "--labels"])
+    @pytest.mark.parametrize("line_end", ["\n", "\r"])
+    def test_path_with_a_line_end_fails_before_data_is_read(
+        self, tmp_path, capsys, option, line_end
+    ):
+        # the report echoes each of these paths on one line, which could not reload
+        paths = {"--data": "missing.csv", "--schema": "s", "--labels": "labels.txt"}
+        paths[option] = f"odd{line_end}dir/file"
+        args = [arg for key, name in paths.items() for arg in (key, str(tmp_path / name))]
+        assert main(["cluster", *args, "--k", "2", "--out", str(tmp_path / "runs")]) == 2
+        assert f"configuration error: {option} " in capsys.readouterr().err
         assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ import harr.schema
 from harr.base_distance import BaseDistanceTable, CpdTable
 from harr.bench import _subsample
 from harr.cluster import Prototypes, WeightMatrix, WeightVector
-from harr.projection import ProjectedAttribute, ProjectedBlock, ReconstructedSpace
+from harr.projection import ProjectedBlock, ReconstructedSpace
 from harr.schema import (
     AttributeKind,
     AttributeSchema,
@@ -701,16 +701,10 @@ ARRAY_RECORDS = [
         [[0.0, 2.0], [2.0, 0.0]],
         [[0.0, 2.0], [2.0, 1.0]],
     ),
-    (
-        "ProjectedAttribute",
-        lambda a: ProjectedAttribute(1, (1, 2), a, 1.0),
-        [0.0, 1.0],
-        [0.0, 0.5],
-    ),
     ("ProjectedBlock", _block, [[0.0, 1.0]], [[0.0, 0.5]]),
     (
         "ReconstructedSpace",
-        lambda a: ReconstructedSpace(_TWO, (0,), (_block(a),)),
+        lambda a: ReconstructedSpace(_TWO, (_block(a),)),
         [[0.0, 1.0]],
         [[0.0, 0.5]],
     ),
