@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .cluster import (
-    EPSILON,
     ConfigError,
     Prepared,
     RunConfig,
@@ -176,10 +175,8 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
             k=cfg.k,
             runs=cfg.runs,
             base_seed=cfg.base_seed,
-            bins=None,
             inner_cap=cfg.inner_cap,
             outer_cap=cfg.outer_cap,
-            epsilon=EPSILON,
             d_hat=d_hat,
             ari_mean=summary.ari_mean if summary else None,
             ari_std=summary.ari_std if summary else None,

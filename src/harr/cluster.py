@@ -12,15 +12,15 @@ baselines run a single epoch.
 
 The score and refit steps come from the variant's model. Identical rows
 score alike, so a model scores each distinct row of the dataset once; the
-partition stays per object, and objects read their scores through the
-dataset's distinct-row index. The categorical part of a score depends only
-on the row's categorical cells, so it is summed once per categorical
-sub-row and the numerical part is added per distinct row. The column model
-keeps prototypes in the original attribute space and refits them as
-per-cluster means (numerical attributes) and modal values (categorical
-attributes); OHE+OC's point model, built from the same parts, scores
-encoded points by squared Euclidean distance and refits them as member
-means.
+partition stays per object, and objects read their scores through the row
+index that the dataset's shared columns hold (``_columns``). The
+categorical part of a score depends only on the row's categorical cells, so
+it is summed once per categorical sub-row and the numerical part is added
+per distinct row. The column model keeps prototypes in the original
+attribute space and refits them as per-cluster means (numerical attributes)
+and modal values (categorical attributes); OHE+OC's point model, built from
+the same parts, scores encoded points by squared Euclidean distance and
+refits them as member means.
 
 Variants:
 
@@ -49,6 +49,7 @@ from .projection import ReconstructedSpace, reconstruct
 from .schema import (
     AttributeKind,
     Dataset,
+    DatasetSchema,
     _freeze,
     _frozen,
     _label_array,
@@ -194,9 +195,11 @@ class RunReport(_Record):
     ``inner_monotone`` records whether the objective was non-increasing
     (within tolerance) across consecutive assignments of every fixed-weight
     epoch, skipping pairs interrupted by an empty-cluster re-seed;
-    ``max_inner_increase`` is the largest observed increase. ``weights_s`` is
-    the run's wall-clock time in weight refreshes and ``cluster_s`` the rest
-    of its loop; neither takes part in equality.
+    ``max_inner_increase`` is the largest observed increase. The three traces
+    hold one entry per assignment, plus a fixed-point entry for a converged
+    run, so they have one length. ``weights_s`` is the run's wall-clock time
+    in weight refreshes and ``cluster_s`` the rest of its loop; neither takes
+    part in equality.
     """
 
     variant: str
@@ -220,6 +223,12 @@ class RunReport(_Record):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", _label_array(self.labels, self.k))
+        traces = self.trace_z, self.trace_weights_updated, self.trace_reseeded
+        if len(set(map(len, traces))) > 1:
+            raise ValueError(
+                "trace_z, trace_weights_updated and trace_reseeded must have one "
+                f"length, got {', '.join(str(len(t)) for t in traces)}"
+            )
         if self.weights is not None and self.weight_matrix is not None:
             raise ValueError("a run has a weight vector or a weight matrix, not both")
         for name, ndim in (("weights", 1), ("weight_matrix", 2)):
@@ -305,12 +314,9 @@ class _ColumnModel(_Record):
     m: int
     numeric: tuple[_NumericCol, ...]
     groups: tuple[_CatGroup, ...]
+    inverse: np.ndarray  # n, distinct row of each object
     repeats: np.ndarray  # s, distinct rows per categorical sub-row
     sub_of: np.ndarray  # n, categorical sub-row of each object
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return self.dataset.distinct.inverse
 
     def at(self, objects: np.ndarray) -> np.ndarray:
         """Prototype-space rows of the given objects."""
@@ -464,27 +470,73 @@ def _block_buffer(model: _ColumnModel) -> np.ndarray:
     return np.empty(max(sizes, default=0))
 
 
+def _run_starts(columns, order: np.ndarray) -> np.ndarray:
+    """Where the rows listed in ``order`` open a run of equal cells in every
+    one of ``columns``. Rows are compared column by column: no sorted copy
+    of the table."""
+    new = np.zeros(order.shape[0], dtype=bool)
+    new[:1] = True
+    for col in columns:
+        col = col[order]
+        new[1:] |= col[1:] != col[:-1]
+    return new
+
+
+def _packed_keys(cells: np.ndarray, schema: DatasetSchema) -> list[np.ndarray]:
+    """The categorical columns packed into int64 keys, consecutive columns
+    per key in radix v+1 while the product of the radices stays below 2**63.
+    Codes lie in 1..v, so the keys order rows as their columns do."""
+    keys: list[np.ndarray] = []
+    span = 1  # the radix product of the last key's columns
+    for c in schema.categorical_indices():
+        radix = schema.attributes[c].v + 1
+        col = cells[:, c].astype(np.int64)
+        if keys and span * radix < 2**63:
+            keys[-1] *= radix
+            keys[-1] += col
+            span *= radix
+        else:
+            keys.append(col)
+            span = radix
+    return keys
+
+
 def _columns(dataset: Dataset) -> tuple:
-    """The columns every model of a dataset shares, built once per dataset:
-    each categorical sub-row's count of distinct rows, each object's
-    sub-row, the numerical columns in attribute order, and each categorical
-    attribute's 0-based codes at the sub-rows and value counts, by source."""
+    """The row index and the columns every model of a dataset shares, built
+    once per dataset: each object's distinct row, each categorical sub-row's
+    count of distinct rows, each object's sub-row, the numerical columns in
+    attribute order, and each categorical attribute's 0-based codes at the
+    sub-rows and value counts, by source."""
 
     def build():
-        rows, schema = dataset.distinct, dataset.schema
-        repeats = np.bincount(rows.sub)
-        # the lowest object holding each sub-row's first distinct row
-        held = rows.first[np.cumsum(repeats) - repeats]
+        cells, schema = dataset.cells, dataset.schema
+        keys = _packed_keys(cells, schema)
+        numerical = [cells[:, r] for r in schema.numerical_indices()]
+        # The categorical keys are the primary ones, so each categorical
+        # sub-row is one run of distinct rows, opening wherever a key
+        # changes, and its scores expand with one np.repeat. lexsort is
+        # stable, so each run of equal rows opens with its lowest object.
+        order = np.lexsort([*keys, *numerical][::-1])
+        new_sub = _run_starts(keys, order)
+        new = new_sub | _run_starts(numerical, order)
+        inverse = np.empty(order.shape[0], dtype=np.int64)
+        inverse[order] = np.cumsum(new) - 1
+        sub = np.cumsum(new_sub) - 1  # the sub-row at each sorted position
+        sub_of = np.empty(order.shape[0], dtype=np.int64)
+        sub_of[order] = sub
+        repeats = np.bincount(sub[new])
+        first = order[new]  # the lowest object holding each distinct row
         numeric = []
         for col, r in enumerate(schema.numerical_indices()):
-            values = _freeze(dataset.cells[:, r])
-            numeric.append(_NumericCol(col, r, values, _freeze(values[rows.first])))
+            values = _freeze(cells[:, r])
+            numeric.append(_NumericCol(col, r, values, _freeze(values[first])))
         codes = {}
         for r in schema.categorical_indices():
-            codes0 = dataset.cells[:, r].astype(np.int64) - 1
+            codes0 = cells[:, r].astype(np.int64) - 1
             counts = np.bincount(codes0, minlength=schema.attributes[r].v)
-            codes[r] = _freeze(codes0[held]), _freeze(counts.astype(float))
-        return _freeze(repeats), _freeze(rows.sub[rows.inverse]), tuple(numeric), codes
+            codes[r] = _freeze(codes0[order[new_sub]]), _freeze(counts.astype(float))
+        inverse, repeats, sub_of = map(_freeze, (inverse, repeats, sub_of))
+        return inverse, repeats, sub_of, tuple(numeric), codes
 
     return dataset._part("columns", build)
 
@@ -494,7 +546,7 @@ def _model(dataset: Dataset, forms, cls=_ColumnModel) -> _ColumnModel:
     one contiguous group of columns per categorical form ``(source, coords,
     table)``, in the order given. A form with neither coordinates nor a
     table scores 0/1 mismatch."""
-    repeats, sub_of, numeric, codes = _columns(dataset)
+    inverse, repeats, sub_of, numeric, codes = _columns(dataset)
     groups, col = [], len(numeric)
     for source, coords, table in forms:
         if coords is None and table is None:
@@ -510,7 +562,7 @@ def _model(dataset: Dataset, forms, cls=_ColumnModel) -> _ColumnModel:
             )
         )
         col += width
-    return cls(dataset, col, numeric, tuple(groups), repeats, sub_of)
+    return cls(dataset, col, numeric, tuple(groups), inverse, repeats, sub_of)
 
 
 def _space_forms(dataset: Dataset, space: ReconstructedSpace) -> list:

@@ -83,6 +83,12 @@ def _optional(codec):
     )
 
 
+def _fixed(text: str):
+    """Codec of a line that always holds ``text``: written as ``text`` for
+    any value, and read back, as None, from ``text`` alone."""
+    return (lambda _: text, {text: None}.__getitem__)
+
+
 def _label_text(labels: np.ndarray, sep: str = " ") -> str:
     """Labels, each at least 1, as decimals with one ``sep`` between two."""
     if labels.size and labels.max() <= 9:  # one digit each
@@ -139,7 +145,9 @@ _B64_ROW = (_b64_write, _b64_read)  # exact: the float64 bytes themselves
 # then one ``[run]`` ... ``[end]`` block per run. Keys are field names of the
 # record they describe. A report's format line is followed by an
 # ``extends: harr-report-v1`` line: v2 keeps every v1 field and changes only
-# how a weight row is written, adding the summary lines below.
+# how a weight row is written, adding the summary lines below. Its ``bins``
+# and ``epsilon`` lines echo settings that harr no longer has; they keep
+# their one value, so reports keep their bytes, and no field holds them.
 _REPORT_V1 = "harr-report-v1"
 _REPORT_V2 = "harr-report-v2"
 _REPORT_HEAD = (
@@ -150,16 +158,17 @@ _REPORT_HEAD = (
     ("k", _INT),
     ("runs", _INT),
     ("base_seed", _INT),
-    ("bins", _optional(_INT)),
+    ("bins", _fixed("none")),
     ("inner_cap", _INT),
     ("outer_cap", _INT),
-    ("epsilon", _FLOAT),
+    ("epsilon", _fixed("1e-12")),
     ("d_hat", _INT),
     ("ari_mean", _optional(_FLOAT)),
     ("ari_std", _optional(_FLOAT)),
     ("ca_mean", _optional(_FLOAT)),
     ("ca_std", _optional(_FLOAT)),
 )
+_FIXED_KEYS = ("bins", "epsilon")
 # A run's optional ``weights:`` or ``weight_matrix:`` + ``row:`` lines sit
 # between its head and its tail, each row in base64, and the summary of the
 # rows follows them.
@@ -220,10 +229,8 @@ class ReportFile:
     k: int
     runs: int
     base_seed: int
-    bins: int | None
     inner_cap: int
     outer_cap: int
-    epsilon: float
     d_hat: int
     ari_mean: float | None
     ari_std: float | None
@@ -343,7 +350,7 @@ def _run_lines(run: RunReport) -> list[str]:
 
 def save_report(report: ReportFile, path: str) -> str:
     head = [f"format: {_REPORT_V2}", f"extends: {_REPORT_V1}"]
-    head += _fields(_REPORT_HEAD, vars(report))
+    head += _fields(_REPORT_HEAD, dict.fromkeys(_FIXED_KEYS) | vars(report))
     return _save_lines(path, head, map(_run_lines, report.run_reports))
 
 
@@ -379,6 +386,8 @@ def load_report(path: str) -> ReportFile:
     if src.field("extends", str) != _REPORT_V1:
         raise src.error(f"a {_REPORT_V2} file extends {_REPORT_V1}")
     head = src.fields(_REPORT_HEAD)
+    for key in _FIXED_KEYS:
+        del head[key]
     k = head["k"]
     runs = []
     for _ in src.blocks(head["runs"]):
@@ -389,7 +398,10 @@ def load_report(path: str) -> ReportFile:
             raise src.error(str(exc)) from None
         _read_weights(src, run, k, head["d_hat"])
         run.update(src.fields(_RUN_TAIL))
-        runs.append(RunReport(variant=head["variant"], k=k, **run))
+        try:
+            runs.append(RunReport(variant=head["variant"], k=k, **run))
+        except ValueError as exc:  # traces of different lengths
+            raise src.error(str(exc)) from None
     return ReportFile(**head, run_reports=tuple(runs))
 
 

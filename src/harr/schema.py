@@ -23,7 +23,6 @@ __all__ = [
     "AttributeSchema",
     "DatasetSchema",
     "Dataset",
-    "DistinctRows",
     "OrdinalView",
     "SchemaError",
     "DataError",
@@ -209,77 +208,6 @@ class DatasetSchema:
 
 
 @dataclass(frozen=True, eq=False)
-class DistinctRows(_Record):
-    """The distinct rows of a cell table.
-
-    ``first[j]`` is the lowest index of the objects holding distinct row j
-    and ``inverse[i]`` is the distinct row of object i, so
-    ``cells[first][inverse]`` equals ``cells``. ``sub[j]`` numbers distinct
-    row j's categorical sub-row, its categorical cells: two distinct rows
-    share a number exactly when those cells are equal, and the numbers never
-    decrease over the distinct rows.
-    """
-
-    first: np.ndarray
-    inverse: np.ndarray
-    sub: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("first", "inverse", "sub"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
-
-    @property
-    def u(self) -> int:
-        return self.first.shape[0]
-
-
-def _run_starts(columns, order: np.ndarray) -> np.ndarray:
-    """Where the rows listed in ``order`` open a run of equal cells in every
-    one of ``columns``. Rows are compared column by column: no sorted copy
-    of the table."""
-    new = np.zeros(order.shape[0], dtype=bool)
-    new[:1] = True
-    for col in columns:
-        col = col[order]
-        new[1:] |= col[1:] != col[:-1]
-    return new
-
-
-def _packed_keys(cells: np.ndarray, schema: DatasetSchema) -> list[np.ndarray]:
-    """The categorical columns packed into int64 keys, consecutive columns
-    per key in radix v+1 while the product of the radices stays below 2**63.
-    Codes lie in 1..v, so the keys order rows as their columns do."""
-    keys: list[np.ndarray] = []
-    span = 1  # the radix product of the last key's columns
-    for c in schema.categorical_indices():
-        radix = schema.attributes[c].v + 1
-        col = cells[:, c].astype(np.int64)
-        if keys and span * radix < 2**63:
-            keys[-1] *= radix
-            keys[-1] += col
-            span *= radix
-        else:
-            keys.append(col)
-            span = radix
-    return keys
-
-
-def _distinct_rows(cells: np.ndarray, schema: DatasetSchema) -> DistinctRows:
-    keys = _packed_keys(cells, schema)
-    numerical = [cells[:, c] for c in schema.numerical_indices()]
-    # The categorical keys are the primary ones, so each categorical sub-row
-    # is one run of distinct rows, opening wherever a key changes. lexsort is
-    # stable, so each run of equal rows opens with its lowest object index.
-    order = np.lexsort([*keys, *numerical][::-1])
-    new_sub = _run_starts(keys, order)
-    new = new_sub | _run_starts(numerical, order)
-    inverse = np.empty(order.shape[0], dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    sub = np.cumsum(new_sub)[new] - 1
-    return DistinctRows(_freeze(order[new]), _freeze(inverse), _freeze(sub))
-
-
-@dataclass(frozen=True, eq=False)
 class Dataset(_Record):
     """An n x d cell table bound to its schema.
 
@@ -345,11 +273,6 @@ class Dataset(_Record):
     @property
     def n(self) -> int:
         return self.cells.shape[0]
-
-    @cached_property
-    def distinct(self) -> DistinctRows:
-        """The distinct rows of ``cells``, found once per dataset."""
-        return _distinct_rows(self.cells, self.schema)
 
 
 @dataclass(frozen=True, eq=False)

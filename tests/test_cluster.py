@@ -35,6 +35,7 @@ from harr.projection import reconstruct
 from harr.synth import SyntheticSpec, generate_synthetic
 from harr.schema import (
     AttributeKind,
+    AttributeSchema,
     Dataset,
     DatasetSchema,
     _freeze,
@@ -836,7 +837,7 @@ def test_score_step_matches_per_object_scores(seed, variant):
         "HAR": np.full(model.m, 1.0 / model.m),
     }.get(variant)
     scores = model.scores(protos, weights, {}, cluster._block_buffer(model))
-    assert scores.shape == (k, dataset.distinct.u)
+    assert scores.shape == (k, model.repeats.sum())  # one column per distinct row
     expected = _object_scores(dataset, variant, prep, protos, weights)
     got = scores[:, model.inverse]
     assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
@@ -1137,7 +1138,7 @@ def test_run_memory_below_object_score_table(variant):
     schema = parse_schema("a,nom,p|q|r|s|t\nb,nom,x|y\n")
     dataset = build_dataset(schema, np.column_stack([i % 5 + 1, i % 2 + 1]))
     prep = prepare(dataset, variant)
-    assert dataset.distinct.u == 10
+    assert prep.model.repeats.sum() == 10  # distinct rows
     tracemalloc.start()
     try:
         run_prepared(dataset, prep, RunConfig(k=k, seed=0, variant=variant))
@@ -1208,6 +1209,7 @@ def test_prepare_gives_equal_models_in_any_variant_order(seed):
     # and every variant reads the dataset's one copy of each column
     first, *rest = (shared[v].model for v in variants)
     for model in rest:
+        assert model.inverse is first.inverse and model.sub_of is first.sub_of
         for num, same in zip(model.numeric, first.numeric, strict=True):
             assert num.values is same.values and num.distinct is same.distinct
         for g, h in zip(model.groups, first.groups, strict=True):
@@ -1240,6 +1242,96 @@ def test_every_variant_has_one_column_layout(variant):
         assert g.cols.tolist() == list(range(col, col + g.cols.size))
         col += g.cols.size
     assert model.m == col
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
+def test_distinct_rows_record(seed, copies):
+    rng = np.random.default_rng(seed)
+    base = random_dataset(rng)
+    # rows drawn with replacement, so repeats occur beside numeric columns too
+    cells = base.cells[rng.integers(0, base.n, size=base.n * copies)]
+    dataset = build_dataset(base.schema, cells)
+    part = cluster._columns(dataset)
+    inverse, repeats, sub_of, numeric, codes = part
+    # Every distinct row is held by some object, and the part's values at the
+    # distinct rows and at the sub-rows give back every object's cells.
+    u = repeats.sum()
+    assert (np.bincount(inverse, minlength=u) > 0).all() and inverse.max() < u
+    for num in numeric:
+        assert np.array_equal(num.distinct[inverse], cells[:, num.source])
+    for r, (at_sub, _) in codes.items():
+        assert np.array_equal(at_sub[sub_of] + 1, cells[:, r])
+    same_id = inverse[:, None] == inverse[None, :]
+    same_row = (cells[:, None, :] == cells[None, :, :]).all(axis=2)
+    assert np.array_equal(same_id, same_row)
+    # Categorical sub-rows: two objects share an id exactly when their
+    # categorical cells are equal, and the ids count up from 0, never
+    # decreasing over the distinct rows: sub-row j is the next repeats[j].
+    cat = cells[:, list(base.schema.categorical_indices())]
+    same_sub = sub_of[:, None] == sub_of[None, :]
+    assert np.array_equal(same_sub, (cat[:, None, :] == cat[None, :, :]).all(axis=2))
+    assert (repeats > 0).all()
+    assert np.array_equal(np.repeat(np.arange(repeats.size), repeats)[inverse], sub_of)
+    assert cluster._columns(dataset) is part
+
+
+def _distinct_rows_reference(cells, schema):
+    """Distinct rows from one lexsort over the raw columns, categorical
+    columns first, and a row-by-row comparison of the sorted table: each
+    distinct row's lowest object, each object's distinct row, and each
+    distinct row's sub-row."""
+    cat, num = list(schema.categorical_indices()), list(schema.numerical_indices())
+    order = np.lexsort([cells[:, c] for c in (cat + num)[::-1]])
+    ordered = cells[order]
+    differs = np.ones(ordered.shape, dtype=bool)
+    differs[1:] = ordered[1:] != ordered[:-1]
+    new_sub = differs[:, cat].any(axis=1)
+    new_sub[0] = True
+    new = new_sub | differs[:, num].any(axis=1)
+    inverse = np.empty(cells.shape[0], dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse, np.cumsum(new_sub)[new] - 1
+
+
+def _assert_distinct_rows_match_reference(dataset):
+    inverse, repeats, sub_of, numeric, codes = cluster._columns(dataset)
+    first, ref_inverse, sub = _distinct_rows_reference(dataset.cells, dataset.schema)
+    assert np.array_equal(inverse, ref_inverse)
+    assert np.array_equal(sub_of, sub[ref_inverse])
+    assert np.array_equal(repeats, np.bincount(sub))
+    for num in numeric:
+        assert np.array_equal(num.distinct, dataset.cells[first, num.source])
+    held = first[np.cumsum(repeats) - repeats]  # the first distinct row's object
+    for r, (at_sub, _) in codes.items():
+        assert np.array_equal(at_sub + 1, dataset.cells[held, r])
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 70))
+def test_packed_distinct_rows_match_lexsort_reference(seed, copies, max_v):
+    rng = np.random.default_rng(seed)
+    base = random_dataset(rng, max_d=8, max_v=max_v)
+    cells = base.cells[rng.integers(0, base.n, size=base.n * copies)]
+    _assert_distinct_rows_match_reference(build_dataset(base.schema, cells))
+
+
+def test_packed_distinct_rows_split_keys_past_int64():
+    # 61**12 exceeds 2**63, so the twelve columns need two packed keys
+    attrs = [
+        AttributeSchema(f"c{r}", AttributeKind.NOMINAL, tuple(map(str, range(60))))
+        for r in range(12)
+    ]
+    schema = DatasetSchema((*attrs, AttributeSchema("x", AttributeKind.NUMERICAL)))
+    rng = np.random.default_rng(5)
+    cells = np.empty((400, 13))
+    cells[:, :12] = rng.integers(1, 61, size=(400, 12))
+    cells[:, :12][rng.random((400, 12)) < 0.9] = 60  # many shared sub-rows
+    cells[:, 12] = rng.integers(0, 3, size=400) / 2
+    cells = cells[rng.integers(0, 400, size=800)]
+    dataset = build_dataset(schema, cells)
+    assert len(cluster._packed_keys(cells, schema)) == 2
+    _assert_distinct_rows_match_reference(dataset)
 
 
 @pytest.mark.parametrize("variant", cluster.VARIANTS)
@@ -1315,16 +1407,22 @@ def test_shared_set_up_warns_once_per_dataset():
     assert recorded(_fresh(dataset), ["HARR-M"]) == once
 
 
-@pytest.mark.parametrize("variants", [("HARR-V", "HARR-M"), ("BD", "HAR")])
+@pytest.mark.parametrize(
+    "variants", [("HARR-V", "HARR-M"), ("BD", "HAR"), ("KPT", "OHE+OC")]
+)
 def test_threads_preparing_one_dataset_share_one_build(monkeypatch, variants):
-    calls = _count_calls(monkeypatch, "build_base_distances")
-    slow = cluster.build_base_distances
+    # Both threads ask for the dataset's parts at once: the row index and
+    # columns (counted by their key packing) and, for every variant but KPT
+    # and OHE+OC, the base distances are each built once.
+    names = ("_packed_keys", "build_base_distances")
+    calls = _count_calls(monkeypatch, *names)
+    for name in names:
+        # widen the window in which both threads ask
+        def build(*args, _slow=getattr(cluster, name)):
+            time.sleep(0.05)
+            return _slow(*args)
 
-    def build(*args):  # widen the window in which both threads ask
-        time.sleep(0.05)
-        return slow(*args)
-
-    monkeypatch.setattr(cluster, "build_base_distances", build)
+        monkeypatch.setattr(cluster, name, build)
     dataset = _mixed_sample(np.random.default_rng(21))
     start = threading.Barrier(len(variants))
     got = {}
@@ -1340,7 +1438,8 @@ def test_threads_preparing_one_dataset_share_one_build(monkeypatch, variants):
             t.start()
         for t in threads:
             t.join()
-        assert calls["build_base_distances"] == 1
+        assert calls["_packed_keys"] == 1
+        assert calls["build_base_distances"] == (0 if "KPT" in variants else 1)
         for variant in variants:
             alone = prepare(_fresh(dataset), variant)
             assert got[variant].model == alone.model

@@ -69,10 +69,8 @@ def _report_file(runs, variant="HARR-V"):
         k=2,
         runs=len(runs),
         base_seed=0,
-        bins=None,
         inner_cap=100,
         outer_cap=50,
-        epsilon=1e-12,
         d_hat=2,  # the length of each weight row
         ari_mean=0.5,
         ari_std=0.0,
@@ -125,10 +123,8 @@ class TestReportRoundtrip:
             k=2,
             runs=1,
             base_seed=3,
-            bins=4,
             inner_cap=10,
             outer_cap=5,
-            epsilon=1e-12,
             d_hat=2,
             ari_mean=None,
             ari_std=None,
@@ -313,14 +309,46 @@ def test_previous_format_versions_are_rejected(tmp_path):
     assert str(raised.value) == f"{timings}: not a harr-timings-v2 file"
 
 
+@pytest.mark.parametrize(
+    "line, edited", [("bins: none", "bins: 4"), ("epsilon: 1e-12", "epsilon: 0.5")]
+)
+def test_report_with_another_bins_or_epsilon_is_rejected(tmp_path, line, edited):
+    # These lines echo settings harr no longer has, so they hold one value.
+    path = tmp_path / "r.txt"
+    path.write_text(GOLDEN_REPORT_V2.replace(line, edited))
+    lineno = GOLDEN_REPORT_V2.split("\n").index(line) + 1
+    where = rf"^{re.escape(str(path))}, line {lineno}: "
+    with pytest.raises(ValueError, match=where + "cannot read"):
+        load_report(str(path))
+
+
+def test_traces_of_one_run_have_one_length(tmp_path):
+    run = _run_report()  # three entries in each trace
+    with pytest.raises(ValueError, match=r"must have one length, got 3, 1, 3$"):
+        replace(run, trace_weights_updated=(False,))
+    # a report whose run holds 3 objective values but 1 and 2 markers: it
+    # does not load, so `harr trace` cannot silently drop objective rows
+    path = tmp_path / "r.txt"
+    path.write_text(
+        GOLDEN_REPORT_V2.replace("trace_weights_updated: 0 1 0", "trace_weights_updated: 0")
+        .replace("trace_reseeded: 0 0 1", "trace_reseeded: 0 0")
+    )
+    lineno = GOLDEN_REPORT_V2.split("\n").index("trace_reseeded: 0 0 1") + 1
+    where = rf"^{re.escape(str(path))}, line {lineno}: "
+    message = where + ".* must have one length, got 3, 1, 2$"
+    with pytest.raises(ValueError, match=message):
+        load_report(str(path))
+    with pytest.raises(ValueError, match=message):
+        cmd_trace_plot([str(path)], str(tmp_path / "trace.csv"))
+    assert not (tmp_path / "trace.csv").exists()
+
+
 # Printable ASCII without surrounding blanks: a report reads each value back
 # stripped, one value per line, and reads ``none`` as an absent labels file.
 _text = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12).filter(
     lambda s: s == s.strip() and s != "none"
 )
 _float = st.floats(allow_nan=False)
-_floats = st.lists(_float, max_size=5).map(tuple)
-_bits = st.lists(st.booleans(), max_size=5).map(tuple)
 # Weights are finite; the edge cases are drawn on purpose as well.
 _weight = st.sampled_from([-0.0, 5e-324, 1e-310, 1e308, -1e308]) | st.floats(
     allow_nan=False, allow_infinity=False
@@ -335,6 +363,8 @@ def _report_files(draw) -> ReportFile:
     runs = []
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["none", "vector", "matrix"]))
+        # one length for the three traces
+        steps = dict.fromkeys(("min_size", "max_size"), draw(st.integers(0, 5)))
         runs.append(
             RunReport(
                 variant=variant,
@@ -343,9 +373,9 @@ def _report_files(draw) -> ReportFile:
                 labels=tuple(draw(st.lists(st.integers(1, k), max_size=8))),
                 weights=draw(rows)[0] if kind == "vector" else None,
                 weight_matrix=draw(rows) if kind == "matrix" else None,
-                trace_z=draw(_floats),
-                trace_weights_updated=draw(_bits),
-                trace_reseeded=draw(_bits),
+                trace_z=tuple(draw(st.lists(_float, **steps))),
+                trace_weights_updated=tuple(draw(st.lists(st.booleans(), **steps))),
+                trace_reseeded=tuple(draw(st.lists(st.booleans(), **steps))),
                 inner_iterations=draw(st.integers()),
                 weight_updates=draw(st.integers()),
                 converged=draw(st.booleans()),
@@ -363,10 +393,8 @@ def _report_files(draw) -> ReportFile:
         k=k,
         runs=len(runs),
         base_seed=draw(st.integers()),
-        bins=draw(st.none() | st.integers()),
         inner_cap=draw(st.integers()),
         outer_cap=draw(st.integers()),
-        epsilon=draw(_float),
         d_hat=d_hat,
         ari_mean=draw(st.none() | _float),
         ari_std=draw(st.none() | _float),

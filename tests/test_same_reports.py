@@ -1,0 +1,34 @@
+"""``tools/same_reports.py`` compares the files that must not change."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("same_reports", ROOT / "tools" / "same_reports.py")
+same_reports = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_reports)
+
+
+def _tree(path: Path, files: dict) -> str:
+    path.mkdir()
+    for name, text in files.items():
+        (path / name).write_text(text)
+    return str(path)
+
+
+def test_reports_and_summary_are_compared_byte_for_byte(tmp_path):
+    same = {"KPT.report.txt": "k: 2\n", "summary.csv": "variant,ari,ca\n"}
+    a = _tree(tmp_path / "a", {**same, "KPT.timings.txt": "cluster_s: 0.5\n"})
+    b = _tree(tmp_path / "b", {**same, "KPT.timings.txt": "cluster_s: 0.7\n"})
+    assert same_reports.differences(a, b) == []  # wall-clock sidecars differ freely
+    (tmp_path / "b" / "KPT.report.txt").write_text("k: 2 \n")
+    (tmp_path / "a" / "BD.report.txt").write_text("k: 2\n")
+    assert same_reports.differences(a, b) == [
+        "BD.report.txt (missing from one tree)",
+        "KPT.report.txt",
+    ]
+
+
+def test_bad_arguments_exit_2(tmp_path):
+    assert same_reports.main([str(tmp_path)]) == 2
+    assert same_reports.main([str(tmp_path), str(tmp_path)]) == 2  # no harr package

@@ -14,7 +14,7 @@ import harr
 import harr.schema
 from harr.base_distance import BaseDistanceTable, CpdTable
 from harr.bench import _subsample
-from harr.cluster import Prototypes, WeightMatrix, WeightVector
+from harr.cluster import Prototypes, WeightMatrix, WeightVector, prepare
 from harr.projection import ProjectedBlock, ReconstructedSpace
 from harr.schema import (
     AttributeKind,
@@ -22,7 +22,6 @@ from harr.schema import (
     DataError,
     Dataset,
     DatasetSchema,
-    DistinctRows,
     OrdinalView,
     SchemaError,
     _Record,
@@ -267,82 +266,6 @@ class TestRandomSchemas:
             assert schema.d_c == schema.d_n + schema.d_o
 
 
-@settings(deadline=None, max_examples=60)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 3))
-def test_distinct_rows_record(seed, copies):
-    rng = np.random.default_rng(seed)
-    base = random_dataset(rng)
-    # rows drawn with replacement, so repeats occur beside numeric columns too
-    cells = base.cells[rng.integers(0, base.n, size=base.n * copies)]
-    dataset = build_dataset(base.schema, cells)
-    rows = dataset.distinct
-    assert np.array_equal(cells[rows.first][rows.inverse], cells)
-    assert (rows.first[rows.inverse] <= np.arange(dataset.n)).all()
-    same_id = rows.inverse[:, None] == rows.inverse[None, :]
-    same_row = (cells[:, None, :] == cells[None, :, :]).all(axis=2)
-    assert np.array_equal(same_id, same_row)
-    # Categorical sub-rows: two distinct rows share an id exactly when their
-    # categorical cells are equal, and the ids count up from 0, never
-    # decreasing over the distinct rows.
-    cat = cells[rows.first][:, list(base.schema.categorical_indices())]
-    same_sub = rows.sub[:, None] == rows.sub[None, :]
-    assert np.array_equal(same_sub, (cat[:, None, :] == cat[None, :, :]).all(axis=2))
-    assert rows.sub.shape == (rows.u,) and rows.sub[0] == 0
-    assert set(np.diff(rows.sub).tolist()) <= {0, 1}
-    assert dataset.distinct is rows
-
-
-def _distinct_rows_reference(cells, schema):
-    """Distinct rows from one lexsort over the raw columns, categorical
-    columns first, and a row-by-row comparison of the sorted table."""
-    cat, num = list(schema.categorical_indices()), list(schema.numerical_indices())
-    order = np.lexsort([cells[:, c] for c in (cat + num)[::-1]])
-    ordered = cells[order]
-    differs = np.ones(ordered.shape, dtype=bool)
-    differs[1:] = ordered[1:] != ordered[:-1]
-    new_sub = differs[:, cat].any(axis=1)
-    new_sub[0] = True
-    new = new_sub | differs[:, num].any(axis=1)
-    inverse = np.empty(cells.shape[0], dtype=np.int64)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse, np.cumsum(new_sub)[new] - 1
-
-
-def _assert_distinct_rows_match_reference(dataset):
-    rows = dataset.distinct
-    first, inverse, sub = _distinct_rows_reference(dataset.cells, dataset.schema)
-    assert np.array_equal(rows.first, first)
-    assert np.array_equal(rows.inverse, inverse)
-    assert np.array_equal(rows.sub, sub)
-
-
-@settings(deadline=None, max_examples=80)
-@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(2, 70))
-def test_packed_distinct_rows_match_lexsort_reference(seed, copies, max_v):
-    rng = np.random.default_rng(seed)
-    base = random_dataset(rng, max_d=8, max_v=max_v)
-    cells = base.cells[rng.integers(0, base.n, size=base.n * copies)]
-    _assert_distinct_rows_match_reference(build_dataset(base.schema, cells))
-
-
-def test_packed_distinct_rows_split_keys_past_int64():
-    # 61**12 exceeds 2**63, so the twelve columns need two packed keys
-    attrs = [
-        AttributeSchema(f"c{r}", AttributeKind.NOMINAL, tuple(map(str, range(60))))
-        for r in range(12)
-    ]
-    schema = DatasetSchema((*attrs, AttributeSchema("x", AttributeKind.NUMERICAL)))
-    rng = np.random.default_rng(5)
-    cells = np.empty((400, 13))
-    cells[:, :12] = rng.integers(1, 61, size=(400, 12))
-    cells[:, :12][rng.random((400, 12)) < 0.9] = 60  # many shared sub-rows
-    cells[:, 12] = rng.integers(0, 3, size=400) / 2
-    cells = cells[rng.integers(0, 400, size=800)]
-    dataset = build_dataset(schema, cells)
-    assert len(harr.schema._packed_keys(cells, schema)) == 2
-    _assert_distinct_rows_match_reference(dataset)
-
-
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dataset_rejects_non_finite_numerical_cells(bad):
     schema = parse_schema("x,num\ny,num\n")
@@ -555,7 +478,7 @@ def test_ingest_memory_of_distinct_lines_stays_below_a_whole_file_index():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dataset.distinct.u == 100_000
+    assert prepare(dataset, "KPT").model.repeats.sum() == 100_000  # distinct rows
     assert np.array_equal(dataset.cells[:, 2:], codes)
     assert peak < 25e6, f"ingest peak {peak / 1e6:.1f} MB"
 
@@ -614,8 +537,9 @@ def test_lines_that_differ_only_in_spelling_are_one_row(chunk_cells):
     lines = ["1,red", " 1.0 ,red", "1e0,\tred ", "+1.00,  red", "\u30001,red\u3000", "2,blue"]
     dataset = ingest_table("\n".join(lines * 3), parse_schema(COLOR_SCHEMA))
     assert dataset.cells.tolist() == ([[1.0, 1.0]] * 5 + [[2.0, 3.0]]) * 3
-    assert dataset.distinct.u == 2
-    assert dataset.distinct.inverse.tolist() == ([0] * 5 + [1]) * 3
+    model = prepare(dataset, "KPT").model
+    assert model.repeats.sum() == 2  # distinct rows
+    assert model.inverse.tolist() == ([0] * 5 + [1]) * 3
 
 
 def test_blank_lines_between_duplicates_keep_the_line_numbers(chunk_cells):
@@ -676,12 +600,6 @@ ARRAY_RECORDS = [
         lambda a: Dataset(_TWO, a),
         [[0.5, 1.0], [0.0, 2.0]],
         [[0.5, 1.0], [0.0, 1.0]],
-    ),
-    (
-        "DistinctRows",
-        lambda a: DistinctRows(a, np.array([0, 1, 0]), np.zeros(2, dtype=np.int64)),
-        [0, 1],
-        [0, 2],
     ),
     (
         "OrdinalView",

@@ -1,0 +1,93 @@
+"""Check that two source trees write the same reports on the benchmark shapes.
+
+    python3 tools/same_reports.py PARENT_SRC CHANGE_SRC
+
+Each argument is the directory that holds a tree's ``harr`` package (a
+checkout's ``src``). For every workload of ``perfbench/run.py`` the planted
+dataset is written once, by PARENT_SRC's ``harr``, from synth seed 1. Then
+``harr cluster`` runs once per tree and ``--workers`` value (1 and 3), with
+the benchmark's arguments and ``--seed 1000``. Every ``*.report.txt`` and
+``summary.csv`` must be byte-identical between the two trees; the timings
+sidecars hold wall-clock values and are not compared. One line is printed
+per workload and worker count. The exit status is 1 on any difference or
+failed run, 2 on a bad argument.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SYNTH_SEED = 1
+BASE_SEED = 1000
+WORKERS = (1, 3)
+
+
+def compared(out_dir: str) -> set[str]:
+    """The names of the files in ``out_dir`` that must match."""
+    return {f for f in os.listdir(out_dir) if f.endswith(".report.txt") or f == "summary.csv"}
+
+
+def differences(a: str, b: str) -> list[str]:
+    """The compared files that are missing from one directory or differ."""
+    found = []
+    for name in sorted(compared(a) | compared(b)):
+        paths = os.path.join(a, name), os.path.join(b, name)
+        if not all(map(os.path.isfile, paths)):
+            found.append(f"{name} (missing from one tree)")
+            continue
+        with open(paths[0], "rb") as fa, open(paths[1], "rb") as fb:
+            if fa.read() != fb.read():
+                found.append(name)
+    return found
+
+
+def cluster(src: str, argv: list[str]) -> None:
+    """Run ``harr cluster`` from ``src``; raise with its error on failure."""
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "harr.cli", *argv]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{src}: exit {done.returncode}: {done.stderr.strip()[-500:]}")
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2 or not all(os.path.isdir(os.path.join(s, "harr")) for s in args):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    trees = {"parent": os.path.abspath(args[0]), "change": os.path.abspath(args[1])}
+    sys.path[:0] = [trees["parent"], os.path.join(ROOT, "perfbench")]
+    from run import WORKLOADS, cluster_argv, generate
+
+    status = 0
+    with tempfile.TemporaryDirectory(prefix="same-reports-") as work:
+        for name, workload in WORKLOADS.items():
+            os.makedirs(os.path.join(work, name))
+            inputs = generate(workload, SYNTH_SEED, os.path.join(work, name))
+            for workers in WORKERS:
+                outs = {}
+                for tree, src in trees.items():
+                    outs[tree] = os.path.join(work, name, f"{tree}-w{workers}")
+                    run_argv = cluster_argv(workload, inputs, BASE_SEED, outs[tree])
+                    run_argv[run_argv.index("--workers") + 1] = str(workers)
+                    try:
+                        cluster(src, run_argv)
+                    except RuntimeError as exc:
+                        print(f"{name} --workers {workers}: FAILED {exc}")
+                        return 1
+                diff = differences(outs["parent"], outs["change"])
+                count = len(compared(outs["parent"]) | compared(outs["change"]))
+                if diff:
+                    status = 1
+                    print(f"{name} --workers {workers}: DIFFERENT {', '.join(diff)}")
+                else:
+                    print(f"{name} --workers {workers}: {count} files byte-identical")
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
