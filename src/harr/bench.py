@@ -22,7 +22,7 @@ from .cluster import (
     prepare,
     run_prepared,
 )
-from .evaluation import RunSummary, ari, ca
+from .evaluation import ari, ca
 from .report import (
     ReportFile,
     read_label_file,
@@ -161,29 +161,19 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
 
     def save(variant: str, d_hat: int, reconstruct_s: float, futures) -> None:
         reports = tuple(f.result() for f in futures)
-        summary = None
-        if labels is not None:
-            summary = RunSummary.from_scores(
-                variant, [r.ari for r in reports], [r.ca for r in reports]
-            )
-        summaries.append((variant, None) if summary is None else summary)
         report_file = ReportFile(
             variant=variant,
             dataset=cfg.data,
             schema=cfg.schema,
             labels_file=cfg.labels,
             k=cfg.k,
-            runs=cfg.runs,
             base_seed=cfg.base_seed,
             inner_cap=cfg.inner_cap,
             outer_cap=cfg.outer_cap,
             d_hat=d_hat,
-            ari_mean=summary.ari_mean if summary else None,
-            ari_std=summary.ari_std if summary else None,
-            ca_mean=summary.ca_mean if summary else None,
-            ca_std=summary.ca_std if summary else None,
             run_reports=reports,
         )
+        summaries.append(report_file.summary or (variant, None))
         slug = variant_slug(variant)
         save_report(report_file, f"{cfg.out_dir}/{slug}.report.txt")
         save_timings(
@@ -246,13 +236,11 @@ def cmd_bench_time(cfg: BenchConfig) -> list[tuple[float, int, str, float]]:
 
 def cmd_trace_plot(report_paths: list[str], out_path: str) -> str:
     """Collect objective traces from one or more report files into a single
-    plot-ready table; rejects reports with empty traces."""
+    plot-ready table."""
     rows: list[tuple[str, int, int, float, bool]] = []
     for path in report_paths:
         report = load_report(path)
         for run in report.run_reports:
-            if not run.trace_z:
-                raise ValueError(f"{path}: run seed={run.seed} has an empty trace")
             for i, (z, updated) in enumerate(
                 zip(run.trace_z, run.trace_weights_updated), start=1
             ):

@@ -191,15 +191,13 @@ class RunReport(_Record):
     """Everything produced by one seeded clustering run.
 
     Labels (in [1, k]) and weights are frozen arrays: ``weights`` holds one
-    row of d_hat weights, ``weight_matrix`` one such row per cluster.
-    ``inner_monotone`` records whether the objective was non-increasing
-    (within tolerance) across consecutive assignments of every fixed-weight
-    epoch, skipping pairs interrupted by an empty-cluster re-seed;
-    ``max_inner_increase`` is the largest observed increase. The three traces
-    hold one entry per assignment, plus a fixed-point entry for a converged
-    run, so they have one length. ``weights_s`` is the run's wall-clock time
-    in weight refreshes and ``cluster_s`` the rest of its loop; neither takes
-    part in equality.
+    row of d_hat weights, ``weight_matrix`` one such row per cluster. The
+    three traces hold one entry per assignment, plus a fixed-point entry for
+    a converged run, so they have one length, at least 1. The run's counts
+    and its monotonicity are properties derived from the traces, so no
+    record can disagree with them. ``weights_s`` is the run's wall-clock
+    time in weight refreshes and ``cluster_s`` the rest of its loop;
+    neither takes part in equality.
     """
 
     variant: str
@@ -211,11 +209,7 @@ class RunReport(_Record):
     trace_z: tuple[float, ...]
     trace_weights_updated: tuple[bool, ...]
     trace_reseeded: tuple[bool, ...]
-    inner_iterations: int
-    weight_updates: int
     converged: bool
-    inner_monotone: bool
-    max_inner_increase: float
     ari: float | None = None
     ca: float | None = None
     cluster_s: float = field(default=0.0, compare=False)
@@ -229,6 +223,8 @@ class RunReport(_Record):
                 "trace_z, trace_weights_updated and trace_reseeded must have one "
                 f"length, got {', '.join(str(len(t)) for t in traces)}"
             )
+        if not self.trace_z:
+            raise ValueError("the traces are empty, but every run makes an assignment")
         if self.weights is not None and self.weight_matrix is not None:
             raise ValueError("a run has a weight vector or a weight matrix, not both")
         for name, ndim in (("weights", 1), ("weight_matrix", 2)):
@@ -238,6 +234,31 @@ class RunReport(_Record):
                 if w.ndim != ndim or not np.isfinite(w).all():
                     raise ValueError(f"{name} must be {ndim}-dimensional and finite")
                 object.__setattr__(self, name, w)
+
+    @property
+    def inner_iterations(self) -> int:
+        """Assignments made: every trace entry but a converged run's last."""
+        return len(self.trace_z) - self.converged
+
+    @property
+    def weight_updates(self) -> int:
+        return sum(self.trace_weights_updated)
+
+    @property
+    def max_inner_increase(self) -> float:
+        """The largest rise of the objective between consecutive assignments
+        of one fixed-weight epoch, or 0.0; a pair that an empty-cluster
+        re-seed interrupts is skipped."""
+        z, updated, reseeded = self.trace_z, self.trace_weights_updated, self.trace_reseeded
+        increase = 0.0
+        for i in range(1, self.inner_iterations):
+            if not (updated[i] or reseeded[i] or reseeded[i - 1]):
+                increase = max(increase, z[i] - z[i - 1])
+        return increase
+
+    @property
+    def inner_monotone(self) -> bool:
+        return self.max_inner_increase <= MONOTONE_TOLERANCE
 
 
 # ---------------------------------------------------------------------------
@@ -931,7 +952,6 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
     labels0 = None  # the last assignment, which Q' compares against
     refreshed = None  # the partition at the last weight refresh (Q'')
     updates = 0
-    max_increase = 0.0
     while True:
         memo: dict = {}  # per-value totals under this epoch's weights
         for inner in range(config.inner_cap):
@@ -946,8 +966,6 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
                 own = best[inverse]
             z = float(own.sum())
             del scores, nearest, best, own  # freed before the next score step
-            if inner > 0 and not (reseeded or trace_reseeded[-1]):
-                max_increase = max(max_increase, z - trace_z[-1])
             trace_z.append(z)
             trace_updated.append(inner == 0 and updates > 0)
             trace_reseeded.append(reseeded)
@@ -973,7 +991,6 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
         updates += 1
 
     del refreshed  # released before the labels are built
-    inner_iterations = len(trace_z)
     if converged:
         # terminal fixed-point entry: the stopping check re-evaluated an
         # unchanged state
@@ -995,11 +1012,7 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
         trace_z=tuple(trace_z),
         trace_weights_updated=tuple(trace_updated),
         trace_reseeded=tuple(trace_reseeded),
-        inner_iterations=inner_iterations,
-        weight_updates=updates,
         converged=converged,
-        inner_monotone=max_increase <= MONOTONE_TOLERANCE,
-        max_inner_increase=max_increase,
         cluster_s=cluster_s,
         weights_s=weights_s,
     )

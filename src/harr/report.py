@@ -18,7 +18,7 @@ Each format is read in the one version that harr writes.
 from __future__ import annotations
 
 import base64
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -142,8 +142,10 @@ _LABELS = (_label_text, _read_labels)
 _B64_ROW = (_b64_write, _b64_read)  # exact: the float64 bytes themselves
 
 # Line formats: ``format: <name>``, one ``key: value`` line per header field,
-# then one ``[run]`` ... ``[end]`` block per run. Keys are field names of the
-# record they describe. A report's format line is followed by an
+# then one ``[run]`` ... ``[end]`` block per run. Keys are names of the
+# record they describe: a field, or a property the record derives from its
+# fields, whose line the reader checks (``_derived``). A report's format
+# line is followed by an
 # ``extends: harr-report-v1`` line: v2 keeps every v1 field and changes only
 # how a weight row is written, adding the summary lines below. Its ``bins``
 # and ``epsilon`` lines echo settings that harr no longer has; they keep
@@ -188,7 +190,7 @@ _RUN_TAIL = (
     ("trace_weights_updated", _BITS),
     ("trace_reseeded", _BITS),
 )
-# Derived from the rows, one entry per row, and checked against them on read:
+# Derived from the rows, one entry per row, and checked like a derived field:
 # Shannon entropy in nats, the largest weight and its 0-based column.
 _WEIGHT_SUMMARY = (
     ("weight_entropy", _spaced((lambda x: f"{x:.6f}", float))),
@@ -218,25 +220,55 @@ def variant_slug(variant: str) -> str:
     return variant.replace("+", "_").replace("/", "_")
 
 
+def _summarized(name: str) -> property:
+    """The ``ReportFile`` property that reads ``name`` of its summary, or
+    None when it has none."""
+    return property(lambda report: getattr(report.summary, name, None))
+
+
 @dataclass(frozen=True)
 class ReportFile:
-    """One variant's report: configuration echo plus every seeded run."""
+    """One variant's report: configuration echo plus every seeded run, each
+    of the report's variant and k. The run count and the score summary are
+    derived from the runs."""
 
     variant: str
     dataset: str
     schema: str
     labels_file: str | None
     k: int
-    runs: int
     base_seed: int
     inner_cap: int
     outer_cap: int
     d_hat: int
-    ari_mean: float | None
-    ari_std: float | None
-    ca_mean: float | None
-    ca_std: float | None
     run_reports: tuple[RunReport, ...]
+
+    def __post_init__(self) -> None:
+        for run in self.run_reports:  # a report writes only the header's
+            if (run.variant, run.k) != (self.variant, self.k):
+                raise ValueError(
+                    f"run seed={run.seed} is a {run.variant} run with k={run.k}, "
+                    f"but the report is {self.variant} with k={self.k}"
+                )
+
+    @property
+    def runs(self) -> int:
+        return len(self.run_reports)
+
+    @property
+    def summary(self) -> RunSummary | None:
+        """Mean and std of the runs' scores; None when there is no run or
+        some run has no score."""
+        aris = [run.ari for run in self.run_reports]
+        cas = [run.ca for run in self.run_reports]
+        if not aris or None in aris or None in cas:
+            return None
+        return RunSummary.from_scores(self.variant, aris, cas)
+
+    ari_mean = _summarized("ari_mean")
+    ari_std = _summarized("ari_std")
+    ca_mean = _summarized("ca_mean")
+    ca_std = _summarized("ca_std")
 
 
 @dataclass(frozen=True)
@@ -256,6 +288,22 @@ class TimingsFile:
 def _fields(table, values) -> list[str]:
     """One ``key: value`` line per table entry, read from the mapping."""
     return [f"{key}: {write(values[key])}" for key, (write, _) in table]
+
+
+def _derived(record, table) -> dict:
+    """The values of ``table``'s keys that are properties of ``record``:
+    the lines it derives from its fields."""
+    kind = type(record)
+    return {
+        key: getattr(record, key)
+        for key, _ in table
+        if isinstance(getattr(kind, key, None), property)
+    }
+
+
+def _stored(kind, values: dict) -> dict:
+    """The entries of ``values`` that are fields of the record ``kind``."""
+    return {f.name: values[f.name] for f in fields(kind) if f.name in values}
 
 
 def _save_lines(path: str, head: list[str], runs) -> str:
@@ -307,19 +355,26 @@ class _Lines:
     def fields(self, table) -> dict:
         return {key: self.field(key, read) for key, (_, read) in table}
 
-    def blocks(self, declared: int):
-        """Yield once per ``[run]`` block, then check its ``[end]``; at the
-        end of the file, check the block count against the ``runs:`` header."""
-        count = 0
+    def check(self, at: int, table, values: dict) -> None:
+        """Check the lines that ``fields(table)`` read from line ``at`` on
+        whose key ``values`` holds: each must be the line written from its
+        value there."""
+        for pos, (key, (write, _)) in enumerate(table, start=at):
+            if key not in values:
+                continue
+            if (got := self.lines[pos]) != (line := f"{key}: {write(values[key])}"):
+                raise ValueError(
+                    f"{self.path}, line {pos + 1}: expected {line[:60]!r}, got {got[:60]!r}"
+                )
+
+    def blocks(self):
+        """Yield once per ``[run]`` block, then check its ``[end]``."""
         while self.more():
             if (line := self.next()) != "[run]":
                 raise self.error(f"expected [run], got {line[:60]!r}")
             yield
             if self.next() != "[end]":
                 raise self.error("missing [end] marker")
-            count += 1
-        if count != declared:
-            raise self.error(f"{count} [run] blocks, but the header says {declared}")
 
 
 def _weight_summary(rows: np.ndarray) -> dict:
@@ -335,7 +390,7 @@ def _weight_summary(rows: np.ndarray) -> dict:
 
 
 def _run_lines(run: RunReport) -> list[str]:
-    lines = _fields(_RUN_HEAD, vars(run))
+    lines = _fields(_RUN_HEAD, vars(run) | _derived(run, _RUN_HEAD))
     write = _B64_ROW[0]
     rows = run.weight_matrix if run.weights is None else run.weights[None]
     if run.weights is not None:
@@ -350,7 +405,8 @@ def _run_lines(run: RunReport) -> list[str]:
 
 def save_report(report: ReportFile, path: str) -> str:
     head = [f"format: {_REPORT_V2}", f"extends: {_REPORT_V1}"]
-    head += _fields(_REPORT_HEAD, dict.fromkeys(_FIXED_KEYS) | vars(report))
+    values = dict.fromkeys(_FIXED_KEYS) | vars(report) | _derived(report, _REPORT_HEAD)
+    head += _fields(_REPORT_HEAD, values)
     return _save_lines(path, head, map(_run_lines, report.run_reports))
 
 
@@ -375,22 +431,23 @@ def _read_weights(src: _Lines, run: dict, k: int, d_hat: int) -> None:
         rows = _freeze(np.stack([_weight_row(src, "row", d_hat) for _ in range(k)]))
         run["weight_matrix"] = rows
     if rows is not None:
-        for line in _fields(_WEIGHT_SUMMARY, _weight_summary(rows)):
-            if (got := src.next()) != line:
-                raise src.error(f"expected {line[:60]!r}, got {got[:60]!r}")
+        at = src.pos
+        src.fields(_WEIGHT_SUMMARY)
+        src.check(at, _WEIGHT_SUMMARY, _weight_summary(rows))
 
 
 def load_report(path: str) -> ReportFile:
-    """Read a v2 report; labels and weights come back as arrays."""
+    """Read a v2 report; labels and weights come back as arrays. A line
+    that a record derives must be the line the loaded record writes."""
     src = _Lines(path, "format: ", _REPORT_V2)
     if src.field("extends", str) != _REPORT_V1:
         raise src.error(f"a {_REPORT_V2} file extends {_REPORT_V1}")
-    head = src.fields(_REPORT_HEAD)
-    for key in _FIXED_KEYS:
-        del head[key]
+    head_at = src.pos
+    head = _stored(ReportFile, src.fields(_REPORT_HEAD))
     k = head["k"]
     runs = []
-    for _ in src.blocks(head["runs"]):
+    for _ in src.blocks():
+        at = src.pos
         run = src.fields(_RUN_HEAD)
         try:
             run["labels"] = _label_array(run["labels"], k)
@@ -399,10 +456,14 @@ def load_report(path: str) -> ReportFile:
         _read_weights(src, run, k, head["d_hat"])
         run.update(src.fields(_RUN_TAIL))
         try:
-            runs.append(RunReport(variant=head["variant"], k=k, **run))
-        except ValueError as exc:  # traces of different lengths
+            record = RunReport(variant=head["variant"], k=k, **_stored(RunReport, run))
+        except ValueError as exc:  # traces empty or of different lengths
             raise src.error(str(exc)) from None
-    return ReportFile(**head, run_reports=tuple(runs))
+        src.check(at, _RUN_HEAD, _derived(record, _RUN_HEAD))
+        runs.append(record)
+    report = ReportFile(**head, run_reports=tuple(runs))
+    src.check(head_at, _REPORT_HEAD, _derived(report, _REPORT_HEAD))
+    return report
 
 
 def save_timings(timings: TimingsFile, path: str) -> str:
@@ -417,8 +478,10 @@ def load_timings(path: str) -> TimingsFile:
     """Read a v2 timings sidecar."""
     src = _Lines(path, "format: ", _TIMINGS_V2)
     head = src.fields(_TIMINGS_HEAD)
-    blocks = src.blocks(src.field("runs", int))
-    runs = tuple(tuple(src.fields(_TIMINGS_RUN).values()) for _ in blocks)
+    declared = src.field("runs", int)
+    runs = tuple(tuple(src.fields(_TIMINGS_RUN).values()) for _ in src.blocks())
+    if len(runs) != declared:
+        raise src.error(f"{len(runs)} [run] blocks, but the header says {declared}")
     return TimingsFile(**head, runs=runs)
 
 

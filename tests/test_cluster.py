@@ -1488,11 +1488,7 @@ def test_report_equality_ignores_timings():
         trace_z=(1.0,),
         trace_weights_updated=(False,),
         trace_reseeded=(False,),
-        inner_iterations=1,
-        weight_updates=0,
         converged=True,
-        inner_monotone=True,
-        max_inner_increase=0.0,
     )
     a = RunReport(**kw)
     b = RunReport(**kw, cluster_s=2.0, weights_s=3.0)

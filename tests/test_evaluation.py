@@ -198,11 +198,7 @@ def _report(labels, seed=0, ari_val=None, ca_val=None):
         trace_z=(1.0,),
         trace_weights_updated=(False,),
         trace_reseeded=(False,),
-        inner_iterations=1,
-        weight_updates=0,
         converged=True,
-        inner_monotone=True,
-        max_inner_increase=0.0,
         ari=ari_val,
         ca=ca_val,
     )

@@ -48,11 +48,7 @@ def _run_report(variant="HARR-V", seed=0, weights=(0.25, 0.75), matrix=None):
         trace_z=(12.5, 3.25, 3.25),
         trace_weights_updated=(False, True, False),
         trace_reseeded=(False, False, False),
-        inner_iterations=3,
-        weight_updates=1,
         converged=True,
-        inner_monotone=True,
-        max_inner_increase=0.0,
         ari=0.5,
         ca=0.75,
         cluster_s=0.2,
@@ -60,22 +56,17 @@ def _run_report(variant="HARR-V", seed=0, weights=(0.25, 0.75), matrix=None):
     )
 
 
-def _report_file(runs, variant="HARR-V"):
+def _report_file(runs, variant="HARR-V", k=2, d_hat=2):
     return ReportFile(
         variant=variant,
         dataset="data.csv",
         schema="schema.txt",
         labels_file="labels.txt",
-        k=2,
-        runs=len(runs),
+        k=k,
         base_seed=0,
         inner_cap=100,
         outer_cap=50,
-        d_hat=2,  # the length of each weight row
-        ari_mean=0.5,
-        ari_std=0.0,
-        ca_mean=0.75,
-        ca_std=0.0,
+        d_hat=d_hat,  # the length of each weight row
         run_reports=tuple(runs),
     )
 
@@ -109,11 +100,7 @@ class TestReportRoundtrip:
             trace_z=(0.5,),
             trace_weights_updated=(False,),
             trace_reseeded=(False,),
-            inner_iterations=1,
-            weight_updates=0,
             converged=True,
-            inner_monotone=True,
-            max_inner_increase=0.0,
         )
         report = ReportFile(
             variant="KPT",
@@ -121,15 +108,10 @@ class TestReportRoundtrip:
             schema="s",
             labels_file=None,
             k=2,
-            runs=1,
             base_seed=3,
             inner_cap=10,
             outer_cap=5,
             d_hat=2,
-            ari_mean=None,
-            ari_std=None,
-            ca_mean=None,
-            ca_std=None,
             run_reports=(run,),
         )
         path = save_report(report, str(tmp_path / "r.txt"))
@@ -170,10 +152,10 @@ ca_std: none
 [run]
 seed: 7
 converged: true
-inner_iterations: 3
+inner_iterations: 2
 weight_updates: 1
-inner_monotone: false
-max_inner_increase: 0.1
+inner_monotone: true
+max_inner_increase: 0.0
 ari: none
 ca: none
 labels: 1 2 2 1
@@ -190,8 +172,8 @@ seed: 8
 converged: false
 inner_iterations: 2
 weight_updates: 0
-inner_monotone: true
-max_inner_increase: 0.0
+inner_monotone: false
+max_inner_increase: 0.24999
 ari: none
 ca: none
 labels: 2 1 1 2
@@ -201,14 +183,14 @@ row: AAAAAAAAwD8AAAAAAADsPw==
 weight_entropy: 0.693147 0.376770
 weight_max: 0.5 0.875
 weight_max_column: 0 1
-trace_z: 1e-05
-trace_weights_updated: 0
-trace_reseeded: 0
+trace_z: 1e-05 0.25
+trace_weights_updated: 0 0
+trace_reseeded: 0 0
 [end]
 [run]
 seed: 9
-converged: true
-inner_iterations: 2
+converged: false
+inner_iterations: 1
 weight_updates: 0
 inner_monotone: true
 max_inner_increase: 0.0
@@ -240,11 +222,13 @@ weights_s: 0.0
 
 
 def _golden_report() -> ReportFile:
+    # Three runs: converged after a weight refresh, with a re-seed flag;
+    # capped, with a rise of the objective in its one epoch; capped after
+    # one assignment, without weights. No run has a score, so neither has
+    # the header.
     first = replace(
         _run_report("HARR-M", seed=7, weights=(1 / 3, 2 / 3)),
         trace_reseeded=(False, False, True),
-        inner_monotone=False,
-        max_inner_increase=0.1,
         ari=None,
         ca=None,
     )
@@ -254,27 +238,25 @@ def _golden_report() -> ReportFile:
         labels=(2, 1, 1, 2),
         weights=None,
         weight_matrix=((0.5, 0.5), (0.125, 0.875)),
-        trace_z=(1e-05,),
-        trace_weights_updated=(False,),
-        trace_reseeded=(False,),
-        inner_iterations=2,
-        weight_updates=0,
+        trace_z=(1e-05, 0.25),
+        trace_weights_updated=(False, False),
+        trace_reseeded=(False, False),
         converged=False,
-        inner_monotone=True,
-        max_inner_increase=0.0,
     )
     unweighted = replace(
-        matrix, seed=9, labels=(1, 1, 2, 2), weight_matrix=None, trace_z=(0.5,), converged=True
+        matrix,
+        seed=9,
+        labels=(1, 1, 2, 2),
+        weight_matrix=None,
+        trace_z=(0.5,),
+        trace_weights_updated=(False,),
+        trace_reseeded=(False,),
     )
     return replace(
         _report_file([first, matrix, unweighted], variant="HARR-M"),
         labels_file=None,
         base_seed=7,
         d_hat=2,
-        ari_mean=None,
-        ari_std=None,
-        ca_mean=None,
-        ca_std=None,
     )
 
 
@@ -363,8 +345,8 @@ def _report_files(draw) -> ReportFile:
     runs = []
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["none", "vector", "matrix"]))
-        # one length for the three traces
-        steps = dict.fromkeys(("min_size", "max_size"), draw(st.integers(0, 5)))
+        # one length for the three traces, and at least one assignment
+        steps = dict.fromkeys(("min_size", "max_size"), draw(st.integers(1, 5)))
         runs.append(
             RunReport(
                 variant=variant,
@@ -376,11 +358,7 @@ def _report_files(draw) -> ReportFile:
                 trace_z=tuple(draw(st.lists(_float, **steps))),
                 trace_weights_updated=tuple(draw(st.lists(st.booleans(), **steps))),
                 trace_reseeded=tuple(draw(st.lists(st.booleans(), **steps))),
-                inner_iterations=draw(st.integers()),
-                weight_updates=draw(st.integers()),
                 converged=draw(st.booleans()),
-                inner_monotone=draw(st.booleans()),
-                max_inner_increase=draw(_float),
                 ari=draw(st.none() | _float),
                 ca=draw(st.none() | _float),
             )
@@ -391,15 +369,10 @@ def _report_files(draw) -> ReportFile:
         schema=draw(_text),
         labels_file=draw(st.none() | _text),
         k=k,
-        runs=len(runs),
         base_seed=draw(st.integers()),
         inner_cap=draw(st.integers()),
         outer_cap=draw(st.integers()),
         d_hat=d_hat,
-        ari_mean=draw(st.none() | _float),
-        ari_std=draw(st.none() | _float),
-        ca_mean=draw(st.none() | _float),
-        ca_std=draw(st.none() | _float),
         run_reports=tuple(runs),
     )
 
@@ -467,7 +440,7 @@ def test_report_cut_at_every_line_is_a_data_error(synth_dir, tmp_path):
     "old, new, message",
     [
         ("[end]\n", "[end]\nextra\n", "line 71: expected [run], got 'extra'"),
-        ("runs: 3", "runs: 4", "line 70: 3 [run] blocks, but the header says 4"),
+        ("runs: 3", "runs: 4", "line 8: expected 'runs: 3', got 'runs: 4'"),
         ("seed: 8", "seed: x", "line 38: cannot read 'x'"),
         ("0\n[end]", "2\n[end]", "line 69: cannot read '2'"),
         ("[end]\n[run]\nseed: 9", "[run]\nseed: 9", "line 56: missing [end] marker"),
@@ -515,6 +488,80 @@ def test_malformed_v2_report_names_path_and_line(tmp_path, old, new, message):
     assert str(raised.value) == f"{path}, {message}"
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("inner_iterations: 2\nweight_updates: 1", "inner_iterations: 99\nweight_updates: 7"),
+        ("inner_iterations: 2", "inner_iterations: 3"),
+        ("weight_updates: 1", "weight_updates: 0"),
+        ("inner_monotone: false", "inner_monotone: true"),
+        ("max_inner_increase: 0.0", "max_inner_increase: 0.1"),
+        ("ari_mean: none", "ari_mean: 0.5"),
+        ("ari_std: none", "ari_std: 0.0"),
+        ("ca_mean: none", "ca_mean: 0.75"),
+        ("ca_std: none", "ca_std: 0.0"),
+    ],
+    ids=[
+        "counts-99-7", "inner_iterations", "weight_updates", "inner_monotone",
+        "max_inner_increase", "ari_mean", "ari_std", "ca_mean", "ca_std",
+    ],
+)
+def test_tampered_derived_line_names_path_and_line(tmp_path, old, new):
+    # Each of these lines is derived from the run's traces or the runs'
+    # scores, so an edited one disagrees with what the report reloads.
+    path = tmp_path / "r.txt"
+    path.write_text(GOLDEN_REPORT_V2.replace(old, new, 1))
+    want, got = old.split("\n")[0], new.split("\n")[0]
+    lineno = GOLDEN_REPORT_V2.split("\n").index(want) + 1
+    with pytest.raises(ValueError) as raised:
+        load_report(str(path))
+    assert str(raised.value) == f"{path}, line {lineno}: expected {want!r}, got {got!r}"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        (
+            "trace_z: 0.5\ntrace_weights_updated: 0\ntrace_reseeded: 0\n",
+            "trace_z: \ntrace_weights_updated: \ntrace_reseeded: \n",
+            "the traces are empty, but every run makes an assignment",
+        ),
+        ("trace_z: 0.5\n", "trace_z: \n", ".* must have one length, got 0, 1, 1"),
+    ],
+    ids=["all-traces", "trace_z"],
+)
+def test_run_with_an_empty_trace_is_rejected(tmp_path, old, new, message):
+    # Every run makes at least one assignment, so its traces hold an entry.
+    with pytest.raises(ValueError, match="^the traces are empty, but every run makes an "):
+        replace(_run_report(), trace_z=(), trace_weights_updated=(), trace_reseeded=())
+    path = tmp_path / "r.txt"
+    assert GOLDEN_REPORT_V2.count(old) == 1
+    path.write_text(GOLDEN_REPORT_V2.replace(old, new))
+    # the run's record is complete at its last trace line, before its [end]
+    lines = GOLDEN_REPORT_V2.split("\n")
+    lineno = lines.index("[end]", lines.index("seed: 9"))
+    assert lines[lineno - 1] == "trace_reseeded: 0"
+    where = rf"^{re.escape(str(path))}, line {lineno}: "
+    with pytest.raises(ValueError, match=where + message + "$"):
+        load_report(str(path))
+    with pytest.raises(ValueError, match=where + message + "$"):
+        cmd_trace_plot([str(path)], str(tmp_path / "trace.csv"))
+    assert not (tmp_path / "trace.csv").exists()
+
+
+def test_report_holds_runs_of_its_variant_and_k():
+    # A report writes the header's variant and k only, so a run of another
+    # would reload as a different run.
+    run = _run_report()  # HARR-V, k = 2
+    for other in (replace(run, variant="KPT"), replace(run, k=3)):
+        message = (
+            f"^run seed=0 is a {other.variant} run with k={other.k}, "
+            "but the report is HARR-V with k=2$"
+        )
+        with pytest.raises(ValueError, match=message):
+            _report_file([run, other])
+
+
 def test_cut_timings_file_is_a_data_error(tmp_path):
     # A sidecar cut after a complete [run] block does not reload as a
     # shorter valid file.
@@ -538,7 +585,7 @@ def test_loaded_wide_matrix_report_holds_arrays(tmp_path):
         )
         for s in range(10)
     ]
-    report = replace(_report_file(runs, variant="HARR-M"), k=k, d_hat=d_hat)
+    report = _report_file(runs, variant="HARR-M", k=k, d_hat=d_hat)
     path = save_report(report, str(tmp_path / "r.txt"))
     tracemalloc.start()
     try:
