@@ -136,6 +136,8 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
     for option, path in paths.items():  # each is echoed on one report line
         if "\n" in path or "\r" in path:
             raise ConfigError(f"{option} {path!r}: a report line cannot hold a line break")
+        if option == "--labels" and path == "none":  # a report's word for no labels file
+            raise ConfigError("--labels 'none': a report reads it as no labels file; give ./none")
     dataset = _load_checked(cfg)
     if cfg.k > dataset.n:
         raise ConfigError(f"k={cfg.k} exceeds the {dataset.n} available objects")

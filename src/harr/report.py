@@ -1,7 +1,11 @@
 """Plain-text report formats: diff-friendly, deterministic, re-loadable.
 
-Every emitted file round-trips through its reader to an equal in-memory
-value, and reruns with identical configuration produce byte-identical files.
+A file loads only as harr writes it: each reader parses a file, builds
+the value it holds, and compares the lines the writer makes of that value
+with the lines it read. The first line that differs is a fault, so text
+harr never writes (``seed: +7``, ``cluster_s: 1e0``, a doubled space) does
+not load, and every file that loads re-saves to its own lines. Reruns with
+identical configuration produce byte-identical files.
 Labels are written as decimal digits and parsed back with numpy. Weights
 are written as base64 of their little-endian float64 bytes, so they reload
 exactly, next to a few derived fields a person can read; other floats are
@@ -11,14 +15,17 @@ never in the report itself.
 
 Each format is declared once, below: a (write, read) codec per value type,
 a (key, codec) table per part of a line format, and a (format, header,
-column codecs) triple per CSV table. One writer and one reader walk them.
-Each format is read in the one version that harr writes.
+column codecs) triple per CSV table. One line builder per format walks
+them to write and to check a read; one reader walks them to parse. Each
+format is read in the one version that harr writes.
 """
 
 from __future__ import annotations
 
 import base64
 from dataclasses import dataclass, fields
+from functools import partial
+from itertools import zip_longest
 
 import numpy as np
 
@@ -85,8 +92,8 @@ def _optional(codec):
 
 def _fixed(text: str):
     """Codec of a line that always holds ``text``: written as ``text`` for
-    any value, and read back, as None, from ``text`` alone."""
-    return (lambda _: text, {text: None}.__getitem__)
+    any value, so the read-back rule rejects any other text."""
+    return (lambda _: text, str)
 
 
 def _label_text(labels: np.ndarray, sep: str = " ") -> str:
@@ -144,15 +151,15 @@ _B64_ROW = (_b64_write, _b64_read)  # exact: the float64 bytes themselves
 # Line formats: ``format: <name>``, one ``key: value`` line per header field,
 # then one ``[run]`` ... ``[end]`` block per run. Keys are names of the
 # record they describe: a field, or a property the record derives from its
-# fields, whose line the reader checks (``_derived``). A report's format
-# line is followed by an
-# ``extends: harr-report-v1`` line: v2 keeps every v1 field and changes only
-# how a weight row is written, adding the summary lines below. Its ``bins``
-# and ``epsilon`` lines echo settings that harr no longer has; they keep
-# their one value, so reports keep their bytes, and no field holds them.
+# fields. A report's header opens with ``extends: harr-report-v1``: v2
+# keeps every v1 field and changes only how a weight row is written,
+# adding the summary lines below. Its ``bins`` and ``epsilon`` lines echo
+# settings that harr no longer has; they keep their one value, so reports
+# keep their bytes, and no field holds them.
 _REPORT_V1 = "harr-report-v1"
 _REPORT_V2 = "harr-report-v2"
 _REPORT_HEAD = (
+    ("extends", _fixed(_REPORT_V1)),
     ("variant", _STR),
     ("dataset", _STR),
     ("schema", _STR),
@@ -170,7 +177,6 @@ _REPORT_HEAD = (
     ("ca_mean", _optional(_FLOAT)),
     ("ca_std", _optional(_FLOAT)),
 )
-_FIXED_KEYS = ("bins", "epsilon")
 # A run's optional ``weights:`` or ``weight_matrix:`` + ``row:`` lines sit
 # between its head and its tail, each row in base64, and the summary of the
 # rows follows them.
@@ -190,8 +196,8 @@ _RUN_TAIL = (
     ("trace_weights_updated", _BITS),
     ("trace_reseeded", _BITS),
 )
-# Derived from the rows, one entry per row, and checked like a derived field:
-# Shannon entropy in nats, the largest weight and its 0-based column.
+# Derived from the rows, one entry per row: Shannon entropy in nats, the
+# largest weight and its 0-based column.
 _WEIGHT_SUMMARY = (
     ("weight_entropy", _spaced((lambda x: f"{x:.6f}", float))),
     ("weight_max", _FLOATS),
@@ -285,20 +291,9 @@ class TimingsFile:
     runs: tuple[tuple[int, float, float], ...]  # (seed, cluster_s, weights_s)
 
 
-def _fields(table, values) -> list[str]:
-    """One ``key: value`` line per table entry, read from the mapping."""
-    return [f"{key}: {write(values[key])}" for key, (write, _) in table]
-
-
-def _derived(record, table) -> dict:
-    """The values of ``table``'s keys that are properties of ``record``:
-    the lines it derives from its fields."""
-    kind = type(record)
-    return {
-        key: getattr(record, key)
-        for key, _ in table
-        if isinstance(getattr(kind, key, None), property)
-    }
+def _fields(table, get) -> list[str]:
+    """One ``key: value`` line per table entry, its value ``get(key)``."""
+    return [f"{key}: {write(get(key))}" for key, (write, _) in table]
 
 
 def _stored(kind, values: dict) -> dict:
@@ -306,10 +301,14 @@ def _stored(kind, values: dict) -> dict:
     return {f.name: values[f.name] for f in fields(kind) if f.name in values}
 
 
-def _save_lines(path: str, head: list[str], runs) -> str:
+def _block_lines(head: list[str], runs) -> list[str]:
     lines = list(head)
     for run in runs:
         lines += ["[run]", *run, "[end]"]
+    return lines
+
+
+def _save(lines: list[str], path: str) -> str:
     return _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -355,16 +354,13 @@ class _Lines:
     def fields(self, table) -> dict:
         return {key: self.field(key, read) for key, (_, read) in table}
 
-    def check(self, at: int, table, values: dict) -> None:
-        """Check the lines that ``fields(table)`` read from line ``at`` on
-        whose key ``values`` holds: each must be the line written from its
-        value there."""
-        for pos, (key, (write, _)) in enumerate(table, start=at):
-            if key not in values:
-                continue
-            if (got := self.lines[pos]) != (line := f"{key}: {write(values[key])}"):
+    def same(self, written: list[str]) -> None:
+        """The read-back rule: the lines read must be ``written``, the lines
+        of the value read from them; the first line that differs is a fault."""
+        for pos, (line, got) in enumerate(zip_longest(written, self.lines, fillvalue=""), 1):
+            if line != got:
                 raise ValueError(
-                    f"{self.path}, line {pos + 1}: expected {line[:60]!r}, got {got[:60]!r}"
+                    f"{self.path}, line {pos}: expected {line[:60]!r}, got {got[:60]!r}"
                 )
 
     def blocks(self):
@@ -390,7 +386,7 @@ def _weight_summary(rows: np.ndarray) -> dict:
 
 
 def _run_lines(run: RunReport) -> list[str]:
-    lines = _fields(_RUN_HEAD, vars(run) | _derived(run, _RUN_HEAD))
+    lines = _fields(_RUN_HEAD, partial(getattr, run))
     write = _B64_ROW[0]
     rows = run.weight_matrix if run.weights is None else run.weights[None]
     if run.weights is not None:
@@ -399,15 +395,18 @@ def _run_lines(run: RunReport) -> list[str]:
         lines.append(f"weight_matrix: {len(rows)}")
         lines += [f"row: {write(row)}" for row in rows]
     if rows is not None:
-        lines += _fields(_WEIGHT_SUMMARY, _weight_summary(rows))
-    return lines + _fields(_RUN_TAIL, vars(run))
+        lines += _fields(_WEIGHT_SUMMARY, _weight_summary(rows).__getitem__)
+    return lines + _fields(_RUN_TAIL, partial(getattr, run))
+
+
+def _report_lines(report: ReportFile) -> list[str]:
+    # ``extends``, ``bins`` and ``epsilon`` are no field: their codec writes one text
+    head = _fields(_REPORT_HEAD, lambda key: getattr(report, key, None))
+    return _block_lines([f"format: {_REPORT_V2}", *head], map(_run_lines, report.run_reports))
 
 
 def save_report(report: ReportFile, path: str) -> str:
-    head = [f"format: {_REPORT_V2}", f"extends: {_REPORT_V1}"]
-    values = dict.fromkeys(_FIXED_KEYS) | vars(report) | _derived(report, _REPORT_HEAD)
-    head += _fields(_REPORT_HEAD, values)
-    return _save_lines(path, head, map(_run_lines, report.run_reports))
+    return _save(_report_lines(report), path)
 
 
 def _weight_row(src: _Lines, key: str, d_hat: int) -> np.ndarray:
@@ -421,33 +420,26 @@ def _weight_row(src: _Lines, key: str, d_hat: int) -> np.ndarray:
 
 def _read_weights(src: _Lines, run: dict, k: int, d_hat: int) -> None:
     """Read a run's weight lines, if any, into ``run``."""
-    run["weights"] = run["weight_matrix"] = rows = None
+    run["weights"] = run["weight_matrix"] = None
     if src.has("weights"):
         run["weights"] = _weight_row(src, "weights", d_hat)
-        rows = run["weights"][None]
     elif src.has("weight_matrix"):
         if (count := src.field("weight_matrix", int)) != k or k < 1:
             raise src.error(f"{count} weight rows, but k is {k}")
-        rows = _freeze(np.stack([_weight_row(src, "row", d_hat) for _ in range(k)]))
-        run["weight_matrix"] = rows
-    if rows is not None:
-        at = src.pos
-        src.fields(_WEIGHT_SUMMARY)
-        src.check(at, _WEIGHT_SUMMARY, _weight_summary(rows))
+        rows = [_weight_row(src, "row", d_hat) for _ in range(k)]
+        run["weight_matrix"] = _freeze(np.stack(rows))
+    else:
+        return
+    src.fields(_WEIGHT_SUMMARY)  # derived from the rows, checked with every line
 
 
 def load_report(path: str) -> ReportFile:
-    """Read a v2 report; labels and weights come back as arrays. A line
-    that a record derives must be the line the loaded record writes."""
+    """Read a v2 report; labels and weights come back as arrays."""
     src = _Lines(path, "format: ", _REPORT_V2)
-    if src.field("extends", str) != _REPORT_V1:
-        raise src.error(f"a {_REPORT_V2} file extends {_REPORT_V1}")
-    head_at = src.pos
     head = _stored(ReportFile, src.fields(_REPORT_HEAD))
     k = head["k"]
     runs = []
     for _ in src.blocks():
-        at = src.pos
         run = src.fields(_RUN_HEAD)
         try:
             run["labels"] = _label_array(run["labels"], k)
@@ -456,33 +448,34 @@ def load_report(path: str) -> ReportFile:
         _read_weights(src, run, k, head["d_hat"])
         run.update(src.fields(_RUN_TAIL))
         try:
-            record = RunReport(variant=head["variant"], k=k, **_stored(RunReport, run))
+            runs.append(RunReport(variant=head["variant"], k=k, **_stored(RunReport, run)))
         except ValueError as exc:  # traces empty or of different lengths
             raise src.error(str(exc)) from None
-        src.check(at, _RUN_HEAD, _derived(record, _RUN_HEAD))
-        runs.append(record)
     report = ReportFile(**head, run_reports=tuple(runs))
-    src.check(head_at, _REPORT_HEAD, _derived(report, _REPORT_HEAD))
+    src.same(_report_lines(report))
     return report
 
 
-def save_timings(timings: TimingsFile, path: str) -> str:
-    head = [f"format: {_TIMINGS_V2}", *_fields(_TIMINGS_HEAD, vars(timings))]
-    head.append(f"runs: {len(timings.runs)}")
+def _timings_lines(timings: TimingsFile) -> list[str]:
+    head = _fields(_TIMINGS_HEAD, partial(getattr, timings))
     keys = [key for key, _ in _TIMINGS_RUN]
-    runs = [_fields(_TIMINGS_RUN, dict(zip(keys, run))) for run in timings.runs]
-    return _save_lines(path, head, runs)
+    runs = [_fields(_TIMINGS_RUN, dict(zip(keys, run)).__getitem__) for run in timings.runs]
+    return _block_lines([f"format: {_TIMINGS_V2}", *head, f"runs: {len(runs)}"], runs)
+
+
+def save_timings(timings: TimingsFile, path: str) -> str:
+    return _save(_timings_lines(timings), path)
 
 
 def load_timings(path: str) -> TimingsFile:
     """Read a v2 timings sidecar."""
     src = _Lines(path, "format: ", _TIMINGS_V2)
     head = src.fields(_TIMINGS_HEAD)
-    declared = src.field("runs", int)
+    src.field("runs", str)  # the block count, checked with every line
     runs = tuple(tuple(src.fields(_TIMINGS_RUN).values()) for _ in src.blocks())
-    if len(runs) != declared:
-        raise src.error(f"{len(runs)} [run] blocks, but the header says {declared}")
-    return TimingsFile(**head, runs=runs)
+    timings = TimingsFile(**head, runs=runs)
+    src.same(_timings_lines(timings))
+    return timings
 
 
 def timings_from_reports(
@@ -495,25 +488,25 @@ def timings_from_reports(
     )
 
 
-def _save_table(table, rows, path: str) -> str:
+def _table_lines(table, rows) -> list[str]:
     fmt, header, codecs = table
     lines = [f"# format: {fmt}", header]
     for row in rows:
         lines.append(",".join(write(x) for (write, _), x in zip(codecs, row)))
-    return _write_text(path, "\n".join(lines) + "\n")
+    return lines
 
 
 def _load_table(table, path: str) -> list[tuple]:
-    fmt, header, codecs = table
+    fmt, _, codecs = table
     src = _Lines(path, "# format: ", fmt)
-    if src.next() != header:
-        raise src.error("unexpected header")
+    src.next()  # the CSV header, checked with every line
     rows = []
     while src.more():
         cells = src.next().split(",")
         if len(cells) != len(codecs):
             raise src.error(f"{len(cells)} fields, expected {len(codecs)}")
         rows.append(tuple(src.decode(read, x) for (_, read), x in zip(codecs, cells)))
+    src.same(_table_lines(table, rows))
     return rows
 
 
@@ -528,7 +521,7 @@ def save_summary(summaries: list[RunSummary | tuple[str, None]], path: str) -> s
         else (item[0], "none", "none")
         for item in summaries
     ]
-    return _save_table(_SUMMARY, rows, path)
+    return _save(_table_lines(_SUMMARY, rows), path)
 
 
 def load_summary(path: str) -> list[tuple[str, str, str]]:
@@ -540,7 +533,7 @@ def save_trace(rows: list[tuple[str, int, int, float, bool]], path: str) -> str:
     objective value, and a weight-refresh marker column."""
     if not rows:
         raise ValueError("no trace rows to write")
-    return _save_table(_TRACE, rows, path)
+    return _save(_table_lines(_TRACE, rows), path)
 
 
 def load_trace(path: str) -> list[tuple[str, int, int, float, bool]]:
@@ -549,7 +542,7 @@ def load_trace(path: str) -> list[tuple[str, int, int, float, bool]]:
 
 def save_bench_time(rows: list[tuple[float, int, str, float]], path: str) -> str:
     """Timing-sweep table: sampling rate, subsample size, variant, seconds."""
-    return _save_table(_BENCH_TIME, rows, path)
+    return _save(_table_lines(_BENCH_TIME, rows), path)
 
 
 def load_bench_time(path: str) -> list[tuple[float, int, str, float]]:

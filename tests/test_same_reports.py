@@ -32,3 +32,20 @@ def test_reports_and_summary_are_compared_byte_for_byte(tmp_path):
 def test_bad_arguments_exit_2(tmp_path):
     assert same_reports.main([str(tmp_path)]) == 2
     assert same_reports.main([str(tmp_path), str(tmp_path)]) == 2  # no harr package
+
+
+def test_files_the_change_tree_wrote_must_reload(tmp_path):
+    from harr.report import TimingsFile, save_summary, save_timings
+
+    out = tmp_path / "out"
+    save_timings(TimingsFile("KPT", 0.125, ((0, 0.5, 0.25),)), str(out / "KPT.timings.txt"))
+    save_summary([("KPT", None)], str(out / "summary.csv"))
+    (out / "notes.txt").write_text("not a harr file\n")  # not one of the loaded files
+    src = str(ROOT / "src")
+    assert same_reports.reload_failures(src, str(out)) == []
+    (out / "BD.report.txt").write_text("format: harr-report-v2\n")
+    (out / "summary.csv").write_text("# format: harr-summary-v1\nvariant,ari,ca\nKPT,none\n")
+    assert same_reports.reload_failures(src, str(out)) == [
+        f"BD.report.txt: {out / 'BD.report.txt'}: truncated at line 2",
+        f"summary.csv: {out / 'summary.csv'}, line 3: 2 fields, expected 3",
+    ]

@@ -8,9 +8,12 @@ dataset is written once, by PARENT_SRC's ``harr``, from synth seed 1. Then
 ``harr cluster`` runs once per tree and ``--workers`` value (1 and 3), with
 the benchmark's arguments and ``--seed 1000``. Every ``*.report.txt`` and
 ``summary.csv`` must be byte-identical between the two trees; the timings
-sidecars hold wall-clock values and are not compared. One line is printed
-per workload and worker count. The exit status is 1 on any difference or
-failed run, 2 on a bad argument.
+sidecars hold wall-clock values and are not compared. Then every
+``*.report.txt``, ``*.timings.txt`` and ``summary.csv`` that CHANGE_SRC
+wrote must load with CHANGE_SRC's own ``load_report``, ``load_timings``
+and ``load_summary``. One line is printed per workload and worker count.
+The exit status is 1 on any difference, failed run or file that does not
+load, 2 on a bad argument.
 """
 
 from __future__ import annotations
@@ -43,6 +46,40 @@ def differences(a: str, b: str) -> list[str]:
             if fa.read() != fb.read():
                 found.append(name)
     return found
+
+
+# Loads each harr-written file of the directory argv[1]; prints one line per
+# file that does not load.
+RELOAD = """
+import os, sys
+from harr.report import load_report, load_summary, load_timings
+out_dir = sys.argv[1]
+for name in sorted(os.listdir(out_dir)):
+    if name.endswith(".report.txt"):
+        load = load_report
+    elif name.endswith(".timings.txt"):
+        load = load_timings
+    elif name == "summary.csv":
+        load = load_summary
+    else:
+        continue
+    try:
+        load(os.path.join(out_dir, name))
+    except ValueError as exc:
+        print(f"{name}: {exc}")
+"""
+
+
+def reload_failures(src: str, out_dir: str) -> list[str]:
+    """The files of ``out_dir`` that ``src``'s loaders reject, one
+    ``name: error`` entry each; a failed loader process is one entry too."""
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-c", RELOAD, out_dir]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    failures = done.stdout.splitlines()
+    if done.returncode != 0:
+        failures.append(f"loader exit {done.returncode}: {done.stderr.strip()[-500:]}")
+    return failures
 
 
 def cluster(src: str, argv: list[str]) -> None:
@@ -81,11 +118,18 @@ def main(argv=None) -> int:
                         return 1
                 diff = differences(outs["parent"], outs["change"])
                 count = len(compared(outs["parent"]) | compared(outs["change"]))
+                failed = reload_failures(trees["change"], outs["change"])
                 if diff:
                     status = 1
                     print(f"{name} --workers {workers}: DIFFERENT {', '.join(diff)}")
-                else:
-                    print(f"{name} --workers {workers}: {count} files byte-identical")
+                if failed:
+                    status = 1
+                    print(f"{name} --workers {workers}: DOES NOT RELOAD {'; '.join(failed)}")
+                if not diff and not failed:
+                    print(
+                        f"{name} --workers {workers}: {count} files byte-identical, "
+                        "every written file reloads"
+                    )
     return status
 
 
