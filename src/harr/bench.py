@@ -130,7 +130,9 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
     variant's runs execute, this thread prepares and submits the next
     variant, then saves the one before: a failed run or prepare leaves the
     files of the variants before it and no summary, as when variants ran
-    one after another.
+    one after another. Every variant's ``Prepared`` is held until the last
+    is submitted, so HAR, HARR-V and HARR-M share their first epochs in
+    any variant order.
     """
     paths = {"--data": cfg.data, "--schema": cfg.schema, "--labels": cfg.labels or ""}
     for option, path in paths.items():  # each is echoed on one report line
@@ -152,13 +154,14 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
 
     out: list[ReportFile] = []
     summaries: list = []
+    prepared: list[Prepared] = []
     pool = ThreadPoolExecutor(max_workers=cfg.workers)
 
     def submit(variant: str):
         prep = prepare(dataset, variant)
+        prepared.append(prep)
         configs = [_run_config(cfg, variant, cfg.base_seed + i) for i in range(cfg.runs)]
         futures = [pool.submit(_scored_run, dataset, prep, c, labels) for c in configs]
-        # the pool's tasks hold the model, which goes with this variant's last run
         return variant, prep.model.m, prep.reconstruct_s, futures
 
     def save(variant: str, d_hat: int, reconstruct_s: float, futures) -> None:
@@ -193,6 +196,7 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
                 if submitted is not None:
                     save(*submitted)
             submitted = following
+        prepared.clear()  # the last variant's runs hold their own
         save(*submitted)
     finally:
         pool.shutdown(cancel_futures=True)  # after a failure, drop unstarted runs

@@ -37,9 +37,10 @@ OHE+OC      k-means on one-hot nominal + rank-coded ordinal + numerical
 
 from __future__ import annotations
 
+import threading
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -277,8 +278,10 @@ class RunReport(_Record):
 # scoring gathers one (weighted) per-value total per source attribute.
 # Within a fixed-weight epoch a total depends only on the prototype's value
 # (and a weight matrix's row), so a run memoizes the (v,) totals per epoch.
-# Each run builds every (gamma, v) distance block in place in one flat
-# buffer of its own (``_block_buffer``). A refit and a weight refresh group
+# Each run builds every (gamma, v) distance block in one flat buffer of its
+# own (``_block_buffer``) and never writes weights into it: a weighted total
+# is one einsum pass that adds the weighted rows in row order, as weighting
+# the block and then summing it would. A refit and a weight refresh group
 # the partition's members once per step (``_Members``).
 
 
@@ -364,12 +367,13 @@ class _ColumnModel(_Record):
                 key = (g.source, p, l) if by_row else (g.source, p)
                 totals = memo.get(key)
                 if totals is None:
-                    # Weighted in place, summed column by column, in order: a
-                    # BLAS product sums in another order and can flip ties.
+                    # Summed row by row, in order, in one pass over the block:
+                    # a BLAS product sums in another order and can flip ties.
                     block = g.per_value(p, buf)
-                    if w_l is not None:
-                        np.multiply(w_l[g.cols, None], block, out=block)
-                    totals = memo[key] = block.sum(axis=0)
+                    if w_l is None:
+                        totals = memo[key] = block.sum(axis=0)
+                    else:
+                        totals = memo[key] = np.einsum("jq,j->q", block, w_l[g.cols])
                 cat[l] += totals[g.sub]
         scores = np.repeat(cat, self.repeats, axis=1)
         gap = np.empty(scores.shape[1])  # every numerical gap, in turn
@@ -834,6 +838,52 @@ def update_weight_matrix(
 # ---------------------------------------------------------------------------
 # The run loop.
 
+# HAR keeps the uniform weight vector that HARR-V and HARR-M start from, so
+# at one seed, k and inner cap the three run the same first epoch.
+_UNIFORM_START = ("HARR-V", "HARR-M", "HAR")
+
+
+@dataclass(frozen=True, eq=False)
+class _Epoch(_Record):
+    """What one fixed-weight epoch leaves: one trace entry per assignment,
+    the last assignment (0-based), the prototypes it was made from, and
+    whether it repeated the assignment before it (Q')."""
+
+    trace_z: tuple[float, ...]
+    trace_updated: tuple[bool, ...]
+    trace_reseeded: tuple[bool, ...]
+    labels0: np.ndarray
+    proto_vals: np.ndarray
+    stable: bool
+
+
+class _FirstEpochs:
+    """The first epochs of a dataset's HAR, HARR-V and HARR-M runs, keyed
+    by (seed, k, inner cap).
+
+    The first run to ask at a key computes the entry, and every later one
+    continues from it. Each key has a lock of its own, held while its entry
+    is computed: a second asker waits for that one computation, distinct
+    keys never wait on each other, and if the computation fails, a waiter
+    computes the entry itself. The dataset holds the store weakly, and the
+    ``Prepared`` of those variants strongly, so it goes with the last of
+    them.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._slots: dict = {}  # key -> [the key's lock, its _Epoch or None]
+
+    def get(self, key, compute) -> tuple[_Epoch, bool]:
+        """The entry at ``key`` and whether another run computed it."""
+        with self._lock:
+            slot = self._slots.setdefault(key, [threading.Lock(), None])
+        with slot[0]:
+            shared = slot[1] is not None
+            if not shared:
+                slot[1] = compute()
+            return slot[1], shared
+
 
 @dataclass(frozen=True)
 class Prepared:
@@ -841,12 +891,14 @@ class Prepared:
     ``reconstruct_s`` is the variant's ``prepare`` time: the set-up it did
     not find already built for the dataset (discretize, base distances,
     projection, shared columns) plus its own model build, so KPT's is
-    nonzero too. It may overlap the runs of the variant before."""
+    nonzero too. It may overlap the runs of the variant before. HAR,
+    HARR-V and HARR-M hold their dataset's store of first epochs."""
 
     variant: str
     model: _ColumnModel
     space: ReconstructedSpace | None
     reconstruct_s: float
+    _first_epochs: _FirstEpochs | None = field(default=None, repr=False, compare=False)
 
 
 def _check_variant(dataset: Dataset, variant: str) -> None:
@@ -886,10 +938,11 @@ def prepare(dataset: Dataset, variant: str) -> Prepared:
     _check_variant(dataset, variant)
     start = time.perf_counter()
     schema = dataset.schema
-    space, cls = None, _ColumnModel
-    if variant in ("HARR-V", "HARR-M", "HAR"):
+    space, cls, first_epochs = None, _ColumnModel, None
+    if variant in _UNIFORM_START:
         space = _space(dataset)
         forms = _space_forms(dataset, space)
+        first_epochs = dataset._part("first_epochs", _FirstEpochs, weak=True)
     elif variant == "BD":
         table = _base_distances(dataset)
         forms = [(r, None, table.matrices[r]) for r in schema.categorical_indices()]
@@ -907,7 +960,7 @@ def prepare(dataset: Dataset, variant: str) -> Prepared:
     else:  # KMD, KPT: 0/1 mismatch
         forms = [(r, None, None) for r in schema.categorical_indices()]
     model = _model(dataset, forms, cls)
-    return Prepared(variant, model, space, time.perf_counter() - start)
+    return Prepared(variant, model, space, time.perf_counter() - start, first_epochs)
 
 
 def run(dataset: Dataset, config: RunConfig) -> RunReport:
@@ -915,11 +968,47 @@ def run(dataset: Dataset, config: RunConfig) -> RunReport:
     return run_prepared(dataset, prepare(dataset, config.variant), config)
 
 
+def _epoch(
+    model: _ColumnModel, proto_vals, weights, labels0, refreshed: bool, k: int, inner_cap: int, buf
+) -> _Epoch:
+    """One fixed-weight epoch: assign and refit until an assignment repeats
+    ``labels0``, the one before it (None before a run's first), or
+    ``inner_cap`` assignments were made. ``refreshed`` marks an epoch that
+    a weight refresh opened."""
+    inverse = model.inverse
+    memo: dict = {}  # per-value totals under this epoch's weights
+    trace_z: list[float] = []
+    trace_reseeded: list[bool] = []
+    for inner in range(inner_cap):
+        scores = model.scores(proto_vals, weights, memo, buf)
+        nearest, best = _nearest(scores)
+        new, reseeded = _reseed_empty(nearest[inverse], scores, inverse, k)
+        # per-object values summed in object order; a re-seeded object no
+        # longer sits at its row's minimum, so that step gathers its score
+        if reseeded:
+            own = scores.ravel()[new * scores.shape[1] + inverse]
+        else:
+            own = best[inverse]
+        trace_z.append(float(own.sum()))
+        del scores, nearest, best, own  # freed before the next score step
+        trace_reseeded.append(reseeded)
+        stable = labels0 is not None and np.array_equal(new, labels0)
+        labels0 = new
+        if stable:
+            break
+        if inner + 1 < inner_cap:
+            proto_vals = model.refit(labels0, k)
+    updated = (refreshed,) + (False,) * (len(trace_z) - 1)
+    return _Epoch(tuple(trace_z), updated, tuple(trace_reseeded), labels0, proto_vals, stable)
+
+
 def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunReport:
     """Execute one seeded run on the representation ``prepare`` built for
     this dataset: the epochs the module docstring describes. A run
     converged when its last epoch ended on a repeat (Q') and no cap cut the
-    run short."""
+    run short. HAR, HARR-V and HARR-M take their first epoch from the
+    dataset's store (``_FirstEpochs``); a run whose first epoch another run
+    computed does not count that epoch in its ``cluster_s``."""
     if prep.variant != config.variant:
         raise ConfigError(
             f"prepared for {prep.variant!r} but config asks for {config.variant!r}"
@@ -928,54 +1017,45 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
         raise ConfigError("prepared for another dataset")
     if config.k > dataset.n:
         raise ConfigError(f"k={config.k} exceeds the {dataset.n} available objects")
-    rng = np.random.default_rng(config.seed)
-    model = prep.model
-    inverse = model.inverse
-    n, m, k = dataset.n, model.m, config.k
     started = time.perf_counter()
-    weights_s = 0.0
-
-    proto_vals = model.at(rng.choice(n, size=k, replace=False))
+    model = prep.model
+    n, m, k = dataset.n, model.m, config.k
     # Weights start uniform and HARR-V and HARR-M learn them: one vector, or
     # one row per cluster. HAR keeps the uniform vector; the rest use none.
-    shape, learn = {
-        "HARR-V": ((m,), _weight_vector_from_stats),
-        "HARR-M": ((k, m), _weight_matrix_from_stats),
-        "HAR": ((m,), None),
-    }.get(config.variant, (None, None))
-    weights = None if shape is None else np.full(shape, 1.0 / m)
+    learn = {
+        "HARR-V": _weight_vector_from_stats,
+        "HARR-M": _weight_matrix_from_stats,
+    }.get(config.variant)
+    weights = np.full(m, 1.0 / m) if config.variant in _UNIFORM_START else None
     buf = _block_buffer(model)  # this run's own; never shared across workers
 
+    def first_epoch() -> _Epoch:
+        rng = np.random.default_rng(config.seed)
+        proto_vals = model.at(rng.choice(n, size=k, replace=False))
+        epoch = _epoch(model, proto_vals, weights, None, False, k, config.inner_cap, buf)
+        # kept while the store lives: the smallest unsigned label type
+        labels0 = epoch.labels0.astype(np.min_scalar_type(k - 1))
+        return replace(epoch, labels0=_freeze(labels0), proto_vals=_freeze(epoch.proto_vals))
+
+    if prep._first_epochs is None:
+        epoch = first_epoch()
+    else:
+        key = (config.seed, k, config.inner_cap)
+        epoch, shared = prep._first_epochs.get(key, first_epoch)
+        if shared:  # another run's loop counted the epoch
+            started = time.perf_counter()
+    weights_s = 0.0
     trace_z: list[float] = []
     trace_updated: list[bool] = []
     trace_reseeded: list[bool] = []
-    labels0 = None  # the last assignment, which Q' compares against
     refreshed = None  # the partition at the last weight refresh (Q'')
     updates = 0
     while True:
-        memo: dict = {}  # per-value totals under this epoch's weights
-        for inner in range(config.inner_cap):
-            scores = model.scores(proto_vals, weights, memo, buf)
-            nearest, best = _nearest(scores)
-            new, reseeded = _reseed_empty(nearest[inverse], scores, inverse, k)
-            # per-object values summed in object order; a re-seeded object no
-            # longer sits at its row's minimum, so that step gathers its score
-            if reseeded:
-                own = scores.ravel()[new * scores.shape[1] + inverse]
-            else:
-                own = best[inverse]
-            z = float(own.sum())
-            del scores, nearest, best, own  # freed before the next score step
-            trace_z.append(z)
-            trace_updated.append(inner == 0 and updates > 0)
-            trace_reseeded.append(reseeded)
-            stable = labels0 is not None and np.array_equal(new, labels0)
-            labels0 = new
-            if stable:
-                break
-            if inner + 1 < config.inner_cap:
-                proto_vals = model.refit(labels0, k)
-        converged = stable
+        trace_z += epoch.trace_z
+        trace_updated += epoch.trace_updated
+        trace_reseeded += epoch.trace_reseeded
+        labels0 = epoch.labels0.astype(np.intp, copy=False)
+        proto_vals, converged = epoch.proto_vals, epoch.stable
         if learn is None or (
             refreshed is not None and np.array_equal(labels0, refreshed)
         ):
@@ -989,6 +1069,7 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
         weights = learn(*stats, n)
         weights_s += time.perf_counter() - t0
         updates += 1
+        epoch = _epoch(model, proto_vals, weights, labels0, True, k, config.inner_cap, buf)
 
     del refreshed  # released before the labels are built
     if converged:

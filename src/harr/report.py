@@ -23,6 +23,8 @@ format is read in the one version that harr writes.
 from __future__ import annotations
 
 import base64
+import math
+import re
 from dataclasses import dataclass, fields
 from functools import partial
 from itertools import zip_longest
@@ -96,6 +98,25 @@ def _fixed(text: str):
     return (lambda _: text, str)
 
 
+def _duration(x) -> float:
+    """Seconds as a clock gives them: finite and non-negative."""
+    seconds = float(x)
+    if not 0.0 <= seconds < math.inf:
+        raise ValueError(f"{x!r} seconds is no duration")
+    return seconds
+
+
+_MEAN_STD = re.compile(r"-?[0-9]+\.[0-9]{4}±[0-9]+\.[0-9]{4}")
+
+
+def _score_cell(text: str) -> str:
+    """A summary score cell as ``save_summary`` writes it: mean±std to four
+    decimals, or ``none``."""
+    if text != "none" and not _MEAN_STD.fullmatch(text):
+        raise ValueError(f"{text!r} is not mean±std")
+    return text
+
+
 def _label_text(labels: np.ndarray, sep: str = " ") -> str:
     """Labels, each at least 1, as decimals with one ``sep`` between two."""
     if labels.size and labels.max() <= 9:  # one digit each
@@ -147,6 +168,8 @@ _FLOATS = _spaced(_FLOAT)
 _BITS = _spaced(_BIT)
 _LABELS = (_label_text, _read_labels)
 _B64_ROW = (_b64_write, _b64_read)  # exact: the float64 bytes themselves
+_SECONDS = (_FLOAT[0], _duration)
+_SCORES = (str, _score_cell)
 
 # Line formats: ``format: <name>``, one ``key: value`` line per header field,
 # then one ``[run]`` ... ``[end]`` block per run. Keys are names of the
@@ -204,11 +227,11 @@ _WEIGHT_SUMMARY = (
     ("weight_max_column", _spaced(_INT)),
 )
 _TIMINGS_V2 = "harr-timings-v2"  # v1 had no ``runs:`` count in the header
-_TIMINGS_HEAD = (("variant", _STR), ("reconstruct_s", _FLOAT))
-_TIMINGS_RUN = (("seed", _INT), ("cluster_s", _FLOAT), ("weights_s", _FLOAT))
+_TIMINGS_HEAD = (("variant", _STR), ("reconstruct_s", _SECONDS))
+_TIMINGS_RUN = (("seed", _INT), ("cluster_s", _SECONDS), ("weights_s", _SECONDS))
 
 # Tables: ``# format: <name>``, a CSV header, then one row per record.
-_SUMMARY = ("harr-summary-v1", "variant,ari,ca", (_STR, _STR, _STR))
+_SUMMARY = ("harr-summary-v1", "variant,ari,ca", (_STR, _SCORES, _SCORES))
 _TRACE = (
     "harr-trace-v1",
     "variant,seed,iteration,z,weights_updated",
@@ -284,11 +307,16 @@ class TimingsFile:
     ``prepare`` time: the set-up it did not find already built for the
     dataset by an earlier variant (discretization, base distances,
     projection) plus its model build, nonzero also for variants that
-    reconstruct nothing. It may overlap earlier variants' runs."""
+    reconstruct nothing. It may overlap earlier variants' runs. Every
+    value is a duration: finite and non-negative."""
 
     variant: str
     reconstruct_s: float
     runs: tuple[tuple[int, float, float], ...]  # (seed, cluster_s, weights_s)
+
+    def __post_init__(self) -> None:
+        for seconds in (self.reconstruct_s, *(s for _, *times in self.runs for s in times)):
+            _duration(seconds)
 
 
 def _fields(table, get) -> list[str]:
@@ -525,7 +553,17 @@ def save_summary(summaries: list[RunSummary | tuple[str, None]], path: str) -> s
 
 
 def load_summary(path: str) -> list[tuple[str, str, str]]:
-    return _load_table(_SUMMARY, path)
+    """Read the aggregate table: one row per variant, whose two score
+    cells are both ``none`` or both scores."""
+    rows = _load_table(_SUMMARY, path)
+    seen = set()
+    for line, (variant, ari, ca) in enumerate(rows, 3):  # after the format and header
+        if (ari == "none") != (ca == "none"):
+            raise ValueError(f"{path}, line {line}: one score cell is none, the other not")
+        if variant in seen:
+            raise ValueError(f"{path}, line {line}: variant {variant!r} is repeated")
+        seen.add(variant)
+    return rows
 
 
 def save_trace(rows: list[tuple[str, int, int, float, bool]], path: str) -> str:

@@ -13,6 +13,7 @@ import itertools
 import math
 import os
 import threading
+import weakref
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -246,14 +247,20 @@ class Dataset(_Record):
         object.__setattr__(self, "_parts", {})
         object.__setattr__(self, "_lock", threading.RLock())
 
-    def _part(self, key, build):
+    def _part(self, key, build, weak: bool = False):
         """The dataset's one copy of a part derived from it alone: ``build()``
         runs on first use, under the dataset's lock, so threads that ask at
-        once share one build, and the part lives as long as the dataset."""
+        once share one build, and the part lives as long as the dataset. A
+        ``weak`` part lives only while a caller holds it; an ask after that
+        builds it again."""
         with self._lock:
-            if key not in self._parts:
-                self._parts[key] = build()
-            return self._parts[key]
+            part = self._parts.get(key)
+            if weak and part is not None:
+                part = part()
+            if part is None:
+                part = build()
+                self._parts[key] = weakref.ref(part) if weak else part
+            return part
 
     def _numeric_extreme(self, reduce) -> np.ndarray:
         out = np.full(self.schema.d, np.nan)

@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 import weakref
 from collections import Counter, defaultdict
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -1444,6 +1445,136 @@ def test_threads_preparing_one_dataset_share_one_build(monkeypatch, variants):
             alone = prepare(_fresh(dataset), variant)
             assert got[variant].model == alone.model
             assert got[variant].space == alone.space
+
+
+_UNIFORM_START = ("HAR", "HARR-V", "HARR-M")
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_runs_that_start_alike_share_their_first_epoch(workers):
+    # HAR, HARR-V and HARR-M prepared on one dataset give the reports each
+    # run gives on a dataset of its own, whichever variant computes a first
+    # epoch and whichever run continues from it. Seed 1 at k = 5 re-seeds in
+    # its first epoch.
+    dataset = _mixed_sample(np.random.default_rng(5))
+    configs = [
+        RunConfig(k=k, seed=seed, variant=variant, inner_cap=cap, outer_cap=3)
+        for seed in (1, 2, 3)
+        for k in (2, 5)
+        for cap in (1, 2, 6)
+        for variant in np.roll(_UNIFORM_START, seed + k + cap)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        preps = {v: prepare(dataset, v) for v in _UNIFORM_START}
+        with ThreadPoolExecutor(workers) as pool:
+            shared = list(pool.map(lambda c: run_prepared(dataset, preps[c.variant], c), configs))
+        for config, report in zip(configs, shared):
+            fresh = _fresh(dataset)
+            assert report == run_prepared(fresh, prepare(fresh, config.variant), config), config
+    slots = preps["HAR"]._first_epochs._slots
+    assert len(slots) == 3 * 2 * 3  # one per (seed, k, inner cap)
+    assert any(
+        any(r.trace_reseeded) for r in shared if r.variant == "HAR" and r.seed == 1 and r.k == 5
+    )
+    for _, epoch in slots.values():
+        assert epoch.labels0.dtype == np.uint8 and not epoch.labels0.flags.writeable
+
+
+def test_first_epochs_go_with_the_last_prepared_that_shares_them():
+    # The dataset holds the store weakly: the Prepared of HAR, HARR-V and
+    # HARR-M hold it, and it is freed, without the cyclic collector, when
+    # the last of them goes. A later prepare starts an empty store.
+    dataset = _mixed_sample(np.random.default_rng(9))
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            har, harr_m = prepare(dataset, "HAR"), prepare(dataset, "HARR-M")
+            assert prepare(dataset, "KPT")._first_epochs is None
+            store = weakref.ref(har._first_epochs)
+            assert harr_m._first_epochs is store()
+            run_prepared(dataset, har, RunConfig(k=2, seed=0, variant="HAR"))
+            assert len(store()._slots) == 1
+            del har
+            assert store() is not None
+            del harr_m
+            assert store() is None
+            assert prepare(dataset, "HARR-V")._first_epochs._slots == {}
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+
+def test_a_first_epoch_is_computed_once_and_distinct_keys_do_not_wait(monkeypatch):
+    # Each first-epoch computation waits, up to 5 s, until another has
+    # started, so the runs at seeds 0 and 1 must compute at once. HARR-V
+    # and HARR-M at seed 0 ask while that one is computing; they wait for
+    # it, do not compute the epoch again, and do not count it in cluster_s.
+    epoch, together = cluster._epoch, threading.Barrier(2, timeout=5)
+    computed = Counter()
+
+    def first_epoch_waits(model, proto_vals, weights, labels0, *rest):
+        if labels0 is None:
+            computed[threading.get_ident()] += 1
+            together.wait()
+            time.sleep(0.3)
+        return epoch(model, proto_vals, weights, labels0, *rest)
+
+    monkeypatch.setattr(cluster, "_epoch", first_epoch_waits)
+    dataset = _mixed_sample(np.random.default_rng(5))
+    configs = [
+        RunConfig(k=3, seed=0, variant="HAR"),
+        RunConfig(k=3, seed=1, variant="HAR"),
+        RunConfig(k=3, seed=0, variant="HARR-V"),
+        RunConfig(k=3, seed=0, variant="HARR-M"),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        preps = {v: prepare(dataset, v) for v in _UNIFORM_START}
+        with ThreadPoolExecutor(4) as pool:
+            reports = list(pool.map(lambda c: run_prepared(dataset, preps[c.variant], c), configs))
+    assert sum(computed.values()) == 2
+    # whichever run at seed 0 asked first computed its epoch
+    counted = [r.cluster_s >= 0.3 for r in reports]
+    assert counted[1] and sum(counted) == 2
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    v=st.integers(2, 12),
+    ordinal=st.booleans(),
+    k=st.integers(2, 4),
+    zero_share=st.sampled_from([0.0, 0.3, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_weighted_total_is_the_weighted_block_summed(v, ordinal, k, zero_share, seed):
+    # Each weighted per-value total the score step keeps is, bit for bit,
+    # the block weighted row by row and summed down its columns: one row
+    # for v = 2, up to 66 for a 12-valued nominal, and weights that may be 0.
+    kind = AttributeKind.ORDINAL if ordinal else AttributeKind.NOMINAL
+    schema = DatasetSchema(
+        (AttributeSchema("c", kind, tuple(f"v{t}" for t in range(v))), AttributeSchema("x", AttributeKind.NUMERICAL))
+    )
+    rng = np.random.default_rng(seed)
+    cells = np.column_stack([rng.integers(1, v + 1, 40), rng.random(40)])
+    dataset = normalize_numerical(build_dataset(schema, cells))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        model = prepare(dataset, "HARR-M").model
+    buf = cluster._block_buffer(model)
+    proto_vals = model.at(rng.choice(dataset.n, size=k, replace=False))
+    (g,) = model.groups
+    for shape in ((model.m,), (k, model.m)):
+        w = rng.random(shape) * (rng.random(shape) >= zero_share)
+        memo = {}
+        model.scores(proto_vals, w, memo, buf)
+        assert memo
+        for key, total in memo.items():
+            w_l = w if len(shape) == 1 else w[key[2]]
+            block = g.per_value(key[1], np.empty(buf.size))
+            assert total.tobytes() == (w_l[g.cols][:, None] * block).sum(axis=0).tobytes()
 
 
 @settings(deadline=None, max_examples=40)

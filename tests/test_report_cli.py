@@ -663,6 +663,55 @@ def test_summary_roundtrip(tmp_path):
     ]
 
 
+@pytest.mark.parametrize(
+    "line, edited",
+    [
+        ("reconstruct_s: 0.125", "reconstruct_s: -5.0"),
+        ("cluster_s: 0.5", "cluster_s: nan"),
+        ("weights_s: 0.25", "weights_s: -inf"),
+    ],
+    ids=["negative", "nan", "minus-infinity"],
+)
+def test_timings_hold_only_durations_a_clock_gives(tmp_path, line, edited):
+    lines = GOLDEN_TIMINGS_V2.split("\n")
+    lineno = lines.index(line) + 1
+    lines[lineno - 1] = edited
+    path = tmp_path / "t.txt"
+    path.write_text("\n".join(lines))
+    value = edited.split(": ")[1]
+    with pytest.raises(ValueError) as raised:
+        load_timings(str(path))
+    assert str(raised.value) == f"{path}, line {lineno}: cannot read {value!r}"
+    with pytest.raises(ValueError, match="is no duration"):
+        TimingsFile("HARR-M", float(value), ())
+    with pytest.raises(ValueError, match="is no duration"):
+        TimingsFile("HARR-M", 0.125, ((7, 0.5, float(value)),))
+
+
+_SUMMARY_CSV = "# format: harr-summary-v1\nvariant,ari,ca\nKPT,0.5000±0.1000,0.7500±0.0500\n"
+
+
+@pytest.mark.parametrize(
+    "rows, lineno, message",
+    [
+        (["KPT,hello,0.5"], 3, "cannot read 'hello'"),
+        (["KPT,0.5,0.7500±0.0500"], 3, "cannot read '0.5'"),
+        (["KPT,0.5±0.1,0.7500±0.0500"], 3, "cannot read '0.5±0.1'"),
+        (["KPT,0.5000±0.1000,none"], 3, "one score cell is none, the other not"),
+        (["KPT,none,none", "BD,none,none", "KPT,none,none"], 5, "variant 'KPT' is repeated"),
+    ],
+    ids=["word", "bare-float", "two-decimals", "half-none", "repeated-variant"],
+)
+def test_summary_holds_only_rows_save_summary_writes(tmp_path, rows, lineno, message):
+    path = tmp_path / "summary.csv"
+    path.write_text(_SUMMARY_CSV)
+    assert load_summary(str(path)) == [("KPT", "0.5000±0.1000", "0.7500±0.0500")]
+    path.write_text("\n".join(["# format: harr-summary-v1", "variant,ari,ca", *rows]) + "\n")
+    with pytest.raises(ValueError) as raised:
+        load_summary(str(path))
+    assert str(raised.value) == f"{path}, line {lineno}: {message}"
+
+
 def test_trace_roundtrip_and_empty(tmp_path):
     rows = [("HARR-V", 0, 1, 12.5, False), ("HARR-V", 0, 2, 3.25, True)]
     path = save_trace(rows, str(tmp_path / "trace.csv"))
@@ -906,6 +955,35 @@ class TestCmdCluster:
         assert files == sorted(
             f"{v}.{kind}.txt" for v in written for kind in ("report", "timings")
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_first_epochs_are_shared_across_the_variants_between(
+        self, synth_dir, tmp_path, monkeypatch, workers
+    ):
+        # HAR, HARR-V and HARR-M compute one first epoch per seed, though
+        # OHE+OC and KPT run between them; the baselines compute their own.
+        from harr import cluster
+
+        epoch, first = cluster._epoch, []
+
+        def counted(model, proto_vals, weights, labels0, *rest):
+            if labels0 is None:
+                first.append(weights is not None)
+            return epoch(model, proto_vals, weights, labels0, *rest)
+
+        monkeypatch.setattr(cluster, "_epoch", counted)
+        cfg = BenchConfig(
+            data=synth_dir["data"],
+            schema=synth_dir["schema"],
+            labels=synth_dir["labels"],
+            variants=("HAR", "OHE+OC", "HARR-V", "KPT", "HARR-M"),
+            k=3,
+            runs=4,
+            workers=workers,
+            out_dir=str(tmp_path / "out"),
+        )
+        cmd_cluster(cfg)
+        assert sorted(first) == [False] * 8 + [True] * 4
 
     def test_workers_do_not_change_wide_nominal_results(self, tmp_path):
         # A 24-valued nominal builds (276, 24) distance blocks; concurrent

@@ -49,3 +49,15 @@ def test_files_the_change_tree_wrote_must_reload(tmp_path):
         f"BD.report.txt: {out / 'BD.report.txt'}: truncated at line 2",
         f"summary.csv: {out / 'summary.csv'}, line 3: 2 fields, expected 3",
     ]
+
+
+def test_a_variant_runs_alone_with_the_other_arguments_and_one_worker(tmp_path):
+    argv = ["cluster", "--data", "d.csv", "--workers", "2", "--variant", "KPT", "--variant", "HAR"]
+    assert same_reports.alone_argv(argv, "HARR-V") == [
+        "cluster", "--data", "d.csv", "--workers", "1", "--variant", "HARR-V",
+    ]
+    a = _tree(tmp_path / "beside", {"HAR.report.txt": "k: 2\n", "summary.csv": "HAR\nKPT\n"})
+    b = _tree(tmp_path / "alone", {"HAR.report.txt": "k: 2\n", "summary.csv": "HAR\n"})
+    assert same_reports.differences(a, b, ["HAR.report.txt"]) == []  # the summary is not compared
+    (tmp_path / "alone" / "HAR.report.txt").write_text("k: 3\n")
+    assert same_reports.differences(a, b, ["HAR.report.txt"]) == ["HAR.report.txt"]

@@ -12,8 +12,12 @@ sidecars hold wall-clock values and are not compared. Then every
 ``*.report.txt``, ``*.timings.txt`` and ``summary.csv`` that CHANGE_SRC
 wrote must load with CHANGE_SRC's own ``load_report``, ``load_timings``
 and ``load_summary``. One line is printed per workload and worker count.
-The exit status is 1 on any difference, failed run or file that does not
-load, 2 on a bad argument.
+Last, CHANGE_SRC runs each of HAR, HARR-V and HARR-M alone on the mixed-all
+shape with ``--workers 1``: the three share their first epochs when they
+run together, so each report must be byte-identical to the one written
+beside the other variants. One line is printed per variant. The exit
+status is 1 on any difference, failed run or file that does not load, 2 on
+a bad argument.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SYNTH_SEED = 1
 BASE_SEED = 1000
 WORKERS = (1, 3)
+ALONE_WORKLOAD = "mixed-all"
+ALONE = ("HAR", "HARR-V", "HARR-M")  # the variants that share first epochs
 
 
 def compared(out_dir: str) -> set[str]:
@@ -34,10 +40,11 @@ def compared(out_dir: str) -> set[str]:
     return {f for f in os.listdir(out_dir) if f.endswith(".report.txt") or f == "summary.csv"}
 
 
-def differences(a: str, b: str) -> list[str]:
-    """The compared files that are missing from one directory or differ."""
+def differences(a: str, b: str, names=None) -> list[str]:
+    """The compared files, or ``names``, that are missing from one
+    directory or differ."""
     found = []
-    for name in sorted(compared(a) | compared(b)):
+    for name in sorted(names or compared(a) | compared(b)):
         paths = os.path.join(a, name), os.path.join(b, name)
         if not all(map(os.path.isfile, paths)):
             found.append(f"{name} (missing from one tree)")
@@ -80,6 +87,15 @@ def reload_failures(src: str, out_dir: str) -> list[str]:
     if done.returncode != 0:
         failures.append(f"loader exit {done.returncode}: {done.stderr.strip()[-500:]}")
     return failures
+
+
+def alone_argv(argv: list[str], variant: str) -> list[str]:
+    """``harr cluster`` arguments ``argv`` with ``variant`` as the only
+    variant and one worker."""
+    pairs = dict(zip(argv[1::2], argv[2::2]))
+    del pairs["--variant"]
+    pairs.update({"--workers": "1", "--variant": variant})
+    return [argv[0], *(item for pair in pairs.items() for item in pair)]
 
 
 def cluster(src: str, argv: list[str]) -> None:
@@ -130,6 +146,22 @@ def main(argv=None) -> int:
                         f"{name} --workers {workers}: {count} files byte-identical, "
                         "every written file reloads"
                     )
+            if name != ALONE_WORKLOAD:
+                continue
+            beside = os.path.join(work, name, "change-w1")
+            for variant in ALONE:
+                out = os.path.join(work, name, f"alone-{variant}")
+                argv = alone_argv(cluster_argv(workload, inputs, BASE_SEED, out), variant)
+                try:
+                    cluster(trees["change"], argv)
+                except RuntimeError as exc:
+                    print(f"{name} {variant} alone: FAILED {exc}")
+                    return 1
+                if differences(beside, out, [f"{variant}.report.txt"]):
+                    status = 1
+                    print(f"{name} {variant} alone: DIFFERENT from its report beside the others")
+                else:
+                    print(f"{name} {variant} alone: report byte-identical to the one beside the others")
     return status
 
 
