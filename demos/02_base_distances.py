@@ -39,14 +39,16 @@ rows = [
     "virgi,0.90,medium",
 ]
 dataset = normalize_numerical(ingest_table("\n".join(rows), schema))
+# Each stage takes the one before it: the dataset, its discretized view,
+# then the base distances, which read the schema from the view.
 view = discretize_numerical(dataset)
 
 # Conditional distribution of size given each species
-cpd = compute_cpd(dataset, view, target=0, context=2)
+cpd = compute_cpd(view, target=0, context=2)
 print("p(size | species):")
 print(np.round(cpd.probs, 3))
 
-table = build_base_distances(dataset, view)
+table = build_base_distances(view)
 print("\nbase distances between species values (symmetric, zero diagonal):")
 print(np.round(table.matrices[0], 3))
 print("-> setosa is farther from virgi than from versi, as the contexts say")

@@ -18,6 +18,7 @@ import numpy as np
 
 from harr import (
     build_base_distances,
+    discretize_numerical,
     ingest_table,
     normalize_numerical,
     parse_schema,
@@ -74,7 +75,7 @@ grades = ["lo", "mid", "hi"]
 for i in range(24):
     rows.append(f"{i / 23:.3f},{colors[i % 4]},{grades[i % 3]}")
 dataset = normalize_numerical(ingest_table("\n".join(rows), schema))
-space = reconstruct(dataset, build_base_distances(dataset))
+space = reconstruct(build_base_distances(discretize_numerical(dataset)))
 print(
     f"\nexpanded width: {space.d_hat} = 1 numerical pass-through "
     f"+ {space.gamma(1)} color spans + {space.gamma(2)} grade line"

@@ -18,12 +18,11 @@ import numpy as np
 from .schema import (
     AttributeKind,
     AttributeSchema,
-    Dataset,
+    DatasetSchema,
     OrdinalView,
     _freeze,
     _frozen,
     _Record,
-    discretize_numerical,
 )
 
 __all__ = [
@@ -60,51 +59,48 @@ class CpdTable(_Record):
 
 @dataclass(frozen=True, eq=False)
 class BaseDistanceTable(_Record):
-    """One symmetric, zero-diagonal distance matrix per categorical attribute.
+    """One symmetric, zero-diagonal distance matrix per categorical attribute
+    of ``schema``.
 
-    ``matrices[r]`` is None for numerical attributes.
+    ``matrices[r]`` is None for a numerical attribute and a (v, v) matrix
+    for a categorical one; any other table raises ValueError.
     """
 
+    schema: DatasetSchema
     matrices: tuple[np.ndarray | None, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "matrices",
-            tuple(None if m is None else _frozen(m) for m in self.matrices),
-        )
+        matrices = tuple(None if m is None else _frozen(m) for m in self.matrices)
+        d = self.schema.d
+        fault = None if len(matrices) == d else "not one entry per attribute"
+        for r, attr in enumerate(self.schema.attributes):
+            kappa = matrices[r] if len(matrices) == d else None
+            if attr.kind.is_categorical and (kappa is None or kappa.shape != (attr.v, attr.v)):
+                fault = f"no ({attr.v}, {attr.v}) matrix for categorical attribute {attr.name!r}"
+                break
+            if not attr.kind.is_categorical and kappa is not None:
+                fault = f"a matrix for numerical attribute {attr.name!r}"
+                break
+        if fault is not None:
+            raise ValueError(
+                f"base-distance table ({len(matrices)} matrices, {d} attributes) has {fault}"
+            )
+        object.__setattr__(self, "matrices", matrices)
 
 
-def compute_cpd(
-    dataset: Dataset, view: OrdinalView, target: int, context: int
-) -> CpdTable:
+def compute_cpd(view: OrdinalView, target: int, context: int) -> CpdTable:
     """Conditional distribution of attribute ``context`` given each value of
-    the categorical attribute ``target``.
+    the categorical attribute ``target``, over the objects of ``view``.
 
     Numerical context attributes enter through their ordinal-view bins. A
-    target value with zero occurrences yields an all-zero row. A ``view`` of
-    another schema or row count raises ValueError; one of another dataset
-    with the same schema and n cannot be told apart.
+    target value with zero occurrences yields an all-zero row.
     """
-    _check_view(dataset, view)
-    if not dataset.schema.attributes[target].kind.is_categorical:
-        raise ValueError(
-            f"target attribute {dataset.schema.attributes[target].name!r} "
-            "is not categorical"
-        )
+    if not (attr := view.schema.attributes[target]).kind.is_categorical:
+        raise ValueError(f"target attribute {attr.name!r} is not categorical")
     v_t, v_c = view.bin_counts[target], view.bin_counts[context]
     joint = _joint(view.codes[:, target] - 1, view.codes[:, context] - 1, v_t, v_c)
     probs, counts = _conditional(joint)
     return CpdTable(target, context, _freeze(probs), _freeze(counts))
-
-
-def _check_view(dataset: Dataset, view: OrdinalView) -> None:
-    """Reject a view of another schema or row count: the attributes come
-    from ``dataset`` and the codes from ``view``."""
-    if view.schema != dataset.schema:
-        raise ValueError("the ordinal view was built for another schema")
-    if (n := view.codes.shape[0]) != dataset.n:
-        raise ValueError(f"the ordinal view has {n} rows, but the dataset has {dataset.n}")
 
 
 def _joint(codes0_t: np.ndarray, codes0_c: np.ndarray, v_t: int, v_c: int) -> np.ndarray:
@@ -179,16 +175,12 @@ def _kappa_ordinal(per_context: list[np.ndarray]) -> np.ndarray:
     return kappa
 
 
-def build_base_distances(
-    dataset: Dataset, view: OrdinalView | None = None
-) -> BaseDistanceTable:
-    """One base-distance matrix per categorical attribute of ``dataset``.
+def build_base_distances(view: OrdinalView) -> BaseDistanceTable:
+    """One base-distance matrix per categorical attribute of the dataset
+    that ``view`` discretizes.
 
     Nominal attributes use the full pairwise construction, ordinal attributes
-    the additive-along-rank construction. The dataset must be normalized; the
-    ordinal view is built on demand when not supplied. A supplied view of
-    another schema or row count raises ValueError; one of another dataset
-    with the same schema and n cannot be told apart.
+    the additive-along-rank construction.
 
     Each unordered attribute pair's joint counts are taken once, from the
     0-based code columns: the reverse pair reads their transpose and an
@@ -196,10 +188,7 @@ def build_base_distances(
     counts are exact integers, so every distribution is bitwise the one
     ``compute_cpd`` gives.
     """
-    if view is None:
-        view = discretize_numerical(dataset)
-    _check_view(dataset, view)
-    attrs, sizes = dataset.schema.attributes, view.bin_counts
+    attrs, sizes = view.schema.attributes, view.bin_counts
     # each column in its smallest unsigned type: no second n x d int64 table
     codes0 = [
         (view.codes[:, s] - 1).astype(np.min_scalar_type(v - 1))
@@ -228,4 +217,4 @@ def build_base_distances(
             matrices.append(_freeze(_kappa_ordinal(per_context)))
         else:
             matrices.append(_freeze(_kappa_nominal(per_context)))
-    return BaseDistanceTable(tuple(matrices))
+    return BaseDistanceTable(view.schema, tuple(matrices))

@@ -37,7 +37,6 @@ OHE+OC      k-means on one-hot nominal + rank-coded ordinal + numerical
 
 from __future__ import annotations
 
-import threading
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -54,6 +53,7 @@ from .schema import (
     _freeze,
     _frozen,
     _label_array,
+    _Parts,
     _Record,
     discretize_numerical,
 )
@@ -191,10 +191,12 @@ class WeightMatrix(_Record):
 class RunReport(_Record):
     """Everything produced by one seeded clustering run.
 
-    Labels (in [1, k]) and weights are frozen arrays: ``weights`` holds one
-    row of d_hat weights, ``weight_matrix`` one such row per cluster. The
-    three traces hold one entry per assignment, plus a fixed-point entry for
-    a converged run, so they have one length, at least 1. The run's counts
+    Its variant, k and seed follow ``RunConfig``'s rule. Labels (in [1, k])
+    and weights are frozen arrays: ``weights`` holds one row of d_hat
+    weights, ``weight_matrix`` one such row per cluster, each under the
+    rule of ``WeightVector`` or ``WeightMatrix``. The three traces hold one
+    entry per assignment, plus a fixed-point entry for a converged run, so
+    they have one length, at least 1. The run's counts
     and its monotonicity are properties derived from the traces, so no
     record can disagree with them. ``weights_s`` is the run's wall-clock
     time in weight refreshes and ``cluster_s`` the rest of its loop;
@@ -217,6 +219,7 @@ class RunReport(_Record):
     weights_s: float = field(default=0.0, compare=False)
 
     def __post_init__(self) -> None:
+        RunConfig(self.k, self.seed, self.variant)
         object.__setattr__(self, "labels", _label_array(self.labels, self.k))
         traces = self.trace_z, self.trace_weights_updated, self.trace_reseeded
         if len(set(map(len, traces))) > 1:
@@ -228,13 +231,13 @@ class RunReport(_Record):
             raise ValueError("the traces are empty, but every run makes an assignment")
         if self.weights is not None and self.weight_matrix is not None:
             raise ValueError("a run has a weight vector or a weight matrix, not both")
-        for name, ndim in (("weights", 1), ("weight_matrix", 2)):
-            w = getattr(self, name)
-            if w is not None:
-                w = _frozen(w, np.float64)
-                if w.ndim != ndim or not np.isfinite(w).all():
-                    raise ValueError(f"{name} must be {ndim}-dimensional and finite")
-                object.__setattr__(self, name, w)
+        if self.weights is not None:
+            object.__setattr__(self, "weights", WeightVector(self.weights).w)
+        if self.weight_matrix is not None:
+            w = WeightMatrix(self.weight_matrix).w
+            if w.shape[0] != self.k:
+                raise ValueError(f"{w.shape[0]} weight rows, but k is {self.k}")
+            object.__setattr__(self, "weight_matrix", w)
 
     @property
     def inner_iterations(self) -> int:
@@ -857,48 +860,25 @@ class _Epoch(_Record):
     stable: bool
 
 
-class _FirstEpochs:
-    """The first epochs of a dataset's HAR, HARR-V and HARR-M runs, keyed
-    by (seed, k, inner cap).
-
-    The first run to ask at a key computes the entry, and every later one
-    continues from it. Each key has a lock of its own, held while its entry
-    is computed: a second asker waits for that one computation, distinct
-    keys never wait on each other, and if the computation fails, a waiter
-    computes the entry itself. The dataset holds the store weakly, and the
-    ``Prepared`` of those variants strongly, so it goes with the last of
-    them.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._slots: dict = {}  # key -> [the key's lock, its _Epoch or None]
-
-    def get(self, key, compute) -> tuple[_Epoch, bool]:
-        """The entry at ``key`` and whether another run computed it."""
-        with self._lock:
-            slot = self._slots.setdefault(key, [threading.Lock(), None])
-        with slot[0]:
-            shared = slot[1] is not None
-            if not shared:
-                slot[1] = compute()
-            return slot[1], shared
-
-
 @dataclass(frozen=True)
 class Prepared:
     """Variant-specific immutable inputs shared by every run on a dataset.
     ``reconstruct_s`` is the variant's ``prepare`` time: the set-up it did
     not find already built for the dataset (discretize, base distances,
     projection, shared columns) plus its own model build, so KPT's is
-    nonzero too. It may overlap the runs of the variant before. HAR,
-    HARR-V and HARR-M hold their dataset's store of first epochs."""
+    nonzero too. It may overlap the runs of the variant before.
+
+    HAR, HARR-V and HARR-M hold their dataset's store of first epochs, a
+    ``_Parts`` map keyed by (seed, k, inner cap): the first run at a key
+    computes the entry and every later one continues from it. The dataset
+    holds the store weakly, so it goes with the last ``Prepared`` that
+    holds it."""
 
     variant: str
     model: _ColumnModel
     space: ReconstructedSpace | None
     reconstruct_s: float
-    _first_epochs: _FirstEpochs | None = field(default=None, repr=False, compare=False)
+    _first_epochs: _Parts | None = field(default=None, repr=False, compare=False)
 
 
 def _check_variant(dataset: Dataset, variant: str) -> None:
@@ -915,14 +895,13 @@ def _base_distances(dataset: Dataset) -> BaseDistanceTable:
     """The dataset's base-distance table. The discretized view it is built
     from is not kept."""
     return dataset._part(
-        "base_distances",
-        lambda: build_base_distances(dataset, discretize_numerical(dataset)),
+        "base_distances", lambda: build_base_distances(discretize_numerical(dataset))
     )
 
 
 def _space(dataset: Dataset) -> ReconstructedSpace:
     """The dataset's reconstructed space, which HARR-V, HARR-M and HAR share."""
-    return dataset._part("space", lambda: reconstruct(dataset, _base_distances(dataset)))
+    return dataset._part("space", lambda: reconstruct(_base_distances(dataset)))
 
 
 def prepare(dataset: Dataset, variant: str) -> Prepared:
@@ -942,7 +921,7 @@ def prepare(dataset: Dataset, variant: str) -> Prepared:
     if variant in _UNIFORM_START:
         space = _space(dataset)
         forms = _space_forms(dataset, space)
-        first_epochs = dataset._part("first_epochs", _FirstEpochs, weak=True)
+        first_epochs = dataset._part("first_epochs", _Parts, weak=True)
     elif variant == "BD":
         table = _base_distances(dataset)
         forms = [(r, None, table.matrices[r]) for r in schema.categorical_indices()]
@@ -1007,8 +986,8 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
     this dataset: the epochs the module docstring describes. A run
     converged when its last epoch ended on a repeat (Q') and no cap cut the
     run short. HAR, HARR-V and HARR-M take their first epoch from the
-    dataset's store (``_FirstEpochs``); a run whose first epoch another run
-    computed does not count that epoch in its ``cluster_s``."""
+    dataset's store (``Prepared._first_epochs``); a run whose first epoch
+    another run computed does not count that epoch in its ``cluster_s``."""
     if prep.variant != config.variant:
         raise ConfigError(
             f"prepared for {prep.variant!r} but config asks for {config.variant!r}"
@@ -1028,8 +1007,11 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
     }.get(config.variant)
     weights = np.full(m, 1.0 / m) if config.variant in _UNIFORM_START else None
     buf = _block_buffer(model)  # this run's own; never shared across workers
+    computed = False  # whether this run computes its first epoch
 
     def first_epoch() -> _Epoch:
+        nonlocal computed
+        computed = True
         rng = np.random.default_rng(config.seed)
         proto_vals = model.at(rng.choice(n, size=k, replace=False))
         epoch = _epoch(model, proto_vals, weights, None, False, k, config.inner_cap, buf)
@@ -1040,9 +1022,8 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
     if prep._first_epochs is None:
         epoch = first_epoch()
     else:
-        key = (config.seed, k, config.inner_cap)
-        epoch, shared = prep._first_epochs.get(key, first_epoch)
-        if shared:  # another run's loop counted the epoch
+        epoch = prep._first_epochs((config.seed, k, config.inner_cap), first_epoch)
+        if not computed:  # another run's loop counted the epoch
             started = time.perf_counter()
     weights_s = 0.0
     trace_z: list[float] = []

@@ -24,7 +24,6 @@ import numpy as np
 from .base_distance import BaseDistanceTable
 from .schema import (
     AttributeKind,
-    Dataset,
     DatasetSchema,
     _freeze,
     _frozen,
@@ -190,26 +189,19 @@ def hamming_fallback(v: int, source: int = 0) -> ProjectedBlock:
     return ProjectedBlock(source, (HAMMING_FALLBACK,), coords, gap)
 
 
-def reconstruct(dataset: Dataset, table: BaseDistanceTable) -> ReconstructedSpace:
-    """Build the expanded attribute set from the base-distance table.
+def reconstruct(table: BaseDistanceTable) -> ReconstructedSpace:
+    """Build the expanded attribute set of the table's schema from its base
+    distances.
 
     Sub-attributes are ordered by source attribute, then by spanning pair, so
     weight vectors are reproducible across runs and platforms. An attribute
     whose spans are all degenerate falls back to a single 0/1 mismatch
-    sub-attribute. Pure function of its inputs.
+    sub-attribute. Pure function of the table.
     """
-    schema, matrices = dataset.schema, table.matrices
     blocks: list[ProjectedBlock] = []
-    for r, attr in enumerate(schema.attributes):
+    for r, (attr, kappa) in enumerate(zip(table.schema.attributes, table.matrices)):
         if not attr.kind.is_categorical:
             continue
-        kappa = matrices[r] if len(matrices) == schema.d else None
-        if kappa is None or kappa.shape != (attr.v, attr.v):
-            raise ValueError(
-                f"base-distance table ({len(matrices)} matrices, {schema.d} "
-                f"attributes) has no ({attr.v}, {attr.v}) matrix for "
-                f"categorical attribute {attr.name!r}"
-            )
         if attr.kind is AttributeKind.ORDINAL:
             block = project_ordinal(kappa, source=r)
         else:
@@ -223,4 +215,4 @@ def reconstruct(dataset: Dataset, table: BaseDistanceTable) -> ReconstructedSpac
             )
             block = hamming_fallback(attr.v, source=r)
         blocks.append(block)
-    return ReconstructedSpace(schema, tuple(blocks))
+    return ReconstructedSpace(table.schema, tuple(blocks))

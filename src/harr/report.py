@@ -25,13 +25,13 @@ from __future__ import annotations
 import base64
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import zip_longest
 
 import numpy as np
 
-from .cluster import RunReport
+from .cluster import RunConfig, RunReport
 from .evaluation import RunSummary
 from .schema import (
     DataError,
@@ -258,8 +258,9 @@ def _summarized(name: str) -> property:
 @dataclass(frozen=True)
 class ReportFile:
     """One variant's report: configuration echo plus every seeded run, each
-    of the report's variant and k. The run count and the score summary are
-    derived from the runs."""
+    of the report's variant and k, with d_hat weights per row if it has
+    weights. The echo follows ``RunConfig``'s rule. The run count and the
+    score summary are derived from the runs."""
 
     variant: str
     dataset: str
@@ -273,12 +274,21 @@ class ReportFile:
     run_reports: tuple[RunReport, ...]
 
     def __post_init__(self) -> None:
-        for run in self.run_reports:  # a report writes only the header's
-            if (run.variant, run.k) != (self.variant, self.k):
-                raise ValueError(
-                    f"run seed={run.seed} is a {run.variant} run with k={run.k}, "
-                    f"but the report is {self.variant} with k={self.k}"
-                )
+        RunConfig(self.k, self.base_seed, self.variant, self.inner_cap, self.outer_cap)
+        for run in self.run_reports:
+            self._check_run(run)
+
+    def _check_run(self, run: RunReport) -> None:
+        """Raise ValueError unless the report can hold ``run``: it writes
+        only the header's variant and k."""
+        if (run.variant, run.k) != (self.variant, self.k):
+            raise ValueError(
+                f"run seed={run.seed} is a {run.variant} run with k={run.k}, "
+                f"but the report is {self.variant} with k={self.k}"
+            )
+        rows = run.weight_matrix if run.weights is None else run.weights[None]
+        if rows is not None and rows.shape[1] != self.d_hat:
+            raise ValueError(f"{rows.shape[1]} weights, but d_hat is {self.d_hat}")
 
     @property
     def runs(self) -> int:
@@ -363,6 +373,14 @@ class _Lines:
         self.pos += 1
         return self.lines[self.pos - 1]
 
+    def check(self, make, *args, **kwargs):
+        """``make(*args, **kwargs)``; a ValueError it raises names the path
+        and the line where reading stopped."""
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            raise self.error(str(exc)) from None
+
     def decode(self, read, text: str):
         try:
             return read(text)
@@ -402,9 +420,9 @@ class _Lines:
 
 
 def _weight_summary(rows: np.ndarray) -> dict:
-    with np.errstate(over="ignore", invalid="ignore"):
-        logs = np.log(rows, out=np.zeros_like(rows), where=rows > 0)
-        entropy = -(rows * logs).sum(axis=1)
+    """Rows on the simplex (``RunReport``), so no product overflows."""
+    logs = np.log(rows, out=np.zeros_like(rows), where=rows > 0)
+    entropy = -(rows * logs).sum(axis=1)
     column = rows.argmax(axis=1)
     return {
         "weight_entropy": entropy.tolist(),
@@ -437,49 +455,36 @@ def save_report(report: ReportFile, path: str) -> str:
     return _save(_report_lines(report), path)
 
 
-def _weight_row(src: _Lines, key: str, d_hat: int) -> np.ndarray:
-    row = src.field(key, _B64_ROW[1])
-    if row.size != d_hat:
-        raise src.error(f"{row.size} weights, but d_hat is {d_hat}")
-    if not np.isfinite(row).all():
-        raise src.error("weights must be finite")
-    return row
-
-
-def _read_weights(src: _Lines, run: dict, k: int, d_hat: int) -> None:
-    """Read a run's weight lines, if any, into ``run``."""
+def _read_weights(src: _Lines, run: dict) -> None:
+    """Read a run's weight lines, if any, into ``run``; ``RunReport`` and
+    ``ReportFile`` check them."""
     run["weights"] = run["weight_matrix"] = None
     if src.has("weights"):
-        run["weights"] = _weight_row(src, "weights", d_hat)
+        run["weights"] = src.field("weights", _B64_ROW[1])
     elif src.has("weight_matrix"):
-        if (count := src.field("weight_matrix", int)) != k or k < 1:
-            raise src.error(f"{count} weight rows, but k is {k}")
-        rows = [_weight_row(src, "row", d_hat) for _ in range(k)]
-        run["weight_matrix"] = _freeze(np.stack(rows))
+        rows = [src.field("row", _B64_ROW[1]) for _ in range(src.field("weight_matrix", int))]
+        run["weight_matrix"] = _freeze(src.check(np.stack, rows))  # the one copy of the rows
     else:
         return
     src.fields(_WEIGHT_SUMMARY)  # derived from the rows, checked with every line
 
 
 def load_report(path: str) -> ReportFile:
-    """Read a v2 report; labels and weights come back as arrays."""
+    """Read a v2 report; labels and weights come back as arrays. The
+    records check what they hold as each is read: a fault names the line
+    where reading stopped."""
     src = _Lines(path, "format: ", _REPORT_V2)
     head = _stored(ReportFile, src.fields(_REPORT_HEAD))
-    k = head["k"]
+    report = src.check(ReportFile, **head, run_reports=())
     runs = []
     for _ in src.blocks():
         run = src.fields(_RUN_HEAD)
-        try:
-            run["labels"] = _label_array(run["labels"], k)
-        except ValueError as exc:
-            raise src.error(str(exc)) from None
-        _read_weights(src, run, k, head["d_hat"])
+        run["labels"] = src.check(_label_array, run["labels"], report.k)
+        _read_weights(src, run)
         run.update(src.fields(_RUN_TAIL))
-        try:
-            runs.append(RunReport(variant=head["variant"], k=k, **_stored(RunReport, run)))
-        except ValueError as exc:  # traces empty or of different lengths
-            raise src.error(str(exc)) from None
-    report = ReportFile(**head, run_reports=tuple(runs))
+        runs.append(src.check(RunReport, variant=report.variant, k=report.k, **_stored(RunReport, run)))
+        src.check(report._check_run, runs[-1])
+    report = replace(report, run_reports=tuple(runs))
     src.same(_report_lines(report))
     return report
 

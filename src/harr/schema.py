@@ -208,6 +208,32 @@ class DatasetSchema:
         )
 
 
+class _Parts:
+    """A keyed map that builds each key's value once, on first use.
+
+    ``parts(key, build)`` returns the value at ``key``, calling ``build()``
+    if there is none. Each key has a lock of its own, held while its value
+    is built: a second asker for a key waits for that one build, askers for
+    different keys never wait on each other, and a build that raises leaves
+    the key to the next asker. A ``weak`` value lives only while a caller
+    holds it; an ask after that builds it again.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()  # held only to find or add a key's slot
+        self._slots: dict = {}  # key -> [the key's lock, its value, weakref or None]
+
+    def __call__(self, key, build, weak: bool = False):
+        with self._lock:
+            slot = self._slots.setdefault(key, [threading.Lock(), None])
+        with slot[0]:
+            value = slot[1]() if weak and slot[1] is not None else slot[1]
+            if value is None:
+                value = build()
+                slot[1] = weakref.ref(value) if weak else value
+            return value
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset(_Record):
     """An n x d cell table bound to its schema.
@@ -220,7 +246,7 @@ class Dataset(_Record):
     and ``numeric_max``, the observed range per attribute, are derived from
     the cells on first use: NaN for categorical attributes and for an empty
     table. Parts that other layers derive from the dataset alone are kept
-    on it too (``_part``).
+    on it too (``_part``, one ``_Parts`` map).
     """
 
     schema: DatasetSchema
@@ -244,23 +270,7 @@ class Dataset(_Record):
                     f"indices in 1..{attr.v}"
                 )
         object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "_parts", {})
-        object.__setattr__(self, "_lock", threading.RLock())
-
-    def _part(self, key, build, weak: bool = False):
-        """The dataset's one copy of a part derived from it alone: ``build()``
-        runs on first use, under the dataset's lock, so threads that ask at
-        once share one build, and the part lives as long as the dataset. A
-        ``weak`` part lives only while a caller holds it; an ask after that
-        builds it again."""
-        with self._lock:
-            part = self._parts.get(key)
-            if weak and part is not None:
-                part = part()
-            if part is None:
-                part = build()
-                self._parts[key] = weakref.ref(part) if weak else part
-            return part
+        object.__setattr__(self, "_part", _Parts())
 
     def _numeric_extreme(self, reduce) -> np.ndarray:
         out = np.full(self.schema.d, np.nan)

@@ -98,7 +98,7 @@ def test_c01_metric_axioms():
         for case in range(200):
             dataset = random_dataset(rng, max_n=60, max_d=5, max_v=6, min_categorical=1)
             space = reconstruct(
-                dataset, build_base_distances(dataset, discretize_numerical(dataset))
+                build_base_distances(discretize_numerical(dataset))
             )
             for block in space.blocks:
                 for span, coords in zip(block.spans, block.coords):
@@ -151,7 +151,7 @@ def test_c02_base_distance_oracle():
         for _ in range(100):
             dataset = random_dataset(rng, max_n=50, max_d=4, max_v=6, min_categorical=1)
             view = discretize_numerical(dataset)
-            table = build_base_distances(dataset, view)
+            table = build_base_distances(view)
             expected = base_distance_table_oracle(dataset, view)
             for got, want in zip(table.matrices, expected):
                 if got is not None:
@@ -208,11 +208,11 @@ def _observed_everywhere_dataset(v_list, d_u=0, rows=None):
 
 def test_c04_expansion_arithmetic():
     four = _observed_everywhere_dataset([4])
-    space4 = reconstruct(four, build_base_distances(four))
+    space4 = reconstruct(build_base_distances(discretize_numerical(four)))
     ds = _observed_everywhere_dataset([2, 2, 2, 2, 2], d_u=1)
-    space_ds = reconstruct(ds, build_base_distances(ds))
+    space_ds = reconstruct(build_base_distances(discretize_numerical(ds)))
     sb = _observed_everywhere_dataset(SOYBEAN_VS, rows=84)
-    space_sb = reconstruct(sb, build_base_distances(sb))
+    space_sb = reconstruct(build_base_distances(discretize_numerical(sb)))
     expected_ds = 1 + sum(v * (v - 1) // 2 for v in [2, 2, 2, 2, 2])
     expected_sb = sum(v * (v - 1) // 2 for v in SOYBEAN_VS)
     ok = (
@@ -319,7 +319,7 @@ def test_c06_weight_update_oracle():
             if dataset.n <= k + 1:
                 continue
             space = reconstruct(
-                dataset, build_base_distances(dataset, discretize_numerical(dataset))
+                build_base_distances(discretize_numerical(dataset))
             )
             labels0 = rng.integers(0, k, size=dataset.n)
             labels0[:k] = np.arange(k)

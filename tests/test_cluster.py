@@ -62,14 +62,14 @@ from oracles import (
 def _mixed(schema_text, data_text):
     schema = parse_schema(schema_text)
     dataset = normalize_numerical(ingest_table(data_text, schema))
-    space = reconstruct(dataset, build_base_distances(dataset))
+    space = reconstruct(build_base_distances(discretize_numerical(dataset)))
     return dataset, space
 
 
 def _numeric_space(cells):
     schema = parse_schema("\n".join(f"x{i},num" for i in range(cells.shape[1])))
     dataset = build_dataset(schema, cells)
-    space = reconstruct(dataset, build_base_distances(dataset, discretize_numerical(dataset)))
+    space = reconstruct(build_base_distances(discretize_numerical(dataset)))
     return dataset, space
 
 
@@ -120,7 +120,7 @@ class TestAssign:
         schema = parse_schema("c,nom,a|b|c\n")
         dataset = ingest_table("a\nb\nc", schema)
         with pytest.warns(RuntimeWarning, match="falling back"):
-            space = reconstruct(dataset, BaseDistanceTable((np.zeros((3, 3)),)))
+            space = reconstruct(BaseDistanceTable(schema, (np.zeros((3, 3)),)))
         protos = Prototypes(np.array([[1.0], [2.0]]))
         assert assign(dataset, space, protos, None).labels.tolist() == [1, 2, 1]
 
@@ -129,7 +129,7 @@ class TestAssign:
         for _ in range(6):
             dataset = random_dataset(rng, max_n=20, min_categorical=1)
             space = reconstruct(
-                dataset, build_base_distances(dataset, discretize_numerical(dataset))
+                build_base_distances(discretize_numerical(dataset))
             )
             k = 3 if dataset.n >= 3 else 2
             labels0 = rng.integers(0, k, size=dataset.n)
@@ -292,7 +292,7 @@ class TestUpdateWeightVector:
         for _ in range(10):
             dataset = random_dataset(rng, max_n=25, min_categorical=1)
             space = reconstruct(
-                dataset, build_base_distances(dataset, discretize_numerical(dataset))
+                build_base_distances(discretize_numerical(dataset))
             )
             k = 2 + int(rng.integers(0, 2))
             if dataset.n <= k:
@@ -339,7 +339,7 @@ class TestUpdateWeightMatrix:
         for _ in range(10):
             dataset = random_dataset(rng, max_n=25, min_categorical=1)
             space = reconstruct(
-                dataset, build_base_distances(dataset, discretize_numerical(dataset))
+                build_base_distances(discretize_numerical(dataset))
             )
             k = 2
             labels0 = rng.integers(0, k, size=dataset.n)
@@ -515,7 +515,7 @@ class TestBaselines:
         schema = parse_schema("u,nom,a|b|c\nw,nom,x|y\n")
         data = "a,x\na,y\nb,x\nb,x\nc,y\nc,y\na,x\nb,y"
         dataset = ingest_table(data, schema)
-        table = build_base_distances(dataset, discretize_numerical(dataset))
+        table = build_base_distances(discretize_numerical(dataset))
         cfg = RunConfig(k=2, seed=1, variant="BD")
         report = run(dataset, cfg)
         assert not any(report.trace_reseeded)
@@ -534,7 +534,7 @@ class TestBaselines:
         schema = parse_schema("c,nom,a|b|c\nx,num\n")
         rows = ["a,0.05", "a,0.1", "b,0.5", "b,0.55", "c,0.9", "c,1.0", "a,0.0", "b,0.45"]
         dataset = normalize_numerical(ingest_table("\n".join(rows), schema))
-        space = reconstruct(dataset, build_base_distances(dataset))
+        space = reconstruct(build_base_distances(discretize_numerical(dataset)))
         cfg = RunConfig(k=3, seed=6, variant="HAR")
         report = run(dataset, cfg)
 
@@ -699,7 +699,7 @@ def test_capped_baseline_matches_table_oracle(seed, variant):
         report = run(dataset, config)
         table = None
         if variant == "BD":
-            table = build_base_distances(dataset, discretize_numerical(dataset))
+            table = build_base_distances(discretize_numerical(dataset))
     kinds, tables = [], []
     for r, attr in enumerate(dataset.schema.attributes):
         kinds.append("cat" if attr.kind.is_categorical else "num")
@@ -758,7 +758,7 @@ def _object_scores(dataset, variant, prep, protos, weights):
     m = prep.model.m
     tables = None
     if variant == "BD":
-        tables = build_base_distances(dataset, discretize_numerical(dataset)).matrices
+        tables = build_base_distances(discretize_numerical(dataset)).matrices
     enc = _ohe_oc_columns(dataset)
     d_u = schema.d_u
     # numerical pass-throughs, then each categorical attribute's columns
@@ -1445,6 +1445,65 @@ def test_threads_preparing_one_dataset_share_one_build(monkeypatch, variants):
             alone = prepare(_fresh(dataset), variant)
             assert got[variant].model == alone.model
             assert got[variant].space == alone.space
+
+
+def test_parts_of_one_dataset_with_different_keys_build_at_once():
+    # A build holds only its own key's lock: while one part's build is
+    # blocked, another part of the same dataset is built and returned.
+    dataset = _mixed_sample(np.random.default_rng(3))
+    started, release = threading.Event(), threading.Event()
+
+    def blocked():
+        started.set()
+        release.wait(5)
+        return "slow"
+
+    slow = threading.Thread(target=dataset._part, args=("slow", blocked))
+    quick = threading.Thread(target=dataset._part, args=("quick", lambda: "quick"))
+    slow.start()
+    try:
+        assert started.wait(5)
+        quick.start()
+        quick.join(2)
+        assert not quick.is_alive() and slow.is_alive()
+    finally:
+        release.set()
+        slow.join(5)
+        quick.join(5)
+    assert dataset._part("quick", None) == "quick" and dataset._part("slow", None) == "slow"
+
+
+def test_a_part_whose_build_raises_is_built_by_the_next_asker():
+    # A second asker waits for the one build; when that build raises, the
+    # key stays empty and the waiter builds the part itself, once.
+    dataset = _mixed_sample(np.random.default_rng(3))
+    started, release = threading.Event(), threading.Event()
+    failed, got = [], []
+
+    def fails():
+        started.set()
+        release.wait(5)
+        raise RuntimeError("the build failed")
+
+    def first():
+        with pytest.raises(RuntimeError, match="the build failed"):
+            dataset._part("part", fails)
+        failed.append(True)
+
+    builder = threading.Thread(target=first)
+    waiter = threading.Thread(target=lambda: got.append(dataset._part("part", lambda: "built")))
+    builder.start()
+    try:
+        assert started.wait(5)
+        waiter.start()
+        waiter.join(0.2)
+        assert waiter.is_alive()  # waits for the build in progress
+    finally:
+        release.set()
+        builder.join(5)
+        waiter.join(5)
+    assert failed == [True] and got == ["built"]
+    assert dataset._part("part", fails) == "built"
 
 
 _UNIFORM_START = ("HAR", "HARR-V", "HARR-M")

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from harr.bench import load_dataset
@@ -37,11 +38,13 @@ def test_traced_cli_and_step_probe_run(tmp_path):
 
     traced = _script("traced_cli.py", str(spans), *argv)
     assert traced.returncode == 0, traced.stderr
-    described = [
-        span["attrs"]
-        for span in json.loads(spans.read_text())
-        if span["name"] == "projection.reconstruct"
-    ]
+    recorded = json.loads(spans.read_text())
+    # each set-up layer that perfbench times is seen once: HARR-M finds the
+    # parts HARR-V built
+    layers = ("schema.discretize_numerical", "base_distance.build_base_distances")
+    names = Counter(span["name"] for span in recorded)
+    assert [names[name] for name in (*layers, "projection.reconstruct")] == [1, 1, 1]
+    described = [span["attrs"] for span in recorded if span["name"] == "projection.reconstruct"]
     space = prepare(load_dataset(paths["schema"], paths["data"]), "HARR-V").space
     table_bytes = sum(b.gamma * b.v * b.v * 8 for b in space.blocks)
     assert (space.d_hat, table_bytes) == (32, 8928)

@@ -161,8 +161,8 @@ class TestReconstruct:
     def _space(self, schema_text, data_text):
         schema = parse_schema(schema_text)
         dataset = normalize_numerical(ingest_table(data_text, schema))
-        table = build_base_distances(dataset, discretize_numerical(dataset))
-        return dataset, reconstruct(dataset, table)
+        table = build_base_distances(discretize_numerical(dataset))
+        return dataset, reconstruct(table)
 
     def test_mixed_width(self):
         # one numerical + nominal v=4 + ordinal v=3: 1 + 6 + 1 columns
@@ -184,8 +184,8 @@ class TestReconstruct:
 
     def test_deterministic(self):
         dataset, space1 = self._space("c,nom,a|b|c\nx,num\n", "a,0\nb,0.5\nc,1\na,0.2")
-        table = build_base_distances(dataset, discretize_numerical(dataset))
-        space2 = reconstruct(dataset, table)
+        table = build_base_distances(discretize_numerical(dataset))
+        space2 = reconstruct(table)
         assert space1.d_hat == space2.d_hat
         for b1, b2 in zip(space1.blocks, space2.blocks, strict=True):
             assert b1.spans == b2.spans and np.array_equal(b1.coords, b2.coords)
@@ -213,8 +213,8 @@ class TestReconstruct:
         rng = np.random.default_rng(99)
         for _ in range(10):
             dataset = random_dataset(rng, min_categorical=1)
-            table = build_base_distances(dataset, discretize_numerical(dataset))
-            space = reconstruct(dataset, table)
+            table = build_base_distances(discretize_numerical(dataset))
+            space = reconstruct(table)
             for block in space.blocks:
                 v = block.v
                 mats = np.array(
@@ -232,8 +232,8 @@ class TestReconstruct:
         rng = np.random.default_rng(123)
         for _ in range(10):
             dataset = random_dataset(rng, min_categorical=1)
-            table = build_base_distances(dataset, discretize_numerical(dataset))
-            space = reconstruct(dataset, table)
+            table = build_base_distances(discretize_numerical(dataset))
+            space = reconstruct(table)
             for block in space.blocks:
                 pairs = [
                     gap
@@ -251,18 +251,24 @@ class TestReconstruct:
                         )
 
     def test_table_of_another_schema_is_rejected(self):
-        # ``c`` has 3 values here and 4 in the table's dataset.
-        dataset = ingest_table("a,x\nb,y\nc,x", parse_schema("c,nom,a|b|c\nd,nom,x|y\n"))
+        # ``c`` has 3 values here and 4 in the matrices' dataset: the table
+        # checks its matrices against its own schema.
+        schema = parse_schema("c,nom,a|b|c\nd,nom,x|y\n")
         other = ingest_table("a,x\nd,y\nc,x", parse_schema("c,nom,a|b|c|d\nd,nom,x|y\n"))
+        matrices = build_base_distances(discretize_numerical(other)).matrices
         message = r"no \(3, 3\) matrix for categorical attribute 'c'$"
         with pytest.raises(ValueError, match=message):
-            reconstruct(dataset, build_base_distances(other))
+            BaseDistanceTable(schema, matrices)
+        with pytest.raises(ValueError, match=r"a matrix for numerical attribute 'x'$"):
+            BaseDistanceTable(parse_schema("x,num\n"), (np.zeros((2, 2)),))
 
     def test_table_of_another_width_is_rejected(self):
         dataset = ingest_table("a,x\nb,y\nc,x", parse_schema("c,nom,a|b|c\nd,nom,x|y\n"))
-        short = BaseDistanceTable(build_base_distances(dataset).matrices[:1])
+        matrices = build_base_distances(discretize_numerical(dataset)).matrices
         with pytest.raises(ValueError, match=r"\(1 matrices, 2 attributes\).*'c'$"):
-            reconstruct(dataset, short)
+            BaseDistanceTable(dataset.schema, matrices[:1])
+        with pytest.raises(ValueError, match=r"\(2 matrices, 1 attributes\).*per attribute$"):
+            BaseDistanceTable(parse_schema("x,num\n"), (None, None))
 
     def test_peak_memory_is_about_two_blocks(self):
         # One 150-valued nominal: 11,175 spans, a 13.4 MB block. The
@@ -271,10 +277,10 @@ class TestReconstruct:
         schema = parse_schema("c,nom," + "|".join(f"v{t}" for t in range(v)) + "\n")
         dataset = build_dataset(schema, (np.arange(v) + 1)[:, None])
         upper = np.triu(np.random.default_rng(3).uniform(0.5, 2.0, (v, v)), 1)
-        table = BaseDistanceTable((upper + upper.T,))
+        table = BaseDistanceTable(schema, (upper + upper.T,))
         tracemalloc.start()
         try:
-            space = reconstruct(dataset, table)
+            space = reconstruct(table)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -300,10 +306,10 @@ def test_tiling_rows_keeps_distances_and_coordinates(seed):
     tiled = build_dataset(dataset.schema, np.tile(dataset.cells, (3, 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        table = build_base_distances(dataset, discretize_numerical(dataset, bins=4))
-        tiled_table = build_base_distances(tiled, discretize_numerical(tiled, bins=4))
-        space = reconstruct(dataset, table)
-        tiled_space = reconstruct(tiled, tiled_table)
+        table = build_base_distances(discretize_numerical(dataset, bins=4))
+        tiled_table = build_base_distances(discretize_numerical(tiled, bins=4))
+        space = reconstruct(table)
+        tiled_space = reconstruct(tiled_table)
     for a, b in zip(table.matrices, tiled_table.matrices, strict=True):
         assert (a is None and b is None) or a.tobytes() == b.tobytes()
     assert len(space.blocks) == len(tiled_space.blocks)
@@ -365,8 +371,8 @@ def test_reconstructed_blocks_match_per_pair_oracle(seed):
     dataset = random_dataset(np.random.default_rng(seed), min_categorical=1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        table = build_base_distances(dataset, discretize_numerical(dataset))
-        space = reconstruct(dataset, table)
+        table = build_base_distances(discretize_numerical(dataset))
+        space = reconstruct(table)
     blocks = {b.source: b for b in space.blocks}
     for r, attr in enumerate(dataset.schema.attributes):
         if attr.kind is not AttributeKind.NOMINAL:

@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -15,7 +16,7 @@ import harr
 from harr import bench, cli
 from harr.bench import BenchConfig, cmd_bench_time, cmd_cluster, cmd_trace_plot
 from harr.cli import build_parser, main
-from harr.cluster import ConfigError, RunReport
+from harr.cluster import VARIANTS, ConfigError, RunReport
 from harr.evaluation import ari, ca
 from harr.report import (
     ReportFile,
@@ -37,10 +38,10 @@ from harr.report import (
 from harr.synth import SyntheticSpec, write_synthetic
 
 
-def _run_report(variant="HARR-V", seed=0, weights=(0.25, 0.75), matrix=None):
+def _run_report(variant="HARR-V", seed=0, weights=(0.25, 0.75), matrix=None, k=2):
     return RunReport(
         variant=variant,
-        k=2,
+        k=k,
         seed=seed,
         labels=(1, 2, 2, 1),
         weights=weights,
@@ -122,6 +123,68 @@ class TestReportRoundtrip:
         path = save_report(_report_file([run]), str(tmp_path / "r.txt"))
         loaded = load_report(path)
         assert loaded.run_reports[0].weights.tolist() == [1 / 3, 2 / 3]
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(k=1), "k must be at least 2"),
+        (dict(seed=-4), "seed must be non-negative, got -4"),
+        (dict(variant="HARR"), "unknown variant 'HARR'"),
+        (dict(weights=(2.0, -1.0)), "weights must be non-negative and sum to 1"),
+        (dict(weights=None, weight_matrix=((0.5, 0.5),) * 3), "3 weight rows, but k is 2"),
+    ],
+    ids=["k-1", "negative-seed", "unknown-variant", "weights-off-simplex", "matrix-rows"],
+)
+def test_a_run_holds_only_what_a_run_can_produce(change, message):
+    # RunConfig's rule for the variant, k and seed; the weight rules, and
+    # one weight row per cluster.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(_run_report(), **change)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (dict(base_seed=-4), "seed must be non-negative, got -4"),
+        (dict(inner_cap=0), "iteration caps must be at least 1"),
+        (dict(outer_cap=0), "iteration caps must be at least 1"),
+        (dict(d_hat=4), "2 weights, but d_hat is 4"),
+    ],
+    ids=["negative-base-seed", "inner-cap-0", "outer-cap-0", "weights-wider-than-d_hat"],
+)
+def test_a_report_holds_only_what_a_run_can_produce(change, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(_report_file([_run_report()]), **change)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("k: 2", "k: 1", "line 18: k must be at least 2"),
+        ("base_seed: 7", "base_seed: -4", "line 18: seed must be non-negative, got -4"),
+        ("inner_cap: 100", "inner_cap: 0", "line 18: iteration caps must be at least 1"),
+        ("outer_cap: 50", "outer_cap: 0", "line 18: iteration caps must be at least 1"),
+        ("seed: 8", "seed: -4", "line 55: seed must be non-negative, got -4"),
+        (
+            "weights: VVVVVVVV1T9VVVVVVVXlPw==\nweight_entropy: 0.636514\n"
+            "weight_max: 0.6666666666666666\nweight_max_column: 1",
+            "weights: AAAAAAAAAEAAAAAAAADwvw==\nweight_entropy: -1.386294\n"  # 2.0, -1.0
+            "weight_max: 2.0\nweight_max_column: 0",
+            "line 35: weights must be non-negative and sum to 1",
+        ),
+    ],
+    ids=["k-1", "negative-base-seed", "inner-cap-0", "outer-cap-0", "negative-seed", "weights"],
+)
+def test_report_file_with_values_no_run_produces_is_a_data_error(tmp_path, old, new, message):
+    # Each file is as harr would write such a report, so only the records'
+    # rules can refuse it; the header is checked once it is read.
+    path = tmp_path / "r.txt"
+    path.write_text(GOLDEN_REPORT_V2.replace(old, new, 1))
+    with pytest.raises(ValueError) as raised:
+        load_report(str(path))
+    assert str(raised.value).startswith(f"{path}, {message}")
+    assert main(["trace", "--report", str(path), "--out", str(tmp_path / "t.csv")]) == 3
 
 
 def test_timings_roundtrip(tmp_path):
@@ -331,17 +394,26 @@ _text = st.text(st.characters(min_codepoint=32, max_codepoint=126), max_size=12)
     lambda s: s == s.strip() and s != "none"
 )
 _float = st.floats(allow_nan=False)
-# Weights are finite; the edge cases are drawn on purpose as well.
-_weight = st.sampled_from([-0.0, 5e-324, 1e-310, 1e308, -1e308]) | st.floats(
-    allow_nan=False, allow_infinity=False
-)
+# A weight row is on the simplex, as ``RunReport`` requires: up to three
+# drawn weights, the edge cases on purpose as well, and the rest of the
+# mass at a drawn column.
+_weight = st.sampled_from([-0.0, 5e-324, 1e-310]) | st.floats(0.0, 0.25)
+
+
+@st.composite
+def _weight_row(draw, d_hat: int) -> list[float]:
+    row = draw(st.lists(_weight, min_size=d_hat - 1, max_size=d_hat - 1))
+    row.insert(draw(st.integers(0, d_hat - 1)), 1.0 - math.fsum(row))
+    return row
 
 
 @st.composite
 def _report_files(draw) -> ReportFile:
     # k up to 12 gives two-digit labels; every weight row has d_hat entries.
-    variant, k, d_hat = draw(_text), draw(st.integers(1, 12)), draw(st.integers(1, 4))
-    rows = st.lists(st.lists(_weight, min_size=d_hat, max_size=d_hat), min_size=k, max_size=k)
+    # The variant, k, seeds and caps are ones a run can have (``RunConfig``).
+    variant, k = draw(st.sampled_from(VARIANTS)), draw(st.integers(2, 12))
+    d_hat = draw(st.integers(1, 4))
+    rows = st.lists(_weight_row(d_hat), min_size=k, max_size=k)
     runs = []
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(["none", "vector", "matrix"]))
@@ -351,7 +423,7 @@ def _report_files(draw) -> ReportFile:
             RunReport(
                 variant=variant,
                 k=k,
-                seed=draw(st.integers()),
+                seed=draw(st.integers(0)),
                 labels=tuple(draw(st.lists(st.integers(1, k), max_size=8))),
                 weights=draw(rows)[0] if kind == "vector" else None,
                 weight_matrix=draw(rows) if kind == "matrix" else None,
@@ -369,9 +441,9 @@ def _report_files(draw) -> ReportFile:
         schema=draw(_text),
         labels_file=draw(st.none() | _text),
         k=k,
-        base_seed=draw(st.integers()),
-        inner_cap=draw(st.integers()),
-        outer_cap=draw(st.integers()),
+        base_seed=draw(st.integers(0)),
+        inner_cap=draw(st.integers(1)),
+        outer_cap=draw(st.integers(1)),
         d_hat=d_hat,
         run_reports=tuple(runs),
     )
@@ -462,15 +534,20 @@ def test_malformed_report_names_path_and_line(tmp_path, old, new, message):
     [
         ("VVVVVVVV1T9", "VVVV!VVV1T9", "line 29: cannot read 'VVVV!VVV1T9VVVVVVVXlPw=='"),
         ("VVVVVVVV1T9VVVVVVVXlPw==", "VVVVVVVV", "line 29: cannot read 'VVVVVVVV'"),
-        ("VVVVVVVV1T9VVVVVVVXlPw==", "AAAAAAAA4D8=", "line 29: 1 weights, but d_hat is 2"),
-        ("VVVVVVVV1T9VVVVVVVXlPw==", "AAAAAAAA+H8AAAAAAADgPw==", "line 29: weights must be finite"),
+        # the records check the weights once the run is read, at its last line
+        ("VVVVVVVV1T9VVVVVVVXlPw==", "AAAAAAAA8D8=", "line 35: 1 weights, but d_hat is 2"),
+        ("VVVVVVVV1T9VVVVVVVXlPw==", "AAAAAAAA+H8AAAAAAADgPw==", "line 35: weights must be finite"),
         ("labels: 1 2 2 1", "labels: 1 3 2 1", "line 28: labels must lie in [1, 2]"),
         (
             "weight_max: 0.6666666666666666",
             "weight_max: 0.7",
             "line 31: expected 'weight_max: 0.6666666666666666', got 'weight_max: 0.7'",
         ),
-        ("weight_matrix: 2", "weight_matrix: 3", "line 47: 3 weight rows, but k is 2"),
+        (
+            "weight_matrix: 2\nrow: AAAAAAAA4D8AAAAAAADgPw==",
+            "weight_matrix: 3\nrow: AAAAAAAA4D8AAAAAAADgPw==\nrow: AAAAAAAA4D8AAAAAAADgPw==",
+            "line 56: 3 weight rows, but k is 2",
+        ),
         ("extends: harr-report-v1", "extends: harr-report-v0",
          "line 2: expected 'extends: harr-report-v1', got 'extends: harr-report-v0'"),
     ],
@@ -621,8 +698,7 @@ def test_loaded_wide_matrix_report_holds_arrays(tmp_path):
     rng = np.random.default_rng(0)
     runs = [
         replace(
-            _run_report("HARR-M", seed=s, weights=None, matrix=rng.dirichlet(np.ones(d_hat), k)),
-            k=k,
+            _run_report("HARR-M", s, None, rng.dirichlet(np.ones(d_hat), k), k),
             labels=rng.integers(1, k + 1, n),
         )
         for s in range(10)

@@ -615,7 +615,7 @@ ARRAY_RECORDS = [
     ),
     (
         "BaseDistanceTable",
-        lambda a: BaseDistanceTable((None, a)),
+        lambda a: BaseDistanceTable(_TWO, (None, a)),
         [[0.0, 2.0], [2.0, 0.0]],
         [[0.0, 2.0], [2.0, 1.0]],
     ),
