@@ -28,7 +28,7 @@ dataset, labels = generate_synthetic(spec)
 dataset = normalize_numerical(dataset)
 
 prep = prepare(dataset, "HARR-V")
-report = run_prepared(dataset, prep, RunConfig(k=3, seed=0, variant="HARR-V"))
+report = run_prepared(prep, RunConfig(k=3, seed=0, variant="HARR-V"))
 
 print("objective trace (o marks an assignment under refreshed weights):")
 for i, (z, updated) in enumerate(
@@ -55,7 +55,7 @@ for name, total in mass.items():
 # HARR-M refines this per cluster; its converged objective never exceeds
 # the vector variant's on the same seed here.
 prep_m = prepare(dataset, "HARR-M")
-report_m = run_prepared(dataset, prep_m, RunConfig(k=3, seed=0, variant="HARR-M"))
+report_m = run_prepared(prep_m, RunConfig(k=3, seed=0, variant="HARR-M"))
 print(
     f"\nconverged z: HARR-V {report.trace_z[-1]:.4f}  "
     f"HARR-M {report_m.trace_z[-1]:.4f}"

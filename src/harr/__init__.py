@@ -56,7 +56,7 @@ from .cluster import (
     update_weight_vector,
     update_weight_matrix,
 )
-from .evaluation import contingency, ari, ca, aggregate_runs, RunSummary
+from .evaluation import contingency, ari, ca
 from .synth import SyntheticSpec, generate_synthetic, write_synthetic
 from .bench import BenchConfig, load_dataset, cmd_cluster, cmd_bench_time, cmd_trace_plot
 

@@ -100,11 +100,9 @@ def _run_config(cfg: BenchConfig, variant: str, seed: int) -> RunConfig:
     )
 
 
-def _scored_run(
-    dataset: Dataset, prep: Prepared, config: RunConfig, labels: np.ndarray | None
-) -> RunReport:
+def _scored_run(prep: Prepared, config: RunConfig, labels: np.ndarray | None) -> RunReport:
     """One seeded run, scored against the ground truth when there is one."""
-    report = run_prepared(dataset, prep, config)
+    report = run_prepared(prep, config)
     if labels is None:
         return report
     return replace(report, ari=ari(labels, report.labels), ca=ca(labels, report.labels))
@@ -153,7 +151,6 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
     from concurrent.futures import ThreadPoolExecutor
 
     out: list[ReportFile] = []
-    summaries: list = []
     prepared: list[Prepared] = []
     pool = ThreadPoolExecutor(max_workers=cfg.workers)
 
@@ -161,7 +158,7 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
         prep = prepare(dataset, variant)
         prepared.append(prep)
         configs = [_run_config(cfg, variant, cfg.base_seed + i) for i in range(cfg.runs)]
-        futures = [pool.submit(_scored_run, dataset, prep, c, labels) for c in configs]
+        futures = [pool.submit(_scored_run, prep, c, labels) for c in configs]
         return variant, prep.model.m, prep.reconstruct_s, futures
 
     def save(variant: str, d_hat: int, reconstruct_s: float, futures) -> None:
@@ -178,7 +175,6 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
             d_hat=d_hat,
             run_reports=reports,
         )
-        summaries.append(report_file.summary or (variant, None))
         slug = variant_slug(variant)
         save_report(report_file, f"{cfg.out_dir}/{slug}.report.txt")
         save_timings(
@@ -200,7 +196,7 @@ def cmd_cluster(cfg: BenchConfig) -> list[ReportFile]:
         save(*submitted)
     finally:
         pool.shutdown(cancel_futures=True)  # after a failure, drop unstarted runs
-    save_summary(summaries, f"{cfg.out_dir}/summary.csv")
+    save_summary(out, f"{cfg.out_dir}/summary.csv")
     return out
 
 
@@ -233,7 +229,7 @@ def cmd_bench_time(cfg: BenchConfig) -> list[tuple[float, int, str, float]]:
                 # a fresh dataset, so no repeat finds another's set-up built
                 sub = _subsample(dataset, order, n_sub)
                 prep = prepare(sub, variant)
-                report = run_prepared(sub, prep, config)
+                report = run_prepared(prep, config)
                 times.append(prep.reconstruct_s + report.cluster_s + report.weights_s)
             rows.append((phi, n_sub, variant, float(np.median(times))))
     save_bench_time(rows, f"{cfg.out_dir}/bench_time.csv")

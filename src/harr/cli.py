@@ -16,8 +16,8 @@ import sys
 
 from .bench import BenchConfig, cmd_bench_time, cmd_cluster, cmd_trace_plot
 from .cluster import VARIANTS, ConfigError
-from .evaluation import ari, ca, format_mean_std
-from .report import read_label_file
+from .evaluation import ari, ca
+from .report import _mean_std, read_label_file
 from .schema import DataError, SchemaError
 from .synth import SyntheticSpec, write_synthetic
 
@@ -143,8 +143,8 @@ def _do_cluster(args: argparse.Namespace) -> int:
     for report in reports:
         if report.ari_mean is not None:
             scores = (
-                f"ari {format_mean_std(report.ari_mean, report.ari_std)}  "
-                f"ca {format_mean_std(report.ca_mean, report.ca_std)}"
+                f"ari {_mean_std(report.ari_mean, report.ari_std)}  "
+                f"ca {_mean_std(report.ca_mean, report.ca_std)}"
             )
         else:
             scores = "no ground truth"

@@ -853,7 +853,6 @@ class _Epoch(_Record):
     whether it repeated the assignment before it (Q')."""
 
     trace_z: tuple[float, ...]
-    trace_updated: tuple[bool, ...]
     trace_reseeded: tuple[bool, ...]
     labels0: np.ndarray
     proto_vals: np.ndarray
@@ -944,16 +943,15 @@ def prepare(dataset: Dataset, variant: str) -> Prepared:
 
 def run(dataset: Dataset, config: RunConfig) -> RunReport:
     """Prepare the variant's representation and execute one seeded run."""
-    return run_prepared(dataset, prepare(dataset, config.variant), config)
+    return run_prepared(prepare(dataset, config.variant), config)
 
 
 def _epoch(
-    model: _ColumnModel, proto_vals, weights, labels0, refreshed: bool, k: int, inner_cap: int, buf
+    model: _ColumnModel, proto_vals, weights, labels0, k: int, inner_cap: int, buf
 ) -> _Epoch:
     """One fixed-weight epoch: assign and refit until an assignment repeats
     ``labels0``, the one before it (None before a run's first), or
-    ``inner_cap`` assignments were made. ``refreshed`` marks an epoch that
-    a weight refresh opened."""
+    ``inner_cap`` assignments were made."""
     inverse = model.inverse
     memo: dict = {}  # per-value totals under this epoch's weights
     trace_z: list[float] = []
@@ -977,13 +975,12 @@ def _epoch(
             break
         if inner + 1 < inner_cap:
             proto_vals = model.refit(labels0, k)
-    updated = (refreshed,) + (False,) * (len(trace_z) - 1)
-    return _Epoch(tuple(trace_z), updated, tuple(trace_reseeded), labels0, proto_vals, stable)
+    return _Epoch(tuple(trace_z), tuple(trace_reseeded), labels0, proto_vals, stable)
 
 
-def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunReport:
+def run_prepared(prep: Prepared, config: RunConfig) -> RunReport:
     """Execute one seeded run on the representation ``prepare`` built for
-    this dataset: the epochs the module docstring describes. A run
+    its dataset: the epochs the module docstring describes. A run
     converged when its last epoch ended on a repeat (Q') and no cap cut the
     run short. HAR, HARR-V and HARR-M take their first epoch from the
     dataset's store (``Prepared._first_epochs``); a run whose first epoch
@@ -992,13 +989,11 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
         raise ConfigError(
             f"prepared for {prep.variant!r} but config asks for {config.variant!r}"
         )
-    if prep.model.dataset is not dataset:
-        raise ConfigError("prepared for another dataset")
-    if config.k > dataset.n:
-        raise ConfigError(f"k={config.k} exceeds the {dataset.n} available objects")
-    started = time.perf_counter()
     model = prep.model
-    n, m, k = dataset.n, model.m, config.k
+    n, m, k = model.dataset.n, model.m, config.k
+    if k > n:
+        raise ConfigError(f"k={k} exceeds the {n} available objects")
+    started = time.perf_counter()
     # Weights start uniform and HARR-V and HARR-M learn them: one vector, or
     # one row per cluster. HAR keeps the uniform vector; the rest use none.
     learn = {
@@ -1014,7 +1009,7 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
         computed = True
         rng = np.random.default_rng(config.seed)
         proto_vals = model.at(rng.choice(n, size=k, replace=False))
-        epoch = _epoch(model, proto_vals, weights, None, False, k, config.inner_cap, buf)
+        epoch = _epoch(model, proto_vals, weights, None, k, config.inner_cap, buf)
         # kept while the store lives: the smallest unsigned label type
         labels0 = epoch.labels0.astype(np.min_scalar_type(k - 1))
         return replace(epoch, labels0=_freeze(labels0), proto_vals=_freeze(epoch.proto_vals))
@@ -1033,7 +1028,8 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
     updates = 0
     while True:
         trace_z += epoch.trace_z
-        trace_updated += epoch.trace_updated
+        # every epoch but the first opens with an assignment under refreshed weights
+        trace_updated += [updates > 0] + [False] * (len(epoch.trace_z) - 1)
         trace_reseeded += epoch.trace_reseeded
         labels0 = epoch.labels0.astype(np.intp, copy=False)
         proto_vals, converged = epoch.proto_vals, epoch.stable
@@ -1050,7 +1046,7 @@ def run_prepared(dataset: Dataset, prep: Prepared, config: RunConfig) -> RunRepo
         weights = learn(*stats, n)
         weights_s += time.perf_counter() - t0
         updates += 1
-        epoch = _epoch(model, proto_vals, weights, labels0, True, k, config.inner_cap, buf)
+        epoch = _epoch(model, proto_vals, weights, labels0, k, config.inner_cap, buf)
 
     del refreshed  # released before the labels are built
     if converged:

@@ -1,4 +1,4 @@
-"""Partition quality scores and multi-run aggregation.
+"""Partition quality scores.
 
 Two validity indices: the adjusted pair-counting agreement between a
 predicted partition and ground-truth classes (range [-1, 1]), and the
@@ -9,26 +9,12 @@ accuracy under the optimal one-to-one cluster-to-class mapping (range
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .cluster import Partition, RunReport
 from .schema import _label_array
 
-__all__ = [
-    "contingency",
-    "ari",
-    "ca",
-    "aggregate_runs",
-    "RunSummary",
-    "format_mean_std",
-]
-
-
-def _as_labels(x) -> np.ndarray:
-    return _label_array(x.labels if isinstance(x, Partition) else x)
+__all__ = ["contingency", "ari", "ca"]
 
 
 def _compact(labels: np.ndarray) -> np.ndarray:
@@ -47,8 +33,8 @@ def contingency(labels, pred) -> np.ndarray:
     Entry (a, b) counts the objects with class a+1 and cluster b+1; row sums
     are class sizes, column sums cluster sizes.
     """
-    truth = _as_labels(labels)
-    guess = _as_labels(pred)
+    truth = _label_array(labels)
+    guess = _label_array(pred)
     if truth.shape[0] != guess.shape[0]:
         raise ValueError(
             f"labelings must have equal length, got {truth.shape[0]} "
@@ -67,8 +53,8 @@ def ari(labels, pred) -> float:
     exactly when both labelings are all singletons or both a single group;
     the score is then 1, with a warning.
     """
-    truth = _compact(_as_labels(labels))
-    guess = _compact(_as_labels(pred))
+    truth = _compact(_label_array(labels))
+    guess = _compact(_label_array(pred))
     if truth.shape[0] < 2:
         raise ValueError("need at least two objects")
     table = contingency(truth, guess)
@@ -103,8 +89,8 @@ def ca(labels, pred) -> float:
     the matched count over n. Invariant under permutations of cluster
     indices.
     """
-    truth = _compact(_as_labels(labels))
-    guess = _compact(_as_labels(pred))
+    truth = _compact(_label_array(labels))
+    guess = _compact(_label_array(pred))
     table = contingency(truth, guess)
     if truth.shape[0] == 0:
         raise ValueError("need at least one object")
@@ -154,57 +140,3 @@ def _max_matching(weights: np.ndarray) -> int:
             row_of[j0] = row_of[j1]
             j0 = j1
     return int(weights[row_of[1:] - 1, np.arange(size)].sum())
-
-
-def format_mean_std(mean: float, std: float) -> str:
-    return f"{mean:.4f}±{std:.4f}"
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    """Mean and (population) standard deviation of scores across runs."""
-
-    variant: str
-    runs: int
-    ari_mean: float
-    ari_std: float
-    ca_mean: float
-    ca_std: float
-
-    @classmethod
-    def from_scores(
-        cls, variant: str, aris: Sequence[float], cas: Sequence[float]
-    ) -> RunSummary:
-        """Aggregate per-run scores given in run order."""
-        aris = np.array(aris, dtype=float)
-        cas = np.array(cas, dtype=float)
-        return cls(
-            variant=variant,
-            runs=len(aris),
-            ari_mean=float(aris.mean()),
-            ari_std=float(aris.std(ddof=0)),
-            ca_mean=float(cas.mean()),
-            ca_std=float(cas.std(ddof=0)),
-        )
-
-    def format_scores(self) -> tuple[str, str]:
-        return (
-            format_mean_std(self.ari_mean, self.ari_std),
-            format_mean_std(self.ca_mean, self.ca_std),
-        )
-
-
-def aggregate_runs(reports: Sequence[RunReport], labels) -> RunSummary:
-    """Score every report's partition against the ground truth and aggregate.
-
-    Standard deviation uses the population convention so a single run
-    reports 0.
-    """
-    if not reports:
-        raise ValueError("need at least one report")
-    truth = _as_labels(labels)
-    return RunSummary.from_scores(
-        reports[0].variant,
-        [ari(truth, r.labels) for r in reports],
-        [ca(truth, r.labels) for r in reports],
-    )

@@ -32,7 +32,6 @@ from itertools import zip_longest
 import numpy as np
 
 from .cluster import RunConfig, RunReport
-from .evaluation import RunSummary
 from .schema import (
     DataError,
     _freeze,
@@ -109,6 +108,12 @@ def _duration(x) -> float:
 _MEAN_STD = re.compile(r"-?[0-9]+\.[0-9]{4}±[0-9]+\.[0-9]{4}")
 
 
+def _mean_std(mean: float, std: float) -> str:
+    """A summary score as ``save_summary`` writes it and ``_MEAN_STD`` reads
+    it: mean±std to four decimals."""
+    return f"{mean:.4f}±{std:.4f}"
+
+
 def _score_cell(text: str) -> str:
     """A summary score cell as ``save_summary`` writes it: mean±std to four
     decimals, or ``none``."""
@@ -128,8 +133,9 @@ def _label_text(labels: np.ndarray, sep: str = " ") -> str:
 
 
 def _read_labels(text: str, sep: str = " ") -> np.ndarray:
-    """Decimals, one ``sep`` between two, to int64, parsed from the bytes
-    with numpy. A fault is a ValueError whose message completes "label ..."."""
+    """Decimals, one ``sep`` between two, to a frozen int64 array, parsed
+    from the bytes with numpy. A fault is a ValueError whose message
+    completes "label ..."."""
     raw = np.frombuffer(text.encode("ascii", "replace"), np.uint8)
     digit = raw != ord(sep)
     starts = np.flatnonzero(digit & np.r_[True, ~digit[:-1]])
@@ -148,7 +154,7 @@ def _read_labels(text: str, sep: str = " ") -> np.ndarray:
         labels[live] = value * 10 + digits
     if over.any():
         raise ValueError("does not fit in int64")
-    return labels
+    return _freeze(labels)  # no one else holds it, so _frozen keeps it
 
 
 def _b64_write(row: np.ndarray) -> str:
@@ -249,10 +255,10 @@ def variant_slug(variant: str) -> str:
     return variant.replace("+", "_").replace("/", "_")
 
 
-def _summarized(name: str) -> property:
-    """The ``ReportFile`` property that reads ``name`` of its summary, or
-    None when it has none."""
-    return property(lambda report: getattr(report.summary, name, None))
+def _summarized(index: int) -> property:
+    """The ``ReportFile`` property that reads item ``index`` of its summary,
+    or None when it has none."""
+    return property(lambda report: None if (s := report.summary) is None else s[index])
 
 
 @dataclass(frozen=True)
@@ -295,19 +301,18 @@ class ReportFile:
         return len(self.run_reports)
 
     @property
-    def summary(self) -> RunSummary | None:
-        """Mean and std of the runs' scores; None when there is no run or
-        some run has no score."""
+    def summary(self) -> tuple[float, float, float, float] | None:
+        """``(ari_mean, ari_std, ca_mean, ca_std)`` of the runs' scores, the
+        std the population one, so a single run's is 0; None when there is
+        no run or some run has no score."""
         aris = [run.ari for run in self.run_reports]
         cas = [run.ca for run in self.run_reports]
         if not aris or None in aris or None in cas:
             return None
-        return RunSummary.from_scores(self.variant, aris, cas)
+        aris, cas = np.array(aris, float), np.array(cas, float)
+        return float(aris.mean()), float(aris.std()), float(cas.mean()), float(cas.std())
 
-    ari_mean = _summarized("ari_mean")
-    ari_std = _summarized("ari_std")
-    ca_mean = _summarized("ca_mean")
-    ca_std = _summarized("ca_std")
+    ari_mean, ari_std, ca_mean, ca_std = map(_summarized, range(4))
 
 
 @dataclass(frozen=True)
@@ -543,17 +548,14 @@ def _load_table(table, path: str) -> list[tuple]:
     return rows
 
 
-def save_summary(summaries: list[RunSummary | tuple[str, None]], path: str) -> str:
-    """Aggregate table: one row per variant, mean and std of each score.
-
-    A ``(variant, None)`` entry marks a variant run without ground truth.
-    """
-    rows = [
-        (item.variant, *item.format_scores())
-        if isinstance(item, RunSummary)
-        else (item[0], "none", "none")
-        for item in summaries
-    ]
+def save_summary(reports: list[ReportFile], path: str) -> str:
+    """Aggregate table: one row per report, the mean±std of each score, or
+    ``none`` twice for a report without a summary."""
+    rows = []
+    for report in reports:
+        s = report.summary
+        cells = ("none", "none") if s is None else (_mean_std(*s[:2]), _mean_std(*s[2:]))
+        rows.append((report.variant, *cells))
     return _save(_table_lines(_SUMMARY, rows), path)
 
 

@@ -72,7 +72,7 @@ def planted_suite():
         prep = prepare(dataset, variant)
         reports[variant] = [
             run_prepared(
-                dataset, prep, RunConfig(k=PLANTED_SPEC.k_true, seed=s, variant=variant)
+                prep, RunConfig(k=PLANTED_SPEC.k_true, seed=s, variant=variant)
             )
             for s in PLANTED_SEEDS
         ]

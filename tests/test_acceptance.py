@@ -247,7 +247,7 @@ def _variant_sample_reports():
                 for seed in (0, 1):
                     reports.append(
                         run_prepared(
-                            dataset, prep, RunConfig(k=2, seed=seed, variant=variant)
+                            prep, RunConfig(k=2, seed=seed, variant=variant)
                         )
                     )
     return reports
@@ -428,7 +428,7 @@ def test_c09_uci_reproduction(name):
             ari(
                 truth,
                 run_prepared(
-                    dataset, prep, RunConfig(k=k, seed=s, variant="HARR-M")
+                    prep, RunConfig(k=k, seed=s, variant="HARR-M")
                 ).labels,
             )
             for s in range(20)

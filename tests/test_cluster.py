@@ -33,7 +33,6 @@ from harr.cluster import (
     update_weight_vector,
 )
 from harr.projection import reconstruct
-from harr.synth import SyntheticSpec, generate_synthetic
 from harr.schema import (
     AttributeKind,
     AttributeSchema,
@@ -631,7 +630,7 @@ class TestPublicOpReplay:
             dataset = random_dataset(rng, max_n=40, min_categorical=1)
             prep = prepare(dataset, variant)
             report = run_prepared(
-                dataset, prep, RunConfig(k=2, seed=int(rng.integers(0, 100)), variant=variant)
+                prep, RunConfig(k=2, seed=int(rng.integers(0, 100)), variant=variant)
             )
             if not report.converged or any(report.trace_reseeded):
                 continue  # replay has no cap/re-seed handling
@@ -665,7 +664,7 @@ def test_run_matches_alternating_oracle(seed, variant):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         prep = prepare(dataset, variant)
-        report = run_prepared(dataset, prep, config)
+        report = run_prepared(prep, config)
         expected = alternating_oracle(
             dataset,
             prep.space,
@@ -1142,7 +1141,7 @@ def test_run_memory_below_object_score_table(variant):
     assert prep.model.repeats.sum() == 10  # distinct rows
     tracemalloc.start()
     try:
-        run_prepared(dataset, prep, RunConfig(k=k, seed=0, variant=variant))
+        run_prepared(prep, RunConfig(k=k, seed=0, variant=variant))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1155,25 +1154,14 @@ class TestPreparedSharing:
         dataset = random_dataset(rng, max_n=40, min_categorical=1)
         prep = prepare(dataset, "HARR-M")
         cfg = RunConfig(k=2, seed=9, variant="HARR-M")
-        assert run_prepared(dataset, prep, cfg) == run(dataset, cfg)
-
-    def test_prep_of_another_dataset(self):
-        # prepared on 200 rows, a run on 50 of them would label 200 objects
-        spec = SyntheticSpec(
-            n=200, k_true=2, d_u=1, d_n=2, d_o=1, values=3, separation=0.8, seed=5
-        )
-        dataset = generate_synthetic(spec)[0]
-        prep = prepare(dataset, "HARR-V")
-        fewer = build_dataset(dataset.schema, dataset.cells[:50])
-        with pytest.raises(ConfigError, match="^prepared for another dataset$"):
-            run_prepared(fewer, prep, RunConfig(k=2, variant="HARR-V"))
+        assert run_prepared(prep, cfg) == run(dataset, cfg)
 
     def test_prep_variant_mismatch(self):
         rng = np.random.default_rng(56)
         dataset = random_dataset(rng, max_n=20, min_categorical=1)
         prep = prepare(dataset, "KPT")
         with pytest.raises(ConfigError, match="prepared for"):
-            run_prepared(dataset, prep, RunConfig(k=2, variant="BD"))
+            run_prepared(prep, RunConfig(k=2, variant="BD"))
 
 
 def _variants_for(dataset):
@@ -1348,7 +1336,7 @@ def test_prepared_dataset_is_freed_by_reference_counting(variant):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             prep = prepare(dataset, variant)
-            run_prepared(dataset, prep, RunConfig(k=2, seed=0, variant=variant))
+            run_prepared(prep, RunConfig(k=2, seed=0, variant=variant))
         alive = weakref.ref(dataset)
         del dataset, prep
         assert alive() is None
@@ -1527,10 +1515,10 @@ def test_runs_that_start_alike_share_their_first_epoch(workers):
         warnings.simplefilter("ignore", RuntimeWarning)
         preps = {v: prepare(dataset, v) for v in _UNIFORM_START}
         with ThreadPoolExecutor(workers) as pool:
-            shared = list(pool.map(lambda c: run_prepared(dataset, preps[c.variant], c), configs))
+            shared = list(pool.map(lambda c: run_prepared(preps[c.variant], c), configs))
         for config, report in zip(configs, shared):
             fresh = _fresh(dataset)
-            assert report == run_prepared(fresh, prepare(fresh, config.variant), config), config
+            assert report == run_prepared(prepare(fresh, config.variant), config), config
     slots = preps["HAR"]._first_epochs._slots
     assert len(slots) == 3 * 2 * 3  # one per (seed, k, inner cap)
     assert any(
@@ -1554,7 +1542,7 @@ def test_first_epochs_go_with_the_last_prepared_that_shares_them():
             assert prepare(dataset, "KPT")._first_epochs is None
             store = weakref.ref(har._first_epochs)
             assert harr_m._first_epochs is store()
-            run_prepared(dataset, har, RunConfig(k=2, seed=0, variant="HAR"))
+            run_prepared(har, RunConfig(k=2, seed=0, variant="HAR"))
             assert len(store()._slots) == 1
             del har
             assert store() is not None
@@ -1593,7 +1581,7 @@ def test_a_first_epoch_is_computed_once_and_distinct_keys_do_not_wait(monkeypatc
         warnings.simplefilter("ignore", RuntimeWarning)
         preps = {v: prepare(dataset, v) for v in _UNIFORM_START}
         with ThreadPoolExecutor(4) as pool:
-            reports = list(pool.map(lambda c: run_prepared(dataset, preps[c.variant], c), configs))
+            reports = list(pool.map(lambda c: run_prepared(preps[c.variant], c), configs))
     assert sum(computed.values()) == 2
     # whichever run at seed 0 asked first computed its epoch
     counted = [r.cluster_s >= 0.3 for r in reports]

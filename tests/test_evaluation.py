@@ -1,11 +1,15 @@
 import itertools
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from harr.cluster import RunReport
-from harr.evaluation import aggregate_runs, ari, ca, contingency, format_mean_std
+from harr.evaluation import ari, ca, contingency
+from harr.report import ReportFile, _mean_std, load_report, save_report, save_summary
 
 from oracles import ari_paircount_oracle, ca_permutation_oracle
 
@@ -204,33 +208,69 @@ def _report(labels, seed=0, ari_val=None, ca_val=None):
     )
 
 
+def _report_file(runs) -> ReportFile:
+    return ReportFile("KPT", "data.csv", "schema.txt", None, 3, 0, 100, 50, 0, tuple(runs))
+
+
 class TestAggregate:
+    """A report summarizes the scores of its own runs."""
+
     def test_single_run_zero_std(self):
-        truth = [1, 1, 2, 2]
-        summary = aggregate_runs([_report([1, 1, 2, 2])], truth)
-        assert summary.ari_std == 0.0 and summary.ca_std == 0.0
-        assert summary.ari_mean == pytest.approx(1.0)
+        truth = [1, 1, 2, 3]
+        run = _report([1, 1, 2, 3], ari_val=ari(truth, [1, 1, 2, 3]), ca_val=1.0)
+        assert _report_file([run]).summary == (1.0, 0.0, 1.0, 0.0)
 
     def test_two_run_mean(self):
         truth = [1, 1, 2, 2, 3, 3]
-        r1 = _report([1, 1, 2, 2, 3, 3])
-        r2 = _report([1, 1, 2, 2, 3, 1], seed=1)
-        summary = aggregate_runs([r1, r2], truth)
-        expected = (ari(truth, r1.labels) + ari(truth, r2.labels)) / 2
-        assert summary.ari_mean == pytest.approx(expected, abs=1e-12)
+        runs = [
+            _report(pred, seed, ari(truth, pred), ca(truth, pred))
+            for seed, pred in enumerate([[1, 1, 2, 2, 3, 3], [1, 1, 2, 2, 3, 1]])
+        ]
+        report = _report_file(runs)
+        expected = (runs[0].ari + runs[1].ari) / 2
+        assert report.ari_mean == pytest.approx(expected, abs=1e-12)
+        assert report.ca_mean == pytest.approx((1.0 + 5 / 6) / 2, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=25
+        )
+    )
+    def test_summary_is_numpy_mean_and_population_std(self, scores):
+        report = _report_file(_report([1, 2, 3], s, a, c) for s, (a, c) in enumerate(scores))
+        aris, cas = np.array(scores).T.copy()
+        expected = (np.mean(aris), np.std(aris), np.mean(cas), np.std(cas))
+        got = (report.ari_mean, report.ari_std, report.ca_mean, report.ca_std)
+        assert report.summary == got
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in expected]
+
+    def test_no_summary_without_scores(self, tmp_path):
+        unscored = _report([1, 2, 3], seed=1)
+        for runs in ([], [unscored], [_report([1, 2, 3], 0, 0.5, 0.75), unscored]):
+            report = _report_file(runs)
+            assert report.summary is None
+            assert (report.ari_mean, report.ari_std, report.ca_mean, report.ca_std) == (None,) * 4
+            path = save_summary([report], str(tmp_path / "summary.csv"))
+            assert Path(path).read_text().splitlines()[-1] == "KPT,none,none"
 
     def test_formatting(self):
-        assert format_mean_std(0.43672, 0.04949) == "0.4367±0.0495"
+        assert _mean_std(0.43672, 0.04949) == "0.4367±0.0495"
+        assert _mean_std(-0.05, 0.0) == "-0.0500±0.0000"
 
-    def test_deterministic(self):
+    def test_deterministic(self, tmp_path):
         rng = np.random.default_rng(10)
         truth = rng.integers(1, 4, size=30).tolist()
-        reports = [
-            _report(rng.integers(1, 4, size=30).tolist(), seed=s) for s in range(5)
+        preds = [rng.integers(1, 4, size=30).tolist() for _ in range(5)]
+        runs = [_report(p, s, ari(truth, p), ca(truth, p)) for s, p in enumerate(preds)]
+        report = _report_file(runs)
+        reloaded = load_report(save_report(report, str(tmp_path / "KPT.report.txt")))
+        assert reloaded.summary == _report_file(runs).summary == report.summary
+        texts = [
+            Path(save_summary([r], str(tmp_path / f"s{i}.csv"))).read_bytes()
+            for i, r in enumerate([report, reloaded])
         ]
-        s1 = aggregate_runs(reports, truth)
-        s2 = aggregate_runs(reports, truth)
-        assert s1 == s2
+        assert texts[0] == texts[1]
 
 
 def test_assignment_beats_every_permutation_small():

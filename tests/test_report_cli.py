@@ -480,6 +480,28 @@ def test_label_codec_matches_python_decimals(labels):
     assert _read_labels("\n".join(map(str, labels)), "\n").tolist() == labels
 
 
+def test_a_parsed_label_array_is_kept_not_copied(tmp_path, monkeypatch):
+    # A parse builds an array that no one else holds, so the label rule
+    # keeps it: a loaded run and a label file hold the parsed array itself.
+    from harr import report as report_module
+
+    rule, kept = report_module._label_array, []
+
+    def spied(labels, *k):
+        kept.append((labels, rule(labels, *k)))
+        return kept[-1][1]
+
+    report = _report_file([_run_report(seed=s) for s in range(2)])
+    report_path = save_report(report, str(tmp_path / "r.txt"))
+    labels_path = tmp_path / "labels.txt"
+    labels_path.write_text("".join(f"{i % 7 + 1}\n" for i in range(1000)))
+    monkeypatch.setattr(report_module, "_label_array", spied)
+    held = [run.labels for run in load_report(report_path).run_reports]
+    held.append(read_label_file(str(labels_path)))
+    assert len(kept) == 3
+    assert all(parsed is got is h for (parsed, got), h in zip(kept, held))
+
+
 def test_report_cut_at_every_line_is_a_data_error(synth_dir, tmp_path):
     cfg = BenchConfig(
         data=synth_dir["data"],
@@ -725,13 +747,12 @@ def test_table_row_with_wrong_field_count_names_path_and_line(tmp_path):
 
 
 def test_summary_roundtrip(tmp_path):
-    from harr.evaluation import RunSummary
-
-    rows = [
-        RunSummary("KPT", 20, 0.5, 0.1, 0.75, 0.05),
-        ("BD", None),
+    kpt = [
+        replace(_run_report("KPT", seed, None), ari=a, ca=c)
+        for seed, (a, c) in enumerate([(0.4, 0.7), (0.6, 0.8)])
     ]
-    path = save_summary(rows, str(tmp_path / "summary.csv"))
+    reports = [_report_file(kpt, "KPT"), _report_file([], "BD")]
+    path = save_summary(reports, str(tmp_path / "summary.csv"))
     loaded = load_summary(path)
     assert loaded == [
         ("KPT", "0.5000±0.1000", "0.7500±0.0500"),
@@ -864,7 +885,7 @@ def test_written_files_may_start_with_a_byte_order_mark(tmp_path):
     for load, path in [
         (load_report, save_report(report, str(tmp_path / "r.txt"))),
         (load_timings, save_timings(timings, str(tmp_path / "t.txt"))),
-        (load_summary, save_summary([("BD", None)], str(tmp_path / "s.csv"))),
+        (load_summary, save_summary([_report_file([], "BD")], str(tmp_path / "s.csv"))),
     ]:
         plain = load(path)
         Path(path).write_text("\ufeff" + Path(path).read_text(encoding="utf-8"), "utf-8")

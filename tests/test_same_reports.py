@@ -35,11 +35,12 @@ def test_bad_arguments_exit_2(tmp_path):
 
 
 def test_files_the_change_tree_wrote_must_reload(tmp_path):
-    from harr.report import TimingsFile, save_summary, save_timings
+    from harr.report import ReportFile, TimingsFile, save_summary, save_timings
 
     out = tmp_path / "out"
     save_timings(TimingsFile("KPT", 0.125, ((0, 0.5, 0.25),)), str(out / "KPT.timings.txt"))
-    save_summary([("KPT", None)], str(out / "summary.csv"))
+    unscored = ReportFile("KPT", "d.csv", "s.txt", None, 2, 0, 100, 50, 0, ())
+    save_summary([unscored], str(out / "summary.csv"))
     (out / "notes.txt").write_text("not a harr file\n")  # not one of the loaded files
     src = str(ROOT / "src")
     assert same_reports.reload_failures(src, str(out)) == []
